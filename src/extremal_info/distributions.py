@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 __all__ = [
     "FAMILIES",
@@ -416,9 +415,9 @@ def density_quantile_profile(dist: DistributionSpec) -> DensityQuantile:
 def sup_density(dist: DistributionSpec) -> float:
     """Supremum of the density over the support (may be +inf).
 
-    Closed form for the five parametric families; for gev the profile
-    I(t) = t(-ln t)^{xi+1} is maximized numerically over (0, 1), since
-    sup_x f(x) = sup_t I(t).
+    Closed form for every family.  For gev, sup_x f(x) = sup_t I(t) with
+    I(t) = t(-ln t)^k, k = xi + 1; for xi > -1 the peak sits at -ln t = k,
+    giving k^k e^{-k}.  xi = -1 gives 1 and xi < -1 gives +inf.
     """
     th = dist.theta
     if dist.family == "uniform":
@@ -438,13 +437,8 @@ def sup_density(dist: DistributionSpec) -> float:
         return math.inf
     if xi == -1.0:
         return 1.0
-    res = _opt.minimize_scalar(
-        lambda t: -density_quantile(dist, t),
-        bounds=(1e-14, 1.0 - 1e-14),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(-res.fun)
+    k = xi + 1.0
+    return math.exp(k * math.log(k) - k)
 
 
 def is_log_concave(dist: DistributionSpec) -> bool:

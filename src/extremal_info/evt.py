@@ -270,8 +270,9 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
 
     records = []
     for n in grid:
-        h = measures.shannon_normalized(dist, n).value
-        j = measures.extropy_normalized(dist, n).value
+        norming = norming_constants(dist, n)
+        h = measures.shannon_normalized(dist, n, norming=norming).value
+        j = measures.extropy_normalized(dist, n, norming=norming).value
         records.append(
             ConvergenceRecord(
                 n=n,

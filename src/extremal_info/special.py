@@ -7,11 +7,21 @@ the beta function, and a small catalogue of integrals of the form
 closed forms.  These closed forms serve as independent oracles for the
 adaptive quadrature in :mod:`extremal_info.numerics` and as building blocks
 for the entropy/extropy formulas in :mod:`extremal_info.measures`.
+
+Harmonic numbers up to n = 10^4 and the partial sums of sum(1/(k*2^k)) are
+read from module-level tables of correctly rounded prefix sums, grown on
+demand.  The running sum is held exactly as Shewchuk non-overlapping
+partials (the expansion ``math.fsum`` itself keeps), and each entry is the
+correctly rounded value of that exact sum.  Correct rounding is unique, so
+every entry is bit-identical to ``math.fsum`` over the same terms, while a
+lookup costs O(1) and growing the table costs O(1) per new term.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 
 import numpy as np
 from scipy import special as _sc
@@ -41,6 +51,49 @@ _HARMONIC_EXACT_MAX = 10_000
 _HALF_GEOMETRIC_CAP = 1_100
 
 
+class _PrefixSums:
+    """Correctly rounded prefix sums of ``term(1) + term(2) + ...``.
+
+    Entry m equals ``math.fsum(term(k) for k in range(1, m + 1))`` bit for
+    bit; entry 0 is the empty sum.  The table grows lazily under a lock
+    taken only when a lookup misses.
+    """
+
+    def __init__(self, term):
+        self._term = term
+        self._values = array("d", [0.0])
+        self._partials: list[float] = []  # exact running sum, increasing magnitude
+        self._lock = threading.Lock()
+
+    def __getitem__(self, m: int) -> float:
+        values = self._values
+        if m >= len(values):
+            with self._lock:
+                partials = self._partials
+                for k in range(len(values), m + 1):
+                    # Shewchuk's grow-expansion: add term(k) to the partials
+                    # without error (Discrete Comput. Geom. 18, 1997).
+                    x = self._term(k)
+                    i = 0
+                    for y in partials:
+                        if abs(x) < abs(y):
+                            x, y = y, x
+                        hi = x + y
+                        lo = y - (hi - x)
+                        if lo:
+                            partials[i] = lo
+                            i += 1
+                        x = hi
+                    partials[i:] = [x]
+                    values.append(math.fsum(partials))
+        return values[m]
+
+
+_HARMONIC_TABLE = _PrefixSums(lambda k: 1.0 / k)
+# ldexp underflows gracefully to 0.0 where 2.0**k would overflow
+_HALF_GEOMETRIC_TABLE = _PrefixSums(lambda k: math.ldexp(1.0 / k, -k))
+
+
 def euler_gamma() -> float:
     """Return the Euler-Mascheroni constant gamma = 0.5772156649..."""
     return EULER_GAMMA
@@ -49,8 +102,10 @@ def euler_gamma() -> float:
 def harmonic(n: int) -> float:
     """n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
 
-    Uses exact floating summation for n <= 10^4 and the identity
-    H_n = psi(n + 1) + gamma above that, so large arguments stay O(1).
+    For n <= 10^4 the value is read from a lazily grown table of correctly
+    rounded prefix sums, bit-identical to ``math.fsum(1/k for k in 1..n)``;
+    above that the identity H_n = psi(n + 1) + gamma is used.  Either way a
+    call is O(1) once the table covers n.
 
     Parameters
     ----------
@@ -59,7 +114,7 @@ def harmonic(n: int) -> float:
     """
     n = _check_index(n, "harmonic")
     if n <= _HARMONIC_EXACT_MAX:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
+        return _HARMONIC_TABLE[n]
     return float(_sc.digamma(n + 1.0)) + EULER_GAMMA
 
 
@@ -75,12 +130,11 @@ def half_geometric_sum(n: int) -> float:
     """Partial sum sum_{k=1}^{n} 1/(k*2^k).
 
     Monotonically increasing in n with limit ln 2; the gap to the limit is
-    bounded by 2^-n.  Accepts n = 0 (empty sum).
+    bounded by 2^-n.  Accepts n = 0 (empty sum).  Read from a prefix-sum
+    table, bit-identical to ``math.fsum`` over the terms.
     """
     n = _check_index(n, "half_geometric_sum", minimum=0)
-    m = min(n, _HALF_GEOMETRIC_CAP)
-    # ldexp underflows gracefully to 0.0 where 2.0**k would overflow
-    return math.fsum(math.ldexp(1.0 / k, -k) for k in range(1, m + 1))
+    return _HALF_GEOMETRIC_TABLE[min(n, _HALF_GEOMETRIC_CAP)]
 
 
 def beta_function(a: float, b: float) -> float:

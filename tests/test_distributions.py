@@ -8,12 +8,16 @@ exists.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+import extremal_info
 from extremal_info import canonical, distributions as d
 
 ALL_MEMBERS = canonical.catalog_members()
@@ -322,12 +326,21 @@ class TestSupDensity:
     def test_power_with_small_shape_unbounded(self):
         assert d.sup_density(d.power_function(1.0, 0.5)) == math.inf
 
-    @pytest.mark.parametrize("xi", [-0.75, -0.5, -0.25, 0.3, 0.5, 1.0])
+    GEV_XIS = [-0.999, -0.9, -0.75, -0.5, -0.25, -1e-6, 0.0, 1e-6, 0.3, 0.5, 1.0, 2.5, 10.0]
+
+    @pytest.mark.parametrize("xi", GEV_XIS)
     def test_gev_matches_mode_formula(self, xi):
         # density written in w = (1 + xi x)^(-1/xi) is w^(xi+1) e^-w,
         # maximized at w = xi + 1
         expected = (1.0 + xi) ** (1.0 + xi) * math.exp(-(1.0 + xi))
-        assert d.sup_density(d.gev(xi)) == pytest.approx(expected, rel=1e-7)
+        assert d.sup_density(d.gev(xi)) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("xi", GEV_XIS)
+    def test_gev_dominates_dense_grid(self, xi):
+        member = d.gev(xi)
+        # I(t) = t (-ln t)^(xi+1), dense in s = -ln t around its peak at s = xi + 1
+        s = np.linspace(1e-3, 4.0 * (xi + 1.0) + 1.0, 200_001)
+        assert d.sup_density(member) >= np.max(d.density_quantile(member, np.exp(-s)))
 
     def test_gev_boundary_shapes(self):
         assert d.sup_density(d.gev(-1.0)) == 1.0
@@ -340,6 +353,16 @@ class TestSupDensity:
             return
         values = d.density_quantile(member, np.linspace(0.001, 0.999, 499))
         assert np.all(values <= sup * (1.0 + 1e-9))
+
+
+def test_import_does_not_load_scipy_optimize():
+    # sup_density is closed-form; loading an optimizer would cost setup time and memory
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(extremal_info.__file__)))
+    code = "import sys, extremal_info; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestLogConcavity:

@@ -61,6 +61,37 @@ class TestHarmonic:
             special.harmonic(2.0)
 
 
+class TestPrefixTables:
+    """The prefix-sum tables reproduce math.fsum bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def harmonic_fsums(self):
+        terms = [1.0 / k for k in range(1, 10_001)]
+        return {n: math.fsum(terms[:n]) for n in range(1, 10_001)}
+
+    @pytest.fixture
+    def fresh_harmonic_table(self, monkeypatch):
+        table = special._PrefixSums(special._HARMONIC_TABLE._term)
+        monkeypatch.setattr(special, "_HARMONIC_TABLE", table)
+        return table
+
+    def test_harmonic_exact_when_filled_ascending(self, fresh_harmonic_table, harmonic_fsums):
+        mismatched = [n for n, v in harmonic_fsums.items() if special.harmonic(n) != v]
+        assert mismatched == []
+
+    def test_harmonic_exact_after_one_cold_call(self, fresh_harmonic_table, harmonic_fsums):
+        assert special.harmonic(10_000) == harmonic_fsums[10_000]
+        mismatched = [n for n, v in harmonic_fsums.items() if special.harmonic(n) != v]
+        assert mismatched == []
+
+    def test_half_geometric_sum_exact(self, monkeypatch):
+        table = special._PrefixSums(special._HALF_GEOMETRIC_TABLE._term)
+        monkeypatch.setattr(special, "_HALF_GEOMETRIC_TABLE", table)
+        terms = [math.ldexp(1.0 / k, -k) for k in range(1, 1101)]
+        for n in range(0, 1201):
+            assert special.half_geometric_sum(n) == math.fsum(terms[:n]), n
+
+
 class TestDigamma:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0, 123.456])
     def test_matches_scipy(self, x):
