@@ -34,7 +34,7 @@ import numpy as np
 from . import distributions as dist_mod
 from . import measures
 from .measures import is_indeterminate
-from .special import EULER_GAMMA, half_geometric_sum, harmonic
+from .special import EULER_GAMMA, _check_index, _check_n_grid, half_geometric_sum, harmonic
 
 __all__ = [
     "BoundsReport",
@@ -110,12 +110,6 @@ class GapStudy:
     tol: float
 
 
-def _check_n(n) -> int:
-    if isinstance(n, bool) or not hasattr(n, "__index__") or int(n) < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def _ext_le(a: float, b: float) -> bool:
     """Extended-real a <= b with roundoff slack for finite comparisons."""
     if is_indeterminate(a) or is_indeterminate(b):
@@ -127,7 +121,7 @@ def _ext_le(a: float, b: float) -> bool:
 
 def shannon_upper_envelope(dist, n: int) -> float:
     """The finite-n entropy upper envelope (valid for log-concave parents)."""
-    n = _check_n(n)
+    n = _check_index(n, "shannon_upper_envelope")
     i_half = dist_mod.density_quantile(dist, 0.5)
     return (
         1.0
@@ -142,7 +136,7 @@ def shannon_upper_envelope(dist, n: int) -> float:
 
 def extropy_upper_envelope(dist, n: int) -> float:
     """The finite-n extropy upper envelope (valid for log-concave parents)."""
-    n = _check_n(n)
+    n = _check_index(n, "extropy_upper_envelope")
     i_half = dist_mod.density_quantile(dist, 0.5)
     coeff = (
         1.0 / (2.0 * n * (2.0 * n - 1.0))
@@ -159,7 +153,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     (reported as vacuously holding, with a note) when the parent's density
     exceeds 1 somewhere.
     """
-    n = _check_n(n)
+    n = _check_index(n, "shannon_bounds")
     lower = 1.0 - math.log(n) - 1.0 / n
     upper = shannon_upper_envelope(dist, n)
     value = measures.shannon_max(dist, n, method, quad_tol=quad_tol).value
@@ -195,7 +189,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     Both envelopes are scale-covariant, so no sup-density gate applies;
     applicability is log-concavity alone.
     """
-    n = _check_n(n)
+    n = _check_index(n, "extropy_bounds")
     i_half = dist_mod.density_quantile(dist, 0.5)
     lower = -0.5 * n * i_half
     upper = extropy_upper_envelope(dist, n)
@@ -314,11 +308,7 @@ def exponential_gap(dist, n_grid, *, tol: float = 1e-4) -> GapStudy:
     the largest n; within the catalog that singles out the exponential
     family, whose measures converge exactly to the ceilings.
     """
-    grid = [_check_n(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must contain at least one value of n")
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
+    grid = _check_n_grid(n_grid, "exponential_gap")
 
     h_ub = shannon_limit_upper(dist)
     j_ub = extropy_limit_upper(dist)

@@ -21,7 +21,6 @@ __all__ = [
     "CANONICAL_THETAS",
     "CANONICAL_NUS",
     "CANONICAL_XIS",
-    "EXTENDED_XIS",
     "TABLE_N",
     "catalog_members",
     "mc_representatives",
@@ -30,10 +29,6 @@ __all__ = [
 CANONICAL_THETAS = (0.5, 1.0, 2.0)
 CANONICAL_NUS = (1.0, 2.0, 3.0)
 CANONICAL_XIS = (-0.5, 0.0, 0.5)
-
-# The wider shape sweep used by the closed-form-vs-quadrature consistency
-# checks (the tables themselves stay on CANONICAL_XIS).
-EXTENDED_XIS = (-0.5, 0.0, 0.5, 1.0)
 
 TABLE_N = (1, 2, 5, 10, 50)
 

@@ -1,4 +1,4 @@
-"""Parent distribution catalog.
+"""Parent distribution catalog and the family registry.
 
 Six families, each with a closed-form quantile function, so maxima can be
 sampled exactly and the density-quantile profile I(t) = f(F^{-1}(t)) is
@@ -18,22 +18,38 @@ gev                     xi real                  (1 + xi x)^{-(xi+1)/xi} e^{-(1+
 The gev family is the generalized extreme-value law with unit location and
 scale; xi = 0 denotes the Gumbel member exp(-(x + e^{-x})), and |xi| below
 1e-8 is evaluated through the Gumbel branch to avoid catastrophic
-cancellation.  Specs are immutable and validated on construction; the JSON
+cancellation.  Specs are immutable and validated on construction: theta,
+nu and xi must be real numbers (bool and str are rejected), and the JSON
 constructor rejects unknown fields outright.
+
+Every per-family fact lives in one record of :data:`REGISTRY`: the
+family's fields, its distribution functions, the closed-form entropy and
+extropy of the sample maximum with their n -> infinity limits, and its
+extreme-value domain with norming constants.  The public functions here,
+in :mod:`~extremal_info.measures` and in :mod:`~extremal_info.evt` look
+the record up by family name.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
+from .special import EULER_GAMMA
+
 __all__ = [
     "FAMILIES",
+    "REGISTRY",
+    "Family",
+    "Indeterminate",
+    "INDETERMINATE",
     "DistributionSpec",
-    "DensityQuantile",
     "uniform",
     "exponential",
     "logistic",
@@ -48,25 +64,365 @@ __all__ = [
     "cdf",
     "quantile",
     "density_quantile",
-    "density_quantile_profile",
     "sup_density",
     "is_log_concave",
 ]
 
-FAMILIES = (
-    "uniform",
-    "exponential",
-    "logistic",
-    "pareto",
-    "power_function",
-    "gev",
-)
-
-_SHAPE_FAMILIES = ("pareto", "power_function")
-
 # Below this magnitude the gev shape is numerically indistinguishable from
 # the Gumbel member and the xi = 0 formulas are used.
 GUMBEL_XI_EPS = 1e-8
+
+
+class Indeterminate:
+    """Marker for an extended-real value of unresolved indeterminate form.
+
+    A single instance, :data:`INDETERMINATE`, stands for limits that the
+    defining expressions leave as 0 x (-inf); it deliberately does not
+    compare or coerce like a number.
+    """
+
+    _INSTANCE = None
+
+    def __new__(cls):
+        if cls._INSTANCE is None:
+            cls._INSTANCE = super().__new__(cls)
+        return cls._INSTANCE
+
+    def __repr__(self) -> str:
+        return "indeterminate"
+
+
+INDETERMINATE = Indeterminate()
+
+
+# ---------------------------------------------------------------------------
+# Family registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """Every per-family fact of one catalog family.
+
+    ``fields`` names the spec fields the family takes, in label order.
+    Every other member is a function of a validated spec ``d``:
+
+    - ``support(d)``: open interval carrying the mass;
+    - ``log_pdf(d, x)``, ``cdf(d, x)``, ``quantile(d, t)`` and
+      ``density_quantile(d, t)``: float ndarray in, ndarray out (the public
+      functions convert scalars and check that t lies in (0, 1));
+    - ``sup_density(d)`` and ``is_log_concave(d)``;
+    - ``shannon(d, n)`` and ``extropy(d, n)``: closed-form H and J of the
+      maximum of n draws; ``shannon_limit(d)`` and ``extropy_limit(d)``:
+      their n -> infinity limits as extended reals;
+    - ``mda(d)``: max-domain of attraction as (domain, xi);
+    - ``norming(d, n)``: norming constants (a_n, b_n).
+    """
+
+    fields: tuple[str, ...]
+    support: Callable
+    log_pdf: Callable
+    cdf: Callable
+    quantile: Callable
+    density_quantile: Callable
+    sup_density: Callable
+    is_log_concave: Callable
+    shannon: Callable
+    extropy: Callable
+    shannon_limit: Callable
+    extropy_limit: Callable
+    mda: Callable
+    norming: Callable
+
+
+def _logistic_cdf(d, x):
+    z = d.theta * x
+    return np.where(
+        z >= 0.0,
+        1.0 / (1.0 + np.exp(-np.abs(z))),
+        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))),
+    )
+
+
+def _logistic_norming(d, n):
+    """Generic Gumbel-domain constants a_n = h(U(n)), b_n = U(n).
+
+    h(u) = (1 - F(u))/f(u) is evaluated in log space so that far-tail
+    density underflow cannot poison the ratio.
+    """
+    if n == 1:
+        raise ValueError(
+            "norming constants for the logistic family are undefined at "
+            "n=1 (the 1 - 1/n quantile is degenerate)"
+        )
+    u = quantile(d, 1.0 - 1.0 / n)
+    log_tail = math.log1p(-cdf(d, u))
+    return (math.exp(log_tail - log_pdf(d, u)), u)
+
+
+def _pareto_log_pdf(d, x):
+    th, nu = d.theta, d.nu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = math.log(nu) + nu * math.log(th) - (nu + 1.0) * np.log(x)
+    return np.where(x >= th, inside, -np.inf)
+
+
+def _pareto_cdf(d, x):
+    th = d.theta
+    # tail overflows for x far below the support; those lanes are masked.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tail = np.exp(d.nu * (math.log(th) - np.log(np.where(x > 0, x, 1.0))))
+    return np.where(x > th, 1.0 - tail, 0.0)
+
+
+def _pareto_shannon(d, n):
+    nu, ln_n = d.nu, math.log(n)
+    return (
+        1.0
+        + ln_n / nu
+        - 1.0 / n
+        - math.log(nu / d.theta)
+        + ((nu + 1.0) / nu) * (special.harmonic(n) - ln_n)
+    )
+
+
+def _power_log_pdf(d, x):
+    th, nu = d.theta, d.nu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = (nu - 1.0) * np.log(x)
+    if nu == 1.0:
+        term = np.where(x == 0.0, 0.0, term)
+    inside = math.log(nu) + nu * math.log(th) + term
+    return np.where((x >= 0.0) & (x <= 1.0 / th), inside, -np.inf)
+
+
+def _power_extropy(d, n):
+    nu = d.nu
+    if 2.0 * n * nu <= 1.0:
+        # The defining integral of f^2 diverges at the lower endpoint.
+        return -math.inf
+    return -(n * n * nu * nu * d.theta) / (2.0 * (2.0 * n * nu - 1.0))
+
+
+def _gev_xi(d) -> float:
+    """The effective gev shape: 0.0 inside the Gumbel window |xi| < 1e-8.
+
+    Every gev fact reads the shape through this function, once per call.
+    """
+    return 0.0 if abs(d.xi) < GUMBEL_XI_EPS else d.xi
+
+
+def _gev_support(d):
+    xi = _gev_xi(d)
+    if xi == 0.0:
+        return (-math.inf, math.inf)
+    return (-1.0 / xi, math.inf) if xi > 0.0 else (-math.inf, -1.0 / xi)
+
+
+def _gev_log_pdf(d, x):
+    xi = _gev_xi(d)
+    if xi == 0.0:
+        with np.errstate(over="ignore"):
+            return -x - np.exp(-x)
+    inside = xi * x > -1.0  # 1 + xi x > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_z = np.log1p(np.where(inside, xi * x, 0.0))
+        return np.where(inside, -(1.0 + 1.0 / xi) * log_z - np.exp(-log_z / xi), -np.inf)
+
+
+def _gev_cdf(d, x):
+    xi = _gev_xi(d)
+    if xi == 0.0:
+        with np.errstate(over="ignore"):
+            return np.exp(-np.exp(-x))
+    inside = xi * x > -1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        body = np.exp(-np.exp(-np.log1p(np.where(inside, xi * x, 0.0)) / xi))
+    return np.where(inside, body, np.where(x <= 0.0, 0.0, 1.0))
+
+
+def _gev_quantile(d, t):
+    xi = _gev_xi(d)
+    neg_log = -np.log(t)  # -ln t, in (0, inf)
+    return -np.log(neg_log) if xi == 0.0 else np.expm1(-xi * np.log(neg_log)) / xi
+
+
+def _gev_sup_density(d):
+    xi = _gev_xi(d)
+    if xi < -1.0:
+        return math.inf
+    if xi == -1.0:
+        return 1.0
+    k = xi + 1.0
+    return math.exp(k * math.log(k) - k)
+
+
+def _gev_shannon(d, n):
+    xi = _gev_xi(d)
+    return 1.0 + EULER_GAMMA + xi * EULER_GAMMA + xi * math.log(n)
+
+
+def _gev_extropy(d, n):
+    xi = _gev_xi(d)
+    if xi <= -2.0:
+        raise ValueError(
+            f"extropy of the maximum is -inf for gev with xi <= -2 (got xi={d.xi}); "
+            "the closed form is valid only for xi > -2"
+        )
+    return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * float(n) ** xi)
+
+
+def _gev_mda(d):
+    xi = _gev_xi(d)
+    if xi == 0.0:
+        return ("gumbel", 0.0)
+    return ("frechet", xi) if xi > 0.0 else ("reversed_weibull", xi)
+
+
+# (H, J) limits of a gev member by its domain
+_GEV_LIMITS = {
+    "gumbel": (1.0 + EULER_GAMMA, -0.125),
+    "frechet": (math.inf, -0.0),
+    "reversed_weibull": (-math.inf, -math.inf),
+}
+
+
+def _gev_norming(d, n):
+    # exact max-stable constants
+    xi = _gev_xi(d)
+    if xi == 0.0:
+        return (1.0, math.log(n))
+    return (float(n) ** xi, math.expm1(xi * math.log(n)) / xi)
+
+
+REGISTRY: dict[str, Family] = {
+    "uniform": Family(
+        fields=("theta",),
+        support=lambda d: (0.0, d.theta),
+        log_pdf=lambda d, x: np.where((x >= 0.0) & (x <= d.theta), -math.log(d.theta), -np.inf),
+        cdf=lambda d, x: np.clip(x / d.theta, 0.0, 1.0),
+        quantile=lambda d, t: d.theta * t,
+        density_quantile=lambda d, t: np.full_like(t, 1.0 / d.theta),
+        sup_density=lambda d: 1.0 / d.theta,
+        is_log_concave=lambda d: True,
+        shannon=lambda d, n: 1.0 - math.log(n) - 1.0 / n + math.log(d.theta),
+        extropy=lambda d, n: -(n * n) / (2.0 * (2.0 * n - 1.0) * d.theta),
+        shannon_limit=lambda d: -math.inf,
+        extropy_limit=lambda d: -math.inf,
+        # the density stays positive and finite at the right endpoint
+        mda=lambda d: ("reversed_weibull", -1.0),
+        norming=lambda d, n: (d.theta / n, d.theta),
+    ),
+    "exponential": Family(
+        fields=("theta",),
+        support=lambda d: (0.0, math.inf),
+        log_pdf=lambda d, x: np.where(x >= 0.0, math.log(d.theta) - d.theta * x, -np.inf),
+        cdf=lambda d, x: np.where(x > 0.0, -np.expm1(-d.theta * x), 0.0),
+        quantile=lambda d, t: -np.log1p(-t) / d.theta,
+        density_quantile=lambda d, t: d.theta * (1.0 - t),
+        sup_density=lambda d: d.theta,
+        is_log_concave=lambda d: True,
+        shannon=lambda d, n: (
+            1.0 - math.log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
+        ),
+        extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n - 1.0)),
+        shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
+        extropy_limit=lambda d: -d.theta / 8.0,
+        mda=lambda d: ("gumbel", 0.0),
+        norming=lambda d, n: (1.0 / d.theta, math.log(n) / d.theta),
+    ),
+    "logistic": Family(
+        fields=("theta",),
+        support=lambda d: (-math.inf, math.inf),
+        log_pdf=lambda d, x: (
+            math.log(d.theta) - d.theta * x - 2.0 * np.logaddexp(0.0, -d.theta * x)
+        ),
+        cdf=_logistic_cdf,
+        quantile=lambda d, t: (np.log(t) - np.log1p(-t)) / d.theta,
+        density_quantile=lambda d, t: d.theta * t * (1.0 - t),
+        sup_density=lambda d: d.theta / 4.0,
+        is_log_concave=lambda d: True,
+        shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.theta) + special.harmonic(n),
+        extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n + 1.0)),
+        shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
+        extropy_limit=lambda d: -d.theta / 8.0,
+        mda=lambda d: ("gumbel", 0.0),
+        norming=_logistic_norming,
+    ),
+    "pareto": Family(
+        fields=("theta", "nu"),
+        support=lambda d: (d.theta, math.inf),
+        log_pdf=_pareto_log_pdf,
+        cdf=_pareto_cdf,
+        quantile=lambda d, t: d.theta * np.exp(-np.log1p(-t) / d.nu),
+        density_quantile=lambda d, t: (d.nu / d.theta) * (1.0 - t) ** ((d.nu + 1.0) / d.nu),
+        sup_density=lambda d: d.nu / d.theta,
+        is_log_concave=lambda d: False,
+        shannon=_pareto_shannon,
+        extropy=lambda d, n: (
+            -(d.nu * n * n / (2.0 * d.theta))
+            * special.beta_function(2 * n - 1, (2.0 * d.nu + 1.0) / d.nu)
+        ),
+        shannon_limit=lambda d: math.inf,
+        # the defining product is of the form 0 x (-inf)
+        extropy_limit=lambda d: INDETERMINATE,
+        mda=lambda d: ("frechet", 1.0 / d.nu),
+        norming=lambda d, n: (d.theta * float(n) ** (1.0 / d.nu), 0.0),
+    ),
+    "power_function": Family(
+        fields=("theta", "nu"),
+        support=lambda d: (0.0, 1.0 / d.theta),
+        log_pdf=_power_log_pdf,
+        cdf=lambda d, x: np.clip(
+            np.where(x > 0.0, (d.theta * np.clip(x, 0.0, 1.0 / d.theta)) ** d.nu, 0.0), 0.0, 1.0
+        ),
+        quantile=lambda d, t: t ** (1.0 / d.nu) / d.theta,
+        density_quantile=lambda d, t: d.nu * d.theta * t ** ((d.nu - 1.0) / d.nu),
+        sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
+        is_log_concave=lambda d: d.nu >= 1.0,
+        shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n),
+        extropy=_power_extropy,
+        shannon_limit=lambda d: -math.inf,
+        extropy_limit=lambda d: -math.inf,
+        # the density stays positive and finite at the right endpoint, for any nu
+        mda=lambda d: ("reversed_weibull", -1.0),
+        norming=lambda d, n: (-math.expm1(math.log1p(-1.0 / n) / d.nu) / d.theta, 1.0 / d.theta),
+    ),
+    "gev": Family(
+        fields=("xi",),
+        support=_gev_support,
+        log_pdf=_gev_log_pdf,
+        cdf=_gev_cdf,
+        quantile=_gev_quantile,
+        density_quantile=lambda d, t: t * (-np.log(t)) ** (_gev_xi(d) + 1.0),
+        sup_density=_gev_sup_density,
+        is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
+        shannon=_gev_shannon,
+        extropy=_gev_extropy,
+        shannon_limit=lambda d: _GEV_LIMITS[_gev_mda(d)[0]][0],
+        extropy_limit=lambda d: _GEV_LIMITS[_gev_mda(d)[0]][1],
+        # max-stable, hence in its own domain
+        mda=_gev_mda,
+        norming=_gev_norming,
+    ),
+}
+
+FAMILIES = tuple(REGISTRY)
+
+
+# ---------------------------------------------------------------------------
+# Specs
+# ---------------------------------------------------------------------------
+
+
+def _real(name: str, value, positive: bool) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise ValueError(f"{name} must be a {kind} real, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -83,68 +439,29 @@ class DistributionSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        theta = float(self.theta)
-        if not (math.isfinite(theta) and theta > 0.0):
-            raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
-
-        if self.family in _SHAPE_FAMILIES:
-            if self.nu is None:
-                raise ValueError(f"{self.family} requires a shape parameter nu")
-            nu = float(self.nu)
-            if not (math.isfinite(nu) and nu > 0.0):
-                raise ValueError(f"nu must be a positive finite real, got {self.nu!r}")
-            object.__setattr__(self, "nu", nu)
-        elif self.nu is not None:
-            raise ValueError(f"{self.family} does not take a shape parameter nu")
-
-        if self.family == "gev":
-            if self.xi is None:
-                raise ValueError("gev requires a shape parameter xi")
-            xi = float(self.xi)
-            if not math.isfinite(xi):
-                raise ValueError(f"xi must be a finite real, got {self.xi!r}")
-            object.__setattr__(self, "xi", xi)
-            if theta != 1.0:
-                raise ValueError("gev is parameterized by xi only; theta is fixed at 1")
-        elif self.xi is not None:
-            raise ValueError(f"{self.family} does not take a shape parameter xi")
+        fields = REGISTRY[self.family].fields
+        object.__setattr__(self, "theta", _real("theta", self.theta, positive=True))
+        if "theta" not in fields and self.theta != 1.0:
+            raise ValueError(f"{self.family} does not take theta; it is fixed at 1")
+        for name in ("nu", "xi"):
+            value = getattr(self, name)
+            if name not in fields:
+                if value is not None:
+                    raise ValueError(f"{self.family} does not take a shape parameter {name}")
+            elif value is None:
+                raise ValueError(f"{self.family} requires a shape parameter {name}")
+            else:
+                object.__setattr__(self, name, _real(name, value, positive=name == "nu"))
 
     @property
     def support(self) -> tuple[float, float]:
         """Open interval carrying the distribution's mass."""
-        th = self.theta
-        if self.family == "uniform":
-            return (0.0, th)
-        if self.family == "exponential":
-            return (0.0, math.inf)
-        if self.family == "logistic":
-            return (-math.inf, math.inf)
-        if self.family == "pareto":
-            return (th, math.inf)
-        if self.family == "power_function":
-            return (0.0, 1.0 / th)
-        xi = self.xi
-        if abs(xi) < GUMBEL_XI_EPS:
-            return (-math.inf, math.inf)
-        if xi > 0.0:
-            return (-1.0 / xi, math.inf)
-        return (-math.inf, -1.0 / xi)
+        return REGISTRY[self.family].support(self)
 
     def label(self) -> str:
         """Short human-readable tag, e.g. 'pareto(theta=1, nu=2)'."""
-        parts = []
-        if self.family != "gev":
-            parts.append(f"theta={_trim(self.theta)}")
-        if self.nu is not None:
-            parts.append(f"nu={_trim(self.nu)}")
-        if self.xi is not None:
-            parts.append(f"xi={_trim(self.xi)}")
+        parts = [f"{k}={getattr(self, k):g}" for k in REGISTRY[self.family].fields]
         return f"{self.family}({', '.join(parts)})"
-
-
-def _trim(x: float) -> str:
-    return f"{x:g}"
 
 
 def uniform(theta: float = 1.0) -> DistributionSpec:
@@ -181,15 +498,6 @@ def gev(xi: float = 0.0) -> DistributionSpec:
 # JSON interface
 # ---------------------------------------------------------------------------
 
-_FIELDS = {
-    "uniform": frozenset({"theta"}),
-    "exponential": frozenset({"theta"}),
-    "logistic": frozenset({"theta"}),
-    "pareto": frozenset({"theta", "nu"}),
-    "power_function": frozenset({"theta", "nu"}),
-    "gev": frozenset({"xi"}),
-}
-
 
 def from_dict(data: dict) -> DistributionSpec:
     """Build a spec from a mapping like {"family": "pareto", "theta": 1, "nu": 2}.
@@ -203,8 +511,8 @@ def from_dict(data: dict) -> DistributionSpec:
     family = data["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    allowed = _FIELDS[family]
-    extra = set(data) - {"family"} - allowed
+    allowed = REGISTRY[family].fields
+    extra = set(data) - {"family"} - set(allowed)
     if extra:
         raise ValueError(
             f"unknown field(s) {sorted(extra)} for family {family!r}; "
@@ -226,12 +534,8 @@ def from_json(text: str) -> DistributionSpec:
 def to_dict(dist: DistributionSpec) -> dict:
     """Round-trippable plain mapping for a spec."""
     out: dict = {"family": dist.family}
-    if dist.family != "gev":
-        out["theta"] = dist.theta
-    if dist.nu is not None:
-        out["nu"] = dist.nu
-    if dist.xi is not None:
-        out["xi"] = dist.xi
+    for k in REGISTRY[dist.family].fields:
+        out[k] = getattr(dist, k)
     return out
 
 
@@ -249,42 +553,17 @@ def _finish(arr, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _prepare_probability(t, name: str):
+    arr, scalar = _prepare(t)
+    if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
+        raise ValueError(f"{name} requires probabilities strictly inside (0, 1)")
+    return arr, scalar
+
+
 def log_pdf(dist: DistributionSpec, x):
     """Natural log of the density; -inf outside the support."""
     arr, scalar = _prepare(x)
-    th = dist.theta
-    neg_inf = np.full_like(arr, -np.inf)
-    if dist.family == "uniform":
-        out = np.where((arr >= 0.0) & (arr <= th), -math.log(th), neg_inf)
-    elif dist.family == "exponential":
-        out = np.where(arr >= 0.0, math.log(th) - th * arr, neg_inf)
-    elif dist.family == "logistic":
-        out = math.log(th) - th * arr - 2.0 * np.logaddexp(0.0, -th * arr)
-    elif dist.family == "pareto":
-        nu = dist.nu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = math.log(nu) + nu * math.log(th) - (nu + 1.0) * np.log(arr)
-        out = np.where(arr >= th, inside, neg_inf)
-    elif dist.family == "power_function":
-        nu = dist.nu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = (nu - 1.0) * np.log(arr)
-        if nu == 1.0:
-            term = np.where(arr == 0.0, 0.0, term)
-        inside = math.log(nu) + nu * math.log(th) + term
-        out = np.where((arr >= 0.0) & (arr <= 1.0 / th), inside, neg_inf)
-    else:
-        xi = dist.xi
-        if abs(xi) < GUMBEL_XI_EPS:
-            with np.errstate(over="ignore"):
-                out = -arr - np.exp(-arr)
-        else:
-            z = 1.0 + xi * arr
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                log_z = np.log(np.where(z > 0.0, z, 1.0))
-                w = np.exp(-log_z / xi)
-                out = np.where(z > 0.0, -(1.0 + 1.0 / xi) * log_z - w, neg_inf)
-    return _finish(out, scalar)
+    return _finish(REGISTRY[dist.family].log_pdf(dist, arr), scalar)
 
 
 def pdf(dist: DistributionSpec, x):
@@ -297,63 +576,14 @@ def pdf(dist: DistributionSpec, x):
 def cdf(dist: DistributionSpec, x):
     """Distribution function of the parent."""
     arr, scalar = _prepare(x)
-    th = dist.theta
-    if dist.family == "uniform":
-        out = np.clip(arr / th, 0.0, 1.0)
-    elif dist.family == "exponential":
-        out = np.where(arr > 0.0, -np.expm1(-th * arr), 0.0)
-    elif dist.family == "logistic":
-        z = th * arr
-        out = np.where(
-            z >= 0.0,
-            1.0 / (1.0 + np.exp(-np.abs(z))),
-            np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))),
-        )
-    elif dist.family == "pareto":
-        # tail overflows for x far below the support; those lanes are masked.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tail = np.exp(dist.nu * (math.log(th) - np.log(np.where(arr > 0, arr, 1.0))))
-        out = np.where(arr > th, 1.0 - tail, 0.0)
-    elif dist.family == "power_function":
-        out = np.clip(np.where(arr > 0.0, (th * np.clip(arr, 0.0, 1.0 / th)) ** dist.nu, 0.0), 0.0, 1.0)
-    else:
-        xi = dist.xi
-        if abs(xi) < GUMBEL_XI_EPS:
-            with np.errstate(over="ignore"):
-                out = np.exp(-np.exp(-arr))
-        else:
-            z = 1.0 + xi * arr
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = np.exp(-np.log(np.where(z > 0.0, z, 1.0)) / xi)
-                inside = np.exp(-w)
-            out = np.where(z > 0.0, inside, np.where(arr <= 0.0, 0.0, 1.0))
-    return _finish(out, scalar)
+    return _finish(REGISTRY[dist.family].cdf(dist, arr), scalar)
 
 
 def quantile(dist: DistributionSpec, t):
     """Quantile function F^{-1}(t), defined on the open interval (0, 1)."""
-    arr, scalar = _prepare(t)
-    if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
-        raise ValueError("quantile requires probabilities strictly inside (0, 1)")
-    th = dist.theta
+    arr, scalar = _prepare_probability(t, "quantile")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if dist.family == "uniform":
-            out = th * arr
-        elif dist.family == "exponential":
-            out = -np.log1p(-arr) / th
-        elif dist.family == "logistic":
-            out = (np.log(arr) - np.log1p(-arr)) / th
-        elif dist.family == "pareto":
-            out = th * np.exp(-np.log1p(-arr) / dist.nu)
-        elif dist.family == "power_function":
-            out = arr ** (1.0 / dist.nu) / th
-        else:
-            xi = dist.xi
-            neg_log = -np.log(arr)  # -ln t, in (0, inf)
-            if abs(xi) < GUMBEL_XI_EPS:
-                out = -np.log(neg_log)
-            else:
-                out = np.expm1(-xi * np.log(neg_log)) / xi
+        out = REGISTRY[dist.family].quantile(dist, arr)
     return _finish(out, scalar)
 
 
@@ -369,47 +599,8 @@ def density_quantile(dist: DistributionSpec, t):
     - power_function: nu theta t^{(nu-1)/nu}
     - gev: t (-ln t)^{xi+1}
     """
-    arr, scalar = _prepare(t)
-    if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
-        raise ValueError("density_quantile requires probabilities strictly inside (0, 1)")
-    th = dist.theta
-    if dist.family == "uniform":
-        out = np.full_like(arr, 1.0 / th)
-    elif dist.family == "exponential":
-        out = th * (1.0 - arr)
-    elif dist.family == "logistic":
-        out = th * arr * (1.0 - arr)
-    elif dist.family == "pareto":
-        nu = dist.nu
-        out = (nu / th) * (1.0 - arr) ** ((nu + 1.0) / nu)
-    elif dist.family == "power_function":
-        nu = dist.nu
-        out = nu * th * arr ** ((nu - 1.0) / nu)
-    else:
-        xi = dist.xi
-        expo = 1.0 if abs(xi) < GUMBEL_XI_EPS else xi + 1.0
-        out = arr * (-np.log(arr)) ** expo
-    return _finish(out, scalar)
-
-
-@dataclass(frozen=True)
-class DensityQuantile:
-    """The density-quantile profile of one catalog member.
-
-    ``closed_form`` maps t in (0, 1) to I(t); ``at_half`` caches I(1/2),
-    the quantity every finite-n and limiting bound is built from.
-    """
-
-    closed_form: object
-    at_half: float
-
-
-def density_quantile_profile(dist: DistributionSpec) -> DensityQuantile:
-    """Bundle I(t) as a callable together with its value at t = 1/2."""
-    return DensityQuantile(
-        closed_form=lambda t: density_quantile(dist, t),
-        at_half=density_quantile(dist, 0.5),
-    )
+    arr, scalar = _prepare_probability(t, "density_quantile")
+    return _finish(REGISTRY[dist.family].density_quantile(dist, arr), scalar)
 
 
 def sup_density(dist: DistributionSpec) -> float:
@@ -419,26 +610,7 @@ def sup_density(dist: DistributionSpec) -> float:
     I(t) = t(-ln t)^k, k = xi + 1; for xi > -1 the peak sits at -ln t = k,
     giving k^k e^{-k}.  xi = -1 gives 1 and xi < -1 gives +inf.
     """
-    th = dist.theta
-    if dist.family == "uniform":
-        return 1.0 / th
-    if dist.family == "exponential":
-        return th
-    if dist.family == "logistic":
-        return th / 4.0
-    if dist.family == "pareto":
-        return dist.nu / th
-    if dist.family == "power_function":
-        return dist.nu * th if dist.nu >= 1.0 else math.inf
-    xi = dist.xi
-    if abs(xi) < GUMBEL_XI_EPS:
-        xi = 0.0
-    if xi < -1.0:
-        return math.inf
-    if xi == -1.0:
-        return 1.0
-    k = xi + 1.0
-    return math.exp(k * math.log(k) - k)
+    return REGISTRY[dist.family].sup_density(dist)
 
 
 def is_log_concave(dist: DistributionSpec) -> bool:
@@ -449,13 +621,4 @@ def is_log_concave(dist: DistributionSpec) -> bool:
     xi = 0 or -1 < xi < 0 (for xi > 0 the log-density has a convex region
     far in the right tail, and for xi <= -1 near the upper endpoint).
     """
-    if dist.family in ("uniform", "exponential", "logistic"):
-        return True
-    if dist.family == "pareto":
-        return False
-    if dist.family == "power_function":
-        return dist.nu >= 1.0
-    xi = dist.xi
-    if abs(xi) < GUMBEL_XI_EPS:
-        return True
-    return -1.0 < xi < 0.0
+    return REGISTRY[dist.family].is_log_concave(dist)

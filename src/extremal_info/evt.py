@@ -10,8 +10,9 @@ recipes built from U(t) = F^{-1}(1 - 1/t) and x* = sup{x : F(x) < 1}:
 - reversed Weibull (xi < 0):  a_n = x* - U(n),   b_n = x*
 - Gumbel (xi = 0):            a_n = h(U(n)),     b_n = U(n),
 
-with h(u) = (1 - F(u))/f(u).  The per-family closed forms are spelled out
-in :func:`norming_constants`.  For a gev parent the family is max-stable,
+with h(u) = (1 - F(u))/f(u).  Each family's domain and constants live in
+its record in :data:`extremal_info.distributions.REGISTRY`, summarized in
+:func:`norming_constants`.  For a gev parent the family is max-stable,
 so instead of the asymptotic recipe we use the exact constants
 a_n = n^xi, b_n = (n^xi - 1)/xi (a_n = 1, b_n = ln n when xi = 0), under
 which the normalized maximum is again the same gev member for every n.
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist_mod
-from .distributions import GUMBEL_XI_EPS
-from .special import EULER_GAMMA
+from .special import EULER_GAMMA, _check_index, _check_n_grid
 
 __all__ = [
     "DOMAINS",
@@ -111,32 +111,7 @@ def mda_classify(dist) -> tuple[str, float]:
     with xi = -1 (for any shape nu); Pareto is Frechet with xi = 1/nu; a
     gev parent is max-stable, hence in its own domain.
     """
-    if dist.family in ("exponential", "logistic"):
-        return ("gumbel", 0.0)
-    if dist.family in ("uniform", "power_function"):
-        return ("reversed_weibull", -1.0)
-    if dist.family == "pareto":
-        return ("frechet", 1.0 / dist.nu)
-    if dist.family == "gev":
-        xi = 0.0 if abs(dist.xi) < GUMBEL_XI_EPS else dist.xi
-        if xi > 0.0:
-            return ("frechet", xi)
-        if xi < 0.0:
-            return ("reversed_weibull", xi)
-        return ("gumbel", 0.0)
-    raise ValueError(f"unknown family {dist.family!r}")
-
-
-def _gumbel_recipe(dist, n: int) -> tuple[float, float]:
-    """Generic Gumbel-domain constants a_n = h(U(n)), b_n = U(n).
-
-    h(u) = (1 - F(u))/f(u) is evaluated in log space so that far-tail
-    density underflow cannot poison the ratio.
-    """
-    u = dist_mod.quantile(dist, 1.0 - 1.0 / n)
-    log_tail = math.log1p(-dist_mod.cdf(dist, u))
-    a = math.exp(log_tail - dist_mod.log_pdf(dist, u))
-    return a, u
+    return dist_mod.REGISTRY[dist.family].mda(dist)
 
 
 def norming_constants(dist, n: int) -> NormingConstants:
@@ -149,35 +124,11 @@ def norming_constants(dist, n: int) -> NormingConstants:
     n = 1, where the 1 - 1/n quantile does not exist).  A gev parent uses
     its exact max-stable constants a = n^xi, b = (n^xi - 1)/xi.
     """
-    if isinstance(n, bool) or not hasattr(n, "__index__") or int(n) < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
-    domain, xi = mda_classify(dist)
-    th = dist.theta
-    if dist.family == "exponential":
-        return NormingConstants(1.0 / th, math.log(n) / th, domain, xi)
-    if dist.family == "logistic":
-        if n == 1:
-            raise ValueError(
-                "norming constants for the logistic family are undefined at "
-                "n=1 (the 1 - 1/n quantile is degenerate)"
-            )
-        a, b = _gumbel_recipe(dist, n)
-        return NormingConstants(a, b, domain, xi)
-    if dist.family == "uniform":
-        return NormingConstants(th / n, th, domain, xi)
-    if dist.family == "pareto":
-        return NormingConstants(th * float(n) ** (1.0 / dist.nu), 0.0, domain, xi)
-    if dist.family == "power_function":
-        a = -math.expm1(math.log1p(-1.0 / n) / dist.nu) / th
-        return NormingConstants(a, 1.0 / th, domain, xi)
-    if dist.family == "gev":
-        if xi == 0.0:
-            return NormingConstants(1.0, math.log(n), domain, xi)
-        a = float(n) ** xi
-        b = math.expm1(xi * math.log(n)) / xi
-        return NormingConstants(a, b, domain, xi)
-    raise ValueError(f"unknown family {dist.family!r}")
+    n = _check_index(n, "norming_constants")
+    record = dist_mod.REGISTRY[dist.family]
+    domain, xi = record.mda(dist)
+    a, b = record.norming(dist, n)
+    return NormingConstants(a, b, domain, xi)
 
 
 def gumbel_targets() -> tuple[float, float]:
@@ -254,13 +205,7 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """
     from . import measures
 
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must contain at least one value of n")
-    if any(n < 1 for n in grid):
-        raise ValueError("n_grid entries must be integers >= 1")
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
+    grid = _check_n_grid(n_grid, "convergence_study")
 
     domain, xi = mda_classify(dist)
     if domain == "gumbel":

@@ -8,12 +8,13 @@ integrals against Beta(n, 1) / power weights:
     H(X_(n)) = 1 - ln n - 1/n - Int_0^1 n y^{n-1} ln I(y) dy
     J(X_(n)) = -(n^2 / 2) Int_0^1 t^{2n-2} I(t) dt
 
-Every catalog family admits a closed form for both (see the per-family
-expressions in the code below), so the quadrature route doubles as an
-independent oracle.  The n -> infinity limits are exposed as extended
-reals; the Pareto extropy limit is of the unresolved form 0 x (-inf) and
-is reported as :data:`INDETERMINATE` rather than silently collapsed to a
-number (the closed-form sequence itself tends to 0 from below).
+Every catalog family admits a closed form for both, held in its record in
+:data:`extremal_info.distributions.REGISTRY`, so the quadrature route
+doubles as an independent oracle.  The n -> infinity limits are exposed
+as extended reals; the Pareto extropy limit is of the unresolved form
+0 x (-inf) and is reported as :data:`INDETERMINATE` rather than silently
+collapsed to a number (the closed-form sequence itself tends to 0 from
+below).
 
 Normalized maxima (X_(n) - b_n)/a_n obey exact transformation laws --
 entropy is location-free but scale-dependent, extropy scales linearly:
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 from . import distributions as dist_mod
 from . import numerics
-from .distributions import GUMBEL_XI_EPS
-from .special import EULER_GAMMA, beta_function, harmonic
+from .distributions import INDETERMINATE, Indeterminate
+from .special import _check_index
+from .special import harmonic  # noqa: F401  (perfbench's tracer patches measures.harmonic)
 
 __all__ = [
     "METHODS",
@@ -40,7 +42,6 @@ __all__ = [
     "Indeterminate",
     "INDETERMINATE",
     "is_indeterminate",
-    "NoClosedFormError",
     "shannon_max",
     "extropy_max",
     "shannon_limit",
@@ -62,35 +63,9 @@ _METHOD_ALIASES = {
 }
 
 
-class Indeterminate:
-    """Marker for an extended-real value of unresolved indeterminate form.
-
-    A single instance, :data:`INDETERMINATE`, stands for limits that the
-    defining expressions leave as 0 x (-inf); it deliberately does not
-    compare or coerce like a number.
-    """
-
-    _INSTANCE = None
-
-    def __new__(cls):
-        if cls._INSTANCE is None:
-            cls._INSTANCE = super().__new__(cls)
-        return cls._INSTANCE
-
-    def __repr__(self) -> str:
-        return "indeterminate"
-
-
-INDETERMINATE = Indeterminate()
-
-
 def is_indeterminate(x) -> bool:
     """True when ``x`` is the indeterminate extended-real marker."""
     return isinstance(x, Indeterminate)
-
-
-class NoClosedFormError(ValueError):
-    """Requested closed form does not exist for the given distribution."""
 
 
 @dataclass(frozen=True)
@@ -120,12 +95,6 @@ class MeasureValue:
         object.__setattr__(self, "error_estimate", err)
 
 
-def _check_n(n) -> int:
-    if isinstance(n, bool) or not hasattr(n, "__index__") or int(n) < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def _normalize_method(method: str) -> str:
     try:
         return _METHOD_ALIASES[method]
@@ -133,70 +102,6 @@ def _normalize_method(method: str) -> str:
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(set(_METHOD_ALIASES))}"
         ) from None
-
-
-def _effective_xi(dist) -> float:
-    return 0.0 if abs(dist.xi) < GUMBEL_XI_EPS else dist.xi
-
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def _shannon_closed(dist, n: int) -> float:
-    th = dist.theta
-    ln_n = math.log(n)
-    if dist.family == "uniform":
-        return 1.0 - ln_n - 1.0 / n + math.log(th)
-    if dist.family == "exponential":
-        return 1.0 - ln_n - 1.0 / n - math.log(th) + harmonic(n)
-    if dist.family == "logistic":
-        return 1.0 - ln_n - math.log(th) + harmonic(n)
-    if dist.family == "pareto":
-        nu = dist.nu
-        return (
-            1.0
-            + ln_n / nu
-            - 1.0 / n
-            - math.log(nu / th)
-            + ((nu + 1.0) / nu) * (harmonic(n) - ln_n)
-        )
-    if dist.family == "power_function":
-        nu = dist.nu
-        return 1.0 - ln_n - math.log(nu * th) - 1.0 / (nu * n)
-    if dist.family == "gev":
-        xi = _effective_xi(dist)
-        return 1.0 + EULER_GAMMA + xi * EULER_GAMMA + xi * ln_n
-    raise NoClosedFormError(f"no closed-form entropy for family {dist.family!r}")
-
-
-def _extropy_closed(dist, n: int) -> float:
-    th = dist.theta
-    if dist.family == "uniform":
-        return -(n * n) / (2.0 * (2.0 * n - 1.0) * th)
-    if dist.family == "exponential":
-        return -n * th / (4.0 * (2.0 * n - 1.0))
-    if dist.family == "logistic":
-        return -n * th / (4.0 * (2.0 * n + 1.0))
-    if dist.family == "pareto":
-        nu = dist.nu
-        return -(nu * n * n / (2.0 * th)) * beta_function(2 * n - 1, (2.0 * nu + 1.0) / nu)
-    if dist.family == "power_function":
-        nu = dist.nu
-        if 2.0 * n * nu <= 1.0:
-            # The defining integral of f^2 diverges at the lower endpoint.
-            return -math.inf
-        return -(n * n * nu * nu * th) / (2.0 * (2.0 * n * nu - 1.0))
-    if dist.family == "gev":
-        xi = _effective_xi(dist)
-        if xi <= -2.0:
-            raise ValueError(
-                f"extropy of the maximum is -inf for gev with xi <= -2 (got xi={dist.xi}); "
-                "the closed form is valid only for xi > -2"
-            )
-        return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * float(n) ** xi)
-    raise NoClosedFormError(f"no closed-form extropy for family {dist.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +149,10 @@ def shannon_max(
     ``monte_carlo`` (plug-in estimate; ``samples`` and ``seed`` apply).
     The CLI short names closed/quad/mc are accepted as aliases.
     """
-    n = _check_n(n)
+    n = _check_index(n, "shannon_max")
     method = _normalize_method(method)
     if method == "closed_form":
-        return MeasureValue(_shannon_closed(dist, n), "closed_form")
+        return MeasureValue(dist_mod.REGISTRY[dist.family].shannon(dist, n), "closed_form")
     if method == "quadrature":
         return _shannon_quad(dist, n, quad_tol)
     est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
@@ -269,10 +174,10 @@ def extropy_max(
     requires xi > -2; below that the measure is -inf and a domain error is
     raised instead of evaluating an invalid expression.
     """
-    n = _check_n(n)
+    n = _check_index(n, "extropy_max")
     method = _normalize_method(method)
     if method == "closed_form":
-        return MeasureValue(_extropy_closed(dist, n), "closed_form")
+        return MeasureValue(dist_mod.REGISTRY[dist.family].extropy(dist, n), "closed_form")
     if method == "quadrature":
         return _extropy_quad(dist, n, quad_tol)
     est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
@@ -281,23 +186,7 @@ def extropy_max(
 
 def shannon_limit(dist) -> float:
     """Limit of H(X_(n)) as n -> infinity, as an extended real."""
-    th = dist.theta
-    if dist.family == "uniform":
-        return -math.inf
-    if dist.family in ("exponential", "logistic"):
-        return 1.0 - math.log(th) + EULER_GAMMA
-    if dist.family == "pareto":
-        return math.inf
-    if dist.family == "power_function":
-        return -math.inf
-    if dist.family == "gev":
-        xi = _effective_xi(dist)
-        if xi > 0.0:
-            return math.inf
-        if xi < 0.0:
-            return -math.inf
-        return 1.0 + EULER_GAMMA
-    raise ValueError(f"unknown family {dist.family!r}")
+    return dist_mod.REGISTRY[dist.family].shannon_limit(dist)
 
 
 def extropy_limit(dist):
@@ -307,23 +196,7 @@ def extropy_limit(dist):
     and the limit is reported as :data:`INDETERMINATE`; the closed-form
     sequence itself increases to 0 from below.
     """
-    th = dist.theta
-    if dist.family == "uniform":
-        return -math.inf
-    if dist.family in ("exponential", "logistic"):
-        return -th / 8.0
-    if dist.family == "pareto":
-        return INDETERMINATE
-    if dist.family == "power_function":
-        return -math.inf
-    if dist.family == "gev":
-        xi = _effective_xi(dist)
-        if xi > 0.0:
-            return -0.0
-        if xi < 0.0:
-            return -math.inf
-        return -0.125
-    raise ValueError(f"unknown family {dist.family!r}")
+    return dist_mod.REGISTRY[dist.family].extropy_limit(dist)
 
 
 def shannon_normalized(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist_mod
+from .special import _check_index
 
 __all__ = [
     "QuadratureResult",
@@ -41,7 +42,6 @@ __all__ = [
     "ConcavityReport",
     "integrate_unit",
     "maximum_from_uniform",
-    "sample_maximum",
     "mc_entropy_max",
     "mc_extropy_max",
     "grid_concavity_check",
@@ -350,7 +350,7 @@ def maximum_from_uniform(dist, n: int, v: float) -> float:
     If V is uniform on (0, 1) then F^{-1}(V^{1/n}) has the distribution of
     the largest of n i.i.d. draws from the parent.
     """
-    n = _check_sample_size(n)
+    n = _check_index(n, "maximum_from_uniform")
     if not (0.0 <= v <= 1.0):
         raise ValueError(f"v must lie in [0, 1], got {v!r}")
     t = v ** (1.0 / n)
@@ -360,25 +360,10 @@ def maximum_from_uniform(dist, n: int, v: float) -> float:
     return dist_mod.quantile(dist, t)
 
 
-def sample_maximum(dist, n: int, rng) -> float:
-    """Draw one realization of the maximum of n i.i.d. variables.
-
-    ``rng`` is anything with a ``random()`` method returning a uniform
-    variate, e.g. ``numpy.random.default_rng(seed)``.
-    """
-    return maximum_from_uniform(dist, n, float(rng.random()))
-
-
 def _draw_maxima(dist, n: int, samples: int, rng) -> np.ndarray:
     v = rng.random(samples)
     t = np.clip(v ** (1.0 / n), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
     return dist_mod.quantile(dist, t)
-
-
-def _check_sample_size(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
-        raise ValueError(f"sample maximum size n must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def _check_mc_args(samples, seed) -> tuple[int, int]:
@@ -398,7 +383,7 @@ def mc_entropy_max(dist, n: int, samples: int = 100_000, seed: int = 0) -> McEst
     the maximum.  The standard error is the sample standard deviation of
     the log-density values divided by sqrt(samples).
     """
-    n = _check_sample_size(n)
+    n = _check_index(n, "mc_entropy_max")
     samples, seed = _check_mc_args(samples, seed)
     rng = np.random.default_rng(seed)
     x = _draw_maxima(dist, n, samples, rng)
@@ -417,7 +402,7 @@ def mc_extropy_max(dist, n: int, samples: int = 100_000, seed: int = 0) -> McEst
     Same sampling scheme as :func:`mc_entropy_max`; the estimator averages
     ``-f_max(X)/2`` over the draws.
     """
-    n = _check_sample_size(n)
+    n = _check_index(n, "mc_extropy_max")
     samples, seed = _check_mc_args(samples, seed)
     rng = np.random.default_rng(seed)
     x = _draw_maxima(dist, n, samples, rng)

@@ -210,9 +210,21 @@ def log_power_integral(
 
 
 def _check_index(n: int | None, name: str, minimum: int = 1) -> int:
+    """The package's one check on an integer n: int or numpy integer, not
+    bool, and at least ``minimum``; ``name`` is the caller, for the message."""
     if n is None or isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} requires an integer n, got {n!r}")
     n = int(n)
     if n < minimum:
         raise ValueError(f"{name} requires n >= {minimum}, got {n}")
     return n
+
+
+def _check_n_grid(n_grid, name: str) -> list[int]:
+    """A nonempty, strictly increasing grid of integers n >= 1, as a list."""
+    grid = [_check_index(n, name) for n in n_grid]
+    if not grid:
+        raise ValueError(f"{name} requires an n_grid with at least one value of n")
+    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError(f"{name} requires a strictly increasing n_grid")
+    return grid

@@ -273,3 +273,5 @@ class TestExponentialGap:
             bounds.exponential_gap(d.exponential(1.0), ())
         with pytest.raises(ValueError):
             bounds.exponential_gap(d.exponential(1.0), (5, 2))
+        with pytest.raises(ValueError):
+            bounds.exponential_gap(d.exponential(1.0), [2.7, 3.2])

@@ -6,18 +6,24 @@ exercises the installed console script end to end.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from extremal_info import cli
+from extremal_info import canonical, cli, distributions, evt
 
 EXP1 = '{"family":"exponential","theta":1}'
+
+# Reference outputs of the benchmark, read here so that tier-1 pins the
+# CLI bytes too.
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run_cli(*argv):
@@ -166,6 +172,9 @@ class TestTables:
         assert code == 0
         assert again == tables_output
 
+    def test_matches_golden(self, tables_output):
+        assert tables_output == (GOLDEN / "tables.csv").read_text()
+
 
 # ---------------------------------------------------------------------------
 # figure1
@@ -187,6 +196,10 @@ class TestFigure1:
         assert all(a < b for a, b in zip(hs, hs[1:]))
         assert all(h < ceiling for h in hs)
         assert ceiling - hs[-1] < 0.011
+
+    def test_matches_golden(self):
+        _, out, _ = run_cli("figure1")
+        assert out == (GOLDEN / "figure1.csv").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +229,18 @@ class TestConverge:
         assert code == 0
         _, body = parse_csv(out)
         assert [int(r[0]) for r in body] == [10, 20, 30, 40, 50]
+
+    @pytest.mark.parametrize(
+        "member",
+        [m for m in canonical.catalog_members() if evt.mda_classify(m)[0] == "gumbel"],
+        ids=lambda m: m.label(),
+    )
+    def test_matches_golden_digest(self, member):
+        golden = json.loads((GOLDEN / "converge.json").read_text())
+        dist = json.dumps(distributions.to_dict(member), sort_keys=True)
+        code, out, _ = run_cli("converge", "--dist", dist, "--n-grid", golden["n_grid"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"][member.label()]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +293,8 @@ class TestExitCodes:
             ("measure", "--dist", '{"family":"gaussian"}', "--n", "2"),
             ("measure", "--dist", '{"family":"gev","xi":-3}', "--n", "2"),
             ("converge", "--dist", '{"family":"logistic","theta":1}', "--n-grid", "1,10"),
+            ("measure", "--dist", '{"family":"exponential","theta":true}', "--n", "1"),
+            ("measure", "--dist", '{"family":"uniform","theta":null}', "--n", "1"),
         ],
     )
     def test_domain_errors_exit_2(self, argv):

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,28 @@ class TestSerialization:
     def test_invalid_payloads_rejected(self, payload):
         with pytest.raises(ValueError):
             d.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"family": "exponential", "theta": True}, "theta"),
+            ({"family": "exponential", "theta": "2"}, "theta"),
+            ({"family": "uniform", "theta": None}, "theta"),
+            ({"family": "pareto", "theta": 1.0, "nu": " 3 "}, "nu"),
+            ({"family": "power_function", "theta": 1.0, "nu": False}, "nu"),
+            ({"family": "gev", "xi": "0.5"}, "xi"),
+            ({"family": "gev", "xi": True}, "xi"),
+        ],
+    )
+    def test_bool_and_str_fields_rejected(self, payload, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            d.from_dict(payload)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            d.DistributionSpec(**payload)
+
+    def test_numpy_reals_accepted(self):
+        spec = d.from_dict({"family": "pareto", "theta": np.float64(2.0), "nu": np.int64(3)})
+        assert spec == d.pareto(2.0, 3.0)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
@@ -283,8 +306,6 @@ class TestDensityQuantileProfile:
         ],
     )
     def test_midpoint_values(self, member, at_half):
-        profile = d.density_quantile_profile(member)
-        assert profile.at_half == pytest.approx(at_half, rel=1e-12)
         assert d.density_quantile(member, 0.5) == pytest.approx(at_half, rel=1e-12)
 
     @pytest.mark.parametrize("member", ALL_MEMBERS, ids=MEMBER_IDS)
@@ -401,6 +422,20 @@ class TestGumbelCrossover:
         xs = np.linspace(-2.0, 5.0, 31)
         assert np.allclose(d.pdf(near, xs), d.pdf(zero, xs), atol=1e-15)
         assert np.allclose(d.cdf(near, xs), d.cdf(zero, xs), atol=1e-15)
+
+    @pytest.mark.parametrize("xi", [2e-8, 1e-7, 1e-6, -1e-6, 1e-4])
+    @pytest.mark.parametrize("x", [-2.0, 0.5, 3.0])
+    def test_near_gumbel_pointwise_against_mpmath(self, xi, x):
+        # just outside the Gumbel window, 1 + xi x must not be formed in
+        # double precision before taking its log
+        with mpmath.workdps(40):
+            z = 1 + mpmath.mpf(xi) * mpmath.mpf(x)
+            w = z ** (-1 / mpmath.mpf(xi))
+            want_cdf = float(mpmath.exp(-w))
+            want_log_pdf = float(-(1 + 1 / mpmath.mpf(xi)) * mpmath.log(z) - w)
+        member = d.gev(xi)
+        assert d.cdf(member, x) == pytest.approx(want_cdf, rel=1e-13, abs=0.0)
+        assert d.log_pdf(member, x) == pytest.approx(want_log_pdf, rel=0.0, abs=1e-13)
 
     def test_branches_agree_across_threshold(self):
         # the exact branch at xi just above the window stays close to the

@@ -319,6 +319,9 @@ class TestConvergenceStudy:
             evt.convergence_study(d.exponential(1.0), (100, 10))
         with pytest.raises(ValueError):
             evt.convergence_study(d.exponential(1.0), (0, 10))
+        # non-integer entries are rejected, not truncated to n = 2, 3
+        with pytest.raises(ValueError):
+            evt.convergence_study(d.exponential(1.0), [2.7, 3.2])
 
 
 # ---------------------------------------------------------------------------

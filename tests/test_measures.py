@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from extremal_info import canonical, distributions as d, measures, numerics
+from extremal_info import bounds, canonical, distributions as d, evt, measures, numerics, special
 
 GAMMA = np.euler_gamma
 
@@ -71,6 +71,35 @@ class TestArgumentChecking:
     def test_accepts_numpy_integers(self):
         mv = measures.shannon_max(d.uniform(1.0), np.int64(3))
         assert mv.value == pytest.approx(1.0 - math.log(3.0) - 1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda n: measures.shannon_max(d.exponential(1.0), n),
+            lambda n: measures.extropy_max(d.exponential(1.0), n),
+            lambda n: bounds.shannon_bounds(d.exponential(1.0), n),
+            lambda n: bounds.extropy_upper_envelope(d.exponential(1.0), n),
+            lambda n: evt.norming_constants(d.exponential(1.0), n),
+            lambda n: numerics.maximum_from_uniform(d.exponential(1.0), n, 0.5),
+            lambda n: numerics.mc_entropy_max(d.exponential(1.0), n, samples=100),
+            lambda n: special.harmonic(n),
+        ],
+        ids=[
+            "shannon_max",
+            "extropy_max",
+            "shannon_bounds",
+            "extropy_upper_envelope",
+            "norming_constants",
+            "maximum_from_uniform",
+            "mc_entropy_max",
+            "harmonic",
+        ],
+    )
+    def test_one_integer_rule_everywhere(self, entry):
+        entry(np.int64(3))
+        for bad in (True, 2.5, np.array(3), 0):
+            with pytest.raises(ValueError):
+                entry(bad)
 
 
 # ---------------------------------------------------------------------------
