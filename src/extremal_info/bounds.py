@@ -34,6 +34,7 @@ import numpy as np
 from . import distributions as dist_mod
 from . import measures
 from .measures import is_indeterminate
+from .numerics import DEFAULT_QUAD_TOL
 from .special import EULER_GAMMA, _check_index, _check_n_grid, half_geometric_sum, harmonic
 
 __all__ = [
@@ -146,7 +147,7 @@ def extropy_upper_envelope(dist, n: int) -> float:
     return -(n * n) * i_half * coeff
 
 
-def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = 1e-10) -> BoundsReport:
+def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
     """Entropy of X_(n) against its finite-n envelopes.
 
     The lower envelope 1 - ln n - 1/n presumes sup f <= 1 and is gated out
@@ -183,7 +184,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     )
 
 
-def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = 1e-10) -> BoundsReport:
+def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
     """Extropy of X_(n) against its finite-n envelopes.
 
     Both envelopes are scale-covariant, so no sup-density gate applies;
@@ -221,7 +222,7 @@ def extropy_limit_upper(dist) -> float:
     return -0.25 * dist_mod.density_quantile(dist, 0.5)
 
 
-def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = 1e-10):
+def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL):
     """Envelopes for the normalized maximum (X_(n) - b_n)/a_n.
 
     Entropy bounds shift by -ln a_n and extropy bounds scale by a_n > 0

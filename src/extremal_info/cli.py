@@ -1,19 +1,21 @@
 """Command-line surface.
 
-Subcommands
------------
+Subcommands (each rejects every option it does not read)
+--------------------------------------------------------
 measure   H and J of the maximum for one distribution and n
 bounds    finite-n envelope reports for both measures
 tables    closed form vs quadrature across the canonical catalog
 figure1   (n, H, ceiling) profile for Exp(1), n = 1..50
 converge  normalized measures along an n-grid vs their limiting targets
-verify    run the built-in invariant suite
+verify    run the built-in invariant suite; plain-text report
 
-Output is CSV (default) or JSON on stdout.  Numbers are printed with 15
-significant digits; extended reals use the literals ``inf``, ``-inf`` and
-``indeterminate``.  Identical invocations (including ``--seed``) produce
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 domain
-error, 3 verification failure.
+``--tol`` is read by measure, bounds, tables and verify; ``--samples`` by
+measure; ``--seed`` (default ``$EXTREMAL_INFO_SEED``, else 0) by measure and
+verify; ``--format`` by all but verify.  Reports are CSV (default) or JSON on
+stdout.  Numbers are printed with 15 significant digits; extended reals use
+the literals ``inf``, ``-inf`` and ``indeterminate``.  Identical invocations
+(including ``--seed``) produce byte-identical output.  Exit codes: 0 success,
+1 usage error, 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import canonical
 from . import distributions as dist_mod
 from . import evt
 from . import measures
-from .measures import INDETERMINATE, is_indeterminate
-from .numerics import QuadratureError
+from .measures import is_indeterminate
+from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, MIN_SAMPLES, QuadratureError
+from .special import _check_index, _check_n_grid
 
-__all__ = ["RunConfig", "main", "format_extended"]
+__all__ = ["main", "format_extended"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,24 +47,6 @@ EXIT_VERIFY = 3
 SEED_ENV_VAR = "EXTREMAL_INFO_SEED"
 
 _FIGURE1_MAX_N = 50
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide options shared by all subcommands."""
-
-    quad_tol: float = 1e-10
-    mc_samples: int = 100_000
-    seed: int = 0
-    output_format: str = "csv"
-
-    def __post_init__(self):
-        if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
-            raise UsageError(f"--tol must be a positive finite real, got {self.quad_tol!r}")
-        if self.mc_samples < 100:
-            raise UsageError(f"--samples must be at least 100, got {self.mc_samples!r}")
-        if self.output_format not in ("csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {self.output_format!r}")
 
 
 class UsageError(Exception):
@@ -111,8 +95,8 @@ def _csv_value(x) -> str:
     return format_extended(x)
 
 
-def _emit(header: list[str], rows: list[list], config: RunConfig, out) -> None:
-    if config.output_format == "csv":
+def _emit(header: list[str], rows: list[list], output_format: str, out) -> None:
+    if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -132,45 +116,74 @@ def _params_label(dist) -> str:
     return ",".join(f"{k}={d[k]:g}" for k in ("theta", "nu", "xi") if k in d)
 
 
-def _parse_dist(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--dist is not valid JSON: {exc}") from exc
-    return dist_mod.from_dict(data)
+# ---------------------------------------------------------------------------
+# Option values
+# ---------------------------------------------------------------------------
 
 
-def _parse_n(value) -> int:
-    if value is None:
-        raise UsageError("--n is required")
-    if value < 1:
-        raise UsageError(f"--n must be an integer >= 1, got {value}")
-    return value
+def _option_type(convert):
+    """An argparse ``type=`` from ``convert`` whose usage error keeps the
+    ValueError message, which names the rule, not argparse's "invalid value"."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_n_grid(text: str) -> list[int]:
-    if text is None:
-        raise UsageError("--n-grid is required")
+@_option_type
+def _n(text: str) -> int:
+    return _check_index(int(text), "--n")
+
+
+@_option_type
+def _n_grid(text: str) -> list[int]:
     try:
         if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) != 3:
-                raise ValueError("expected a:b:step")
-            a, b, step = parts
-            if step < 1:
-                raise ValueError("step must be >= 1")
-            grid = list(range(a, b + 1, step))
+            a, b, step = (int(p) for p in text.split(":"))
+            grid = range(a, b + 1, step)
         else:
             grid = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"--n-grid must be a:b:step or a comma list of integers: {exc}") from exc
-    if not grid:
-        raise UsageError("--n-grid is empty")
-    if any(n < 1 for n in grid):
-        raise UsageError("--n-grid entries must be >= 1")
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise UsageError("--n-grid must be strictly increasing")
-    return grid
+        raise ValueError(f"expected a:b:step or a comma list of integers: {exc}") from None
+    return _check_n_grid(grid, "--n-grid")
+
+
+@_option_type
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"must be a positive finite real, got {text}")
+    return tol
+
+
+@_option_type
+def _samples(text: str) -> int:
+    samples = int(text)
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"must be at least {MIN_SAMPLES}, got {samples}")
+    return samples
+
+
+@_option_type
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _seed_or_env(seed: int | None) -> int:
+    """``--seed`` if given, else the environment variable, else 0."""
+    if seed is not None:
+        return seed
+    try:
+        return _seed(os.environ.get(SEED_ENV_VAR, "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"environment variable {SEED_ENV_VAR} (--seed): {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +191,29 @@ def _parse_n_grid(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_measure(dist, n: int, method: str, config: RunConfig, out) -> int:
-    h = measures.shannon_max(
-        dist, n, method, quad_tol=config.quad_tol, samples=config.mc_samples, seed=config.seed
-    )
-    j = measures.extropy_max(
-        dist, n, method, quad_tol=config.quad_tol, samples=config.mc_samples, seed=config.seed
-    )
+def cmd_measure(args, out) -> int:
+    route = dict(quad_tol=args.tol, samples=args.samples, seed=_seed_or_env(args.seed))
+    dist = dist_mod.from_dict(args.dist)
+    h = measures.shannon_max(dist, args.n, args.method, **route)
+    j = measures.extropy_max(dist, args.n, args.method, **route)
     header = ["family", "params", "n", "H", "J", "method", "error_estimate"]
     rows = [
         [
             dist.family,
             _params_label(dist),
-            n,
+            args.n,
             h.value,
             j.value,
             h.method,
             max(h.error_estimate, j.error_estimate),
         ]
     ]
-    _emit(header, rows, config, out)
+    _emit(header, rows, args.format, out)
     return EXIT_OK
 
 
-def cmd_bounds(dist, n: int, method: str, config: RunConfig, out) -> int:
+def cmd_bounds(args, out) -> int:
+    dist = dist_mod.from_dict(args.dist)
     header = [
         "family",
         "params",
@@ -217,14 +229,14 @@ def cmd_bounds(dist, n: int, method: str, config: RunConfig, out) -> int:
     ]
     rows = []
     for name, report in (
-        ("shannon", bounds_mod.shannon_bounds(dist, n, method, quad_tol=config.quad_tol)),
-        ("extropy", bounds_mod.extropy_bounds(dist, n, method, quad_tol=config.quad_tol)),
+        ("shannon", bounds_mod.shannon_bounds(dist, args.n, args.method, quad_tol=args.tol)),
+        ("extropy", bounds_mod.extropy_bounds(dist, args.n, args.method, quad_tol=args.tol)),
     ):
         rows.append(
             [
                 dist.family,
                 _params_label(dist),
-                n,
+                args.n,
                 name,
                 report.lower,
                 report.value,
@@ -235,11 +247,11 @@ def cmd_bounds(dist, n: int, method: str, config: RunConfig, out) -> int:
                 report.gate_note,
             ]
         )
-    _emit(header, rows, config, out)
+    _emit(header, rows, args.format, out)
     return EXIT_OK
 
 
-def cmd_tables(config: RunConfig, out) -> int:
+def cmd_tables(args, out) -> int:
     header = [
         "family",
         "params",
@@ -258,7 +270,7 @@ def cmd_tables(config: RunConfig, out) -> int:
         h_ub = bounds_mod.shannon_limit_upper(dist)
         j_ub = bounds_mod.extropy_limit_upper(dist)
         for n in canonical.TABLE_N:
-            chk = measures.crosscheck(dist, n, quad_tol=config.quad_tol)
+            chk = measures.crosscheck(dist, n, quad_tol=args.tol)
             rows.append(
                 [
                     dist.family,
@@ -289,23 +301,23 @@ def cmd_tables(config: RunConfig, out) -> int:
                 j_ub,
             ]
         )
-    _emit(header, rows, config, out)
+    _emit(header, rows, args.format, out)
     return EXIT_OK
 
 
-def cmd_figure1(config: RunConfig, out) -> int:
+def cmd_figure1(args, out) -> int:
     dist = dist_mod.exponential(1.0)
     ub = bounds_mod.shannon_limit_upper(dist)
     header = ["n", "H", "UB"]
     rows = [
         [n, measures.shannon_max(dist, n).value, ub] for n in range(1, _FIGURE1_MAX_N + 1)
     ]
-    _emit(header, rows, config, out)
+    _emit(header, rows, args.format, out)
     return EXIT_OK
 
 
-def cmd_converge(dist, n_grid: list[int], config: RunConfig, out) -> int:
-    study = evt.convergence_study(dist, n_grid)
+def cmd_converge(args, out) -> int:
+    study = evt.convergence_study(dist_mod.from_dict(args.dist), args.n_grid)
     header = [
         "n",
         "h_normalized",
@@ -319,14 +331,14 @@ def cmd_converge(dist, n_grid: list[int], config: RunConfig, out) -> int:
         [r.n, r.h_normalized, r.j_normalized, r.h_target, r.j_target, r.h_gap, r.j_gap]
         for r in study.records
     ]
-    _emit(header, rows, config, out)
+    _emit(header, rows, args.format, out)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out) -> int:
+def cmd_verify(args, out) -> int:
     from . import verify as verify_mod
 
-    results = verify_mod.run_all(config)
+    results = verify_mod.run_all(quad_tol=args.tol, seed=_seed_or_env(args.seed))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok" if r.passed else "FAIL"
@@ -344,86 +356,50 @@ def cmd_verify(config: RunConfig, out) -> int:
 
 
 def _build_parser() -> _Parser:
+    options = {
+        "--dist": dict(
+            type=_option_type(json.loads), required=True, help="distribution spec as JSON"
+        ),
+        "--n": dict(type=_n, required=True, help="number of draws"),
+        "--n-grid": dict(type=_n_grid, required=True, help="a:b:step or comma list"),
+        "--tol": dict(type=_tol, default=DEFAULT_QUAD_TOL, help="quadrature absolute tolerance"),
+        "--samples": dict(type=_samples, default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),
+        "--seed": dict(type=_seed, help=f"Monte Carlo seed (default: ${SEED_ENV_VAR} or 0)"),
+        "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    }
     parser = _Parser(
         prog="extremal-info",
         description="Entropy and extropy of sample maxima: measures, bounds, and limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config_flags(p):
-        p.add_argument("--tol", type=float, default=1e-10, help="quadrature absolute tolerance")
-        p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-
-    p = sub.add_parser("measure", help="H and J of the maximum of n draws")
-    p.add_argument("--dist", required=True, help="distribution spec as JSON")
-    p.add_argument("--n", type=int, required=True, help="number of draws")
-    p.add_argument("--method", choices=("closed", "quad", "mc"), default="closed")
-    add_config_flags(p)
-
-    p = sub.add_parser("bounds", help="finite-n envelope reports")
-    p.add_argument("--dist", required=True, help="distribution spec as JSON")
-    p.add_argument("--n", type=int, required=True, help="number of draws")
-    p.add_argument("--method", choices=("closed", "quad"), default="closed")
-    add_config_flags(p)
-
-    p = sub.add_parser("tables", help="closed form vs quadrature across the catalog")
-    add_config_flags(p)
-
-    p = sub.add_parser("figure1", help="(n, H, ceiling) profile for Exp(1), n = 1..50")
-    add_config_flags(p)
-
-    p = sub.add_parser("converge", help="normalized measures along an n-grid")
-    p.add_argument("--dist", required=True, help="distribution spec as JSON")
-    p.add_argument("--n-grid", dest="n_grid", required=True, help="a:b:step or comma list")
-    add_config_flags(p)
-
-    p = sub.add_parser("verify", help="run the built-in invariant suite")
-    add_config_flags(p)
-
+    for name, run, flags, methods, help in (
+        ("measure", cmd_measure, ("--dist", "--n", "--tol", "--samples", "--seed", "--format"),
+         ("closed", "quad", "mc"), "H and J of the maximum of n draws"),
+        ("bounds", cmd_bounds, ("--dist", "--n", "--tol", "--format"),
+         ("closed", "quad"), "finite-n envelope reports"),
+        ("tables", cmd_tables, ("--tol", "--format"),
+         None, "closed form vs quadrature across the catalog"),
+        ("figure1", cmd_figure1, ("--format",),
+         None, "(n, H, ceiling) profile for Exp(1), n = 1..50"),
+        ("converge", cmd_converge, ("--dist", "--n-grid", "--format"),
+         None, "normalized measures along an n-grid"),
+        ("verify", cmd_verify, ("--tol", "--seed"), None, "run the built-in invariant suite"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        if methods:
+            p.add_argument("--method", choices=methods, default="closed")
     return parser
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(
-            f"environment variable {SEED_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        seed = args.seed if args.seed is not None else _default_seed()
-        config = RunConfig(
-            quad_tol=args.tol,
-            mc_samples=args.samples,
-            seed=seed,
-            output_format=args.format,
-        )
-        if args.command == "measure":
-            dist = _parse_dist(args.dist)
-            return cmd_measure(dist, _parse_n(args.n), args.method, config, out)
-        if args.command == "bounds":
-            dist = _parse_dist(args.dist)
-            return cmd_bounds(dist, _parse_n(args.n), args.method, config, out)
-        if args.command == "tables":
-            return cmd_tables(config, out)
-        if args.command == "figure1":
-            return cmd_figure1(config, out)
-        if args.command == "converge":
-            dist = _parse_dist(args.dist)
-            return cmd_converge(dist, _parse_n_grid(args.n_grid), config, out)
-        return cmd_verify(config, out)
+        args = _build_parser().parse_args(argv)
+        return args.run(args, out)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

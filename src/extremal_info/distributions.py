@@ -196,6 +196,15 @@ def _power_log_pdf(d, x):
     return np.where((x >= 0.0) & (x <= 1.0 / th), inside, -np.inf)
 
 
+def _power_density_quantile(d, t):
+    if d.nu < 1.0:
+        # Only here is the exponent negative, so t -> 0 overflows to inf (the
+        # true value); errstate is kept off the catalog's hot path (~1 us).
+        with np.errstate(over="ignore"):
+            return d.nu * d.theta * t ** ((d.nu - 1.0) / d.nu)
+    return d.nu * d.theta * t ** ((d.nu - 1.0) / d.nu)
+
+
 def _power_extropy(d, n):
     nu = d.nu
     if 2.0 * n * nu <= 1.0:
@@ -377,7 +386,7 @@ REGISTRY: dict[str, Family] = {
             np.where(x > 0.0, (d.theta * np.clip(x, 0.0, 1.0 / d.theta)) ** d.nu, 0.0), 0.0, 1.0
         ),
         quantile=lambda d, t: t ** (1.0 / d.nu) / d.theta,
-        density_quantile=lambda d, t: d.nu * d.theta * t ** ((d.nu - 1.0) / d.nu),
+        density_quantile=_power_density_quantile,
         sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
         is_log_concave=lambda d: d.nu >= 1.0,
         shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n),

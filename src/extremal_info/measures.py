@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from . import distributions as dist_mod
 from . import numerics
 from .distributions import INDETERMINATE, Indeterminate
+from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES
 from .special import _check_index
 from .special import harmonic  # noqa: F401  (perfbench's tracer patches measures.harmonic)
 
@@ -138,8 +139,8 @@ def shannon_max(
     n: int,
     method: str = "closed_form",
     *,
-    quad_tol: float = 1e-10,
-    samples: int = 100_000,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MeasureValue:
     """Shannon entropy H of the maximum of n i.i.d. draws from ``dist``.
@@ -164,8 +165,8 @@ def extropy_max(
     n: int,
     method: str = "closed_form",
     *,
-    quad_tol: float = 1e-10,
-    samples: int = 100_000,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MeasureValue:
     """Extropy J of the maximum of n i.i.d. draws from ``dist``.
@@ -205,8 +206,8 @@ def shannon_normalized(
     method: str = "closed_form",
     *,
     norming=None,
-    quad_tol: float = 1e-10,
-    samples: int = 100_000,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MeasureValue:
     """Entropy of the normalized maximum (X_(n) - b_n)/a_n.
@@ -228,8 +229,8 @@ def extropy_normalized(
     method: str = "closed_form",
     *,
     norming=None,
-    quad_tol: float = 1e-10,
-    samples: int = 100_000,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MeasureValue:
     """Extropy of the normalized maximum (X_(n) - b_n)/a_n.
@@ -246,7 +247,7 @@ def extropy_normalized(
     )
 
 
-def crosscheck(dist, n: int, *, quad_tol: float = 1e-10) -> dict:
+def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:
     """Closed form vs quadrature for both measures, with absolute gaps.
 
     Returns a dict with keys h_closed, h_quad, h_gap, j_closed, j_quad,

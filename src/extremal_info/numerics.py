@@ -47,6 +47,11 @@ __all__ = [
     "grid_concavity_check",
 ]
 
+# Defaults shared by every quadrature and Monte Carlo entry point and the CLI.
+DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_SAMPLES = 100_000
+MIN_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -131,6 +136,7 @@ _U_LEFT = -392.0
 _U_RIGHT = 22.0
 _TAIL_CELLS = 7
 _MAX_EVALS = 400_000
+_MAX_DEPTH = 60  # bisection depth cap
 
 
 def _sigma(u: float) -> float:
@@ -238,7 +244,7 @@ def _tail_sum(g, edge: float, direction: int) -> tuple[float, float, int]:
     return limit, err, evals
 
 
-def integrate_unit(f, abs_tol: float = 1e-10, max_depth: int = 60) -> QuadratureResult:
+def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integrate ``f`` over the open interval (0, 1) to absolute tolerance.
 
     Parameters
@@ -250,10 +256,9 @@ def integrate_unit(f, abs_tol: float = 1e-10, max_depth: int = 60) -> Quadrature
     abs_tol : float
         Target absolute tolerance; the returned ``error_estimate`` is an
         honest bound and may exceed ``abs_tol`` only together with an
-        explicit :class:`QuadratureError`.
-    max_depth : int
-        Bisection depth cap.  Exceeding it raises :class:`QuadratureError`
-        carrying the best estimate so far.
+        explicit :class:`QuadratureError`, raised with the best estimate so
+        far once a cell reaches depth ``_MAX_DEPTH`` or the evaluations
+        exceed ``_MAX_EVALS``.
     """
     if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
         raise ValueError(f"abs_tol must be a positive finite number, got {abs_tol!r}")
@@ -289,11 +294,11 @@ def integrate_unit(f, abs_tol: float = 1e-10, max_depth: int = 60) -> Quadrature
             final_value += vk
             final_error += err
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             best_value = final_value + vk + sum(c[2] for c in work)
             best_error = final_error + err + sum(c[3] for c in work)
             raise QuadratureError(
-                f"maximum bisection depth {max_depth} reached with error "
+                f"maximum bisection depth {_MAX_DEPTH} reached with error "
                 f"{best_error:.3e} above tolerance {abs_tol:.3e}",
                 best=QuadratureResult(best_value, best_error, evals),
             )
@@ -370,12 +375,12 @@ def _check_mc_args(samples, seed) -> tuple[int, int]:
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     samples = int(samples)
-    if samples < 100:
-        raise ValueError(f"at least 100 samples are required, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"at least {MIN_SAMPLES} samples are required, got {samples}")
     return samples, int(seed)
 
 
-def mc_entropy_max(dist, n: int, samples: int = 100_000, seed: int = 0) -> McEstimate:
+def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
     """Plug-in Monte Carlo estimate of the entropy of the sample maximum.
 
     Draws maxima through the quantile transform and averages
@@ -396,7 +401,7 @@ def mc_entropy_max(dist, n: int, samples: int = 100_000, seed: int = 0) -> McEst
     return McEstimate(est, se, samples, seed)
 
 
-def mc_extropy_max(dist, n: int, samples: int = 100_000, seed: int = 0) -> McEstimate:
+def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
     """Plug-in Monte Carlo estimate of the extropy of the sample maximum.
 
     Same sampling scheme as :func:`mc_entropy_max`; the estimator averages

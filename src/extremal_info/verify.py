@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +37,9 @@ class GroupResult:
     detail: str = ""
 
 
-def _group(name, fn, config) -> GroupResult:
+def _group(name, fn) -> GroupResult:
     try:
-        failures = fn(config)
+        failures = fn()
     except Exception as exc:  # a crash is a failure, not an abort
         return GroupResult(name, False, f"raised {type(exc).__name__}: {exc}")
     if failures:
@@ -59,7 +60,7 @@ def _check(failures: list, ok: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _special_identities(config) -> list:
+def _special_identities() -> list:
     failures: list = []
     _check(failures, special.harmonic(1) == 1.0, "harmonic(1) != 1")
     _check(failures, abs(special.harmonic(4) - 25.0 / 12.0) < 1e-15, "harmonic(4) != 25/12")
@@ -93,7 +94,7 @@ def _special_identities(config) -> list:
     return failures
 
 
-def _quadrature_oracle(config) -> list:
+def _quadrature_oracle(quad_tol: float) -> list:
     failures: list = []
     cases = [
         (lambda t: 1.0, 1.0, "constant"),
@@ -103,7 +104,7 @@ def _quadrature_oracle(config) -> list:
         (lambda t: math.log(-math.log(t)), -special.euler_gamma(), "ln(-ln t)"),
     ]
     for f, truth, label in cases:
-        res = numerics.integrate_unit(f, abs_tol=config.quad_tol)
+        res = numerics.integrate_unit(f, abs_tol=quad_tol)
         err = abs(res.value - truth)
         _check(
             failures,
@@ -113,7 +114,7 @@ def _quadrature_oracle(config) -> list:
     return failures
 
 
-def _distribution_consistency(config) -> list:
+def _distribution_consistency() -> list:
     failures: list = []
     ts = np.linspace(0.02, 0.98, 21)
     for member in canonical.catalog_members():
@@ -152,7 +153,7 @@ def _distribution_consistency(config) -> list:
     return failures
 
 
-def _log_concavity(config) -> list:
+def _log_concavity() -> list:
     failures: list = []
     extras = (dist_mod.gev(-0.9), dist_mod.gev(0.3), dist_mod.power_function(1.0, 0.5))
     ts = np.linspace(0.005, 0.995, 301)
@@ -181,11 +182,11 @@ def _log_concavity(config) -> list:
     return failures
 
 
-def _closed_vs_quadrature(config) -> list:
+def _closed_vs_quadrature(quad_tol: float) -> list:
     failures: list = []
     for member in canonical.catalog_members():
         for n in (1, 5, 50):
-            chk = measures.crosscheck(member, n, quad_tol=config.quad_tol)
+            chk = measures.crosscheck(member, n, quad_tol=quad_tol)
             worst = max(chk["h_gap"], chk["j_gap"])
             _check(
                 failures,
@@ -195,7 +196,7 @@ def _closed_vs_quadrature(config) -> list:
     return failures
 
 
-def _bounds_orderings(config) -> list:
+def _bounds_orderings() -> list:
     failures: list = []
     for member in canonical.catalog_members():
         if not dist_mod.is_log_concave(member):
@@ -225,7 +226,7 @@ def _bounds_orderings(config) -> list:
     return failures
 
 
-def _characterization(config) -> list:
+def _characterization() -> list:
     failures: list = []
     grid = (10, 1000, 1_000_000)
     for member in canonical.catalog_members():
@@ -239,7 +240,7 @@ def _characterization(config) -> list:
     return failures
 
 
-def _normalized_limits(config) -> list:
+def _normalized_limits() -> list:
     failures: list = []
     n = 1_000_000
     for th in canonical.CANONICAL_THETAS:
@@ -289,12 +290,12 @@ def _normalized_limits(config) -> list:
     return failures
 
 
-def _mc_agreement(config) -> list:
+def _mc_agreement(seed: int) -> list:
     failures: list = []
     for member in canonical.mc_representatives():
         for n in (1, 5):
-            h = numerics.mc_entropy_max(member, n, samples=20_000, seed=config.seed)
-            j = numerics.mc_extropy_max(member, n, samples=20_000, seed=config.seed)
+            h = numerics.mc_entropy_max(member, n, samples=20_000, seed=seed)
+            j = numerics.mc_extropy_max(member, n, samples=20_000, seed=seed)
             h_closed = measures.shannon_max(member, n).value
             j_closed = measures.extropy_max(member, n).value
             _check(
@@ -312,7 +313,7 @@ def _mc_agreement(config) -> list:
     return failures
 
 
-def _cli_determinism(config) -> list:
+def _cli_determinism() -> list:
     failures: list = []
 
     def run(argv) -> tuple[int, str]:
@@ -360,22 +361,19 @@ def _cli_determinism(config) -> list:
     return failures
 
 
-_GROUPS = (
-    ("special identities", _special_identities),
-    ("quadrature oracle", _quadrature_oracle),
-    ("distribution consistency", _distribution_consistency),
-    ("log-concavity verdicts", _log_concavity),
-    ("closed form vs quadrature", _closed_vs_quadrature),
-    ("bound orderings", _bounds_orderings),
-    ("ceiling characterization", _characterization),
-    ("normalized limits", _normalized_limits),
-    ("monte carlo agreement", _mc_agreement),
-    ("cli determinism", _cli_determinism),
-)
-
-
-def run_all(config=None) -> list[GroupResult]:
-    """Run every invariant group and return their results in order."""
-    if config is None:
-        config = cli.RunConfig()
-    return [_group(name, fn, config) for name, fn in _GROUPS]
+def run_all(quad_tol: float = numerics.DEFAULT_QUAD_TOL, seed: int = 0) -> list[GroupResult]:
+    """Run every invariant group, with quadrature tolerance ``quad_tol`` and
+    Monte Carlo seed ``seed``, and return their results in order."""
+    groups = (
+        ("special identities", _special_identities),
+        ("quadrature oracle", partial(_quadrature_oracle, quad_tol)),
+        ("distribution consistency", _distribution_consistency),
+        ("log-concavity verdicts", _log_concavity),
+        ("closed form vs quadrature", partial(_closed_vs_quadrature, quad_tol)),
+        ("bound orderings", _bounds_orderings),
+        ("ceiling characterization", _characterization),
+        ("normalized limits", _normalized_limits),
+        ("monte carlo agreement", partial(_mc_agreement, seed)),
+        ("cli determinism", _cli_determinism),
+    )
+    return [_group(name, fn) for name, fn in groups]

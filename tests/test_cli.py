@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from extremal_info import canonical, cli, distributions, evt
+from extremal_info import canonical, cli, distributions, evt, verify
 
 EXP1 = '{"family":"exponential","theta":1}'
 
@@ -278,6 +278,8 @@ class TestExitCodes:
             ("converge", "--dist", EXP1, "--n-grid", "50,10"),
             ("converge", "--dist", EXP1, "--n-grid", "0,10"),
             ("measure", "--dist", EXP1, "--n", "2", "--samples", "50"),
+            ("measure", "--dist", EXP1, "--n", "2", "--method", "mc", "--seed", "-1"),
+            ("verify", "--seed", "-1"),
         ],
     )
     def test_usage_errors_exit_1(self, argv):
@@ -313,13 +315,77 @@ class TestExitCodes:
         assert from_env == explicit
         assert from_env != other
 
-    def test_invalid_seed_env_var_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-seed")
+    @pytest.mark.parametrize("value", ["not-a-seed", "-1"])
+    def test_invalid_seed_env_var_is_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
         code, _, err = run_cli(
             "measure", "--dist", EXP1, "--n", "3", "--method", "mc", "--samples", "500"
         )
         assert code == 1
-        assert cli.SEED_ENV_VAR in err
+        assert cli.SEED_ENV_VAR in err and "--seed" in err
+
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    def test_negative_seed_names_the_flag(self, command):
+        code, _, err = run_cli(*BASE_ARGV[command], "--seed", "-1")
+        assert code == 1
+        assert "--seed" in err and "non-negative" in err
+
+
+# ---------------------------------------------------------------------------
+# Each subcommand takes only the options it reads
+# ---------------------------------------------------------------------------
+
+BASE_ARGV = {
+    "measure": ("measure", "--dist", EXP1, "--n", "2"),
+    "bounds": ("bounds", "--dist", EXP1, "--n", "2"),
+    "tables": ("tables",),
+    "figure1": ("figure1",),
+    "converge": ("converge", "--dist", EXP1, "--n-grid", "2,3"),
+    "verify": ("verify",),
+}
+READS = {
+    "measure": ("--tol", "--samples", "--seed", "--format"),
+    "bounds": ("--tol", "--format"),
+    "tables": ("--tol", "--format"),
+    "figure1": ("--format",),
+    "converge": ("--format",),
+    "verify": ("--tol", "--seed"),
+}
+OPTION_VALUES = {"--tol": "1e-9", "--samples": "1000", "--seed": "3", "--format": "json"}
+PARSED = {"--tol": 1e-9, "--samples": 1000, "--seed": 3, "--format": "json"}
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c in BASE_ARGV for o in OPTION_VALUES if o not in READS[c]],
+    )
+    def test_unread_option_exits_1(self, command, option):
+        code, out, err = run_cli(*BASE_ARGV[command], option, OPTION_VALUES[option])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and option in err
+
+    @pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in READS[c]])
+    def test_read_option_is_parsed(self, command, option):
+        argv = [*BASE_ARGV[command], option, OPTION_VALUES[option]]
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, option[2:]) == PARSED[option]
+
+    def test_verify_options_reach_run_all(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "run_all", lambda **kwargs: calls.append(kwargs) or [])
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        assert run_cli("verify")[0] == 0
+        assert run_cli("verify", "--tol", "1e-9", "--seed", "7")[0] == 0
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+        assert run_cli("verify", "--tol", "1e-8")[0] == 0
+        assert run_cli("verify", "--seed", "6")[0] == 0
+        assert calls == [
+            {"quad_tol": 1e-10, "seed": 0},
+            {"quad_tol": 1e-9, "seed": 7},
+            {"quad_tol": 1e-8, "seed": 5},
+            {"quad_tol": 1e-10, "seed": 6},
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -321,6 +322,14 @@ class TestDensityQuantileProfile:
         ts = np.linspace(0.001, 0.999, 499)
         envelope = 2.0 * d.density_quantile(member, 0.5) * np.minimum(ts, 1.0 - ts)
         assert np.all(d.density_quantile(member, ts) >= envelope - 1e-12)
+
+    def test_power_small_shape_overflows_to_inf_silently(self):
+        # nu < 1: t^((nu-1)/nu) exceeds the double range as t -> 0
+        member = d.power_function(1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.density_quantile(member, 1e-300) == math.inf
+            assert d.density_quantile(member, np.array([1e-300, 0.5]))[0] == math.inf
 
 
 # ---------------------------------------------------------------------------
