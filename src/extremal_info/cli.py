@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -37,7 +38,7 @@ from .measures import is_indeterminate
 from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, MIN_SAMPLES, QuadratureError
 from .special import _check_index, _check_n_grid
 
-__all__ = ["main", "format_extended"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,17 +61,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def format_extended(x) -> str:
-    """Fixed textual form of an extended real for CSV output."""
-    if is_indeterminate(x):
-        return "indeterminate"
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.15g" % x
-
-
 def _json_value(x):
+    """A report cell as JSON: extended reals become the literals ``inf``,
+    ``-inf``, ``indeterminate`` and ``nan``; other numbers become floats."""
     if x is None or isinstance(x, (str, bool, int)):
         return x
     if is_indeterminate(x):
@@ -84,15 +77,14 @@ def _json_value(x):
 
 
 def _csv_value(x) -> str:
+    x = _json_value(x)
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return format_extended(x)
+    if isinstance(x, float):
+        return "%.15g" % x
+    return str(x)
 
 
 def _emit(header: list[str], rows: list[list], output_format: str, out) -> None:
@@ -355,6 +347,7 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     options = {
         "--dist": dict(

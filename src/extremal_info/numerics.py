@@ -377,6 +377,8 @@ def _check_mc_args(samples, seed) -> tuple[int, int]:
     samples = int(samples)
     if samples < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required, got {samples}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return samples, int(seed)
 
 

@@ -3,18 +3,13 @@
 Tests marked ``@pytest.mark.acceptance(num, label)`` are grouped by ``num``;
 after the run a single PASS/FAIL line is printed per group.  Expected
 failures (strict xfail) count as passing because the recorded expectation
-held.
+held.  The marker is registered in ``pyproject.toml``, which also turns on
+``--strict-markers``: a misspelt marker fails collection instead of
+silently dropping a test out of the summary.
 """
 from __future__ import annotations
 
 import pytest
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "acceptance(num, label): acceptance check this test contributes to",
-    )
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -2,7 +2,10 @@
 
 Every check pins an independently derived target at a fixed tolerance and
 gets its own PASS/FAIL line in the terminal summary (see ``conftest``).
-Tolerances here are contractual — they must never be loosened to make a
+Checks 1, 2, 3, 5, 6, 8 and 9 run the contracts defined once in
+``extremal_info.verify`` on the release grid and assert that they report no
+failure; ``extremal-info verify`` runs the same contracts on a smoke grid.
+Tolerances are contractual — they must never be loosened to make a
 check pass.  Where a check cannot hold in its original form, the original
 form is kept as a strict expected failure next to a corrected, passing
 variant, and the analysis lives in the test that quantifies the gap.
@@ -12,10 +15,9 @@ from __future__ import annotations
 import io
 import math
 
-import numpy as np
 import pytest
 
-from extremal_info import bounds, canonical, evt, measures, numerics, special
+from extremal_info import bounds, canonical, measures, numerics, special, verify
 from extremal_info import distributions as dist_mod
 from extremal_info.cli import main as cli_main
 
@@ -41,19 +43,13 @@ def _label(member) -> str:
 @pytest.mark.acceptance(1, "catalog entropy closed forms match quadrature to 1e-8 for n in {1,2,5,10,50}")
 @pytest.mark.parametrize("member", CATALOG, ids=_label)
 def test_entropy_closed_forms_match_quadrature(member):
-    for n in canonical.TABLE_N:
-        closed = measures.shannon_max(member, n).value
-        quad = measures.shannon_max(member, n, "quadrature").value
-        assert quad == pytest.approx(closed, abs=1e-8), f"n={n}"
+    assert verify.closed_vs_quadrature([member], canonical.TABLE_N, routes=("shannon_max",)) == []
 
 
 @pytest.mark.acceptance(2, "catalog extropy closed forms match quadrature to 1e-8 for n in {1,2,5,10,50}")
 @pytest.mark.parametrize("member", CATALOG, ids=_label)
 def test_extropy_closed_forms_match_quadrature(member):
-    for n in canonical.TABLE_N:
-        closed = measures.extropy_max(member, n).value
-        quad = measures.extropy_max(member, n, "quadrature").value
-        assert quad == pytest.approx(closed, abs=1e-8), f"n={n}"
+    assert verify.closed_vs_quadrature([member], canonical.TABLE_N, routes=("extropy_max",)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -65,25 +61,13 @@ def test_extropy_closed_forms_match_quadrature(member):
 @pytest.mark.acceptance(3, "bound orderings hold for log-concave members up to n=200; pareto pierces the entropy ceiling by n=100")
 @pytest.mark.parametrize("member", LOG_CONCAVE, ids=_label)
 def test_bound_orderings_hold_through_n_200(member):
-    gate_open = dist_mod.sup_density(member) <= 1.0
-    for n in range(1, 201):
-        h = bounds.shannon_bounds(member, n)
-        assert h.applicable and h.upper_holds, f"n={n}"
-        assert h.value <= h.upper + 1e-12, f"n={n}"
-        if gate_open:
-            assert h.lower_holds, f"n={n}"
-            assert h.lower <= h.value + 1e-12, f"n={n}"
-        j = bounds.extropy_bounds(member, n)
-        assert j.applicable and j.lower_holds and j.upper_holds, f"n={n}"
-        assert j.lower - 1e-12 <= j.value <= j.upper + 1e-12, f"n={n}"
+    assert verify.bound_orderings([member], range(1, 201)) == []
 
 
 @pytest.mark.acceptance(3, "bound orderings hold for log-concave members up to n=200; pareto pierces the entropy ceiling by n=100")
 @pytest.mark.parametrize("member", PARETO_MEMBERS, ids=_label)
 def test_pareto_entropy_exceeds_the_limiting_ceiling(member):
-    ceiling = bounds.shannon_limit_upper(member)
-    for n in (100, 150, 200):
-        assert measures.shannon_max(member, n).value > ceiling, f"n={n}"
+    assert verify.pareto_ceiling([member], (100, 150, 200)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +136,7 @@ def test_envelopes_reach_their_ceilings_at_1e6(member):
 @pytest.mark.acceptance(5, "exponential members alone attain the gumbel-limit targets at n=1e6 (gap < 1e-4 vs > 0.05)")
 @pytest.mark.parametrize("member", CATALOG, ids=_label)
 def test_only_exponential_attains_the_gumbel_targets(member):
-    study = bounds.exponential_gap(member, (10, 1000, 1_000_000))
-    last = study.records[-1]
-    worst = max(abs(last.shannon_gap), abs(last.extropy_gap))
-    if member.label().startswith("exponential"):
-        assert study.attaining
-        assert worst < 1e-4
-    else:
-        assert not study.attaining
-        assert worst > 0.05 or math.isinf(worst)
+    assert verify.exponential_attainment([member], (10, 1000, 1_000_000)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +147,7 @@ def test_only_exponential_attains_the_gumbel_targets(member):
 @pytest.mark.acceptance(6, "normalized exponential entropy/extropy reach 1+gamma and -1/8 within 1e-5 at n=1e6")
 @pytest.mark.parametrize("theta", canonical.CANONICAL_THETAS)
 def test_normalized_exponential_measures_reach_gumbel_targets(theta):
-    member = dist_mod.exponential(theta)
-    n = 10**6
-    h_target, j_target = evt.gumbel_targets()
-    assert measures.shannon_normalized(member, n).value == pytest.approx(h_target, abs=1e-5)
-    assert measures.extropy_normalized(member, n).value == pytest.approx(j_target, abs=1e-5)
+    assert verify.normalized_exponential([dist_mod.exponential(theta)], 10**6) == []
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +211,14 @@ def test_power_logpow_integral_matches_quadrature(nu, mu):
 
 @pytest.mark.acceptance(8, "log-moment integrals match quadrature to 1e-10; series tail <= 2^-n; beta log moment equals -H_n")
 def test_half_geometric_tail_is_bounded_by_two_to_minus_n():
-    for n in range(1, 61):
-        assert abs(math.log(2.0) - special.half_geometric_sum(n)) <= 2.0**-n
+    assert verify.series_tail(range(1, 61)) == []
 
 
 @pytest.mark.acceptance(8, "log-moment integrals match quadrature to 1e-10; series tail <= 2^-n; beta log moment equals -H_n")
 def test_beta_log_moment_equals_minus_harmonic():
+    assert verify.beta_log_moment(range(1, 21)) == []
     for n in range(1, 21):
         closed = special.beta_n1_log_moment(n)
-        assert closed == -special.harmonic(n)
         quad = numerics.integrate_unit(
             lambda y, n=n: n * y ** (n - 1) * math.log1p(-y)
         )
@@ -262,24 +233,13 @@ def test_beta_log_moment_equals_minus_harmonic():
 @pytest.mark.acceptance(9, "gev closed forms match quadrature to 1e-8; log-concavity verdicts agree with grid checks")
 @pytest.mark.parametrize("xi", (-0.5, 0.0, 0.5))
 def test_gev_closed_forms_match_quadrature(xi):
-    member = dist_mod.gev(xi)
-    for n in (1, 5, 10):
-        for route in (measures.shannon_max, measures.extropy_max):
-            closed = route(member, n).value
-            quad = route(member, n, "quadrature").value
-            assert quad == pytest.approx(closed, abs=1e-8), f"n={n}"
+    assert verify.closed_vs_quadrature([dist_mod.gev(xi)], (1, 5, 10)) == []
 
 
 @pytest.mark.acceptance(9, "gev closed forms match quadrature to 1e-8; log-concavity verdicts agree with grid checks")
 @pytest.mark.parametrize("xi", (-0.9, -0.5, -1e-6, 0.0, 0.3))
 def test_gev_log_concavity_verdicts_match_grid_checks(xi):
-    member = dist_mod.gev(xi)
-    verdict = dist_mod.is_log_concave(member)
-    xs = dist_mod.quantile(member, np.linspace(0.005, 0.995, 301))
-    report = numerics.grid_concavity_check(
-        lambda x: dist_mod.log_pdf(member, x), xs, tol=1e-9
-    )
-    assert report.concave == verdict
+    assert verify.log_concavity([dist_mod.gev(xi)]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ exercises the installed console script end to end.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -248,13 +250,48 @@ class TestConverge:
 # ---------------------------------------------------------------------------
 
 
+VERIFY_GROUPS = [
+    "special identities",
+    "quadrature oracle",
+    "distribution consistency",
+    "log-concavity verdicts",
+    "closed form vs quadrature",
+    "bound orderings",
+    "ceiling characterization",
+    "normalized limits",
+    "monte carlo agreement",
+    "cli determinism",
+]
+
+
 class TestVerify:
     def test_all_groups_pass(self):
         code, out, _ = run_cli("verify")
         assert code == 0
         lines = out.strip().splitlines()
-        assert all(line.startswith("ok") for line in lines[:-1])
-        assert lines[-1].endswith("passed, 0 failed")
+        assert lines[:-1] == [f"ok   {name}" for name in VERIFY_GROUPS]
+        assert lines[-1] == "10 passed, 0 failed"
+
+    def test_perturbed_closed_form_fails_verify_and_its_contract(self, monkeypatch):
+        family = distributions.REGISTRY["exponential"]
+        extropy = family.extropy
+        monkeypatch.setitem(
+            distributions.REGISTRY,
+            "exponential",
+            dataclasses.replace(family, extropy=lambda dist, n: extropy(dist, n) + 1e-6),
+        )
+        code, out, _ = run_cli("verify")
+        assert code == 3
+        lines = out.strip().splitlines()
+        assert len(lines) == len(VERIFY_GROUPS) + 1
+        line = lines[VERIFY_GROUPS.index("closed form vs quadrature")]
+        assert line.startswith("FAIL closed form vs quadrature: exponential(theta=0.5) n=1:")
+        summary = re.fullmatch(r"(\d+) passed, (\d+) failed", lines[-1])
+        assert summary and int(summary[2]) >= 1
+        # The group reports the shared contract's own failure message.
+        expected = verify.closed_vs_quadrature([distributions.exponential(0.5)], (1,))
+        assert len(expected) == 1 and "extropy_max" in expected[0]
+        assert expected[0] in line
 
 
 # ---------------------------------------------------------------------------

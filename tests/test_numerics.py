@@ -146,6 +146,17 @@ class TestMcEstimators:
         with pytest.raises(ValueError):
             numerics.mc_extropy_max(dist, 1, samples=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, "3", None])
+    @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
+    def test_rejects_invalid_seed(self, estimator, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimator(distributions.exponential(1.0), 1, samples=200, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        dist = distributions.exponential(1.0)
+        a = numerics.mc_entropy_max(dist, 2, samples=200, seed=np.uint32(7))
+        assert a == numerics.mc_entropy_max(dist, 2, samples=200, seed=7)
+
     def test_determinism(self):
         dist = distributions.logistic(2.0)
         a = numerics.mc_entropy_max(dist, 5, samples=500, seed=123)
