@@ -13,7 +13,10 @@ Gauss-Kronrod 7/15 kernel (worst cell split first, depth capped at 60, with
 an explicit failure carrying the best estimate instead of silent
 truncation).  The residual mass beyond the working window is summed by
 Wynn epsilon extrapolation of unit-width tail cells, which is exact for the
-geometric decay the transform produces.
+geometric decay the transform produces.  A panel whose value or error is
+not finite (the integrand overflowed or returned nan) fails at once with
+the panel's t-interval in the message, instead of spending the evaluation
+budget on an error that can never shrink.
 
 Monte Carlo
 -----------
@@ -139,19 +142,12 @@ _MAX_EVALS = 400_000
 _MAX_DEPTH = 60  # bisection depth cap
 
 
-def _sigma(u: float) -> float:
-    """Stable logistic map u -> t in (0, 1)."""
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    z = math.exp(u)
-    return z / (1.0 + z)
-
-
-def _sigma_weight(u: float) -> float:
-    """dt/du = sigma(u) * sigma(-u), computed without cancellation."""
+def _logistic_node(u: float) -> tuple[float, float]:
+    """Node and weight of the logistic map: t = sigma(u) in (0, 1) and
+    dt/du = sigma(u) sigma(-u), both without cancellation, from one exp."""
     z = math.exp(-abs(u))
     s = 1.0 + z
-    return z / (s * s)
+    return (1.0 / s if u >= 0.0 else z / s), z / (s * s)
 
 
 def _gk15(g, a: float, b: float) -> tuple[float, float]:
@@ -202,32 +198,31 @@ def _wynn_limit(sums: list[float]) -> tuple[float, float]:
     return estimates[-1], spread
 
 
-def _tail_sum(g, edge: float, direction: int) -> tuple[float, float, int]:
-    """Extrapolated integral of g beyond `edge` toward +/- infinity.
+def _tail_sum(panel, best, edge: float, direction: int) -> tuple[float, float]:
+    """Extrapolated integral beyond `edge` toward +/- infinity.
 
-    Integrates unit-width cells marching away from the working window and
-    sums the (nearly geometric) sequence with Wynn epsilon.  Raises
-    QuadratureError when the cells fail to decay, which signals a
-    non-integrable endpoint.
+    Integrates unit-width cells with ``panel`` marching away from the
+    working window and sums the (nearly geometric) sequence with Wynn
+    epsilon.  Raises QuadratureError, with ``best(value, error)`` as its
+    estimate, when the cells fail to decay, which signals a non-integrable
+    endpoint.
     """
     cells = []
-    evals = 0
     for m in range(_TAIL_CELLS):
         a = edge + direction * m
         b = edge + direction * (m + 1)
         lo, hi = (a, b) if direction > 0 else (b, a)
-        vk, _ = _gk15(g, lo, hi)
+        vk, _ = panel(lo, hi)
         cells.append(vk)
-        evals += 15
     scale = max(abs(c) for c in cells)
     if scale == 0.0:
-        return 0.0, 0.0, evals
+        return 0.0, 0.0
     if abs(cells[-1]) >= 0.9999 * abs(cells[0]) and abs(cells[0]) > 1e-300:
         partial = math.fsum(cells)
         raise QuadratureError(
             "endpoint contribution does not decay; the integrand looks "
             "non-integrable at the boundary",
-            best=QuadratureResult(partial, abs(partial), evals),
+            best=best(partial, abs(partial)),
         )
     partial = list(np.cumsum(cells))
     limit, spread = _wynn_limit(partial)
@@ -241,7 +236,7 @@ def _tail_sum(g, edge: float, direction: int) -> tuple[float, float, int]:
         limit = partial[-1] + math.copysign(min(overshoot, cont), limit - partial[-1])
         spread = max(spread, cont)
     err = spread + 1e-16 * abs(limit) + 0.05 * abs(limit - partial[-1])
-    return limit, err, evals
+    return limit, err
 
 
 def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -264,22 +259,43 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         raise ValueError(f"abs_tol must be a positive finite number, got {abs_tol!r}")
 
     def g(u: float) -> float:
-        return f(_sigma(u)) * _sigma_weight(u)
+        t, w = _logistic_node(u)
+        return f(t) * w
 
     evals = 0
+    final_value = 0.0  # settled cells
+    final_error = 0.0
+    work: list[tuple[float, float, float, float, int]] = []  # (a, b, vk, err, depth)
+
+    def best(value: float, error: float) -> QuadratureResult:
+        """Everything integrated so far plus (value, error)."""
+        return QuadratureResult(
+            final_value + value + sum(c[2] for c in work),
+            final_error + error + sum(c[3] for c in work),
+            evals,
+        )
+
+    def panel(a: float, b: float) -> tuple[float, float]:
+        """GK15 on [a, b]; a non-finite value or error fails at once."""
+        nonlocal evals
+        vk, err = _gk15(g, a, b)
+        evals += 15
+        if not (math.isfinite(vk) and math.isfinite(err)):
+            raise QuadratureError(
+                f"integrand non-finite for t in "
+                f"[{_logistic_node(a)[0]:.6g}, {_logistic_node(b)[0]:.6g}]",
+                best=best(0.0, math.inf),
+            )
+        return vk, err
 
     # Seed the worklist with a handful of panels so the first refinement
     # pass already sees the broad structure of the transformed integrand.
     seeds = [-392.0, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, 22.0]
-    work: list[tuple[float, float, float, float, int]] = []  # (a, b, vk, err, depth)
     for a, b in zip(seeds[:-1], seeds[1:]):
-        vk, err = _gk15(g, a, b)
-        evals += 15
+        vk, err = panel(a, b)
         work.append((a, b, vk, err, 0))
 
     target = 0.3 * abs_tol
-    final_value = 0.0
-    final_error = 0.0
 
     def _noise_floor(vk: float) -> float:
         return 1e-16 * (1.0 + abs(vk))
@@ -294,54 +310,36 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
             final_value += vk
             final_error += err
             continue
-        if depth >= _MAX_DEPTH:
-            best_value = final_value + vk + sum(c[2] for c in work)
-            best_error = final_error + err + sum(c[3] for c in work)
-            raise QuadratureError(
-                f"maximum bisection depth {_MAX_DEPTH} reached with error "
-                f"{best_error:.3e} above tolerance {abs_tol:.3e}",
-                best=QuadratureResult(best_value, best_error, evals),
+        if depth >= _MAX_DEPTH or evals > _MAX_EVALS:
+            failed = best(vk, err)
+            reason = (
+                f"maximum bisection depth {_MAX_DEPTH} reached"
+                if depth >= _MAX_DEPTH
+                else f"evaluation budget exhausted ({evals} evaluations)"
             )
-        if evals > _MAX_EVALS:
-            best_value = final_value + vk + sum(c[2] for c in work)
-            best_error = final_error + err + sum(c[3] for c in work)
             raise QuadratureError(
-                f"evaluation budget exhausted ({evals} evaluations) with "
-                f"error {best_error:.3e} above tolerance {abs_tol:.3e}",
-                best=QuadratureResult(best_value, best_error, evals),
+                f"{reason} with error {failed.error_estimate:.3e} above "
+                f"tolerance {abs_tol:.3e}",
+                best=failed,
             )
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            vk2, err2 = _gk15(g, lo, hi)
-            evals += 15
+            vk2, err2 = panel(lo, hi)
             if err2 <= _noise_floor(vk2) or (hi - lo) <= 1e-12:
                 final_value += vk2
                 final_error += err2
             else:
                 work.append((lo, hi, vk2, err2, depth + 1))
 
-    value = final_value + sum(c[2] for c in work)
-    error = final_error + sum(c[3] for c in work)
-
-    try:
-        tail_left, err_left, ev_left = _tail_sum(g, _U_LEFT, -1)
-        tail_right, err_right, ev_right = _tail_sum(g, _U_RIGHT, +1)
-    except QuadratureError as exc:
-        # fold the window integral into the best estimate before re-raising
-        tail = exc.best
-        best_value = value + (tail.value if tail is not None else 0.0)
-        best_error = error + (tail.error_estimate if tail is not None else 0.0)
-        tail_evals = tail.evaluations if tail is not None else 0
-        raise QuadratureError(
-            str(exc), best=QuadratureResult(best_value, best_error, evals + tail_evals)
-        ) from None
-    evals += ev_left + ev_right
-
-    return QuadratureResult(
-        value + tail_left + tail_right,
-        error + err_left + err_right,
-        evals,
-    )
+    # Settle the window, then add each tail as it completes.
+    final_value += sum(c[2] for c in work)
+    final_error += sum(c[3] for c in work)
+    work.clear()
+    for edge, direction in ((_U_LEFT, -1), (_U_RIGHT, +1)):
+        tail, tail_error = _tail_sum(panel, best, edge, direction)
+        final_value += tail
+        final_error += tail_error
+    return QuadratureResult(final_value, final_error, evals)
 
 
 # ---------------------------------------------------------------------------

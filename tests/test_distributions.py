@@ -282,12 +282,81 @@ class TestQuantileDomain:
         with pytest.raises(ValueError):
             d.density_quantile(d.logistic(1.0), bad)
 
+    @pytest.mark.parametrize("fn", [d.quantile, d.density_quantile], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "bad", [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -math.inf, math.inf, math.nan]
+    )
+    def test_scalar_and_array_reject_alike(self, fn, bad):
+        with pytest.raises(ValueError) as scalar:
+            fn(d.exponential(1.0), bad)
+        with pytest.raises(ValueError) as array:
+            fn(d.exponential(1.0), np.array([bad]))
+        assert str(scalar.value) == str(array.value)
+
+    @pytest.mark.parametrize("fn", [d.quantile, d.density_quantile], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "good",
+        [np.float32(0.5), np.float64(0.5), np.finfo(float).tiny, np.nextafter(1.0, 0.0)],
+        ids=["float32", "float64", "tiny", "below_one"],
+    )
+    def test_scalar_and_array_accept_alike(self, fn, good):
+        value = fn(d.exponential(1.0), good)
+        values = fn(d.exponential(1.0), np.array([good]))
+        assert type(value) is float
+        assert values.shape == (1,) and value == values[0]
+
     def test_near_boundary_values_are_finite_where_expected(self):
         tiny = np.finfo(float).tiny
         top = np.nextafter(1.0, 0.0)
         assert d.quantile(d.uniform(1.0), tiny) >= 0.0
         assert math.isfinite(d.quantile(d.exponential(1.0), top))
         assert math.isfinite(d.quantile(d.gev(0.5), top))
+
+
+# ---------------------------------------------------------------------------
+# Scalar calls: a Python float reaches the family record
+# ---------------------------------------------------------------------------
+
+# Besides the catalog, members that reach the edges of the double range:
+# power_function with a negative profile exponent, gev inside the Gumbel
+# window, with an unbounded density (xi = -1.9) and with a heavy tail
+# (xi = 3), and pareto with a profile exponent of 3.
+BIT_IDENTITY_MEMBERS = ALL_MEMBERS + (
+    d.power_function(1.0, 0.3),
+    d.power_function(1.0, 0.7),
+    d.gev(1e-9),
+    d.gev(-1.9),
+    d.gev(3.0),
+    d.pareto(1.0, 0.5),
+)
+BIT_IDENTITY_T = [1e-300, 1e-100, 1e-10, 1e-3, 0.5, 1.0 - 1e-10, 1.0 - 2.0**-53] + list(
+    np.linspace(0.005, 0.995, 199)
+)
+
+
+@pytest.mark.parametrize(
+    "member", BIT_IDENTITY_MEMBERS, ids=[m.label() for m in BIT_IDENTITY_MEMBERS]
+)
+def test_scalar_call_matches_array_record_bit_for_bit(member):
+    # A scalar call hands the record a Python float; it must return exactly
+    # the record's value on a 0-d array, down to the last bit.
+    record = d.REGISTRY[member.family]
+    mismatches = []
+
+    def compare(name, v):
+        with np.errstate(all="ignore"):
+            want = float(getattr(record, name)(member, np.asarray(v)))
+        got = getattr(d, name)(member, float(v))
+        if float.hex(got) != float.hex(want):
+            mismatches.append((name, float(v), got, want))
+
+    for t in BIT_IDENTITY_T:
+        compare("quantile", t)
+        compare("density_quantile", t)
+        x = d.quantile(member, t)
+        compare("cdf", x)
+        compare("log_pdf", x)
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

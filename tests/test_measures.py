@@ -296,6 +296,15 @@ class TestAlternateRoutes:
         with pytest.raises(numerics.QuadratureError):
             measures.extropy_max(member, 1, method="quad")
 
+    def test_quadrature_fails_at_once_on_overflowing_profile(self):
+        # nu = 0.3: I(t) = 0.3 t^(-7/3) overflows to inf near t = 0 and J = -inf
+        member = d.power_function(1.0, 0.3)
+        assert measures.extropy_max(member, 1).value == -math.inf
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            measures.extropy_max(member, 1, method="quad")
+        assert str(excinfo.value).startswith("integrand non-finite for t in [5.70904e-171, ")
+        assert excinfo.value.best.evaluations < 1000
+
     def test_monte_carlo_route(self):
         member = d.logistic(1.0)
         mv = measures.shannon_max(member, 3, method="mc", samples=40_000, seed=11)

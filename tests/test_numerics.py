@@ -98,6 +98,15 @@ class TestIntegrateUnit:
         assert excinfo.value.best is not None
         assert excinfo.value.best.value > 10.0  # diverges, partial sums grow
 
+    def test_non_finite_panel_fails_at_once(self):
+        # integrable, but 1e300 t^(-1/2) overflows a double for t < 3e-17,
+        # so the first panel of the window is already non-finite
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            numerics.integrate_unit(lambda t: 1e300 * t**-0.5)
+        assert str(excinfo.value).startswith("integrand non-finite for t in [5.70904e-171, ")
+        assert excinfo.value.best.evaluations < 1000
+        assert excinfo.value.best.error_estimate == math.inf
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             numerics.integrate_unit(lambda t: 1.0, abs_tol=0.0)
