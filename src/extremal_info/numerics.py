@@ -13,7 +13,10 @@ Gauss-Kronrod 7/15 kernel (worst cell split first, depth capped at 60, with
 an explicit failure carrying the best estimate instead of silent
 truncation).  The residual mass beyond the working window is summed by
 Wynn epsilon extrapolation of unit-width tail cells, which is exact for the
-geometric decay the transform produces.  A panel whose value or error is
+geometric decay the transform produces.  The 15 nodes of a panel depend
+only on its u-interval, so they are computed and range-checked once per
+distinct panel and kept in a bounded cache; integrands receive each t
+already known to lie in (0, 1).  A panel whose value or error is
 not finite (the integrand overflowed or returned nan) fails at once with
 the panel's t-interval in the message, instead of spending the evaluation
 budget on an error that can never shrink.
@@ -30,6 +33,8 @@ i.i.d. draws is sampled in one shot through the quantile transform
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -150,19 +155,44 @@ def _logistic_node(u: float) -> tuple[float, float]:
     return (1.0 / s if u >= 0.0 else z / s), z / (s * s)
 
 
-def _gk15(g, a: float, b: float) -> tuple[float, float]:
-    """Gauss-Kronrod 7/15 rule on [a, b]: (Kronrod value, |K15 - G7|)."""
+@functools.lru_cache(maxsize=256)
+def _panel_nodes(a: float, b: float) -> tuple[tuple[float, float], ...]:
+    """The 15 ``(t, dt/du)`` pairs of the GK15 panel on [a, b] in u-space.
+
+    Ordered as :func:`_gk15` sums them: c, c - x_0, c + x_0, ..., c - x_6,
+    c + x_6.  Every t is checked once here to lie in (0, 1), so integrands
+    may take the node as an already-validated probability.  The cache is
+    bounded: the seed panels, their bisections and the tail cells repeat
+    across integrals, so a few dozen distinct panels cover ``tables``
+    and ``verify``.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = g(c)
+    us = [c]
+    for xgk in _XGK[:7]:
+        x = h * xgk
+        us += (c - x, c + x)
+    nodes = tuple(_logistic_node(u) for u in us)
+    if not all(0.0 < t < 1.0 for t, _ in nodes):
+        raise ValueError(f"GK15 panel [{a!r}, {b!r}] has a node outside (0, 1)")
+    return nodes
+
+
+def _gk15(f, a: float, b: float) -> tuple[float, float]:
+    """Gauss-Kronrod 7/15 rule for f(t(u)) dt/du on [a, b] in u-space:
+    (Kronrod value, |K15 - G7|)."""
+    nodes = _panel_nodes(a, b)
+    t, w = nodes[0]
+    fc = f(t) * w
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     for j in range(7):
-        x = h * _XGK[j]
-        fsum = g(c - x) + g(c + x)
+        (tl, wl), (tr, wr) = nodes[2 * j + 1], nodes[2 * j + 2]
+        fsum = f(tl) * wl + f(tr) * wr
         resk += _WGK[j] * fsum
         if j % 2 == 1:
             resg += _WG[(j - 1) // 2] * fsum
+    h = 0.5 * (b - a)
     return h * resk, abs(h * (resk - resg))
 
 
@@ -224,7 +254,7 @@ def _tail_sum(panel, best, edge: float, direction: int) -> tuple[float, float]:
             "non-integrable at the boundary",
             best=best(partial, abs(partial)),
         )
-    partial = list(np.cumsum(cells))
+    partial = list(itertools.accumulate(cells))
     limit, spread = _wynn_limit(partial)
     # Guard against extrapolation overshoot: the tail cannot exceed a
     # generous geometric continuation of the last cell.
@@ -245,9 +275,11 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     Parameters
     ----------
     f : callable
-        Real integrand, finite on the open interval.  Integrable endpoint
-        singularities of the types ln t, ln(1 - t), ln(-ln t) and t**-alpha
-        (alpha < 1) are supported.
+        Real integrand, finite on the open interval, called with one Python
+        float t at a time.  Integrable endpoint singularities of the types
+        ln t, ln(1 - t), ln(-ln t) and t**-alpha (alpha < 1) are supported.
+        Each t is a panel node computed and checked to lie in (0, 1) once
+        per distinct panel, in a bounded cache shared by all calls.
     abs_tol : float
         Target absolute tolerance; the returned ``error_estimate`` is an
         honest bound and may exceed ``abs_tol`` only together with an
@@ -257,10 +289,6 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """
     if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
         raise ValueError(f"abs_tol must be a positive finite number, got {abs_tol!r}")
-
-    def g(u: float) -> float:
-        t, w = _logistic_node(u)
-        return f(t) * w
 
     evals = 0
     final_value = 0.0  # settled cells
@@ -278,7 +306,7 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     def panel(a: float, b: float) -> tuple[float, float]:
         """GK15 on [a, b]; a non-finite value or error fails at once."""
         nonlocal evals
-        vk, err = _gk15(g, a, b)
+        vk, err = _gk15(f, a, b)
         evals += 15
         if not (math.isfinite(vk) and math.isfinite(err)):
             raise QuadratureError(

@@ -291,6 +291,37 @@ class TestAlternateRoutes:
         quad_j = measures.extropy_max(member, n, method="quad")
         assert abs(quad_j.value - closed_j.value) < 1e-9
 
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
+    def test_quadrature_matches_public_api_integrand_bit_for_bit(self, member, cache, monkeypatch):
+        # The quadrature integrands call the family record on nodes that
+        # integrate_unit has checked; the public density_quantile must give
+        # the same bits, with or without the panel-node cache filled.
+        integrate = numerics.integrate_unit
+        seen = []
+
+        def recording(f, abs_tol):
+            seen.append(integrate(f, abs_tol=abs_tol))
+            return seen[-1]
+
+        def key(q):
+            return (q.value.hex(), q.error_estimate.hex(), q.evaluations)
+
+        for n in canonical.TABLE_N:
+            half_n2 = 0.5 * n * n
+            public = (
+                lambda y: n * y ** (n - 1) * math.log(d.density_quantile(member, y)),
+                lambda t: -half_n2 * t ** (2 * n - 2) * d.density_quantile(member, t),
+            )
+            want = [key(integrate(f, abs_tol=numerics.DEFAULT_QUAD_TOL)) for f in public]
+            if cache == "cold":
+                numerics._panel_nodes.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "integrate_unit", recording)
+                measures.shannon_max(member, n, "quadrature")
+                measures.extropy_max(member, n, "quadrature")
+            assert [key(q) for q in seen[-2:]] == want, n
+
     def test_quadrature_detects_extropy_divergence(self):
         member = d.power_function(1.0, 0.5)
         with pytest.raises(numerics.QuadratureError):

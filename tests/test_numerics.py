@@ -111,6 +111,30 @@ class TestIntegrateUnit:
         with pytest.raises(ValueError):
             numerics.integrate_unit(lambda t: 1.0, abs_tol=0.0)
 
+    def test_result_fields_are_python_floats(self):
+        # np.float64 subclasses float, so only an exact type check tells them apart
+        res = numerics.integrate_unit(lambda t: 1.0)
+        assert type(res.value) is float
+        assert type(res.error_estimate) is float
+
+
+class TestPanelNodes:
+    def test_nodes_are_logistic_nodes_of_the_gk15_abscissae(self):
+        a, b = -17.0, -7.0  # a seed panel of integrate_unit
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        us = [c]
+        for x in numerics._XGK[:7]:
+            us += [c - h * x, c + h * x]
+        assert numerics._panel_nodes(a, b) == tuple(numerics._logistic_node(u) for u in us)
+
+    def test_rejects_panel_with_a_node_rounding_to_one(self):
+        # sigma(u) rounds to 1.0 for u above ~37
+        with pytest.raises(ValueError, match="outside"):
+            numerics._panel_nodes(30.0, 40.0)
+
+    def test_cache_is_bounded(self):
+        assert numerics._panel_nodes.cache_info().maxsize == 256
+
 
 class TestMaximumFromUniform:
     def test_quantile_identity_n1(self):
