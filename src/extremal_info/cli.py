@@ -188,7 +188,7 @@ def cmd_measure(args, out) -> int:
     dist = dist_mod.from_dict(args.dist)
     h = measures.shannon_max(dist, args.n, args.method, **route)
     j = measures.extropy_max(dist, args.n, args.method, **route)
-    header = ["family", "params", "n", "H", "J", "method", "error_estimate"]
+    header = ["family", "params", "n", "H", "J", "method", "error_estimate", "h_error", "j_error"]
     rows = [
         [
             dist.family,
@@ -198,6 +198,8 @@ def cmd_measure(args, out) -> int:
             j.value,
             h.method,
             max(h.error_estimate, j.error_estimate),
+            h.error_estimate,
+            j.error_estimate,
         ]
     ]
     _emit(header, rows, args.format, out)

@@ -15,11 +15,15 @@ truncation).  The residual mass beyond the working window is summed by
 Wynn epsilon extrapolation of unit-width tail cells, which is exact for the
 geometric decay the transform produces.  The 15 nodes of a panel depend
 only on its u-interval, so they are computed and range-checked once per
-distinct panel and kept in a bounded cache; integrands receive each t
-already known to lie in (0, 1).  A panel whose value or error is
-not finite (the integrand overflowed or returned nan) fails at once with
-the panel's t-interval in the message, instead of spending the evaluation
-budget on an error that can never shrink.
+distinct panel and kept in a bounded cache.  The kernel,
+:func:`integrate_panels`, hands the integrand one panel's node tuple at a
+time, each t already known to lie in (0, 1), and takes the 15 values back,
+so an integrand can cache per-panel factors on that tuple;
+:func:`integrate_unit` is the same kernel over a point integrand called
+once per node.  A panel whose value or error is not finite (the integrand
+overflowed or returned nan) fails at once with the panel's t-interval in
+the message, instead of spending the evaluation budget on an error that
+can never shrink.
 
 Monte Carlo
 -----------
@@ -36,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +54,7 @@ __all__ = [
     "McEstimate",
     "ConcavityReport",
     "integrate_unit",
+    "integrate_panels",
     "maximum_from_uniform",
     "mc_entropy_max",
     "mc_extropy_max",
@@ -147,23 +153,28 @@ _MAX_EVALS = 400_000
 _MAX_DEPTH = 60  # bisection depth cap
 
 
-def _logistic_node(u: float) -> tuple[float, float]:
-    """Node and weight of the logistic map: t = sigma(u) in (0, 1) and
-    dt/du = sigma(u) sigma(-u), both without cancellation, from one exp."""
-    z = math.exp(-abs(u))
-    s = 1.0 + z
-    return (1.0 / s if u >= 0.0 else z / s), z / (s * s)
+def _logistic_nodes(us) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the logistic map at each u: t = sigma(u) in
+    (0, 1) and dt/du = sigma(u) sigma(-u), both without cancellation, from
+    one exp per u."""
+    ts, ws = [], []
+    for u in us:
+        z = math.exp(-abs(u))
+        s = 1.0 + z
+        ts.append(1.0 / s if u >= 0.0 else z / s)
+        ws.append(z / (s * s))
+    return tuple(ts), tuple(ws)
 
 
 @functools.lru_cache(maxsize=256)
-def _panel_nodes(a: float, b: float) -> tuple[tuple[float, float], ...]:
-    """The 15 ``(t, dt/du)`` pairs of the GK15 panel on [a, b] in u-space.
+def _panel_nodes(a: float, b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The 15 nodes t and weights dt/du of the GK15 panel on [a, b] in u-space.
 
-    Ordered as :func:`_gk15` sums them: c, c - x_0, c + x_0, ..., c - x_6,
-    c + x_6.  Every t is checked once here to lie in (0, 1), so integrands
-    may take the node as an already-validated probability.  The cache is
-    bounded: the seed panels, their bisections and the tail cells repeat
-    across integrals, so a few dozen distinct panels cover ``tables``
+    Both tuples are ordered as :func:`_gk15` sums them: c, c - x_0, c + x_0,
+    ..., c - x_6, c + x_6.  Every t is checked once here to lie in (0, 1), so
+    integrands may take the nodes as already-validated probabilities.  The
+    cache is bounded: the seed panels, their bisections and the tail cells
+    repeat across integrals, so a few dozen distinct panels cover ``tables``
     and ``verify``.
     """
     c = 0.5 * (a + b)
@@ -172,26 +183,27 @@ def _panel_nodes(a: float, b: float) -> tuple[tuple[float, float], ...]:
     for xgk in _XGK[:7]:
         x = h * xgk
         us += (c - x, c + x)
-    nodes = tuple(_logistic_node(u) for u in us)
-    if not all(0.0 < t < 1.0 for t, _ in nodes):
+    ts, ws = _logistic_nodes(us)
+    if not all(0.0 < t < 1.0 for t in ts):
         raise ValueError(f"GK15 panel [{a!r}, {b!r}] has a node outside (0, 1)")
-    return nodes
+    return ts, ws
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """Gauss-Kronrod 7/15 rule for f(t(u)) dt/du on [a, b] in u-space:
-    (Kronrod value, |K15 - G7|)."""
-    nodes = _panel_nodes(a, b)
-    t, w = nodes[0]
-    fc = f(t) * w
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        (tl, wl), (tr, wr) = nodes[2 * j + 1], nodes[2 * j + 2]
-        fsum = f(tl) * wl + f(tr) * wr
-        resk += _WGK[j] * fsum
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * fsum
+def _gk15(g, a: float, b: float) -> tuple[float, float]:
+    """Gauss-Kronrod 7/15 rule for g's values times dt/du on [a, b] in
+    u-space: (Kronrod value, |K15 - G7|).  ``g`` maps the panel's node tuple
+    to the 15 integrand values in the same order."""
+    ts, ws = _panel_nodes(a, b)
+    # f0 at the centre c, then f(c - x_j), f(c + x_j) for j = 0..6, each
+    # times dt/du; zip fails unless g gave exactly 15 values.
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = itertools.starmap(
+        operator.mul, zip(g(ts), ws, strict=True)
+    )
+    p0, p1, p2, p3, p4, p5, p6 = f1 + f2, f3 + f4, f5 + f6, f7 + f8, f9 + f10, f11 + f12, f13 + f14
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    # Left to right: the centre term first, then j = 0..6 (odd j for G7).
+    resk = k7 * f0 + k0 * p0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6
+    resg = _WG[3] * f0 + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
     h = 0.5 * (b - a)
     return h * resk, abs(h * (resk - resg))
 
@@ -286,6 +298,26 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         explicit :class:`QuadratureError`, raised with the best estimate so
         far once a cell reaches depth ``_MAX_DEPTH`` or the evaluations
         exceed ``_MAX_EVALS``.
+
+    This is :func:`integrate_panels` with ``f`` called at each node of a
+    panel in turn, so both give the same bits for the same values.
+    """
+    return integrate_panels(lambda ts: [f(t) for t in ts], abs_tol)
+
+
+def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+    """Integrate over (0, 1) an integrand given one GK15 panel at a time.
+
+    ``g`` receives the tuple of a panel's 15 nodes t, each already checked to
+    lie in (0, 1), and returns the 15 integrand values in the same order, as
+    any iterable.  A panel recurs with an equal node tuple in every integral
+    that visits it, so ``g`` may key its own caches on the tuple: an
+    integrand whose factors depend on fewer parameters than the integral (a
+    profile on the member, a weight on n) then computes each factor once per
+    panel and shares it across integrals.  Everything else -- the adaptive
+    loop, the tails, the fail-fast check and the meaning of ``abs_tol`` --
+    is as described in :func:`integrate_unit`, which is this function with
+    a point integrand.
     """
     if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
         raise ValueError(f"abs_tol must be a positive finite number, got {abs_tol!r}")
@@ -306,12 +338,12 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     def panel(a: float, b: float) -> tuple[float, float]:
         """GK15 on [a, b]; a non-finite value or error fails at once."""
         nonlocal evals
-        vk, err = _gk15(f, a, b)
+        vk, err = _gk15(g, a, b)
         evals += 15
         if not (math.isfinite(vk) and math.isfinite(err)):
+            t_a, t_b = _logistic_nodes((a, b))[0]
             raise QuadratureError(
-                f"integrand non-finite for t in "
-                f"[{_logistic_node(a)[0]:.6g}, {_logistic_node(b)[0]:.6g}]",
+                f"integrand non-finite for t in [{t_a:.6g}, {t_b:.6g}]",
                 best=best(0.0, math.inf),
             )
         return vk, err

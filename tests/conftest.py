@@ -1,5 +1,8 @@
 """Shared pytest hooks: aggregate acceptance checks into one summary line each.
 
+Also the ``quadrature_caches`` fixture: every cache the quadrature route
+keeps between calls, for tests that run it cold and warm.
+
 Tests marked ``@pytest.mark.acceptance(num, label)`` are grouped by ``num``;
 after the run a single PASS/FAIL line is printed per group.  Expected
 failures (strict xfail) count as passing because the recorded expectation
@@ -10,6 +13,15 @@ silently dropping a test out of the summary.
 from __future__ import annotations
 
 import pytest
+
+from extremal_info import measures, numerics
+
+
+@pytest.fixture
+def quadrature_caches():
+    """The panel-node cache and the measures' profile, log-profile and
+    weight tables."""
+    return (numerics._panel_nodes, measures._profile, measures._log_profile, measures._weight)
 
 
 @pytest.hookimpl(hookwrapper=True)

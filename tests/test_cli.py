@@ -50,7 +50,9 @@ class TestMeasure:
         code, out, err = run_cli("measure", "--dist", EXP1, "--n", "10")
         assert code == 0 and err == ""
         header, body = parse_csv(out)
-        assert header == ["family", "params", "n", "H", "J", "method", "error_estimate"]
+        assert header == [
+            "family", "params", "n", "H", "J", "method", "error_estimate", "h_error", "j_error",
+        ]
         row = body[0]
         assert row[0] == "exponential"
         assert row[1] == "theta=1"
@@ -58,7 +60,7 @@ class TestMeasure:
         assert float(row[3]) == pytest.approx(1.5263831609742078, abs=1e-12)
         assert float(row[4]) == pytest.approx(-10.0 / 76.0, rel=1e-12)
         assert row[5] == "closed_form"
-        assert float(row[6]) == 0.0
+        assert float(row[6]) == float(row[7]) == float(row[8]) == 0.0
 
     def test_quadrature_method(self):
         code, out, _ = run_cli("measure", "--dist", EXP1, "--n", "5", "--method", "quad")
@@ -66,6 +68,10 @@ class TestMeasure:
         _, body = parse_csv(out)
         assert body[0][5] == "quadrature"
         assert 0.0 < float(body[0][6]) < 1e-9
+        # error_estimate is the larger of the two per-measure errors
+        h_error, j_error = float(body[0][7]), float(body[0][8])
+        assert h_error > 0.0 and j_error > 0.0
+        assert float(body[0][6]) == max(h_error, j_error)
 
     def test_monte_carlo_method_is_seeded(self):
         args = ("measure", "--dist", EXP1, "--n", "3", "--method", "mc",
@@ -176,6 +182,14 @@ class TestTables:
 
     def test_matches_golden(self, tables_output):
         assert tables_output == (GOLDEN / "tables.csv").read_text()
+
+    def test_matches_golden_with_quadrature_caches_cold_and_warm(self, quadrature_caches):
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        golden = (GOLDEN / "tables.csv").read_text()
+        for _ in ("cold", "warm"):
+            code, out, _err = run_cli("tables")
+            assert code == 0 and out == golden
 
 
 # ---------------------------------------------------------------------------

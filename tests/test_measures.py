@@ -5,6 +5,7 @@ independent quadrature and Monte Carlo routes; the large-n limits,
 scale laws, and degenerate cases are exercised for every family.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,6 +275,37 @@ class TestScaleLaws:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def table_grid():
+    """The 300 quadrature integrals of crosscheck over catalog x TABLE_N, in
+    table order: their results, each member's distinct panels and the
+    distinct (n, measure, panel) weights."""
+    integrate = numerics.integrate_panels
+    results, weights, per_member, panels = [], set(), [], set()
+    tag = {}
+    routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
+
+    def recording(g, abs_tol):
+        def seen(ts):
+            panels.add(ts)
+            weights.add((tag["n"], tag["measure"], ts))
+            return g(ts)
+
+        results.append(integrate(seen, abs_tol=abs_tol))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "integrate_panels", recording)
+        for member in canonical.catalog_members():
+            panels.clear()
+            for n in canonical.TABLE_N:
+                tag["n"] = n
+                for tag["measure"], route in routes:
+                    route(member, n, "quadrature")
+            per_member.append(len(panels))
+    return {"results": results, "panels_per_member": per_member, "weights": len(weights)}
+
+
 class TestAlternateRoutes:
     @pytest.mark.parametrize(
         "member",
@@ -293,48 +325,113 @@ class TestAlternateRoutes:
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
-    def test_quadrature_matches_public_api_integrand_bit_for_bit(self, member, cache, monkeypatch):
-        # The quadrature integrands call the family record on nodes that
-        # integrate_unit has checked; the public density_quantile must give
-        # the same bits, with or without the panel-node cache filled.
-        integrate = numerics.integrate_unit
+    def test_quadrature_matches_public_api_integrand_bit_for_bit(
+        self, member, cache, monkeypatch, quadrature_caches
+    ):
+        # The quadrature integrands take each panel's values from the
+        # profile, log-profile and weight tables, filled from the family
+        # record on nodes integrate_panels has checked; integrate_unit on the
+        # point integrand of the public density_quantile must give the same
+        # bits, with the node, profile and weight caches all cold or all warm.
+        integrate = numerics.integrate_panels
         seen = []
 
-        def recording(f, abs_tol):
-            seen.append(integrate(f, abs_tol=abs_tol))
+        def recording(g, abs_tol):
+            seen.append(integrate(g, abs_tol=abs_tol))
             return seen[-1]
 
         def key(q):
             return (q.value.hex(), q.error_estimate.hex(), q.evaluations)
 
+        routes = (measures.shannon_max, measures.extropy_max)
         for n in canonical.TABLE_N:
             half_n2 = 0.5 * n * n
             public = (
                 lambda y: n * y ** (n - 1) * math.log(d.density_quantile(member, y)),
                 lambda t: -half_n2 * t ** (2 * n - 2) * d.density_quantile(member, t),
             )
-            want = [key(integrate(f, abs_tol=numerics.DEFAULT_QUAD_TOL)) for f in public]
-            if cache == "cold":
-                numerics._panel_nodes.cache_clear()
+            want = [key(numerics.integrate_unit(f)) for f in public]
+            if cache == "warm":
+                for route in routes:
+                    route(member, n, "quadrature")
+            seen.clear()
             with monkeypatch.context() as m:
-                m.setattr(numerics, "integrate_unit", recording)
-                measures.shannon_max(member, n, "quadrature")
-                measures.extropy_max(member, n, "quadrature")
-            assert [key(q) for q in seen[-2:]] == want, n
+                m.setattr(numerics, "integrate_panels", recording)
+                for route in routes:
+                    if cache == "cold":
+                        for cached in quadrature_caches:
+                            cached.cache_clear()
+                    route(member, n, "quadrature")
+            assert [key(q) for q in seen] == want, n
+
+    def test_evaluations_on_the_table_grid(self, table_grid):
+        # Pins the work of the 300 catalog x TABLE_N integrals, so that no
+        # cache can change the adaptivity unnoticed.
+        evals = [q.evaluations for q in table_grid["results"]]
+        assert len(evals) == 300
+        assert (sum(evals), min(evals), max(evals)) == (169_680, 345, 705)
+
+    def test_cache_sizes_cover_the_table_grid_working_sets(self, table_grid):
+        # Member-major, as tables and verify run: a profile table must hold
+        # one member's panels, the weight table every (n, measure, panel) of
+        # the grid, and neither profile table the whole catalog's panels.
+        per_member = table_grid["panels_per_member"]
+        weights = table_grid["weights"]
+        assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
+        for cached in (measures._profile, measures._log_profile):
+            assert max(per_member) <= cached.cache_info().maxsize < sum(per_member)
+        assert weights <= measures._weight.cache_info().maxsize
+
+    @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
+    def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):
+        record = d.REGISTRY["exponential"]
+        calls = []
+
+        def profile(dist, t):
+            calls.append(t)
+            if t > 0.99:
+                raise FloatingPointError(f"profile refused t={t!r}")
+            return record.density_quantile(dist, t)
+
+        monkeypatch.setitem(
+            d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=profile)
+        )
+        member = d.exponential(3.25)  # no other test caches a panel of this member
+        messages = []
+        for _ in range(2):
+            start = len(calls)
+            with pytest.raises(FloatingPointError) as excinfo:
+                getattr(measures, route)(member, 2, "quadrature")
+            messages.append(str(excinfo.value))
+            # the failing panel is evaluated again: it left no entry
+            assert calls[start:] and calls[-1] > 0.99
+        assert messages[0] == messages[1]
 
     def test_quadrature_detects_extropy_divergence(self):
         member = d.power_function(1.0, 0.5)
         with pytest.raises(numerics.QuadratureError):
             measures.extropy_max(member, 1, method="quad")
 
-    def test_quadrature_fails_at_once_on_overflowing_profile(self):
-        # nu = 0.3: I(t) = 0.3 t^(-7/3) overflows to inf near t = 0 and J = -inf
+    def test_quadrature_fails_at_once_on_overflowing_profile(self, quadrature_caches):
+        # nu = 0.3: I(t) = 0.3 t^(-7/3) overflows to inf near t = 0 and J = -inf.
+        # The second call takes those inf values from the profile table and
+        # must fail the same way after the same work.
         member = d.power_function(1.0, 0.3)
         assert measures.extropy_max(member, 1).value == -math.inf
-        with pytest.raises(numerics.QuadratureError) as excinfo:
-            measures.extropy_max(member, 1, method="quad")
-        assert str(excinfo.value).startswith("integrand non-finite for t in [5.70904e-171, ")
-        assert excinfo.value.best.evaluations < 1000
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(numerics.QuadratureError) as excinfo:
+                measures.extropy_max(member, 1, method="quad")
+            outcomes.append((str(excinfo.value), excinfo.value.best.evaluations))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
+        assert outcomes[0][1] < 1000
+        first_panel = numerics._panel_nodes(-392.0, -192.0)[0]
+        hits = measures._profile.cache_info().hits
+        assert math.inf in measures._profile(member, first_panel)
+        assert measures._profile.cache_info().hits == hits + 1
 
     def test_monte_carlo_route(self):
         member = d.logistic(1.0)

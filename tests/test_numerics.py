@@ -125,7 +125,16 @@ class TestPanelNodes:
         us = [c]
         for x in numerics._XGK[:7]:
             us += [c - h * x, c + h * x]
-        assert numerics._panel_nodes(a, b) == tuple(numerics._logistic_node(u) for u in us)
+        assert numerics._panel_nodes(a, b) == numerics._logistic_nodes(us)
+
+    def test_logistic_nodes_are_the_logistic_map_and_its_derivative(self):
+        us = [-399.5, -100.0, -7.25, -1e-3, 0.0, 1e-3, 3.5, 21.0, 28.5]
+        ts, ws = numerics._logistic_nodes(us)
+        for u, t, w in zip(us, ts, ws):
+            assert t == pytest.approx(1.0 / (1.0 + math.exp(-u)), rel=1e-15)
+            # dt/du = t (1 - t) = e^-|u| / (1 + e^-|u|)^2, free of the cancellation in 1 - t
+            z = math.exp(-abs(u))
+            assert w == pytest.approx(z / (1.0 + z) ** 2, rel=1e-15)
 
     def test_rejects_panel_with_a_node_rounding_to_one(self):
         # sigma(u) rounds to 1.0 for u above ~37
@@ -134,6 +143,33 @@ class TestPanelNodes:
 
     def test_cache_is_bounded(self):
         assert numerics._panel_nodes.cache_info().maxsize == 256
+
+
+class TestIntegratePanels:
+    def test_point_adapter_gives_the_same_bits(self):
+        f = lambda t: math.log(t) * (1.0 - t) ** -0.5
+        by_panel = numerics.integrate_panels(lambda ts: [f(t) for t in ts])
+        by_point = numerics.integrate_unit(f)
+        assert by_panel == by_point
+        assert by_panel.value.hex() == by_point.value.hex()
+
+    def test_integrand_gets_each_panel_as_a_node_tuple(self):
+        panels = []
+
+        def g(ts):
+            panels.append(ts)
+            return map(math.sqrt, ts)
+
+        res = numerics.integrate_panels(g, abs_tol=1e-10)
+        assert abs(res.value - 2.0 / 3.0) < 1e-10
+        assert res.evaluations == 15 * len(panels)
+        assert all(type(ts) is tuple and len(ts) == 15 for ts in panels)
+        assert all(0.0 < t < 1.0 for ts in panels for t in ts)
+
+    def test_rejects_a_panel_of_the_wrong_length(self):
+        for wrong in (lambda ts: ts[:-1], lambda ts: ts + ts[:1]):
+            with pytest.raises(ValueError, match="zip"):
+                numerics.integrate_panels(wrong)
 
 
 class TestMaximumFromUniform:
