@@ -11,23 +11,29 @@ verify    run the built-in invariant suite; plain-text report
 
 ``--tol`` is read by measure, bounds, tables and verify; ``--samples`` by
 measure; ``--seed`` (default ``$EXTREMAL_INFO_SEED``, else 0) by measure and
-verify; ``--format`` by all but verify.  Reports are CSV (default) or JSON on
-stdout.  Numbers are printed with 15 significant digits; extended reals use
-the literals ``inf``, ``-inf`` and ``indeterminate``.  Identical invocations
-(including ``--seed``) produce byte-identical output.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 verification failure.
+verify; ``--format`` by all but verify.  This module only parses and
+renders: option values are checked by the library's validators, and the
+``bounds`` and ``converge`` columns are the fields of their report records.
+Reports are CSV (default) or JSON on stdout.  Numbers are printed with 15
+significant digits; extended reals use the literals ``inf``, ``-inf`` and
+``indeterminate``.  Identical invocations (including ``--seed``) produce
+byte-identical output.  Exit codes: 0 success, 1 usage error, 2 domain
+error, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
+from collections.abc import Iterable, Sequence
 
 from . import bounds as bounds_mod
 from . import canonical
@@ -35,7 +41,8 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .measures import is_indeterminate
-from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, MIN_SAMPLES, QuadratureError
+from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, QuadratureError
+from .numerics import _check_samples, _check_seed, _check_tol
 from .special import _check_index, _check_n_grid
 
 __all__ = ["main"]
@@ -87,7 +94,7 @@ def _csv_value(x) -> str:
     return str(x)
 
 
-def _emit(header: list[str], rows: list[list], output_format: str, out) -> None:
+def _emit(header: Sequence[str], rows: Iterable[Sequence], output_format: str, out) -> None:
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -104,8 +111,7 @@ def _emit(header: list[str], rows: list[list], output_format: str, out) -> None:
 
 
 def _params_label(dist) -> str:
-    d = dist_mod.to_dict(dist)
-    return ",".join(f"{k}={d[k]:g}" for k in ("theta", "nu", "xi") if k in d)
+    return ",".join(f"{k}={getattr(dist, k):g}" for k in dist_mod.REGISTRY[dist.family].fields)
 
 
 # ---------------------------------------------------------------------------
@@ -113,59 +119,35 @@ def _params_label(dist) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _option_type(convert):
-    """An argparse ``type=`` from ``convert`` whose usage error keeps the
-    ValueError message, which names the rule, not argparse's "invalid value"."""
+def _option_type(flag: str, convert, check=lambda value, flag: value):
+    """An argparse ``type=`` for ``flag``: ``convert`` the text, then apply
+    the library's ``check`` under the flag's name.  Either failure is a usage
+    error whose message names the flag once and states the rule."""
 
     def parse(text: str):
         try:
-            return convert(text)
+            value = convert(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise UsageError(f"{flag}: {exc}") from None
+        try:
+            return check(value, flag)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     return parse
 
 
-@_option_type
-def _n(text: str) -> int:
-    return _check_index(int(text), "--n")
-
-
-@_option_type
-def _n_grid(text: str) -> list[int]:
+def _grid(text: str):
     try:
         if ":" in text:
             a, b, step = (int(p) for p in text.split(":"))
-            grid = range(a, b + 1, step)
-        else:
-            grid = [int(p) for p in text.split(",") if p.strip() != ""]
+            return range(a, b + 1, step)
+        return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"expected a:b:step or a comma list of integers: {exc}") from None
-    return _check_n_grid(grid, "--n-grid")
 
 
-@_option_type
-def _tol(text: str) -> float:
-    tol = float(text)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"must be a positive finite real, got {text}")
-    return tol
-
-
-@_option_type
-def _samples(text: str) -> int:
-    samples = int(text)
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"must be at least {MIN_SAMPLES}, got {samples}")
-    return samples
-
-
-@_option_type
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"must be a non-negative integer, got {seed}")
-    return seed
+_seed = _option_type("--seed", int, _check_seed)
 
 
 def _seed_or_env(seed: int | None) -> int:
@@ -174,13 +156,23 @@ def _seed_or_env(seed: int | None) -> int:
         return seed
     try:
         return _seed(os.environ.get(SEED_ENV_VAR, "0"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"environment variable {SEED_ENV_VAR} (--seed): {exc}") from None
+    except UsageError as exc:
+        raise UsageError(f"environment variable {SEED_ENV_VAR}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+# A report that a record stands behind takes its columns from the record's
+# fields and reads each row with one attrgetter.
+_BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport))
+_CONVERGE_FIELDS = tuple(f.name for f in dataclasses.fields(evt.ConvergenceRecord))
+# The closed/quad/gap columns are the keys of measures.crosscheck.
+_TABLES_HEADER = (
+    "family", "params", "n", "h_closed", "h_quad", "h_gap", "h_ub",
+    "j_closed", "j_quad", "j_gap", "j_ub",
+)
 
 
 def cmd_measure(args, out) -> int:
@@ -208,94 +200,33 @@ def cmd_measure(args, out) -> int:
 
 def cmd_bounds(args, out) -> int:
     dist = dist_mod.from_dict(args.dist)
-    header = [
-        "family",
-        "params",
-        "n",
-        "measure",
-        "lower",
-        "value",
-        "upper",
-        "lower_holds",
-        "upper_holds",
-        "applicable",
-        "gate_note",
-    ]
-    rows = []
-    for name, report in (
-        ("shannon", bounds_mod.shannon_bounds(dist, args.n, args.method, quad_tol=args.tol)),
-        ("extropy", bounds_mod.extropy_bounds(dist, args.n, args.method, quad_tol=args.tol)),
-    ):
-        rows.append(
-            [
-                dist.family,
-                _params_label(dist),
-                args.n,
-                name,
-                report.lower,
-                report.value,
-                report.upper,
-                report.lower_holds,
-                report.upper_holds,
-                report.applicable,
-                report.gate_note,
-            ]
+    cells = operator.attrgetter(*_BOUNDS_FIELDS)
+    rows = [
+        [dist.family, _params_label(dist), args.n, name,
+         *cells(report(dist, args.n, args.method, quad_tol=args.tol))]
+        for name, report in (
+            ("shannon", bounds_mod.shannon_bounds),
+            ("extropy", bounds_mod.extropy_bounds),
         )
-    _emit(header, rows, args.format, out)
+    ]
+    _emit(("family", "params", "n", "measure", *_BOUNDS_FIELDS), rows, args.format, out)
     return EXIT_OK
 
 
 def cmd_tables(args, out) -> int:
-    header = [
-        "family",
-        "params",
-        "n",
-        "h_closed",
-        "h_quad",
-        "h_gap",
-        "h_ub",
-        "j_closed",
-        "j_quad",
-        "j_gap",
-        "j_ub",
-    ]
     rows = []
     for dist in canonical.catalog_members():
-        h_ub = bounds_mod.shannon_limit_upper(dist)
-        j_ub = bounds_mod.extropy_limit_upper(dist)
+        cells = dict(family=dist.family, params=_params_label(dist),
+                     h_ub=bounds_mod.shannon_limit_upper(dist),
+                     j_ub=bounds_mod.extropy_limit_upper(dist))
         for n in canonical.TABLE_N:
-            chk = measures.crosscheck(dist, n, quad_tol=args.tol)
-            rows.append(
-                [
-                    dist.family,
-                    _params_label(dist),
-                    n,
-                    chk["h_closed"],
-                    chk["h_quad"],
-                    chk["h_gap"],
-                    h_ub,
-                    chk["j_closed"],
-                    chk["j_quad"],
-                    chk["j_gap"],
-                    j_ub,
-                ]
-            )
-        rows.append(
-            [
-                dist.family,
-                _params_label(dist),
-                "limit",
-                measures.shannon_limit(dist),
-                None,
-                None,
-                h_ub,
-                measures.extropy_limit(dist),
-                None,
-                None,
-                j_ub,
-            ]
-        )
-    _emit(header, rows, args.format, out)
+            row = dict(cells, n=n, **measures.crosscheck(dist, n, quad_tol=args.tol))
+            rows.append(list(map(row.get, _TABLES_HEADER)))
+        # the limit row has no quadrature columns; they render empty
+        limit = dict(cells, n="limit", h_closed=measures.shannon_limit(dist),
+                     j_closed=measures.extropy_limit(dist))
+        rows.append(list(map(limit.get, _TABLES_HEADER)))
+    _emit(_TABLES_HEADER, rows, args.format, out)
     return EXIT_OK
 
 
@@ -312,20 +243,8 @@ def cmd_figure1(args, out) -> int:
 
 def cmd_converge(args, out) -> int:
     study = evt.convergence_study(dist_mod.from_dict(args.dist), args.n_grid)
-    header = [
-        "n",
-        "h_normalized",
-        "j_normalized",
-        "h_target",
-        "j_target",
-        "h_gap",
-        "j_gap",
-    ]
-    rows = [
-        [r.n, r.h_normalized, r.j_normalized, r.h_target, r.j_target, r.h_gap, r.j_gap]
-        for r in study.records
-    ]
-    _emit(header, rows, args.format, out)
+    rows = map(operator.attrgetter(*_CONVERGE_FIELDS), study.records)
+    _emit(_CONVERGE_FIELDS, rows, args.format, out)
     return EXIT_OK
 
 
@@ -352,13 +271,16 @@ def cmd_verify(args, out) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     options = {
-        "--dist": dict(
-            type=_option_type(json.loads), required=True, help="distribution spec as JSON"
-        ),
-        "--n": dict(type=_n, required=True, help="number of draws"),
-        "--n-grid": dict(type=_n_grid, required=True, help="a:b:step or comma list"),
-        "--tol": dict(type=_tol, default=DEFAULT_QUAD_TOL, help="quadrature absolute tolerance"),
-        "--samples": dict(type=_samples, default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),
+        "--dist": dict(type=_option_type("--dist", json.loads), required=True,
+                       help="distribution spec as JSON"),
+        "--n": dict(type=_option_type("--n", int, _check_index), required=True,
+                    help="number of draws"),
+        "--n-grid": dict(type=_option_type("--n-grid", _grid, _check_n_grid), required=True,
+                         help="a:b:step or comma list"),
+        "--tol": dict(type=_option_type("--tol", float, _check_tol), default=DEFAULT_QUAD_TOL,
+                      help="quadrature absolute tolerance"),
+        "--samples": dict(type=_option_type("--samples", int, _check_samples),
+                          default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),
         "--seed": dict(type=_seed, help=f"Monte Carlo seed (default: ${SEED_ENV_VAR} or 0)"),
         "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
     }

@@ -267,6 +267,16 @@ def _gev_quantile(d, t):
     return -np.log(neg_log) if xi == 0.0 else np.expm1(-xi * np.log(neg_log)) / xi
 
 
+def _gev_density_quantile(d, t):
+    k = _gev_xi(d) + 1.0
+    if k < 0.0:
+        # Only here is the exponent negative, so t -> 1 overflows to inf;
+        # errstate stays off the hot path, as for power_function.
+        with np.errstate(over="ignore"):
+            return t * (-np.log(t)) ** k
+    return t * (-np.log(t)) ** k
+
+
 def _gev_sup_density(d):
     xi = _gev_xi(d)
     if xi < -1.0:
@@ -415,7 +425,7 @@ REGISTRY: dict[str, Family] = {
         log_pdf=_gev_log_pdf,
         cdf=_gev_cdf,
         quantile=_gev_quantile,
-        density_quantile=lambda d, t: t * (-np.log(t)) ** (_gev_xi(d) + 1.0),
+        density_quantile=_gev_density_quantile,
         sup_density=_gev_sup_density,
         is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
         shannon=_gev_shannon,

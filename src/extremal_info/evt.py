@@ -197,21 +197,18 @@ def normalized_maximum_cdf(dist, n: int, x):
 def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """Normalized measures along an n-grid against their limiting targets.
 
-    Targets come from the classified domain: (1 + gamma, -1/8) in the
-    Gumbel case, and the corresponding gev-member values elsewhere (an
-    extension, flagged on the study).  Gaps are absolute deviations; the
-    reported burn-in index is where both gap sequences become
-    non-increasing through the end of the grid.
+    The targets are :func:`limiting_targets` of the classified shape:
+    (1 + gamma, -1/8) in the Gumbel case, and outside it an extension,
+    flagged on the study.  Gaps are absolute deviations; the reported
+    burn-in index is where both gap sequences become non-increasing through
+    the end of the grid.
     """
     from . import measures
 
     grid = _check_n_grid(n_grid, "convergence_study")
 
     domain, xi = mda_classify(dist)
-    if domain == "gumbel":
-        h_target, j_target = gumbel_targets()
-    else:
-        h_target, j_target = limiting_targets(xi)
+    h_target, j_target = limiting_targets(xi)
 
     records = []
     for n in grid:

@@ -142,8 +142,13 @@ def _profile(dist, ts: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _log_profile(dist, ts: tuple) -> tuple:
-    """ln I(t) at each node of one panel."""
-    return tuple(map(math.log, _profile(dist, ts)))
+    """ln I(t) at each node of one panel; an I that underflowed to 0 gives
+    -inf, so the panel fails as non-finite instead of in math.log."""
+    profile = _profile(dist, ts)
+    try:  # map keeps math.log in C on the common path
+        return tuple(map(math.log, profile))
+    except ValueError:
+        return tuple(math.log(i) if i else -math.inf for i in profile)
 
 
 @functools.lru_cache(maxsize=512)

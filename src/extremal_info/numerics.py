@@ -9,7 +9,7 @@ sends both endpoints to infinity, which turns the admissible endpoint
 singularities -- ``ln t``, ``ln(1 - t)``, ``ln(-ln t)`` and ``t**-alpha``
 with ``alpha < 1`` -- into smooth, exponentially decaying profiles in ``u``.
 The transformed integrand is handled by adaptive bisection with a fixed
-Gauss-Kronrod 7/15 kernel (worst cell split first, depth capped at 60, with
+Gauss-Kronrod 7/15 kernel (worst cell split first, evaluations capped, with
 an explicit failure carrying the best estimate instead of silent
 truncation).  The residual mass beyond the working window is summed by
 Wynn epsilon extrapolation of unit-width tail cells, which is exact for the
@@ -21,8 +21,9 @@ time, each t already known to lie in (0, 1), and takes the 15 values back,
 so an integrand can cache per-panel factors on that tuple;
 :func:`integrate_unit` is the same kernel over a point integrand called
 once per node.  A panel whose value or error is not finite (the integrand
-overflowed or returned nan) fails at once with the panel's t-interval in
-the message, instead of spending the evaluation budget on an error that
+overflowed or returned nan) fails at once with the panel's place in the
+message -- its t-interval, or its (1 - t)-interval right of u = 0, where t
+rounds to 1 -- instead of spending the evaluation budget on an error that
 can never shrink.
 
 Monte Carlo
@@ -32,7 +33,9 @@ that identical seeds give identical streams.  If a task ever needs several
 independent streams, spawn children of ``np.random.SeedSequence(seed)`` in
 task order rather than reusing consecutive integer seeds.  A maximum of n
 i.i.d. draws is sampled in one shot through the quantile transform
-``F^{-1}(V^{1/n})`` with ``V`` uniform on (0, 1).
+``F^{-1}(V^{1/n})`` with ``V`` uniform on (0, 1).  A summand that is not
+finite (a quantile that overflowed near t = 1) fails the estimate with a
+``ValueError`` naming the summand before any moment is taken.
 """
 
 from __future__ import annotations
@@ -61,10 +64,35 @@ __all__ = [
     "grid_concavity_check",
 ]
 
-# Defaults shared by every quadrature and Monte Carlo entry point and the CLI.
+# Defaults and input rules shared by every quadrature and Monte Carlo entry
+# point and the CLI's options, the package's only checks on these values; a
+# rule's ``name`` is the caller's, for the message.
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
 MIN_SAMPLES = 100
+
+
+def _check_tol(tol, name: str = "abs_tol"):
+    """A quadrature tolerance: a positive finite number, returned as given."""
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
+    return tol
+
+
+def _check_samples(samples, name: str = "samples") -> int:
+    """A Monte Carlo sample count: an integer of at least ``MIN_SAMPLES``."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {samples!r}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"{name} must be at least {MIN_SAMPLES}, got {samples}")
+    return int(samples)
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """A Monte Carlo seed: a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -150,7 +178,6 @@ _U_LEFT = -392.0
 _U_RIGHT = 22.0
 _TAIL_CELLS = 7
 _MAX_EVALS = 400_000
-_MAX_DEPTH = 60  # bisection depth cap
 
 
 def _logistic_nodes(us) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -296,8 +323,7 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         Target absolute tolerance; the returned ``error_estimate`` is an
         honest bound and may exceed ``abs_tol`` only together with an
         explicit :class:`QuadratureError`, raised with the best estimate so
-        far once a cell reaches depth ``_MAX_DEPTH`` or the evaluations
-        exceed ``_MAX_EVALS``.
+        far once the evaluations exceed ``_MAX_EVALS``.
 
     This is :func:`integrate_panels` with ``f`` called at each node of a
     panel in turn, so both give the same bits for the same values.
@@ -319,13 +345,12 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     is as described in :func:`integrate_unit`, which is this function with
     a point integrand.
     """
-    if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
-        raise ValueError(f"abs_tol must be a positive finite number, got {abs_tol!r}")
+    _check_tol(abs_tol)
 
     evals = 0
     final_value = 0.0  # settled cells
     final_error = 0.0
-    work: list[tuple[float, float, float, float, int]] = []  # (a, b, vk, err, depth)
+    work: list[tuple[float, float, float, float]] = []  # (a, b, vk, err)
 
     def best(value: float, error: float) -> QuadratureResult:
         """Everything integrated so far plus (value, error)."""
@@ -341,9 +366,10 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         vk, err = _gk15(g, a, b)
         evals += 15
         if not (math.isfinite(vk) and math.isfinite(err)):
-            t_a, t_b = _logistic_nodes((a, b))[0]
+            right = a >= 0.0  # t rounds to 1 there, so name 1 - t = sigma(-u)
+            lo, hi = _logistic_nodes((-b, -a) if right else (a, b))[0]
             raise QuadratureError(
-                f"integrand non-finite for t in [{t_a:.6g}, {t_b:.6g}]",
+                f"integrand non-finite for {'1 - t' if right else 't'} in [{lo:.6g}, {hi:.6g}]",
                 best=best(0.0, math.inf),
             )
         return vk, err
@@ -353,7 +379,7 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     seeds = [-392.0, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, 22.0]
     for a, b in zip(seeds[:-1], seeds[1:]):
         vk, err = panel(a, b)
-        work.append((a, b, vk, err, 0))
+        work.append((a, b, vk, err))
 
     target = 0.3 * abs_tol
 
@@ -365,21 +391,19 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         if final_error + pending_error <= target or not work:
             break
         worst = max(range(len(work)), key=lambda i: work[i][3])
-        a, b, vk, err, depth = work.pop(worst)
+        a, b, vk, err = work.pop(worst)
+        # A cell at most 1e-12 wide settles, so no bisection runs deeper than
+        # 48 levels below the widest (200-wide) seed panel; only the
+        # evaluation budget needs a cap.
         if err <= _noise_floor(vk) or (b - a) <= 1e-12:
             final_value += vk
             final_error += err
             continue
-        if depth >= _MAX_DEPTH or evals > _MAX_EVALS:
+        if evals > _MAX_EVALS:
             failed = best(vk, err)
-            reason = (
-                f"maximum bisection depth {_MAX_DEPTH} reached"
-                if depth >= _MAX_DEPTH
-                else f"evaluation budget exhausted ({evals} evaluations)"
-            )
             raise QuadratureError(
-                f"{reason} with error {failed.error_estimate:.3e} above "
-                f"tolerance {abs_tol:.3e}",
+                f"evaluation budget exhausted ({evals} evaluations) with error "
+                f"{failed.error_estimate:.3e} above tolerance {abs_tol:.3e}",
                 best=failed,
             )
         mid = 0.5 * (a + b)
@@ -389,7 +413,7 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
                 final_value += vk2
                 final_error += err2
             else:
-                work.append((lo, hi, vk2, err2, depth + 1))
+                work.append((lo, hi, vk2, err2))
 
     # Settle the window, then add each tail as it completes.
     final_value += sum(c[2] for c in work)
@@ -429,15 +453,15 @@ def _draw_maxima(dist, n: int, samples: int, rng) -> np.ndarray:
     return dist_mod.quantile(dist, t)
 
 
-def _check_mc_args(samples, seed) -> tuple[int, int]:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    samples = int(samples)
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"at least {MIN_SAMPLES} samples are required, got {samples}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return samples, int(seed)
+def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
+    """Mean and standard error of the summands ``values``.  A non-finite one
+    (an overflowed quantile, say) leaves no mean to estimate and is named."""
+    bad = samples - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"Monte Carlo summand {summand} non-finite for {bad} of {samples} draws")
+    est = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    return McEstimate(est, se, samples, seed)
 
 
 def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
@@ -449,16 +473,13 @@ def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) 
     the log-density values divided by sqrt(samples).
     """
     n = _check_index(n, "mc_entropy_max")
-    samples, seed = _check_mc_args(samples, seed)
+    samples, seed = _check_samples(samples), _check_seed(seed)
     rng = np.random.default_rng(seed)
     x = _draw_maxima(dist, n, samples, rng)
     log_density = math.log(n) + dist_mod.log_pdf(dist, x)
     if n > 1:
         log_density = log_density + (n - 1) * np.log(dist_mod.cdf(dist, x))
-    values = -log_density
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return McEstimate(est, se, samples, seed)
+    return _mc_estimate(-log_density, "-ln f_max(X)", samples, seed)
 
 
 def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
@@ -468,16 +489,13 @@ def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) 
     ``-f_max(X)/2`` over the draws.
     """
     n = _check_index(n, "mc_extropy_max")
-    samples, seed = _check_mc_args(samples, seed)
+    samples, seed = _check_samples(samples), _check_seed(seed)
     rng = np.random.default_rng(seed)
     x = _draw_maxima(dist, n, samples, rng)
     density = n * np.exp(dist_mod.log_pdf(dist, x))
     if n > 1:
         density = density * dist_mod.cdf(dist, x) ** (n - 1)
-    values = -0.5 * density
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return McEstimate(est, se, samples, seed)
+    return _mc_estimate(-0.5 * density, "-f_max(X)/2", samples, seed)
 
 
 # ---------------------------------------------------------------------------

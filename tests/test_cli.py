@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from extremal_info import canonical, cli, distributions, evt, verify
+from extremal_info import bounds, canonical, cli, distributions, evt, numerics, special, verify
 
 EXP1 = '{"family":"exponential","theta":1}'
 
@@ -123,6 +123,17 @@ class TestBounds:
         assert float(shannon[6]) == pytest.approx(1.0 + math.log(2.0))
         assert shannon[7] == "true" and shannon[8] == "true" and shannon[9] == "true"
         assert float(extropy[4]) == float(extropy[5]) == pytest.approx(-0.25)
+
+    def test_columns_are_the_report_fields(self):
+        code, out, _ = run_cli("bounds", "--dist", EXP1, "--n", "3", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        fields = [f.name for f in dataclasses.fields(bounds.BoundsReport)]
+        assert all(list(row)[4:] == fields for row in rows)
+        member = distributions.exponential(1.0)
+        reports = (bounds.shannon_bounds(member, 3), bounds.extropy_bounds(member, 3))
+        for row, report in zip(rows, reports):
+            assert [row[name] for name in fields] == [getattr(report, name) for name in fields]
 
     def test_gate_note_surfaces(self):
         code, out, _ = run_cli(
@@ -237,6 +248,14 @@ class TestConverge:
         assert [int(r[0]) for r in body] == [10, 100, 1000]
         gaps = [float(r[5]) for r in body]
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_columns_are_the_record_fields(self):
+        code, out, _ = run_cli("converge", "--dist", EXP1, "--n-grid", "2,5", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        study = evt.convergence_study(distributions.exponential(1.0), [2, 5])
+        assert rows == [dataclasses.asdict(record) for record in study.records]
+        assert list(rows[0]) == [f.name for f in dataclasses.fields(evt.ConvergenceRecord)]
 
     def test_range_grid_syntax(self):
         code, out, _ = run_cli(
@@ -374,6 +393,51 @@ class TestExitCodes:
         )
         assert code == 1
         assert cli.SEED_ENV_VAR in err and "--seed" in err
+
+    @pytest.mark.parametrize(
+        "argv, check, value",
+        [
+            (("measure", "--dist", EXP1, "--n", "0"), special._check_index, 0),
+            (("converge", "--dist", EXP1, "--n-grid", "3,2"), special._check_n_grid, [3, 2]),
+            (("bounds", "--dist", EXP1, "--n", "2", "--tol", "0"), numerics._check_tol, 0.0),
+            (("tables", "--tol", "inf"), numerics._check_tol, math.inf),
+            (("measure", "--dist", EXP1, "--n", "2", "--samples", "99"),
+             numerics._check_samples, 99),
+            (("verify", "--seed", "-2"), numerics._check_seed, -2),
+        ],
+    )
+    def test_option_rules_are_the_library_validators(self, argv, check, value):
+        # the usage error is the validator's own message under the flag's name
+        flag = argv[-2]
+        with pytest.raises(ValueError) as excinfo:
+            check(value, flag)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {excinfo.value}\n"
+        assert err.count(flag) == 1
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--n", ("measure", "--dist", EXP1, "--n", "2.5")),
+            ("--tol", ("tables", "--tol", "x")),
+            ("--seed", ("verify", "--seed", "one")),
+            ("--dist", ("measure", "--dist", "{broken", "--n", "2")),
+        ],
+    )
+    def test_unparsable_option_names_the_flag_once(self, flag, argv):
+        code, _, err = run_cli(*argv)
+        assert code == 1
+        assert err.startswith(f"usage error: {flag}: ") and err.count(flag) == 1
+
+    def test_monte_carlo_overflow_is_a_domain_error(self):
+        # pareto nu = 0.01: the quantile overflows to inf near t = 1
+        code, out, err = run_cli(
+            "measure", "--dist", '{"family":"pareto","theta":1,"nu":0.01}', "--n", "3",
+            "--method", "mc",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: Monte Carlo summand -ln f_max(X) non-finite")
 
     @pytest.mark.parametrize("command", ["measure", "verify"])
     def test_negative_seed_names_the_flag(self, command):

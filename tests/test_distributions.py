@@ -400,6 +400,15 @@ class TestDensityQuantileProfile:
             assert d.density_quantile(member, 1e-300) == math.inf
             assert d.density_quantile(member, np.array([1e-300, 0.5]))[0] == math.inf
 
+    def test_gev_below_minus_one_overflows_to_inf_silently(self):
+        # xi + 1 < 0: (-ln t)^(xi+1) exceeds the double range as t -> 1
+        member = d.gev(-30.0)
+        t = 1.0 - 2.0**-52
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.density_quantile(member, t) == math.inf
+            assert d.density_quantile(member, np.array([t, 0.5]))[0] == math.inf
+
 
 # ---------------------------------------------------------------------------
 # sup f and log-concavity

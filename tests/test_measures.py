@@ -433,6 +433,27 @@ class TestAlternateRoutes:
         assert math.inf in measures._profile(member, first_panel)
         assert measures._profile.cache_info().hits == hits + 1
 
+    @pytest.mark.parametrize(
+        "member, closed, place",
+        [
+            # I(t) underflows to 0 near t = 1, where ln I would be taken of 0
+            (d.pareto(1.0, 0.01), 105.6, "1 - t in [8.31528e-07, 0.000911051]"),
+            (d.gev(40.0), 24.67, "1 - t in [2.78947e-10, 8.31528e-07]"),
+        ],
+    )
+    def test_quadrature_h_declines_on_underflowing_profile(self, member, closed, place):
+        assert measures.shannon_max(member, 1).value == pytest.approx(closed, abs=0.01)
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            measures.shannon_max(member, 1, method="quad")
+        assert str(excinfo.value) == f"integrand non-finite for {place}"
+        assert excinfo.value.best.error_estimate == math.inf
+
+    def test_quadrature_names_a_right_tail_overflow_by_one_minus_t(self):
+        # gev xi = -30: I(t) overflows to inf as t -> 1, where t prints as 1
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            measures.shannon_max(d.gev(-30.0), 3, method="quad")
+        assert str(excinfo.value) == "integrand non-finite for 1 - t in [1.38879e-11, 3.77513e-11]"
+
     def test_monte_carlo_route(self):
         member = d.logistic(1.0)
         mv = measures.shannon_max(member, 3, method="mc", samples=40_000, seed=11)

@@ -7,6 +7,8 @@ the reported standard errors.
 """
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -107,9 +109,32 @@ class TestIntegrateUnit:
         assert excinfo.value.best.evaluations < 1000
         assert excinfo.value.best.error_estimate == math.inf
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            numerics.integrate_unit(lambda t: 1.0, abs_tol=0.0)
+    def test_right_of_zero_panel_names_one_minus_t(self):
+        # 1e305 (1 - t)^(-1/2) overflows for 1 - t < 1e-10, where t itself
+        # prints as 1, so the message gives the panel's 1 - t interval
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            numerics.integrate_unit(lambda t: 1e305 / math.sqrt(1.0 - t))
+        assert str(excinfo.value) == "integrand non-finite for 1 - t in [2.78947e-10, 8.31528e-07]"
+        assert excinfo.value.best.error_estimate == math.inf
+
+    def test_budget_exhaustion_raises_with_best_estimate(self, monkeypatch):
+        # gev xi = -1.9 J at n = 1 is finite but needs more than 3000
+        # evaluations; the check runs before each bisection, so the run
+        # stops at the first one past the budget.
+        monkeypatch.setattr(numerics, "_MAX_EVALS", 3000)
+        start = time.perf_counter()
+        with pytest.raises(numerics.QuadratureError) as excinfo:
+            measures.extropy_max(distributions.gev(-1.9), 1, "quad")
+        assert time.perf_counter() - start < 1.0
+        assert str(excinfo.value).startswith("evaluation budget exhausted (3015 evaluations) ")
+        best = excinfo.value.best
+        assert best.evaluations == 3015
+        assert 1e-10 < best.error_estimate < math.inf
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="abs_tol must be a positive finite number"):
+            numerics.integrate_unit(lambda t: 1.0, abs_tol=tol)
 
     def test_result_fields_are_python_floats(self):
         # np.float64 subclasses float, so only an exact type check tells them apart
@@ -214,6 +239,41 @@ class TestMcEstimators:
             numerics.mc_entropy_max(dist, 1, samples=99, seed=0)
         with pytest.raises(ValueError):
             numerics.mc_extropy_max(dist, 1, samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "check, value, message",
+        [
+            (numerics._check_samples, 99, "samples must be at least 100, got 99"),
+            (numerics._check_samples, 1e5, "samples must be an integer, got 100000.0"),
+            (numerics._check_seed, -1, "seed must be a non-negative integer, got -1"),
+            (numerics._check_tol, 0.0, "abs_tol must be a positive finite number, got 0.0"),
+        ],
+    )
+    def test_validators_state_the_rule_under_the_given_name(self, check, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            check(value)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            check(value, "--flag")
+        assert str(excinfo.value) == "--flag" + message[message.index(" "):]
+
+    @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
+    def test_non_finite_summand_is_named(self, estimator, monkeypatch):
+        # power_function nu = 0.3 has f(0) = inf, so a draw at 0 has no finite
+        # summand and the sample no mean to take
+        dist = distributions.power_function(1.0, 0.3)
+        monkeypatch.setattr(numerics, "_draw_maxima", lambda *a: np.array([0.5, 0.0] * 100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Monte Carlo summand .* for 100 of 200 draws"):
+                estimator(dist, 1, samples=200, seed=0)
+
+    def test_overflowing_quantile_fails_with_its_summand(self):
+        # pareto nu = 0.01: F^-1(t) = (1 - t)^-100 overflows to inf near t = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"summand -ln f_max\(X\) non-finite"):
+                numerics.mc_entropy_max(distributions.pareto(1.0, 0.01), 3, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.7, True, "3", None])
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
