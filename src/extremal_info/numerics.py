@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class ConcavityReport:
 
     concave: bool
     worst_violation: float
-    violations: list = field(default_factory=list)
+    violations: tuple = ()
     tol: float = 0.0
 
 
@@ -506,33 +506,34 @@ def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) 
 def grid_concavity_check(g, grid, tol: float = 1e-9) -> ConcavityReport:
     """Check concavity of ``g`` on a grid by second differences.
 
-    For every consecutive triple the value at the middle point must lie on
-    or above the chord through the outer points, up to ``tol``.  Returns a
-    report listing the violating triples and the worst violation (positive
-    means the chord exceeded the function, i.e. local convexity).
+    ``g`` is called once, on the whole grid as a float64 array, and must
+    return one value per grid point.  For every consecutive triple the value
+    at the middle point must lie on or above the chord through the outer
+    points, up to ``tol``.  Returns a report listing the violating triples
+    and the worst violation (positive means the chord exceeded the function,
+    i.e. local convexity).
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    values = np.array([float(g(x)) for x in xs])
+    values = np.asarray(g(xs), dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError(
+            f"g must return one value per grid point, got shape {values.shape} for {xs.size} points"
+        )
     if not np.all(np.isfinite(values)):
         raise ValueError("function values must be finite on the grid")
 
-    violations = []
-    worst = -math.inf
-    for i in range(1, xs.size - 1):
-        xl, xm, xr = xs[i - 1], xs[i], xs[i + 1]
-        lam = (xr - xm) / (xr - xl)
-        chord = lam * values[i - 1] + (1.0 - lam) * values[i + 1]
-        gap = chord - values[i]
-        worst = max(worst, gap)
-        if gap > tol:
-            violations.append((float(xl), float(xm), float(xr), float(gap)))
+    xl, xm, xr = xs[:-2], xs[1:-1], xs[2:]
+    lam = (xr - xm) / (xr - xl)
+    gap = (lam * values[:-2] + (1.0 - lam) * values[2:]) - values[1:-1]
+    bad = gap > tol
+    violations = tuple(zip(xl[bad].tolist(), xm[bad].tolist(), xr[bad].tolist(), gap[bad].tolist()))
     return ConcavityReport(
         concave=not violations,
-        worst_violation=float(worst),
-        violations=tuple(violations),
+        worst_violation=float(gap.max()),
+        violations=violations,
         tol=tol,
     )

@@ -11,9 +11,11 @@ identities.
 
 ``run_all`` runs the contracts on a smoke grid, next to groups that check
 the installation only (quadrature oracle, distribution consistency, a
-one-seed Monte Carlo check, CLI determinism).  It is deterministic and runs
-in seconds.  ``tests/test_acceptance.py`` runs the same contracts on the
-release grid.
+one-seed Monte Carlo check, CLI determinism).  It is deterministic.  On a
+2-CPU Intel Xeon, ``run_all`` takes about 0.15 s on its first call in a
+process and 0.12 s after that, and ``extremal-info verify`` about 0.8 s
+with interpreter start-up.  ``tests/test_acceptance.py`` runs the same
+contracts on the release grid.
 """
 
 from __future__ import annotations
@@ -89,23 +91,25 @@ def closed_vs_quadrature(
                     yield f"{member.label()} n={n}: {name} closed form {closed!r} vs quadrature {quad!r}"
 
 
+# Quantile levels of the ln f grid and the t grid of the profile check.
+_LOG_PDF_LEVELS = np.linspace(0.005, 0.995, 301)
+_PROFILE_GRID = np.linspace(0.001, 0.999, 301)
+
+
 @_contract
 def log_concavity(members):
     """``is_log_concave`` agrees with a second-difference check of ln f on a
     quantile grid (slack 1e-9), and log-concave members have a concave
     density-quantile profile."""
-    ts = np.linspace(0.005, 0.995, 301)
     for member in members:
         verdict = dist_mod.is_log_concave(member)
-        xs = dist_mod.quantile(member, ts)
-        report = numerics.grid_concavity_check(lambda x: dist_mod.log_pdf(member, x), xs, tol=1e-9)
+        xs = dist_mod.quantile(member, _LOG_PDF_LEVELS)
+        report = numerics.grid_concavity_check(partial(dist_mod.log_pdf, member), xs, tol=1e-9)
         if report.concave != verdict:
             yield f"{member.label()}: grid says concave={report.concave}, verdict={verdict}"
         if verdict:
             profile = numerics.grid_concavity_check(
-                lambda t: dist_mod.density_quantile(member, t),
-                np.linspace(0.001, 0.999, 301),
-                tol=1e-9,
+                partial(dist_mod.density_quantile, member), _PROFILE_GRID, tol=1e-9
             )
             if not profile.concave:
                 yield f"{member.label()}: density-quantile profile not concave on grid"

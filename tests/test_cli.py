@@ -326,6 +326,19 @@ class TestVerify:
         assert len(expected) == 1 and "extropy_max" in expected[0]
         assert expected[0] in line
 
+    @pytest.mark.parametrize(
+        "member", [distributions.pareto(1.0, 2.0), distributions.gev(0.3)], ids=["pareto", "gev_xi_0.3"]
+    )
+    def test_false_log_concavity_verdict_fails_its_contract(self, monkeypatch, member):
+        family = distributions.REGISTRY[member.family]
+        monkeypatch.setitem(
+            distributions.REGISTRY, member.family, dataclasses.replace(family, is_log_concave=lambda d: True)
+        )
+        assert verify.log_concavity([member]) == [
+            f"{member.label()}: grid says concave=False, verdict=True",
+            f"{member.label()}: density-quantile profile not concave on grid",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Error handling and exit codes

@@ -6,6 +6,7 @@ a Kolmogorov-Smirnov comparison, and a 100-replication calibration of
 the reported standard errors.
 """
 
+import functools
 import math
 import time
 import warnings
@@ -399,14 +400,67 @@ class TestGridConcavityCheck:
         assert report.concave
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 points"):
             numerics.grid_concavity_check(lambda t: t, np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             numerics.grid_concavity_check(lambda t: t, np.array([0.0, 0.5, 0.5, 1.0]))
 
     def test_rejects_nonfinite_values(self):
         grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            numerics.grid_concavity_check(
-                lambda t: math.inf if t == 0.5 else t, grid
-            )
+        with pytest.raises(ValueError, match="finite"):
+            numerics.grid_concavity_check(lambda t: np.where(t == 0.5, np.inf, t), grid)
+
+    def test_calls_g_once_on_the_float_grid(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return -t * t
+
+        grid = [0, 1, 2, 3, 5]
+        assert numerics.grid_concavity_check(g, grid).concave
+        assert len(calls) == 1
+        assert calls[0].dtype == np.float64
+        assert np.array_equal(calls[0], grid)
+
+    @pytest.mark.parametrize(
+        "g", [lambda t: t[:-1], lambda t: 1.0, lambda t: np.stack([t, t])], ids=["short", "scalar", "2-d"]
+    )
+    def test_rejects_wrong_shape(self, g):
+        with pytest.raises(ValueError, match="one value per grid point"):
+            numerics.grid_concavity_check(g, np.linspace(0.0, 1.0, 5))
+
+    def test_matches_per_point_reference(self):
+        """Catalog and the ``verify`` extras, on the ``verify`` grids: the
+        report equals a per-point scalar scan up to rounding in the gaps."""
+
+        def reference(g, xs, tol):
+            values = [float(g(x)) for x in xs]
+            violations, worst = [], -math.inf
+            for i in range(1, len(xs) - 1):
+                lam = (xs[i + 1] - xs[i]) / (xs[i + 1] - xs[i - 1])
+                gap = lam * values[i - 1] + (1.0 - lam) * values[i + 1] - values[i]
+                worst = max(worst, gap)
+                if gap > tol:
+                    violations.append((xs[i - 1], xs[i], xs[i + 1], gap))
+            return violations, worst
+
+        extras = (distributions.gev(-0.9), distributions.gev(0.3), distributions.power_function(1.0, 0.5))
+        grids = 0
+        for member in canonical.catalog_members() + extras:
+            cases = [
+                (distributions.log_pdf, distributions.quantile(member, np.linspace(0.005, 0.995, 301)))
+            ]
+            if distributions.is_log_concave(member):
+                cases.append((distributions.density_quantile, np.linspace(0.001, 0.999, 301)))
+            for primitive, xs in cases:
+                g = functools.partial(primitive, member)
+                report = numerics.grid_concavity_check(g, xs, tol=1e-9)
+                violations, worst = reference(g, xs.tolist(), 1e-9)
+                assert report.concave == (not violations), member.label()
+                assert [v[:3] for v in report.violations] == [v[:3] for v in violations]
+                for got, want in zip(report.violations, violations):
+                    assert type(got[3]) is float and abs(got[3] - want[3]) <= 1e-12
+                assert abs(report.worst_violation - worst) <= 1e-12
+                grids += 1
+        assert grids == 54
