@@ -1,4 +1,4 @@
-"""Deterministic numerics: quadrature on (0, 1), sampling of maxima, and
+"""Deterministic numerics: quadrature on (0, 1), Monte Carlo on (0, 1), and
 grid concavity checks.
 
 Quadrature
@@ -31,11 +31,15 @@ Monte Carlo
 Sampling uses ``numpy.random.Generator`` seeded with an explicit integer so
 that identical seeds give identical streams.  If a task ever needs several
 independent streams, spawn children of ``np.random.SeedSequence(seed)`` in
-task order rather than reusing consecutive integer seeds.  A maximum of n
-i.i.d. draws is sampled in one shot through the quantile transform
-``F^{-1}(V^{1/n})`` with ``V`` uniform on (0, 1).  A summand that is not
-finite (a quantile that overflowed near t = 1) fails the estimate with a
-``ValueError`` naming the summand before any moment is taken.
+task order rather than reusing consecutive integer seeds.  The estimators
+sample in t, as the quadrature integrates in t: T = F(X_(n)) of a maximum
+of n i.i.d. draws is Beta(n, 1), drawn in one shot as ``V^{1/n}`` with
+``V`` uniform on (0, 1), and the density of the maximum at X_(n) is
+``n T^{n-1} I(T)``, so the parent enters only through its profile I and
+never through its quantile, cdf or density.  A summand that is not finite
+(a profile that underflowed to 0 near t = 1, or overflowed) fails the
+estimate with a ``ValueError`` naming the summand before any moment is
+taken.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ __all__ = [
     "ConcavityReport",
     "integrate_unit",
     "integrate_panels",
-    "maximum_from_uniform",
     "mc_entropy_max",
     "mc_extropy_max",
     "grid_concavity_check",
@@ -427,35 +430,29 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Sampling of maxima and plug-in Monte Carlo estimators
+# Plug-in Monte Carlo estimators, sampled in t = F(X_(n))
 # ---------------------------------------------------------------------------
 
 
-def maximum_from_uniform(dist, n: int, v: float) -> float:
-    """Deterministic core of maximum sampling: F^{-1}(v^{1/n}).
+def _draw_profile(dist, n: int, samples: int, seed: int, name: str):
+    """The checked ``n``, ``samples`` draws of T = F(X_(n)) ~ Beta(n, 1), and
+    the profile I(T); ``n`` is checked under the caller's ``name``.
 
-    If V is uniform on (0, 1) then F^{-1}(V^{1/n}) has the distribution of
-    the largest of n i.i.d. draws from the parent.
+    T = V^{1/n} with V uniform from ``default_rng(seed)``, nudged off the
+    ends (v = 0, or V^{1/n} rounding up to 1.0) to the nearest interior
+    double, where the profile is defined.
     """
-    n = _check_index(n, "maximum_from_uniform")
-    if not (0.0 <= v <= 1.0):
-        raise ValueError(f"v must lie in [0, 1], got {v!r}")
-    t = v ** (1.0 / n)
-    # The quantile is defined on the open interval; nudge boundary hits
-    # (v = 0, or v**(1/n) rounding up to 1.0) to the nearest interior double.
-    t = min(max(t, np.finfo(float).tiny), np.nextafter(1.0, 0.0))
-    return dist_mod.quantile(dist, t)
-
-
-def _draw_maxima(dist, n: int, samples: int, rng) -> np.ndarray:
-    v = rng.random(samples)
+    n = _check_index(n, name)
+    samples, seed = _check_samples(samples), _check_seed(seed)
+    v = np.random.default_rng(seed).random(samples)
     t = np.clip(v ** (1.0 / n), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return dist_mod.quantile(dist, t)
+    return n, t, dist_mod.density_quantile(dist, t)
 
 
 def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
     """Mean and standard error of the summands ``values``.  A non-finite one
-    (an overflowed quantile, say) leaves no mean to estimate and is named."""
+    (a profile that underflowed to 0, say) leaves no mean to estimate and is
+    named."""
     bad = samples - np.count_nonzero(np.isfinite(values))
     if bad:
         raise ValueError(f"Monte Carlo summand {summand} non-finite for {bad} of {samples} draws")
@@ -467,35 +464,27 @@ def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
 def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
     """Plug-in Monte Carlo estimate of the entropy of the sample maximum.
 
-    Draws maxima through the quantile transform and averages
-    ``-ln f_max(X)`` where ``f_max = n F^{n-1} f`` is the exact density of
-    the maximum.  The standard error is the sample standard deviation of
-    the log-density values divided by sqrt(samples).
+    Averages ``-ln f_max(X)`` over draws of the maximum, where
+    ``f_max(X) = n T^{n-1} I(T)`` at ``T = F(X)`` is its exact density.  The
+    standard error is the sample standard deviation of the summands divided
+    by sqrt(samples).
     """
-    n = _check_index(n, "mc_entropy_max")
-    samples, seed = _check_samples(samples), _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    x = _draw_maxima(dist, n, samples, rng)
-    log_density = math.log(n) + dist_mod.log_pdf(dist, x)
-    if n > 1:
-        log_density = log_density + (n - 1) * np.log(dist_mod.cdf(dist, x))
-    return _mc_estimate(-log_density, "-ln f_max(X)", samples, seed)
+    n, t, profile = _draw_profile(dist, n, samples, seed, "mc_entropy_max")
+    with np.errstate(divide="ignore"):
+        summands = -(math.log(n) + (n - 1) * np.log(t) + np.log(profile))
+    return _mc_estimate(summands, "-ln f_max(X)", samples, seed)
 
 
 def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
     """Plug-in Monte Carlo estimate of the extropy of the sample maximum.
 
-    Same sampling scheme as :func:`mc_entropy_max`; the estimator averages
-    ``-f_max(X)/2`` over the draws.
+    Same draws as :func:`mc_entropy_max`; the estimator averages
+    ``-f_max(X)/2``.
     """
-    n = _check_index(n, "mc_extropy_max")
-    samples, seed = _check_samples(samples), _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    x = _draw_maxima(dist, n, samples, rng)
-    density = n * np.exp(dist_mod.log_pdf(dist, x))
-    if n > 1:
-        density = density * dist_mod.cdf(dist, x) ** (n - 1)
-    return _mc_estimate(-0.5 * density, "-f_max(X)/2", samples, seed)
+    n, t, profile = _draw_profile(dist, n, samples, seed, "mc_extropy_max")
+    with np.errstate(over="ignore", invalid="ignore"):
+        summands = -0.5 * n * t ** (n - 1) * profile
+    return _mc_estimate(summands, "-f_max(X)/2", samples, seed)
 
 
 # ---------------------------------------------------------------------------

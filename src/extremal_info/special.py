@@ -1,8 +1,8 @@
 """Special functions and closed-form log integrals used throughout the package.
 
 Everything here is scalar and deterministic: the Euler-Mascheroni constant,
-harmonic numbers, the digamma function, the partial sums of sum(1/(k*2^k)),
-the beta function, and a small catalogue of integrals of the form
+harmonic numbers, the partial sums of sum(1/(k*2^k)), the beta function,
+and a small catalogue of integrals of the form
 ``integral of a power times a logarithmic factor`` that have elementary
 closed forms.  These closed forms serve as independent oracles for the
 adaptive quadrature in :mod:`extremal_info.numerics` and as building blocks
@@ -28,9 +28,7 @@ from scipy import special as _sc
 
 __all__ = [
     "EULER_GAMMA",
-    "euler_gamma",
     "harmonic",
-    "digamma",
     "half_geometric_sum",
     "beta_function",
     "beta_n1_log_moment",
@@ -94,11 +92,6 @@ _HARMONIC_TABLE = _PrefixSums(lambda k: 1.0 / k)
 _HALF_GEOMETRIC_TABLE = _PrefixSums(lambda k: math.ldexp(1.0 / k, -k))
 
 
-def euler_gamma() -> float:
-    """Return the Euler-Mascheroni constant gamma = 0.5772156649..."""
-    return EULER_GAMMA
-
-
 def harmonic(n: int) -> float:
     """n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
 
@@ -116,14 +109,6 @@ def harmonic(n: int) -> float:
     if n <= _HARMONIC_EXACT_MAX:
         return _HARMONIC_TABLE[n]
     return float(_sc.digamma(n + 1.0)) + EULER_GAMMA
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) = d/dx ln Gamma(x) for real x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    return float(_sc.digamma(x))
 
 
 def half_geometric_sum(n: int) -> float:

@@ -443,8 +443,8 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"usage error: {flag}: ") and err.count(flag) == 1
 
-    def test_monte_carlo_overflow_is_a_domain_error(self):
-        # pareto nu = 0.01: the quantile overflows to inf near t = 1
+    def test_monte_carlo_non_finite_summand_is_a_domain_error(self):
+        # pareto nu = 0.01: the profile I(t) underflows to 0 near t = 1
         code, out, err = run_cli(
             "measure", "--dist", '{"family":"pareto","theta":1,"nu":0.01}', "--n", "3",
             "--method", "mc",

@@ -81,7 +81,6 @@ class TestArgumentChecking:
             lambda n: bounds.shannon_bounds(d.exponential(1.0), n),
             lambda n: bounds.extropy_upper_envelope(d.exponential(1.0), n),
             lambda n: evt.norming_constants(d.exponential(1.0), n),
-            lambda n: numerics.maximum_from_uniform(d.exponential(1.0), n, 0.5),
             lambda n: numerics.mc_entropy_max(d.exponential(1.0), n, samples=100),
             lambda n: special.harmonic(n),
         ],
@@ -91,7 +90,6 @@ class TestArgumentChecking:
             "shannon_bounds",
             "extropy_upper_envelope",
             "norming_constants",
-            "maximum_from_uniform",
             "mc_entropy_max",
             "harmonic",
         ],

@@ -1,14 +1,16 @@
 """Tests for the quadrature, sampling, and Monte Carlo oracles.
 
 The adaptive integrator is validated against scipy.integrate.quad and
-against closed forms; the samplers against exact quantile identities,
-a Kolmogorov-Smirnov comparison, and a 100-replication calibration of
-the reported standard errors.
+against closed forms; the Monte Carlo draws of T = F(X_(n)) against a
+Kolmogorov-Smirnov comparison, the estimators against a parent-space
+reference on the same stream and a 100-replication calibration of the
+reported standard errors.
 """
 
 import functools
 import math
 import time
+import types
 import warnings
 
 import numpy as np
@@ -198,32 +200,13 @@ class TestIntegratePanels:
                 numerics.integrate_panels(wrong)
 
 
-class TestMaximumFromUniform:
-    def test_quantile_identity_n1(self):
-        dist = distributions.uniform(1.0)
-        assert numerics.maximum_from_uniform(dist, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
-
-    def test_square_root_at_n2(self):
-        dist = distributions.uniform(1.0)
-        assert numerics.maximum_from_uniform(dist, 2, 0.25) == pytest.approx(0.5, abs=1e-15)
-
-    def test_extreme_draws_stay_in_support(self):
-        # v so close to 1 that v^(1/n) rounds to 1.0 must still map inside
-        dist = distributions.exponential(1.0)
-        x = numerics.maximum_from_uniform(dist, 10**6, np.nextafter(1.0, 0.0))
-        assert math.isfinite(x)
-        x0 = numerics.maximum_from_uniform(dist, 1, 0.0)
-        assert math.isfinite(x0) and x0 >= 0.0
-
+class TestDrawProfile:
     def test_kolmogorov_distance_of_maxima(self):
-        # empirical CDF of maxima of 4 exponentials vs (1 - e^-x)^4
-        dist = distributions.exponential(1.0)
+        # T = F(X_(4)) ~ Beta(4, 1): its empirical CDF against t^4
         n, draws = 4, 100_000
-        rng = np.random.default_rng(7)
-        xs = np.sort(
-            [numerics.maximum_from_uniform(dist, n, v) for v in rng.random(draws)]
-        )
-        target = (-np.expm1(-xs)) ** n
+        _, t, _ = numerics._draw_profile(distributions.exponential(1.0), n, draws, 7, "test")
+        t = np.sort(t)
+        target = t**n
         empirical_hi = np.arange(1, draws + 1) / draws
         empirical_lo = np.arange(0, draws) / draws
         ks = max(
@@ -231,6 +214,17 @@ class TestMaximumFromUniform:
             float(np.max(np.abs(empirical_lo - target))),
         )
         assert ks < 0.01
+
+    @pytest.mark.parametrize("n, v", [(1, 0.0), (4, 0.0), (10**6, np.nextafter(1.0, 0.0))])
+    def test_boundary_draws_stay_inside(self, n, v, monkeypatch):
+        # v = 0, and v so close to 1 that v^(1/n) rounds to 1.0, are nudged
+        # to the nearest interior doubles, where the profile is defined
+        stream = types.SimpleNamespace(random=lambda size: np.full(size, v))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
+        dist = distributions.exponential(1.0)
+        _, t, profile = numerics._draw_profile(dist, n, 100, 0, "test")
+        assert np.all((t > 0.0) & (t < 1.0))
+        assert np.all(np.isfinite(profile) & (profile > 0.0))
 
 
 class TestMcEstimators:
@@ -260,21 +254,62 @@ class TestMcEstimators:
 
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
     def test_non_finite_summand_is_named(self, estimator, monkeypatch):
-        # power_function nu = 0.3 has f(0) = inf, so a draw at 0 has no finite
-        # summand and the sample no mean to take
+        # power_function nu = 0.3 has I(t) = 0.3 t^(-7/3), which overflows to
+        # inf at t = 1e-300, so a draw there has no finite summand and the
+        # sample no mean to take
         dist = distributions.power_function(1.0, 0.3)
-        monkeypatch.setattr(numerics, "_draw_maxima", lambda *a: np.array([0.5, 0.0] * 100))
+
+        def draw(dist, n, samples, seed, name):
+            t = np.array([0.5, 1e-300] * 100)
+            return n, t, distributions.density_quantile(dist, t)
+
+        monkeypatch.setattr(numerics, "_draw_profile", draw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"Monte Carlo summand .* for 100 of 200 draws"):
                 estimator(dist, 1, samples=200, seed=0)
 
-    def test_overflowing_quantile_fails_with_its_summand(self):
-        # pareto nu = 0.01: F^-1(t) = (1 - t)^-100 overflows to inf near t = 1
+    def test_underflowing_profile_fails_with_its_summand(self):
+        # pareto nu = 0.01: I(t) = 0.01 (1 - t)^101 underflows to 0 near t = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"summand -ln f_max\(X\) non-finite"):
                 numerics.mc_entropy_max(distributions.pareto(1.0, 0.01), 3, seed=0)
+
+    @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
+    def test_reads_only_the_profile(self, estimator, monkeypatch):
+        # the draws live in t = F(X_(n)); no quantile, log-density or cdf
+        def refuse(*args):
+            raise AssertionError("Monte Carlo left t-space")
+
+        for name in ("quantile", "log_pdf", "cdf"):
+            monkeypatch.setattr(distributions, name, refuse)
+        for member in canonical.mc_representatives():
+            assert math.isfinite(estimator(member, 5, samples=200, seed=1).estimate)
+
+    @pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
+    def test_matches_the_parent_space_estimator(self, member):
+        # the same V stream mapped to X = F^-1(V^(1/n)), with f_max from the
+        # parent's log-density and cdf: the summands are the same numbers
+        samples, seed = 20_000, 3
+
+        def parent_space(n):
+            v = np.random.default_rng(seed).random(samples)
+            t = np.clip(v ** (1.0 / n), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+            x = distributions.quantile(member, t)
+            with np.errstate(divide="ignore"):
+                log_f = math.log(n) + distributions.log_pdf(member, x)
+                log_f = log_f + (n - 1) * np.log(distributions.cdf(member, x))
+            summands = {"H": -log_f, "J": -0.5 * np.exp(log_f)}
+            root = math.sqrt(samples)
+            return {k: (np.mean(s), np.std(s, ddof=1) / root) for k, s in summands.items()}
+
+        for n in (1, 5, 50, 10**4, 10**6):
+            want = parent_space(n)
+            for name, estimator in (("H", numerics.mc_entropy_max), ("J", numerics.mc_extropy_max)):
+                got = estimator(member, n, samples=samples, seed=seed)
+                assert got.estimate == pytest.approx(want[name][0], rel=1e-9, abs=0.0), (name, n)
+                assert got.std_error == pytest.approx(want[name][1], rel=1e-9, abs=0.0), (name, n)
 
     @pytest.mark.parametrize("seed", [-1, 1.7, True, "3", None])
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
