@@ -84,6 +84,9 @@ def _json_value(x):
 
 
 def _csv_value(x) -> str:
+    # A finite float, the common cell, skips the extended-real mapping.
+    if isinstance(x, float) and math.isfinite(x):
+        return "%.15g" % x
     x = _json_value(x)
     if x is None:
         return ""

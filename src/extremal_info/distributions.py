@@ -139,27 +139,31 @@ class Family:
 
 def _logistic_cdf(d, x):
     z = d.theta * x
-    return np.where(
-        z >= 0.0,
-        1.0 / (1.0 + np.exp(-np.abs(z))),
-        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))),
-    )
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _logistic_norming(d, n):
     """Generic Gumbel-domain constants a_n = h(U(n)), b_n = U(n).
 
     h(u) = (1 - F(u))/f(u) is evaluated in log space so that far-tail
-    density underflow cannot poison the ratio.
+    density underflow cannot poison the ratio.  The logistic record's own
+    quantile, cdf and log_pdf are called on Python floats, with the public
+    functions' float() conversion; the public quantile's decline of a
+    1 - 1/n that rounds to 1 is kept, with its message.
     """
     if n == 1:
         raise ValueError(
             "norming constants for the logistic family are undefined at "
             "n=1 (the 1 - 1/n quantile is degenerate)"
         )
-    u = quantile(d, 1.0 - 1.0 / n)
-    log_tail = math.log1p(-cdf(d, u))
-    return (math.exp(log_tail - log_pdf(d, u)), u)
+    t = 1.0 - 1.0 / n
+    if not t < 1.0:
+        raise ValueError("quantile requires probabilities strictly inside (0, 1)")
+    record = REGISTRY["logistic"]
+    u = float(record.quantile(d, t))
+    log_tail = math.log1p(-float(record.cdf(d, u)))
+    return (math.exp(log_tail - float(record.log_pdf(d, u))), u)
 
 
 def _pareto_log_pdf(d, x):

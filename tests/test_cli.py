@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from extremal_info import bounds, canonical, cli, distributions, evt, numerics, special, verify
@@ -38,6 +39,36 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return header, body
+
+
+# ---------------------------------------------------------------------------
+# CSV cells
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("value", "cell"),
+    [
+        (-0.0, "-0"),
+        (0.0, "0"),
+        (5e-324, "4.94065645841247e-324"),
+        (1e308, "1e+308"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (np.float64(0.1), "0.1"),
+        (distributions.INDETERMINATE, "indeterminate"),
+        (True, "true"),
+        (7, "7"),
+        (None, ""),
+        ("x", "x"),
+    ],
+    ids=repr,
+)
+def test_csv_cell(value, cell):
+    # finite floats take the short path; every cell prints as the
+    # extended-real rule of _json_value says
+    assert cli._csv_value(value) == cell
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ approach the classified limit law on a quantile grid.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,38 @@ class TestNormingConstants:
     def test_logistic_degenerate_at_n1(self):
         with pytest.raises(ValueError):
             evt.norming_constants(d.logistic(1.0), 1)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_logistic_matches_the_public_functions_bit_for_bit(self, theta):
+        # the recipe composed from the public quantile, cdf and log_pdf
+        member = d.logistic(theta)
+        for n in (2, 3, 10, 5000, 10**6, 10**9, 2**53):
+            u = d.quantile(member, 1.0 - 1.0 / n)
+            a = math.exp(math.log1p(-d.cdf(member, u)) - d.log_pdf(member, u))
+            nc = evt.norming_constants(member, n)
+            assert (nc.a_n, nc.b_n) == (a, u)
+
+    def test_logistic_declines_where_the_quantile_level_rounds_to_one(self):
+        # 1 - 1/n == 1.0 here; the decline is the public quantile's, not a
+        # divide-by-zero warning from log1p
+        with pytest.raises(ValueError) as public:
+            d.quantile(d.logistic(1.0), 1.0 - 1.0 / 10**17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                evt.norming_constants(d.logistic(1.0), 10**17)
+        assert str(raised.value) == str(public.value)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="1 - F(u) is taken by cancellation, so a_n loses digits as n grows "
+        "(1.1e-4 relative at n = 1e12); a stable form changes the logistic converge "
+        "goldens and waits for the reference-pinned golden policy (ROADMAP item 1)",
+    )
+    def test_logistic_scale_is_accurate_at_large_n(self):
+        n, theta = 10**12, 1.0
+        exact = n / ((n - 1) * theta)
+        assert evt.norming_constants(d.logistic(theta), n).a_n == pytest.approx(exact, rel=1e-12)
 
     def test_gumbel_member_is_exactly_max_stable(self):
         nc = evt.norming_constants(d.gev(0.0), 50)
@@ -250,6 +283,10 @@ class TestDistributionalConvergence:
 # ---------------------------------------------------------------------------
 
 
+PARITY_MEMBERS = canonical.catalog_members() + (d.gev(-2.5), d.gev(1e-9), d.gev(-1.9))
+PARITY_GRID = [*range(1, 3001), 10**4, 10**4 + 1, 10**5, 10**6, 10**7, 10**9]
+
+
 class TestConvergenceStudy:
     GRID = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
@@ -309,6 +346,50 @@ class TestConvergenceStudy:
                 - record.h_target
             )
             assert record.h_gap == pytest.approx(want_h, abs=1e-15)
+
+    @pytest.mark.parametrize("member", PARITY_MEMBERS, ids=lambda m: m.label())
+    def test_records_equal_the_public_normalized_measures(self, member):
+        # the study applies the transformation law to the record itself;
+        # it must give the bits of shannon_normalized / extropy_normalized,
+        # and raise as they do where they raise
+        want, first_error = {}, None
+        for n in PARITY_GRID:
+            try:
+                want[n] = (
+                    measures.shannon_normalized(member, n).value,
+                    measures.extropy_normalized(member, n).value,
+                )
+            except ValueError as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            with pytest.raises(type(first_error)) as raised:
+                evt.convergence_study(member, PARITY_GRID)
+            assert str(raised.value) == str(first_error)
+        if want:
+            study = evt.convergence_study(member, list(want))
+            got = {r.n: (r.h_normalized, r.j_normalized) for r in study.records}
+            assert got == want
+
+    def test_reads_the_record_not_the_measures(self, monkeypatch):
+        # one closed-form read per n: the public measures serve only the
+        # limiting targets
+        calls = {"shannon_max": 0, "extropy_max": 0}
+
+        def counting(name):
+            original = getattr(measures, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(measures, name, counting(name))
+        study = evt.convergence_study(d.exponential(1.0), range(1, 5001))
+        assert len(study.records) == 5000
+        assert calls["shannon_max"] <= 1
+        assert calls["extropy_max"] <= 1
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
