@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import distributions as dist_mod
+from . import evt
 from . import measures
-from .measures import is_indeterminate
 from .numerics import DEFAULT_QUAD_TOL
 from .special import EULER_GAMMA, _check_index, _check_n_grid, half_geometric_sum, harmonic
 
@@ -113,8 +113,6 @@ class GapStudy:
 
 def _ext_le(a: float, b: float) -> bool:
     """Extended-real a <= b with roundoff slack for finite comparisons."""
-    if is_indeterminate(a) or is_indeterminate(b):
-        return False
     if math.isinf(a) or math.isinf(b):
         return a <= b
     return a <= b + _ORDER_TOL * max(1.0, abs(a), abs(b))
@@ -179,7 +177,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
         upper=upper,
         lower_holds=lower_holds,
         upper_holds=upper_holds,
-        applicable=log_concave and not is_indeterminate(value),
+        applicable=log_concave,
         gate_note="; ".join(notes),
     )
 
@@ -206,7 +204,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
         upper=upper,
         lower_holds=_ext_le(lower, value),
         upper_holds=_ext_le(value, upper),
-        applicable=log_concave and not is_indeterminate(value),
+        applicable=log_concave,
         gate_note="; ".join(notes),
     )
 
@@ -229,8 +227,6 @@ def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: fl
     (order-preserving), with the same applicability gates as the
     unnormalized reports.  Returns ``(shannon_report, extropy_report)``.
     """
-    from . import evt
-
     nc = evt.norming_constants(dist, n)
     sh = shannon_bounds(dist, n, method, quad_tol=quad_tol)
     ex = extropy_bounds(dist, n, method, quad_tol=quad_tol)

@@ -25,9 +25,10 @@ constructor rejects unknown fields outright.
 Every per-family fact lives in one record of :data:`REGISTRY`: the
 family's fields, its distribution functions, the closed-form entropy and
 extropy of the sample maximum with their n -> infinity limits, and its
-extreme-value domain with norming constants.  The public functions here,
-in :mod:`~extremal_info.measures` and in :mod:`~extremal_info.evt` look
-the record up by family name.
+extreme-value index with norming constants (:mod:`~extremal_info.evt`
+derives the domain of attraction from the index).  The public functions
+here, in :mod:`~extremal_info.measures` and in :mod:`~extremal_info.evt`
+look the record up by family name.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class Family:
     - ``shannon(d, n)`` and ``extropy(d, n)``: closed-form H and J of the
       maximum of n draws; ``shannon_limit(d)`` and ``extropy_limit(d)``:
       their n -> infinity limits as extended reals;
-    - ``mda(d)``: max-domain of attraction as (domain, xi);
+    - ``evi(d)``: extreme-value index xi, whose sign fixes the domain of
+      attraction;
     - ``norming(d, n)``: norming constants (a_n, b_n).
     """
 
@@ -133,7 +135,7 @@ class Family:
     extropy: Callable
     shannon_limit: Callable
     extropy_limit: Callable
-    mda: Callable
+    evi: Callable
     norming: Callable
 
 
@@ -306,19 +308,12 @@ def _gev_extropy(d, n):
     return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * float(n) ** xi)
 
 
-def _gev_mda(d):
+def _gev_limits(d):
+    # (H, J) limits of a gev member: H moves with xi ln n and J with n^-xi
     xi = _gev_xi(d)
     if xi == 0.0:
-        return ("gumbel", 0.0)
-    return ("frechet", xi) if xi > 0.0 else ("reversed_weibull", xi)
-
-
-# (H, J) limits of a gev member by its domain
-_GEV_LIMITS = {
-    "gumbel": (1.0 + EULER_GAMMA, -0.125),
-    "frechet": (math.inf, -0.0),
-    "reversed_weibull": (-math.inf, -math.inf),
-}
+        return (1.0 + EULER_GAMMA, -0.125)
+    return (math.inf, -0.0) if xi > 0.0 else (-math.inf, -math.inf)
 
 
 def _gev_norming(d, n):
@@ -345,7 +340,7 @@ REGISTRY: dict[str, Family] = {
         shannon_limit=lambda d: -math.inf,
         extropy_limit=lambda d: -math.inf,
         # the density stays positive and finite at the right endpoint
-        mda=lambda d: ("reversed_weibull", -1.0),
+        evi=lambda d: -1.0,
         norming=lambda d, n: (d.theta / n, d.theta),
     ),
     "exponential": Family(
@@ -363,7 +358,7 @@ REGISTRY: dict[str, Family] = {
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n - 1.0)),
         shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
         extropy_limit=lambda d: -d.theta / 8.0,
-        mda=lambda d: ("gumbel", 0.0),
+        evi=lambda d: 0.0,
         norming=lambda d, n: (1.0 / d.theta, math.log(n) / d.theta),
     ),
     "logistic": Family(
@@ -381,7 +376,7 @@ REGISTRY: dict[str, Family] = {
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n + 1.0)),
         shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
         extropy_limit=lambda d: -d.theta / 8.0,
-        mda=lambda d: ("gumbel", 0.0),
+        evi=lambda d: 0.0,
         norming=_logistic_norming,
     ),
     "pareto": Family(
@@ -401,7 +396,7 @@ REGISTRY: dict[str, Family] = {
         shannon_limit=lambda d: math.inf,
         # the defining product is of the form 0 x (-inf)
         extropy_limit=lambda d: INDETERMINATE,
-        mda=lambda d: ("frechet", 1.0 / d.nu),
+        evi=lambda d: 1.0 / d.nu,
         norming=lambda d, n: (d.theta * float(n) ** (1.0 / d.nu), 0.0),
     ),
     "power_function": Family(
@@ -420,7 +415,7 @@ REGISTRY: dict[str, Family] = {
         shannon_limit=lambda d: -math.inf,
         extropy_limit=lambda d: -math.inf,
         # the density stays positive and finite at the right endpoint, for any nu
-        mda=lambda d: ("reversed_weibull", -1.0),
+        evi=lambda d: -1.0,
         norming=lambda d, n: (-math.expm1(math.log1p(-1.0 / n) / d.nu) / d.theta, 1.0 / d.theta),
     ),
     "gev": Family(
@@ -434,10 +429,10 @@ REGISTRY: dict[str, Family] = {
         is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
         shannon=_gev_shannon,
         extropy=_gev_extropy,
-        shannon_limit=lambda d: _GEV_LIMITS[_gev_mda(d)[0]][0],
-        extropy_limit=lambda d: _GEV_LIMITS[_gev_mda(d)[0]][1],
+        shannon_limit=lambda d: _gev_limits(d)[0],
+        extropy_limit=lambda d: _gev_limits(d)[1],
         # max-stable, hence in its own domain
-        mda=_gev_mda,
+        evi=_gev_xi,
         norming=_gev_norming,
     ),
 }

@@ -10,9 +10,10 @@ recipes built from U(t) = F^{-1}(1 - 1/t) and x* = sup{x : F(x) < 1}:
 - reversed Weibull (xi < 0):  a_n = x* - U(n),   b_n = x*
 - Gumbel (xi = 0):            a_n = h(U(n)),     b_n = U(n),
 
-with h(u) = (1 - F(u))/f(u).  Each family's domain and constants live in
-its record in :data:`extremal_info.distributions.REGISTRY`, summarized in
-:func:`norming_constants`.  For a gev parent the family is max-stable,
+with h(u) = (1 - F(u))/f(u).  Each family's extreme-value index xi and
+constants live in its record in :data:`extremal_info.distributions.REGISTRY`,
+summarized in :func:`norming_constants`; the domain is derived from the
+sign of xi in one place, here.  For a gev parent the family is max-stable,
 so instead of the asymptotic recipe we use the exact constants
 a_n = n^xi, b_n = (n^xi - 1)/xi (a_n = 1, b_n = ln n when xi = 0), under
 which the normalized maximum is again the same gev member for every n.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import EULER_GAMMA, _check_index, _check_n_grid
+from .special import _check_index, _check_n_grid
 
 __all__ = [
     "DOMAINS",
@@ -39,7 +40,6 @@ __all__ = [
     "ConvergenceStudy",
     "mda_classify",
     "norming_constants",
-    "gumbel_targets",
     "limiting_targets",
     "limit_cdf",
     "normalized_maximum_cdf",
@@ -49,26 +49,32 @@ __all__ = [
 DOMAINS = ("frechet", "gumbel", "reversed_weibull")
 
 
+def _domain(xi: float) -> str:
+    """The domain of attraction named by the sign of a finite index xi."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be a finite real, got {xi!r}")
+    if xi == 0.0:
+        return "gumbel"
+    return "frechet" if xi > 0.0 else "reversed_weibull"
+
+
 @dataclass(frozen=True)
 class NormingConstants:
-    """Scaling a_n > 0 and centering b_n for the maximum of n draws."""
+    """Scaling a_n > 0 and centering b_n for the maximum of n draws, with
+    the parent's extreme-value index xi."""
 
     a_n: float
     b_n: float
-    domain: str
     xi: float
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ValueError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
         if not (self.a_n > 0.0 and math.isfinite(self.a_n)):
             raise ValueError(f"a_n must be a positive finite real, got {self.a_n!r}")
-        expected = "gumbel" if self.xi == 0.0 else ("frechet" if self.xi > 0.0 else "reversed_weibull")
-        if self.domain != expected:
-            raise ValueError(
-                f"domain {self.domain!r} is inconsistent with xi={self.xi} "
-                f"(expected {expected!r})"
-            )
+        _domain(self.xi)  # rejects a non-finite xi
+
+    @property
+    def domain(self) -> str:
+        return _domain(self.xi)
 
 
 @dataclass(frozen=True)
@@ -97,9 +103,15 @@ class ConvergenceStudy:
 
     records: tuple[ConvergenceRecord, ...]
     burn_in_index: int
-    extension_targets: bool
-    domain: str
     xi: float
+
+    @property
+    def domain(self) -> str:
+        return _domain(self.xi)
+
+    @property
+    def extension_targets(self) -> bool:
+        return self.domain != "gumbel"
 
 
 def mda_classify(dist) -> tuple[str, float]:
@@ -111,7 +123,8 @@ def mda_classify(dist) -> tuple[str, float]:
     with xi = -1 (for any shape nu); Pareto is Frechet with xi = 1/nu; a
     gev parent is max-stable, hence in its own domain.
     """
-    return dist_mod.REGISTRY[dist.family].mda(dist)
+    xi = dist_mod.REGISTRY[dist.family].evi(dist)
+    return (_domain(xi), xi)
 
 
 def norming_constants(dist, n: int) -> NormingConstants:
@@ -126,60 +139,42 @@ def norming_constants(dist, n: int) -> NormingConstants:
     """
     n = _check_index(n, "norming_constants")
     record = dist_mod.REGISTRY[dist.family]
-    domain, xi = record.mda(dist)
     a, b = record.norming(dist, n)
-    return NormingConstants(a, b, domain, xi)
-
-
-def gumbel_targets() -> tuple[float, float]:
-    """Limiting (entropy, extropy) of Gumbel-domain normalized maxima.
-
-    The normalized maxima converge to the standard Gumbel law, whose
-    entropy is 1 + gamma and whose extropy is -Gamma(2)/2^3 = -1/8.
-    """
-    return (1.0 + EULER_GAMMA, -0.125)
+    return NormingConstants(a, b, record.evi(dist))
 
 
 def limiting_targets(xi: float) -> tuple[float, float]:
     """(entropy, extropy) of the standard gev member with shape ``xi``.
 
-    These are the n = 1 values of the max-stable family: H = 1 + gamma +
-    xi*gamma and J = -Gamma(xi + 2)/2^{xi+3} (J = -inf for xi <= -2).
+    These are the n = 1 closed forms of the max-stable family: H = 1 +
+    gamma + xi*gamma and J = -Gamma(xi + 2)/2^{xi+3} (J = -inf for
+    xi <= -2).  At xi = 0 they are the Gumbel targets (1 + gamma, -1/8).
     """
-    from . import measures
-
     member = dist_mod.gev(xi)
-    h = measures.shannon_max(member, 1).value
+    record = dist_mod.REGISTRY["gev"]
     try:
-        j = measures.extropy_max(member, 1).value
+        j = record.extropy(member, 1)
     except ValueError:
         j = -math.inf
-    return (h, j)
+    return (record.shannon(member, 1), j)
 
 
-def limit_cdf(domain: str, xi: float, x):
-    """Standard limiting CDF of the given extreme-value type.
+def limit_cdf(xi: float, x):
+    """Standard limiting CDF of the extreme-value type with index ``xi``.
 
-    Frechet: exp(-x^{-1/xi}) for x > 0; reversed Weibull:
-    exp(-(-x)^{-1/xi}) for x < 0; Gumbel: exp(-e^{-x}).
+    Frechet (xi > 0): exp(-x^{-1/xi}) for x > 0; reversed Weibull
+    (xi < 0): exp(-(-x)^{-1/xi}) for x < 0; Gumbel (xi = 0): exp(-e^{-x}).
     """
-    if domain not in DOMAINS:
-        raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
+    domain = _domain(xi)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     if domain == "gumbel":
-        if xi != 0.0:
-            raise ValueError(f"the gumbel type requires xi = 0, got {xi}")
         with np.errstate(over="ignore"):
             out = np.exp(-np.exp(-arr))
     elif domain == "frechet":
-        if not xi > 0.0:
-            raise ValueError(f"the frechet type requires xi > 0, got {xi}")
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(arr > 0.0, np.exp(-np.maximum(arr, 0.0) ** (-1.0 / xi)), 0.0)
     else:
-        if not xi < 0.0:
-            raise ValueError(f"the reversed-weibull type requires xi < 0, got {xi}")
         with np.errstate(over="ignore"):
             out = np.where(arr < 0.0, np.exp(-np.maximum(-arr, 0.0) ** (-1.0 / xi)), 1.0)
     return float(out) if scalar else out
@@ -207,9 +202,9 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """
     grid = _check_n_grid(n_grid, "convergence_study")
 
-    domain, xi = mda_classify(dist)
-    h_target, j_target = limiting_targets(xi)
     record = dist_mod.REGISTRY[dist.family]
+    xi = record.evi(dist)
+    h_target, j_target = limiting_targets(xi)
 
     records = []
     for n in grid:
@@ -240,7 +235,5 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
     return ConvergenceStudy(
         records=tuple(records),
         burn_in_index=i,
-        extension_targets=domain != "gumbel",
-        domain=domain,
         xi=xi,
     )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import distributions as dist_mod
+from . import evt
 from . import numerics
 from .distributions import INDETERMINATE, Indeterminate
 from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES
@@ -265,8 +266,6 @@ def shannon_normalized(
     overrides the catalog's norming constants (only its ``a_n`` matters).
     """
     if norming is None:
-        from . import evt
-
         norming = evt.norming_constants(dist, n)
     base = shannon_max(dist, n, method, quad_tol=quad_tol, samples=samples, seed=seed)
     return MeasureValue(base.value - math.log(norming.a_n), base.method, base.error_estimate)
@@ -287,8 +286,6 @@ def extropy_normalized(
     Equal to a_n * J(X_(n)); the centering b_n never enters.
     """
     if norming is None:
-        from . import evt
-
         norming = evt.norming_constants(dist, n)
     base = extropy_max(dist, n, method, quad_tol=quad_tol, samples=samples, seed=seed)
     return MeasureValue(

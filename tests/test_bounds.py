@@ -87,6 +87,20 @@ class TestExtropyBounds:
         assert report.gate_note == ""
         assert report.lower_holds
 
+    def test_divergent_extropy_orders_as_minus_inf(self):
+        # 2 n nu <= 1: the integral of f^2 diverges at the lower endpoint
+        report = bounds.extropy_bounds(d.power_function(1.0, 0.3), 1)
+        assert report.value == -math.inf
+        assert report.lower_holds is False
+        assert report.upper_holds is True
+        assert report.applicable is False
+
+    def test_heavy_tail_carries_the_log_concavity_note(self):
+        report = bounds.extropy_bounds(d.pareto(1.0, 2.0), 3)
+        assert report.gate_note == (
+            "envelopes require a log-concave density; pareto(theta=1, nu=2) is not"
+        )
+
     def test_lower_bound_formula(self):
         member = d.logistic(2.0)
         for n in (1, 3, 10):

@@ -391,6 +391,9 @@ class TestExitCodes:
             ("converge", "--dist", EXP1, "--n-grid", ""),
             ("converge", "--dist", EXP1, "--n-grid", "50,10"),
             ("converge", "--dist", EXP1, "--n-grid", "0,10"),
+            ("converge", "--dist", EXP1, "--n-grid", "1:x:2"),
+            ("converge", "--dist", EXP1, "--n-grid", "1:10"),
+            ("converge", "--dist", EXP1, "--n-grid", "1:10:0"),
             ("measure", "--dist", EXP1, "--n", "2", "--samples", "50"),
             ("measure", "--dist", EXP1, "--n", "2", "--method", "mc", "--seed", "-1"),
             ("verify", "--seed", "-1"),
@@ -400,6 +403,13 @@ class TestExitCodes:
         code, _, err = run_cli(*argv)
         assert code == 1
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("grid", ["1:x:2", "1:10", "1:10:0"])
+    def test_malformed_n_grid_names_the_accepted_forms(self, grid):
+        _, _, err = run_cli("converge", "--dist", EXP1, "--n-grid", grid)
+        assert err.startswith(
+            "usage error: --n-grid: expected a:b:step or a comma list of integers"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,18 +1,23 @@
-"""The export lists name exactly what the package and its modules provide.
+"""The export lists name exactly what the package and its modules provide,
+and the modules import each other without a cycle.
 
 A deleted function must leave every ``__all__`` that named it, and a name
 the package offers must be in the package's ``__all__``.
 """
 
+import ast
+import graphlib
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
 import extremal_info
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(extremal_info.__path__))
+SOURCES = sorted(Path(extremal_info.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,3 +40,52 @@ def test_package_public_attributes_are_its_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(extremal_info.__all__)
+
+
+def _package_modules(node) -> list[str]:
+    """Package modules an import statement loads; a name that is not a
+    module comes from the package itself, ``__init__``."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = ".".join(filter(None, ["extremal_info" if node.level else "", node.module]))
+        if module == "extremal_info":
+            return [a.name if a.name in MODULES else "__init__" for a in node.names]
+        names = [module]
+    else:
+        return []
+    return [name.split(".")[1] for name in names if name.startswith("extremal_info.")]
+
+
+def _import_graph():
+    """(module -> modules it imports at load time, {(module, function, target)}
+    for imports made inside a function)."""
+    graph, local = {}, set()
+    for path in SOURCES:
+        graph[path.stem] = set()
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name if function is None else f"{function}.{child.name}")
+                    continue
+                for target in _package_modules(child):
+                    if function is None:
+                        graph[path.stem].add(target)
+                    else:
+                        local.add((path.stem, function, target))
+                visit(child, function)
+
+        visit(ast.parse(path.read_text()), None)
+    return graph, local
+
+
+def test_module_level_imports_form_a_dag():
+    graph, _ = _import_graph()
+    assert set(MODULES) <= set(graph)
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_the_only_function_local_import_is_verify_in_the_cli():
+    _, local = _import_graph()
+    assert local == {("cli", "cmd_verify", "verify")}

@@ -223,6 +223,8 @@ class TestLogPowerIntegral:
     def test_missing_or_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             special.log_power_integral("power_log")
+        with pytest.raises(ValueError, match="power_logpow requires nu and mu"):
+            special.log_power_integral("power_logpow")
         with pytest.raises(ValueError):
             special.log_power_integral("power_logpow", nu=-1.0, mu=2.0)
         with pytest.raises(ValueError):
