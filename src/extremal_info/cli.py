@@ -84,8 +84,8 @@ def _json_value(x):
 
 
 def _csv_value(x) -> str:
-    # A finite float, the common cell, skips the extended-real mapping.
-    if isinstance(x, float) and math.isfinite(x):
+    # "%.15g" already prints inf, -inf and nan as _json_value names them.
+    if isinstance(x, float):
         return "%.15g" % x
     x = _json_value(x)
     if x is None:
@@ -171,6 +171,8 @@ def _seed_or_env(seed: int | None) -> int:
 # fields and reads each row with one attrgetter.
 _BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport))
 _CONVERGE_FIELDS = tuple(f.name for f in dataclasses.fields(evt.ConvergenceRecord))
+# A ConvergenceRecord's CSV row in one format: _emit's bytes, as no cell needs quoting.
+_CONVERGE_ROW = "%d" + ",%.15g" * (len(_CONVERGE_FIELDS) - 1) + "\n"
 # The closed/quad/gap columns are the keys of measures.crosscheck.
 _TABLES_HEADER = (
     "family", "params", "n", "h_closed", "h_quad", "h_gap", "h_ub",
@@ -247,7 +249,11 @@ def cmd_figure1(args, out) -> int:
 def cmd_converge(args, out) -> int:
     study = evt.convergence_study(dist_mod.from_dict(args.dist), args.n_grid)
     rows = map(operator.attrgetter(*_CONVERGE_FIELDS), study.records)
-    _emit(_CONVERGE_FIELDS, rows, args.format, out)
+    if args.format == "csv":
+        out.write(",".join(_CONVERGE_FIELDS) + "\n")
+        out.writelines(map(_CONVERGE_ROW.__mod__, rows))
+    else:
+        _emit(_CONVERGE_FIELDS, rows, args.format, out)
     return EXIT_OK
 
 

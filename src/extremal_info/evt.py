@@ -34,7 +34,6 @@ from . import distributions as dist_mod
 from .special import _check_index, _check_n_grid
 
 __all__ = [
-    "DOMAINS",
     "NormingConstants",
     "ConvergenceRecord",
     "ConvergenceStudy",
@@ -46,8 +45,6 @@ __all__ = [
     "convergence_study",
 ]
 
-DOMAINS = ("frechet", "gumbel", "reversed_weibull")
-
 
 def _domain(xi: float) -> str:
     """The domain of attraction named by the sign of a finite index xi."""
@@ -56,6 +53,13 @@ def _domain(xi: float) -> str:
     if xi == 0.0:
         return "gumbel"
     return "frechet" if xi > 0.0 else "reversed_weibull"
+
+
+def _check_scale(a_n: float) -> float:
+    """The norming scale a_n, which must be a positive finite real."""
+    if not (a_n > 0.0 and math.isfinite(a_n)):
+        raise ValueError(f"a_n must be a positive finite real, got {a_n!r}")
+    return a_n
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,7 @@ class NormingConstants:
     xi: float
 
     def __post_init__(self):
-        if not (self.a_n > 0.0 and math.isfinite(self.a_n)):
-            raise ValueError(f"a_n must be a positive finite real, got {self.a_n!r}")
+        _check_scale(self.a_n)
         _domain(self.xi)  # rejects a non-finite xi
 
     @property
@@ -77,7 +80,7 @@ class NormingConstants:
         return _domain(self.xi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceRecord:
     """Normalized measures at one n, with absolute gaps to the targets."""
 
@@ -194,8 +197,8 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
 
     The targets are :func:`limiting_targets` of the classified shape:
     (1 + gamma, -1/8) in the Gumbel case, and outside it an extension,
-    flagged on the study.  Each n costs one read of the family record's
-    closed forms and one :func:`norming_constants` check, with the
+    flagged on the study.  The grid and xi are checked once; each n reads
+    the family record's norming and closed forms and checks a_n, with the
     transformation law of the module docstring applied to them directly.
     Gaps are absolute deviations; the reported burn-in index is where both
     gap sequences become non-increasing through the end of the grid.
@@ -204,11 +207,12 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
 
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
+    _domain(xi)
     h_target, j_target = limiting_targets(xi)
 
     records = []
     for n in grid:
-        a_n = norming_constants(dist, n).a_n
+        a_n = _check_scale(record.norming(dist, n)[0])
         h = record.shannon(dist, n) - math.log(a_n)
         j = a_n * record.extropy(dist, n)
         records.append(

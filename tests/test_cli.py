@@ -57,6 +57,8 @@ def parse_csv(text):
         (-math.inf, "-inf"),
         (math.nan, "nan"),
         (np.float64(0.1), "0.1"),
+        (np.float64("nan"), "nan"),
+        (np.float64("-inf"), "-inf"),
         (distributions.INDETERMINATE, "indeterminate"),
         (True, "true"),
         (7, "7"),
@@ -66,8 +68,7 @@ def parse_csv(text):
     ids=repr,
 )
 def test_csv_cell(value, cell):
-    # finite floats take the short path; every cell prints as the
-    # extended-real rule of _json_value says
+    # every cell prints as the extended-real rule of _json_value says
     assert cli._csv_value(value) == cell
 
 
@@ -287,6 +288,22 @@ class TestConverge:
         study = evt.convergence_study(distributions.exponential(1.0), [2, 5])
         assert rows == [dataclasses.asdict(record) for record in study.records]
         assert list(rows[0]) == [f.name for f in dataclasses.fields(evt.ConvergenceRecord)]
+
+    def test_rows_render_as_emit_does(self, monkeypatch):
+        # the converge row format must give the bytes of _emit's CSV rule
+        floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, np.float64(0.1)]
+        records = tuple(
+            evt.ConvergenceRecord(n, *(floats[(i + k) % len(floats)] for k in range(6)))
+            for n in (1, 2**31, 2**53)
+            for i in range(len(floats))
+        )
+        study = evt.ConvergenceStudy(records, 0, 0.0)
+        monkeypatch.setattr(evt, "convergence_study", lambda dist, n_grid: study)
+        code, out, _ = run_cli("converge", "--dist", EXP1, "--n-grid", "2")
+        assert code == 0
+        want = io.StringIO()
+        cli._emit(cli._CONVERGE_FIELDS, map(dataclasses.astuple, records), "csv", want)
+        assert out == want.getvalue()
 
     def test_range_grid_syntax(self):
         code, out, _ = run_cli(

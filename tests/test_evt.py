@@ -343,6 +343,12 @@ class TestConvergenceStudy:
         study = evt.convergence_study(d.pareto(1.0, nu), self.GRID)
         assert study.records[-1].h_gap == pytest.approx(math.log(nu), abs=1e-4)
 
+    def test_records_are_slotted_and_frozen(self):
+        record = evt.convergence_study(d.exponential(1.0), (10,)).records[0]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.h_gap = 0.0
+
     def test_record_fields_consistent(self):
         study = evt.convergence_study(d.exponential(2.0), (10, 100))
         for record in study.records:
@@ -395,6 +401,36 @@ class TestConvergenceStudy:
         assert len(study.records) == 5000
         assert calls["shannon_max"] <= 1
         assert calls["extropy_max"] <= 1
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_a_bad_scale_raises_as_norming_constants_does(self, monkeypatch, bad):
+        # the study checks each a_n by the rule NormingConstants applies
+        record = d.REGISTRY["exponential"]
+        monkeypatch.setitem(
+            d.REGISTRY,
+            "exponential",
+            dataclasses.replace(
+                record, norming=lambda dist, n: (bad, 0.0) if n == 3 else record.norming(dist, n)
+            ),
+        )
+        with pytest.raises(ValueError) as want:
+            evt.NormingConstants(bad, 0.0, 0.0)
+        with pytest.raises(ValueError) as got:
+            evt.convergence_study(d.exponential(1.0), (2, 3, 4))
+        assert str(got.value) == str(want.value)
+
+    def test_builds_no_norming_constants(self, monkeypatch):
+        built = []
+        check = evt.NormingConstants.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(evt.NormingConstants, "__post_init__", counting)
+        study = evt.convergence_study(d.exponential(1.0), range(1, 5001))
+        assert len(study.records) == 5000
+        assert built == []
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
