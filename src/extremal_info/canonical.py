@@ -2,20 +2,16 @@
 
 This file is the single versioned source of the parameter sets every
 table, figure and cross-check sweeps over; tests import these constants
-rather than re-declaring their own grids.
+rather than re-declaring their own grids.  It names no family: members
+are built for every record of the family registry from the grid of each
+field the record takes.
 """
 
 from __future__ import annotations
 
-from .distributions import (
-    DistributionSpec,
-    exponential,
-    gev,
-    logistic,
-    pareto,
-    power_function,
-    uniform,
-)
+from itertools import product
+
+from .distributions import REGISTRY, DistributionSpec
 
 __all__ = [
     "CANONICAL_THETAS",
@@ -32,34 +28,26 @@ CANONICAL_XIS = (-0.5, 0.0, 0.5)
 
 TABLE_N = (1, 2, 5, 10, 50)
 
+_GRIDS = {"theta": CANONICAL_THETAS, "nu": CANONICAL_NUS, "xi": CANONICAL_XIS}
+_REPRESENTATIVE = {"theta": 1.0, "nu": 2.0, "xi": 0.5}
+
 
 def catalog_members() -> tuple[DistributionSpec, ...]:
-    """Every canonical catalog member, in deterministic family-major order."""
-    members: list[DistributionSpec] = []
-    for th in CANONICAL_THETAS:
-        members.append(uniform(th))
-    for th in CANONICAL_THETAS:
-        members.append(exponential(th))
-    for th in CANONICAL_THETAS:
-        members.append(logistic(th))
-    for th in CANONICAL_THETAS:
-        for nu in CANONICAL_NUS:
-            members.append(pareto(th, nu))
-    for th in CANONICAL_THETAS:
-        for nu in CANONICAL_NUS:
-            members.append(power_function(th, nu))
-    for xi in CANONICAL_XIS:
-        members.append(gev(xi))
-    return tuple(members)
+    """Every canonical catalog member, in deterministic family-major order.
+
+    Families come in registry order, each over the product of its fields'
+    grids with the last field varying fastest.
+    """
+    return tuple(
+        DistributionSpec(family, **dict(zip(record.fields, values)))
+        for family, record in REGISTRY.items()
+        for values in product(*(_GRIDS[name] for name in record.fields))
+    )
 
 
 def mc_representatives() -> tuple[DistributionSpec, ...]:
     """One member per family for the Monte Carlo agreement checks."""
-    return (
-        uniform(1.0),
-        exponential(1.0),
-        logistic(1.0),
-        pareto(1.0, 2.0),
-        power_function(1.0, 2.0),
-        gev(0.5),
+    return tuple(
+        DistributionSpec(family, **{name: _REPRESENTATIVE[name] for name in record.fields})
+        for family, record in REGISTRY.items()
     )

@@ -18,7 +18,8 @@ Reports are CSV (default) or JSON on stdout.  Numbers are printed with 15
 significant digits; extended reals use the literals ``inf``, ``-inf`` and
 ``indeterminate``.  Identical invocations (including ``--seed``) produce
 byte-identical output.  Exit codes: 0 success, 1 usage error, 2 domain
-error, 3 verification failure.
+error (a rejected value, an arithmetic overflow or a failed quadrature),
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def main(argv=None, out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, ArithmeticError, QuadratureError) as exc:
         err.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -25,10 +25,12 @@ constructor rejects unknown fields outright.
 Every per-family fact lives in one record of :data:`REGISTRY`: the
 family's fields, its distribution functions, the closed-form entropy and
 extropy of the sample maximum with their n -> infinity limits, and its
-extreme-value index with norming constants (:mod:`~extremal_info.evt`
-derives the domain of attraction from the index).  The public functions
-here, in :mod:`~extremal_info.measures` and in :mod:`~extremal_info.evt`
-look the record up by family name.
+extreme-value index with norming constants.  Facts that follow from these
+are derived, not restated: the support is the quantile at t = 0 and 1,
+:mod:`~extremal_info.evt` names the domain of attraction from the index,
+and :mod:`~extremal_info.canonical` builds its grids from each record's
+fields.  The public functions here, in :mod:`~extremal_info.measures` and
+in :mod:`~extremal_info.evt` look the record up by family name.
 """
 
 from __future__ import annotations
@@ -108,23 +110,23 @@ class Family:
     ``fields`` names the spec fields the family takes, in label order.
     Every other member is a function of a validated spec ``d``:
 
-    - ``support(d)``: open interval carrying the mass;
     - ``log_pdf(d, x)``, ``cdf(d, x)``, ``quantile(d, t)`` and
       ``density_quantile(d, t)``: the public functions hand the record a
       Python float for a scalar call and a float ndarray otherwise, after
       checking that t lies in (0, 1), so a record function must accept
       both; it may return a float, a numpy scalar or an array;
+    - ``quantile`` must also accept t = 0 and t = 1, where it gives the
+      ends of the support (:attr:`DistributionSpec.support`);
     - ``sup_density(d)`` and ``is_log_concave(d)``;
     - ``shannon(d, n)`` and ``extropy(d, n)``: closed-form H and J of the
-      maximum of n draws; ``shannon_limit(d)`` and ``extropy_limit(d)``:
-      their n -> infinity limits as extended reals;
+      maximum of n draws; ``limits(d)``: their n -> infinity limits
+      (H, J) as extended reals;
     - ``evi(d)``: extreme-value index xi, whose sign fixes the domain of
       attraction;
     - ``norming(d, n)``: norming constants (a_n, b_n).
     """
 
     fields: tuple[str, ...]
-    support: Callable
     log_pdf: Callable
     cdf: Callable
     quantile: Callable
@@ -133,8 +135,7 @@ class Family:
     is_log_concave: Callable
     shannon: Callable
     extropy: Callable
-    shannon_limit: Callable
-    extropy_limit: Callable
+    limits: Callable
     evi: Callable
     norming: Callable
 
@@ -143,6 +144,11 @@ def _logistic_cdf(d, x):
     z = d.theta * x
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _exponential_limits(d):
+    # (H, J) limits of the exponential and the logistic family, both of rate theta
+    return (1.0 - math.log(d.theta) + EULER_GAMMA, -d.theta / 8.0)
 
 
 def _logistic_norming(d, n):
@@ -230,19 +236,18 @@ def _power_extropy(d, n):
     return -(n * n * nu * nu * d.theta) / (2.0 * (2.0 * n * nu - 1.0))
 
 
+def _power_norming(d, n):
+    # a_n = (1 - (1 - 1/n)^{1/nu})/theta; at n = 1 it is 1/theta and log1p(-1) fails
+    a_n = 1.0 if n == 1 else -math.expm1(math.log1p(-1.0 / n) / d.nu)
+    return (a_n / d.theta, 1.0 / d.theta)
+
+
 def _gev_xi(d) -> float:
     """The effective gev shape: 0.0 inside the Gumbel window |xi| < 1e-8.
 
     Every gev fact reads the shape through this function, once per call.
     """
     return 0.0 if abs(d.xi) < GUMBEL_XI_EPS else d.xi
-
-
-def _gev_support(d):
-    xi = _gev_xi(d)
-    if xi == 0.0:
-        return (-math.inf, math.inf)
-    return (-1.0 / xi, math.inf) if xi > 0.0 else (-math.inf, -1.0 / xi)
 
 
 def _gev_log_pdf(d, x):
@@ -327,7 +332,6 @@ def _gev_norming(d, n):
 REGISTRY: dict[str, Family] = {
     "uniform": Family(
         fields=("theta",),
-        support=lambda d: (0.0, d.theta),
         log_pdf=lambda d, x: np.where((x >= 0.0) & (x <= d.theta), -math.log(d.theta), -np.inf),
         cdf=lambda d, x: np.clip(x / d.theta, 0.0, 1.0),
         quantile=lambda d, t: d.theta * t,
@@ -337,15 +341,13 @@ REGISTRY: dict[str, Family] = {
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - math.log(n) - 1.0 / n + math.log(d.theta),
         extropy=lambda d, n: -(n * n) / (2.0 * (2.0 * n - 1.0) * d.theta),
-        shannon_limit=lambda d: -math.inf,
-        extropy_limit=lambda d: -math.inf,
+        limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint
         evi=lambda d: -1.0,
         norming=lambda d, n: (d.theta / n, d.theta),
     ),
     "exponential": Family(
         fields=("theta",),
-        support=lambda d: (0.0, math.inf),
         log_pdf=lambda d, x: np.where(x >= 0.0, math.log(d.theta) - d.theta * x, -np.inf),
         cdf=lambda d, x: np.where(x > 0.0, -np.expm1(-d.theta * x), 0.0),
         quantile=lambda d, t: -np.log1p(-t) / d.theta,
@@ -356,14 +358,12 @@ REGISTRY: dict[str, Family] = {
             1.0 - math.log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
         ),
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n - 1.0)),
-        shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
-        extropy_limit=lambda d: -d.theta / 8.0,
+        limits=_exponential_limits,
         evi=lambda d: 0.0,
         norming=lambda d, n: (1.0 / d.theta, math.log(n) / d.theta),
     ),
     "logistic": Family(
         fields=("theta",),
-        support=lambda d: (-math.inf, math.inf),
         log_pdf=lambda d, x: (
             math.log(d.theta) - d.theta * x - 2.0 * np.logaddexp(0.0, -d.theta * x)
         ),
@@ -374,14 +374,12 @@ REGISTRY: dict[str, Family] = {
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.theta) + special.harmonic(n),
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n + 1.0)),
-        shannon_limit=lambda d: 1.0 - math.log(d.theta) + EULER_GAMMA,
-        extropy_limit=lambda d: -d.theta / 8.0,
+        limits=_exponential_limits,
         evi=lambda d: 0.0,
         norming=_logistic_norming,
     ),
     "pareto": Family(
         fields=("theta", "nu"),
-        support=lambda d: (d.theta, math.inf),
         log_pdf=_pareto_log_pdf,
         cdf=_pareto_cdf,
         quantile=lambda d, t: d.theta * np.exp(-np.log1p(-t) / d.nu),
@@ -393,15 +391,13 @@ REGISTRY: dict[str, Family] = {
             -(d.nu * n * n / (2.0 * d.theta))
             * special.beta_function(2 * n - 1, (2.0 * d.nu + 1.0) / d.nu)
         ),
-        shannon_limit=lambda d: math.inf,
-        # the defining product is of the form 0 x (-inf)
-        extropy_limit=lambda d: INDETERMINATE,
+        # the defining product of the J limit is of the form 0 x (-inf)
+        limits=lambda d: (math.inf, INDETERMINATE),
         evi=lambda d: 1.0 / d.nu,
         norming=lambda d, n: (d.theta * float(n) ** (1.0 / d.nu), 0.0),
     ),
     "power_function": Family(
         fields=("theta", "nu"),
-        support=lambda d: (0.0, 1.0 / d.theta),
         log_pdf=_power_log_pdf,
         cdf=lambda d, x: np.clip(
             np.where(x > 0.0, (d.theta * np.clip(x, 0.0, 1.0 / d.theta)) ** d.nu, 0.0), 0.0, 1.0
@@ -412,15 +408,13 @@ REGISTRY: dict[str, Family] = {
         is_log_concave=lambda d: d.nu >= 1.0,
         shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n),
         extropy=_power_extropy,
-        shannon_limit=lambda d: -math.inf,
-        extropy_limit=lambda d: -math.inf,
+        limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint, for any nu
         evi=lambda d: -1.0,
-        norming=lambda d, n: (-math.expm1(math.log1p(-1.0 / n) / d.nu) / d.theta, 1.0 / d.theta),
+        norming=_power_norming,
     ),
     "gev": Family(
         fields=("xi",),
-        support=_gev_support,
         log_pdf=_gev_log_pdf,
         cdf=_gev_cdf,
         quantile=_gev_quantile,
@@ -429,8 +423,7 @@ REGISTRY: dict[str, Family] = {
         is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
         shannon=_gev_shannon,
         extropy=_gev_extropy,
-        shannon_limit=lambda d: _gev_limits(d)[0],
-        extropy_limit=lambda d: _gev_limits(d)[1],
+        limits=_gev_limits,
         # max-stable, hence in its own domain
         evi=_gev_xi,
         norming=_gev_norming,
@@ -485,8 +478,10 @@ class DistributionSpec:
 
     @property
     def support(self) -> tuple[float, float]:
-        """Open interval carrying the distribution's mass."""
-        return REGISTRY[self.family].support(self)
+        """Open interval carrying the distribution's mass: (Q(0), Q(1))."""
+        q = REGISTRY[self.family].quantile
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return (float(q(self, 0.0)), float(q(self, 1.0)))
 
     def label(self) -> str:
         """Short human-readable tag, e.g. 'pareto(theta=1, nu=2)'."""

@@ -237,7 +237,7 @@ def extropy_max(
 
 def shannon_limit(dist) -> float:
     """Limit of H(X_(n)) as n -> infinity, as an extended real."""
-    return dist_mod.REGISTRY[dist.family].shannon_limit(dist)
+    return dist_mod.REGISTRY[dist.family].limits(dist)[0]
 
 
 def extropy_limit(dist):
@@ -247,7 +247,7 @@ def extropy_limit(dist):
     and the limit is reported as :data:`INDETERMINATE`; the closed-form
     sequence itself increases to 0 from below.
     """
-    return dist_mod.REGISTRY[dist.family].extropy_limit(dist)
+    return dist_mod.REGISTRY[dist.family].limits(dist)[1]
 
 
 def shannon_normalized(

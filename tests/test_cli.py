@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extremal_info import bounds, canonical, cli, distributions, evt, numerics, special, verify
+from extremal_info import (
+    bounds, canonical, cli, distributions, evt, measures, numerics, special, verify,
+)
 
 EXP1 = '{"family":"exponential","theta":1}'
 
@@ -305,6 +307,19 @@ class TestConverge:
         cli._emit(cli._CONVERGE_FIELDS, map(dataclasses.astuple, records), "csv", want)
         assert out == want.getvalue()
 
+    def test_power_function_from_n1(self):
+        # a_1 = 1/theta, so h at n = 1 is H(X) + ln theta
+        code, out, err = run_cli(
+            "converge", "--dist", '{"family":"power_function","theta":2,"nu":0.5}',
+            "--n-grid", "1,2,10",
+        )
+        assert (code, err) == (0, "")
+        _, body = parse_csv(out)
+        assert [int(r[0]) for r in body] == [1, 2, 10]
+        member = distributions.power_function(2.0, 0.5)
+        h1 = measures.shannon_max(member, 1).value + math.log(2.0)
+        assert body[0][1] == "%.15g" % h1
+
     def test_range_grid_syntax(self):
         code, out, _ = run_cli(
             "converge", "--dist", EXP1, "--n-grid", "10:50:10"
@@ -500,6 +515,45 @@ class TestExitCodes:
         code, _, err = run_cli(*argv)
         assert code == 1
         assert err.startswith(f"usage error: {flag}: ") and err.count(flag) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"family":"gev","xi":170}',  # Gamma(xi + 2) in the extropy overflows
+            '{"family":"gev","xi":1e308}',
+            '{"family":"pareto","theta":1,"nu":0.01}',  # n^(1/nu) overflows from n = 1210
+            '{"family":"pareto","theta":1e-300,"nu":1e-300}',
+            '{"family":"exponential","theta":1e-320}',
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("measure", "--method", "closed", "--n", "1"),
+            ("measure", "--method", "closed", "--n", "5000"),
+            ("bounds", "--n", "1"),
+            ("converge", "--n-grid", "2:5000:1"),
+        ],
+        ids=lambda c: " ".join(c),
+    )
+    def test_an_overflow_is_a_domain_error(self, spec, command):
+        code, out, err = run_cli(*command, "--dist", spec)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("domain error: ") and err.count("\n") == 1
+        else:
+            assert out and err == ""
+
+    @pytest.mark.parametrize(
+        "spec, command",
+        [
+            ('{"family":"gev","xi":170}', ("measure", "--n", "1")),
+            ('{"family":"pareto","theta":1,"nu":0.01}', ("converge", "--n-grid", "1209,1210")),
+        ],
+    )
+    def test_an_overflow_exits_2(self, spec, command):
+        assert run_cli(*command, "--dist", spec)[:2] == (2, "")
 
     def test_monte_carlo_non_finite_summand_is_a_domain_error(self):
         # pareto nu = 0.01: the profile I(t) underflows to 0 near t = 1

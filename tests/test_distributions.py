@@ -6,6 +6,7 @@ normalization, and against scipy.stats where a matching parametrization
 exists.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -97,6 +98,79 @@ class TestSupport:
         assert lo == -2.0 and hi == math.inf
         lo, hi = d.gev(-0.5).support
         assert lo == -math.inf and hi == 2.0
+
+    def test_equals_the_stated_interval_bit_for_bit(self):
+        # the support is read off each record's quantile at t = 0 and 1; the
+        # reference states it per family, sign of zero included
+        def stated(m):
+            if m.family == "gev":
+                xi = 0.0 if abs(m.xi) < d.GUMBEL_XI_EPS else m.xi
+                if xi == 0.0:
+                    return (-math.inf, math.inf)
+                return (-1.0 / xi, math.inf) if xi > 0.0 else (-math.inf, -1.0 / xi)
+            return {
+                "uniform": (0.0, m.theta),
+                "exponential": (0.0, math.inf),
+                "logistic": (-math.inf, math.inf),
+                "pareto": (m.theta, math.inf),
+                "power_function": (0.0, 1.0 / m.theta),
+            }[m.family]
+
+        thetas = (5e-324, 1e-300, 1e-100, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e100, 1e300, 1.7e308)
+        nus = (1e-3, 0.3, 1.0, 2.5, 1e3)
+        xis = (5e-324, 1e-9, 1e-8, 0.1, 1.9, 2.0, 2.5, 40.0, 1e9, 1e300)
+        sweep = (
+            list(ALL_MEMBERS)
+            + [d.DistributionSpec(f, theta=th) for f in ("uniform", "exponential", "logistic")
+               for th in thetas]
+            + [d.DistributionSpec(f, theta=th, nu=nu) for f in ("pareto", "power_function")
+               for th in thetas for nu in nus]
+            + [d.gev(s * xi) for xi in xis for s in (1.0, -1.0)]
+            + [d.gev(0.0), d.gev(-0.0)]
+        )
+        assert len(sweep) == 195
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in sweep:
+                got = m.support
+                assert all(type(x) is float for x in got), m
+                assert [x.hex() for x in got] == [x.hex() for x in stated(m)], m
+
+
+def test_records_state_no_support_and_one_pair_of_limits():
+    names = {f.name for f in dataclasses.fields(d.Family)}
+    assert "limits" in names
+    assert not names & {"support", "shannon_limit", "extropy_limit"}
+
+
+class TestCanonicalFromRegistry:
+    # the catalog and the representatives as they were listed by hand
+    def test_catalog_members(self):
+        thetas, nus, xis = (0.5, 1.0, 2.0), (1.0, 2.0, 3.0), (-0.5, 0.0, 0.5)
+        listed = (
+            [d.uniform(th) for th in thetas]
+            + [d.exponential(th) for th in thetas]
+            + [d.logistic(th) for th in thetas]
+            + [d.pareto(th, nu) for th in thetas for nu in nus]
+            + [d.power_function(th, nu) for th in thetas for nu in nus]
+            + [d.gev(xi) for xi in xis]
+        )
+        assert canonical.catalog_members() == tuple(listed)
+        assert len(listed) == 30
+
+    def test_mc_representatives(self):
+        assert canonical.mc_representatives() == (
+            d.uniform(1.0),
+            d.exponential(1.0),
+            d.logistic(1.0),
+            d.pareto(1.0, 2.0),
+            d.power_function(1.0, 2.0),
+            d.gev(0.5),
+        )
+
+    def test_names_no_family(self):
+        source = open(canonical.__file__, encoding="utf-8").read()
+        assert not [f for f in d.FAMILIES if f in source]
 
 
 class TestSerialization:

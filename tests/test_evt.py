@@ -93,6 +93,23 @@ class TestNormingConstants:
         assert nc.a_n == pytest.approx(1.0 - math.sqrt(0.75), rel=1e-13)
         assert nc.b_n == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 2.0])
+    def test_power_function_at_n1(self, theta, nu):
+        # a_1 = (1 - 0^(1/nu))/theta: the maximum of one draw needs no norming
+        # beyond the scale of the support
+        nc = evt.norming_constants(d.power_function(theta, nu), 1)
+        assert (nc.a_n, nc.b_n, nc.xi) == (1.0 / theta, 1.0 / theta, -1.0)
+        if nu == 1.0:
+            assert nc == evt.norming_constants(d.uniform(1.0 / theta), 1)
+
+    def test_power_function_beyond_n1_keeps_its_recipe_bit_for_bit(self):
+        for theta, nu in ((0.5, 0.3), (1.0, 1.0), (2.0, 3.0)):
+            member = d.power_function(theta, nu)
+            for n in (2, 3, 10, 5000, 10**9):
+                a = -math.expm1(math.log1p(-1.0 / n) / nu) / theta
+                assert evt.norming_constants(member, n).a_n == a
+
     def test_logistic_matches_analytic_ratio(self):
         # the 1 - 1/n quantile recipe reduces to a_n = n / ((n-1) theta)
         theta = 2.0

@@ -518,6 +518,34 @@ class TestLimits:
         # decay rate is n^(-1/nu)
         assert abs(value) == pytest.approx(sps.gamma(2.5) / (2.0**2.5 * 10**3.5), rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "member",
+        canonical.catalog_members() + tuple(d.gev(xi) for xi in (1e-9, -1e-9, -1.9, 3.0)),
+        ids=lambda m: m.label(),
+    )
+    def test_equal_the_stated_limits_bit_for_bit(self, member):
+        # each record states one (H, J) pair; the reference states each
+        # measure's limit per family, sign of zero included
+        theta = member.theta
+        if member.family in ("exponential", "logistic"):
+            want = (1.0 - math.log(theta) + GAMMA, -theta / 8.0)
+        elif member.family in ("uniform", "power_function"):
+            want = (-math.inf, -math.inf)
+        elif member.family == "pareto":
+            want = (math.inf, None)
+        else:
+            xi = 0.0 if abs(member.xi) < d.GUMBEL_XI_EPS else member.xi
+            if xi == 0.0:
+                want = (1.0 + GAMMA, -0.125)
+            else:
+                want = (math.inf, -0.0) if xi > 0.0 else (-math.inf, -math.inf)
+        h, j = measures.shannon_limit(member), measures.extropy_limit(member)
+        assert h.hex() == want[0].hex()
+        if member.family == "pareto":
+            assert j is measures.INDETERMINATE
+        else:
+            assert j.hex() == want[1].hex()
+
     def test_indeterminate_is_not_spuriously_equal(self):
         assert not measures.is_indeterminate(0.0)
         assert not measures.is_indeterminate(math.nan)
