@@ -118,13 +118,20 @@ def _ext_le(a: float, b: float) -> bool:
     return a <= b + _ORDER_TOL * max(1.0, abs(a), abs(b))
 
 
+def _log_two_i_half(dist) -> float:
+    """ln[2 I(1/2)], the parent's term in both entropy ceilings."""
+    i_half = dist_mod.density_quantile(dist, 0.5)
+    if i_half == 0.0:
+        raise ValueError(f"I(1/2) of {dist.label()} underflows to 0, so ln[2 I(1/2)] is undefined")
+    return math.log(2.0 * i_half)
+
+
 def shannon_upper_envelope(dist, n: int) -> float:
     """The finite-n entropy upper envelope (valid for log-concave parents)."""
     n = _check_index(n, "shannon_upper_envelope")
-    i_half = dist_mod.density_quantile(dist, 0.5)
     return (
         1.0
-        - math.log(2.0 * i_half)
+        - _log_two_i_half(dist)
         - math.log(n)
         - 1.0 / n
         + _LN2
@@ -211,8 +218,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
 
 def shannon_limit_upper(dist) -> float:
     """Limiting entropy ceiling 1 - ln[2 I(1/2)] + gamma."""
-    i_half = dist_mod.density_quantile(dist, 0.5)
-    return 1.0 - math.log(2.0 * i_half) + EULER_GAMMA
+    return 1.0 - _log_two_i_half(dist) + EULER_GAMMA
 
 
 def extropy_limit_upper(dist) -> float:

@@ -123,7 +123,7 @@ class Family:
       (H, J) as extended reals;
     - ``evi(d)``: extreme-value index xi, whose sign fixes the domain of
       attraction;
-    - ``norming(d, n)``: norming constants (a_n, b_n).
+    - ``norming(d, n)``: norming constants (a_n, b_n) to the standard GEV(xi).
     """
 
     fields: tuple[str, ...]
@@ -200,6 +200,12 @@ def _pareto_shannon(d, n):
     )
 
 
+def _pareto_norming(d, n):
+    # b_n = U(n) = theta n^{1/nu} and a_n = xi U(n), with xi = 1/nu
+    u = d.theta * float(n) ** (1.0 / d.nu)
+    return (u / d.nu, u)
+
+
 def _power_log_pdf(d, x):
     th, nu = d.theta, d.nu
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,9 +243,10 @@ def _power_extropy(d, n):
 
 
 def _power_norming(d, n):
-    # a_n = (1 - (1 - 1/n)^{1/nu})/theta; at n = 1 it is 1/theta and log1p(-1) fails
+    # a_n = (1 - (1 - 1/n)^{1/nu})/theta = x* - U(n), b_n = U(n); at n = 1,
+    # a_n = 1/theta and log1p(-1) fails
     a_n = 1.0 if n == 1 else -math.expm1(math.log1p(-1.0 / n) / d.nu)
-    return (a_n / d.theta, 1.0 / d.theta)
+    return (a_n / d.theta, (1.0 - a_n) / d.theta)
 
 
 def _gev_xi(d) -> float:
@@ -344,7 +351,7 @@ REGISTRY: dict[str, Family] = {
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint
         evi=lambda d: -1.0,
-        norming=lambda d, n: (d.theta / n, d.theta),
+        norming=lambda d, n: (d.theta / n, d.theta - d.theta / n),
     ),
     "exponential": Family(
         fields=("theta",),
@@ -394,7 +401,7 @@ REGISTRY: dict[str, Family] = {
         # the defining product of the J limit is of the form 0 x (-inf)
         limits=lambda d: (math.inf, INDETERMINATE),
         evi=lambda d: 1.0 / d.nu,
-        norming=lambda d, n: (d.theta * float(n) ** (1.0 / d.nu), 0.0),
+        norming=_pareto_norming,
     ),
     "power_function": Family(
         fields=("theta", "nu"),

@@ -1,22 +1,23 @@
 """Extreme-value machinery for the catalog: max-domain classification,
 norming constants, limiting targets, and convergence studies.
 
-Every catalog member lies in the max-domain of attraction of one of the
-three classical types, and the normalized maxima (X_(n) - b_n)/a_n then
-converge in distribution to that type.  The constants follow the standard
-recipes built from U(t) = F^{-1}(1 - 1/t) and x* = sup{x : F(x) < 1}:
+Every catalog member lies in the max-domain of attraction of the standard
+gev law with its extreme-value index xi, and the normalized maximum
+(X_(n) - b_n)/a_n converges in distribution to that law, GEV(xi), whose
+cdf is :func:`limit_cdf`.  The constants follow one recipe built from
+U(t) = F^{-1}(1 - 1/t) and x* = sup{x : F(x) < 1}:
 
-- Frechet (xi > 0):           a_n = U(n),        b_n = 0
-- reversed Weibull (xi < 0):  a_n = x* - U(n),   b_n = x*
-- Gumbel (xi = 0):            a_n = h(U(n)),     b_n = U(n),
+    b_n = U(n),   a_n = xi U(n)           (xi > 0),
+                  a_n = |xi| (x* - U(n))  (xi < 0),
+                  a_n = h(U(n))           (xi = 0),
 
-with h(u) = (1 - F(u))/f(u).  Each family's extreme-value index xi and
-constants live in its record in :data:`extremal_info.distributions.REGISTRY`,
-summarized in :func:`norming_constants`; the domain is derived from the
-sign of xi in one place, here.  For a gev parent the family is max-stable,
-so instead of the asymptotic recipe we use the exact constants
-a_n = n^xi, b_n = (n^xi - 1)/xi (a_n = 1, b_n = ln n when xi = 0), under
-which the normalized maximum is again the same gev member for every n.
+with h(u) = (1 - F(u))/f(u).  Each family's index xi and constants live in
+its record in :data:`extremal_info.distributions.REGISTRY`, summarized in
+:func:`norming_constants`; the domain is named from the sign of xi in one
+place, here.  For a gev parent the family is max-stable, so instead of the
+asymptotic recipe we use the exact constants a_n = n^xi,
+b_n = (n^xi - 1)/xi (a_n = 1, b_n = ln n when xi = 0), under which the
+normalized maximum is again the same gev member for every n.
 
 Because entropy of the normalized maximum is -ln a_n + H(X_(n)) and
 extropy is a_n J(X_(n)), the centering b_n never enters either measure;
@@ -97,11 +98,11 @@ class ConvergenceRecord:
 class ConvergenceStudy:
     """A convergence sweep over an n-grid.
 
-    ``burn_in_index`` is the first index from which both gap sequences are
-    non-increasing through the end of the grid.  ``extension_targets``
-    flags studies whose targets lie outside the Gumbel domain: those
-    target values are the natural extension of the attainment statement
-    to the other two types, not part of it.
+    The targets are H and J of the limit law GEV(xi).  ``burn_in_index``
+    is the first index from which both gap sequences are non-increasing
+    through the end of the grid.  ``extension_targets`` flags xi != 0: the
+    paper's convergence statement is the Gumbel case, which these targets
+    extend.
     """
 
     records: tuple[ConvergenceRecord, ...]
@@ -120,11 +121,11 @@ class ConvergenceStudy:
 def mda_classify(dist) -> tuple[str, float]:
     """Max-domain of attraction of a catalog member as (domain, xi).
 
-    Exponential and logistic parents are Gumbel (xi = 0); the uniform and
-    power-function parents have a density that stays positive and finite at
-    their finite right endpoint, which forces the reversed-Weibull domain
-    with xi = -1 (for any shape nu); Pareto is Frechet with xi = 1/nu; a
-    gev parent is max-stable, hence in its own domain.
+    Every normalized maximum tends to GEV(xi); the domain names the sign
+    of xi.  Exponential and logistic parents are Gumbel (xi = 0); uniform
+    and power-function parents have a density that stays positive and
+    finite at their finite right endpoint, which forces xi = -1 (for any
+    shape nu); Pareto has xi = 1/nu; a gev parent is max-stable.
     """
     xi = dist_mod.REGISTRY[dist.family].evi(dist)
     return (_domain(xi), xi)
@@ -133,17 +134,21 @@ def mda_classify(dist) -> tuple[str, float]:
 def norming_constants(dist, n: int) -> NormingConstants:
     """Norming constants of a catalog member for the maximum of n draws.
 
-    Closed forms: Exp(theta): a = 1/theta, b = ln(n)/theta.  Uniform(0,
-    theta): a = theta/n, b = theta.  Pareto(theta, nu): a = theta n^{1/nu},
-    b = 0.  Power-function: a = (1 - (1-1/n)^{1/nu})/theta, b = 1/theta.
-    Logistic goes through the generic Gumbel recipe (and degenerates at
-    n = 1, where the 1 - 1/n quantile does not exist).  A gev parent uses
-    its exact max-stable constants a = n^xi, b = (n^xi - 1)/xi.
+    One recipe, b = U(n) and a = xi U(n), |xi| (x* - U(n)) or h(U(n)),
+    under which the normalized maximum tends to GEV(xi).  Exp(theta):
+    a = 1/theta, b = ln(n)/theta.  Uniform(0, theta): a = theta/n,
+    b = theta - a.  Pareto(theta, nu): b = theta n^{1/nu}, a = b/nu.
+    Power-function: a = (1 - (1-1/n)^{1/nu})/theta, b = 1/theta - a.
+    Logistic goes through h (undefined at n = 1, where the 1 - 1/n quantile
+    does not exist); a gev parent uses its exact max-stable constants
+    a = n^xi, b = (n^xi - 1)/xi.  xi is checked before the constants.
     """
     n = _check_index(n, "norming_constants")
     record = dist_mod.REGISTRY[dist.family]
+    xi = record.evi(dist)
+    _domain(xi)
     a, b = record.norming(dist, n)
-    return NormingConstants(a, b, record.evi(dist))
+    return NormingConstants(a, b, xi)
 
 
 def limiting_targets(xi: float) -> tuple[float, float]:
@@ -163,41 +168,25 @@ def limiting_targets(xi: float) -> tuple[float, float]:
 
 
 def limit_cdf(xi: float, x):
-    """Standard limiting CDF of the extreme-value type with index ``xi``.
-
-    Frechet (xi > 0): exp(-x^{-1/xi}) for x > 0; reversed Weibull
-    (xi < 0): exp(-(-x)^{-1/xi}) for x < 0; Gumbel (xi = 0): exp(-e^{-x}).
-    """
-    domain = _domain(xi)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if domain == "gumbel":
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-arr))
-    elif domain == "frechet":
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(arr > 0.0, np.exp(-np.maximum(arr, 0.0) ** (-1.0 / xi)), 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            out = np.where(arr < 0.0, np.exp(-np.maximum(-arr, 0.0) ** (-1.0 / xi)), 1.0)
-    return float(out) if scalar else out
+    """CDF of GEV(xi), the limit law of every normalized maximum: the gev
+    record's cdf.  :func:`~extremal_info.distributions.gev` declines a
+    non-finite xi."""
+    return dist_mod.cdf(dist_mod.gev(xi), x)
 
 
 def normalized_maximum_cdf(dist, n: int, x):
     """Exact CDF of (X_(n) - b_n)/a_n, namely F(a_n x + b_n)^n."""
     nc = norming_constants(dist, n)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    out = dist_mod.cdf(dist, nc.a_n * arr + nc.b_n) ** n
-    return float(out) if scalar else out
+    return dist_mod.cdf(dist, nc.a_n * np.asarray(x, dtype=float) + nc.b_n) ** n
 
 
 def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """Normalized measures along an n-grid against their limiting targets.
 
-    The targets are :func:`limiting_targets` of the classified shape:
-    (1 + gamma, -1/8) in the Gumbel case, and outside it an extension,
-    flagged on the study.  The grid and xi are checked once; each n reads
+    The targets are :func:`limiting_targets` of the record's xi, H and J
+    of the limit law GEV(xi), flagged as an extension outside the Gumbel
+    case.  The grid and xi are checked once (``gev(xi)`` declines a
+    non-finite xi); each n reads
     the family record's norming and closed forms and checks a_n, with the
     transformation law of the module docstring applied to them directly.
     Gaps are absolute deviations; the reported burn-in index is where both
@@ -207,7 +196,6 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
 
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
-    _domain(xi)
     h_target, j_target = limiting_targets(xi)
 
     records = []
@@ -236,8 +224,4 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
         and records[i].j_gap <= records[i - 1].j_gap + tol
     ):
         i -= 1
-    return ConvergenceStudy(
-        records=tuple(records),
-        burn_in_index=i,
-        xi=xi,
-    )
+    return ConvergenceStudy(records=tuple(records), burn_in_index=i, xi=xi)

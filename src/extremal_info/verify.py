@@ -285,14 +285,13 @@ def _normalized_limits():
     yield from normalized_exponential(
         [dist_mod.exponential(th) for th in canonical.CANONICAL_THETAS], n
     )
-    member = dist_mod.uniform(1.0)
-    h_t, j_t = evt.limiting_targets(-1.0)
-    h = measures.shannon_normalized(member, n).value
-    j = measures.extropy_normalized(member, n).value
-    if not abs(h - h_t) < 1e-4:
-        yield f"uniform: normalized entropy gap {abs(h - h_t):g}"
-    if not abs(j - j_t) < 1e-4:
-        yield f"uniform: normalized extropy gap {abs(j - j_t):g}"
+    # a reversed-Weibull and a Frechet member reach their GEV(xi) targets
+    for member in (dist_mod.uniform(1.0), dist_mod.pareto(1.0, 2.0)):
+        h_t, j_t = evt.limiting_targets(evt.mda_classify(member)[1])
+        h = measures.shannon_normalized(member, n).value
+        j = measures.extropy_normalized(member, n).value
+        if not (abs(h - h_t) < 1e-4 and abs(j - j_t) < 1e-4):
+            yield f"{member.label()}: normalized gaps {abs(h - h_t):g}, {abs(j - j_t):g}"
 
     member = dist_mod.exponential(2.0)
     base = evt.norming_constants(member, 7)

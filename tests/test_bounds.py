@@ -6,6 +6,7 @@ equality and violation cases.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ class TestLimitCeilings:
             at_half = d.density_quantile(member, 0.5)
             want = 1.0 - math.log(2.0 * at_half) + GAMMA
             assert bounds.shannon_limit_upper(member) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
+    def test_shannon_limit_upper_is_the_formula_bit_for_bit(self, member):
+        at_half = d.density_quantile(member, 0.5)
+        assert bounds.shannon_limit_upper(member) == 1.0 - math.log(2.0 * at_half) + GAMMA
+
+    @pytest.mark.parametrize(
+        "member", [d.gev(1e308), d.pareto(1e-300, 1e-300)], ids=lambda m: m.label()
+    )
+    def test_an_underflowing_profile_at_half_is_named(self, member):
+        # I(1/2) underflows to 0, so ln[2 I(1/2)] has no value
+        assert d.density_quantile(member, 0.5) == 0.0
+        want = rf"I\(1/2\) of {re.escape(member.label())} underflows to 0"
+        for ceiling in (
+            bounds.shannon_limit_upper,
+            lambda m: bounds.shannon_upper_envelope(m, 1),
+            lambda m: bounds.exponential_gap(m, (1, 2)),
+        ):
+            with pytest.raises(ValueError, match=want):
+                ceiling(member)
 
     def test_extropy_limit_upper_formula(self):
         assert bounds.extropy_limit_upper(d.exponential(1.0)) == pytest.approx(-0.125)

@@ -320,6 +320,16 @@ class TestConverge:
         h1 = measures.shannon_max(member, 1).value + math.log(2.0)
         assert body[0][1] == "%.15g" % h1
 
+    def test_pareto_reaches_its_gev_targets(self):
+        # normed to GEV(1/nu), the pareto gaps close
+        code, out, err = run_cli(
+            "converge", "--dist", '{"family":"pareto","theta":1,"nu":2}', "--n-grid", "2:5000:1"
+        )
+        assert (code, err) == (0, "")
+        _, body = parse_csv(out)
+        assert int(body[-1][0]) == 5000
+        assert float(body[-1][5]) < 1e-4
+
     def test_range_grid_syntax(self):
         code, out, _ = run_cli(
             "converge", "--dist", EXP1, "--n-grid", "10:50:10"
@@ -554,6 +564,19 @@ class TestExitCodes:
     )
     def test_an_overflow_exits_2(self, spec, command):
         assert run_cli(*command, "--dist", spec)[:2] == (2, "")
+
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            ('{"family":"gev","xi":1e308}', "gev(xi=1e+308)"),
+            ('{"family":"pareto","theta":1e-300,"nu":1e-300}', "pareto(theta=1e-300, nu=1e-300)"),
+        ],
+    )
+    def test_an_underflowing_profile_at_half_is_named(self, spec, label):
+        # the entropy ceiling's ln[2 I(1/2)] has no value when I(1/2) underflows
+        code, out, err = run_cli("bounds", "--n", "1", "--dist", spec)
+        assert (code, out) == (2, "")
+        assert err == f"domain error: I(1/2) of {label} underflows to 0, so ln[2 I(1/2)] is undefined\n"
 
     def test_monte_carlo_non_finite_summand_is_a_domain_error(self):
         # pareto nu = 0.01: the profile I(t) underflows to 0 near t = 1

@@ -76,30 +76,31 @@ class TestNormingConstants:
     def test_uniform_pins(self):
         nc = evt.norming_constants(d.uniform(1.0), 10)
         assert nc.a_n == pytest.approx(0.1, abs=1e-15)
-        assert nc.b_n == pytest.approx(1.0, abs=1e-15)
+        # b_n = U(n) = theta - theta/n, so (X_(n) - b_n)/a_n tends to GEV(-1)
+        assert nc.b_n == 0.9
         assert nc.domain == "reversed_weibull"
         assert nc.xi == -1.0
 
     def test_pareto_pins(self):
+        # b_n = U(n) = theta n^(1/nu) and a_n = xi U(n): the GEV(1/nu) norming
         nc = evt.norming_constants(d.pareto(1.0, 2.0), 16)
-        assert nc.a_n == pytest.approx(4.0, abs=1e-13)
-        assert nc.b_n == 0.0
+        assert (nc.a_n, nc.b_n) == (2.0, 4.0)
         assert nc.domain == "frechet"
 
     def test_power_function_shrinking_scale(self):
         member = d.power_function(1.0, 2.0)
         nc = evt.norming_constants(member, 4)
-        # a_n = (1 - (1 - 1/n)^(1/nu)) / theta, b_n = right endpoint
+        # a_n = (1 - (1 - 1/n)^(1/nu)) / theta = x* - U(n), b_n = U(n)
         assert nc.a_n == pytest.approx(1.0 - math.sqrt(0.75), rel=1e-13)
-        assert nc.b_n == pytest.approx(1.0, abs=1e-15)
+        assert nc.b_n == pytest.approx(math.sqrt(0.75), rel=1e-15)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("nu", [0.3, 1.0, 2.0])
     def test_power_function_at_n1(self, theta, nu):
-        # a_1 = (1 - 0^(1/nu))/theta: the maximum of one draw needs no norming
-        # beyond the scale of the support
+        # a_1 = (1 - 0^(1/nu))/theta and b_1 = U(1) = 0, the left endpoint:
+        # the maximum of one draw needs no norming beyond the scale of the support
         nc = evt.norming_constants(d.power_function(theta, nu), 1)
-        assert (nc.a_n, nc.b_n, nc.xi) == (1.0 / theta, 1.0 / theta, -1.0)
+        assert (nc.a_n, nc.b_n, nc.xi) == (1.0 / theta, 0.0, -1.0)
         if nu == 1.0:
             assert nc == evt.norming_constants(d.uniform(1.0 / theta), 1)
 
@@ -215,31 +216,22 @@ class TestLimitCdf:
         got = evt.limit_cdf(0.0, xs)
         assert np.allclose(got, np.exp(-np.exp(-xs)), atol=1e-15)
 
-    def test_frechet_form(self):
-        got = evt.limit_cdf(0.5, np.array([-1.0, 0.5, 4.0]))
-        assert got[0] == 0.0
-        assert got[1] == pytest.approx(math.exp(-0.5**-2.0))
-        assert got[2] == pytest.approx(math.exp(-4.0**-2.0))
+    @pytest.mark.parametrize("xi", [-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0])
+    def test_is_the_gev_cdf_bit_for_bit(self, xi):
+        # the one limit law: GEV(xi), on both sides of each endpoint -1/xi
+        member = d.gev(xi)
+        xs = np.array([-40.0, -3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 40.0])
+        got = evt.limit_cdf(xi, xs)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, d.cdf(member, xs))
+        for x in xs:
+            value = evt.limit_cdf(xi, float(x))
+            assert type(value) is float
+            assert value == d.cdf(member, float(x))
 
-    def test_reversed_weibull_form(self):
-        got = evt.limit_cdf(-0.5, np.array([-2.0, -0.5, 0.0, 1.0]))
-        assert got[0] == pytest.approx(math.exp(-4.0))
-        assert got[1] == pytest.approx(math.exp(-0.25))
-        assert got[2] == 1.0 and got[3] == 1.0
-
-    def test_matches_gev_cdf_in_gev_coordinates(self):
-        # each type form is the standard GEV cdf in shifted coordinates:
-        # G_xi(z) with 1 + xi z = x, i.e. z = (x - 1)/xi
-        xs = np.linspace(0.1, 6.0, 17)
-        for xi in (0.5, 1.0):
-            want = d.cdf(d.gev(xi), (xs - 1.0) / xi)
-            got = evt.limit_cdf(xi, xs)
-            assert np.allclose(got, want, atol=1e-14)
-        for xi in (-0.5, -1.0):
-            xs_neg = np.linspace(-6.0, -0.1, 17)
-            want = d.cdf(d.gev(xi), -(xs_neg + 1.0) / xi)
-            got = evt.limit_cdf(xi, xs_neg)
-            assert np.allclose(got, want, atol=1e-14)
+    def test_a_shape_in_the_gumbel_window_is_gumbel(self):
+        xs = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+        assert np.array_equal(evt.limit_cdf(1e-9, xs), evt.limit_cdf(0.0, xs))
 
     @pytest.mark.parametrize("xi", NON_FINITE)
     def test_non_finite_xi_rejected(self, xi):
@@ -277,14 +269,8 @@ class TestDistributionalConvergence:
         ids=lambda m: m.label(),
     )
     def test_normalized_cdf_near_limit_law(self, member):
-        domain, xi = evt.mda_classify(member)
-        ps = np.arange(1, 22) / 22.0
-        if domain == "gumbel":
-            grid = -np.log(-np.log(ps))
-        elif domain == "frechet":
-            grid = (-np.log(ps)) ** -xi
-        else:
-            grid = -((-np.log(ps)) ** -xi)
+        _, xi = evt.mda_classify(member)
+        grid = d.quantile(d.gev(xi), np.arange(1, 22) / 22.0)
         got = evt.normalized_maximum_cdf(member, self.N, grid)
         want = evt.limit_cdf(xi, grid)
         assert np.max(np.abs(got - want)) < 0.01
@@ -353,12 +339,15 @@ class TestConvergenceStudy:
             assert record.h_gap == 0.0
             assert record.j_gap == 0.0
 
-    def test_pareto_gap_plateaus_at_log_shape(self):
-        # the type-based norming differs from the GEV member by a factor
-        # nu, so the entropy gap settles at ln(nu) instead of vanishing
-        nu = 2.0
-        study = evt.convergence_study(d.pareto(1.0, nu), self.GRID)
-        assert study.records[-1].h_gap == pytest.approx(math.log(nu), abs=1e-4)
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0])
+    def test_pareto_gap_closes_at_rate_one_over_n(self, nu):
+        # normed to GEV(1/nu), the entropy gap closes like (xi - 1)/(2n)
+        xi = 1.0 / nu
+        study = evt.convergence_study(d.pareto(1.0, nu), (10**4, 10**5))
+        for record in study.records:
+            rate = record.n * (record.h_normalized - record.h_target)
+            assert rate == pytest.approx((xi - 1.0) / 2.0, abs=1e-3)
+        assert study.records[0].j_gap < 1e-4
 
     def test_records_are_slotted_and_frozen(self):
         record = evt.convergence_study(d.exponential(1.0), (10,)).records[0]
