@@ -316,7 +316,7 @@ def exponential_gap(dist, n_grid, *, tol: float = 1e-4) -> GapStudy:
     h_ub = shannon_limit_upper(dist)
     j_ub = extropy_limit_upper(dist)
     records = []
-    for n in grid:
+    for n in grid.tolist():
         h_val = measures.shannon_max(dist, n).value
         try:
             j_val = measures.extropy_max(dist, n).value

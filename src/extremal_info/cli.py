@@ -35,6 +35,9 @@ import operator
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import canonical
@@ -172,8 +175,8 @@ def _seed_or_env(seed: int | None) -> int:
 # fields and reads each row with one attrgetter.
 _BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport))
 _CONVERGE_FIELDS = tuple(f.name for f in dataclasses.fields(evt.ConvergenceRecord))
-# A ConvergenceRecord's CSV row in one format: _emit's bytes, as no cell needs quoting.
-_CONVERGE_ROW = "%d" + ",%.15g" * (len(_CONVERGE_FIELDS) - 1) + "\n"
+# converge formats its CSV rows this many at a time, with one % format
+_CONVERGE_BLOCK = 256
 # The closed/quad/gap columns are the keys of measures.crosscheck.
 _TABLES_HEADER = (
     "family", "params", "n", "h_closed", "h_quad", "h_gap", "h_ub",
@@ -239,22 +242,36 @@ def cmd_tables(args, out) -> int:
 def cmd_figure1(args, out) -> int:
     dist = dist_mod.exponential(1.0)
     ub = bounds_mod.shannon_limit_upper(dist)
-    header = ["n", "H", "UB"]
-    rows = [
-        [n, measures.shannon_max(dist, n).value, ub] for n in range(1, _FIGURE1_MAX_N + 1)
-    ]
-    _emit(header, rows, args.format, out)
+    n = np.arange(1, _FIGURE1_MAX_N + 1)
+    h = dist_mod.REGISTRY[dist.family].shannon(dist, n)
+    _emit(["n", "H", "UB"], zip(n.tolist(), h.tolist(), repeat(ub)), args.format, out)
     return EXIT_OK
 
 
 def cmd_converge(args, out) -> int:
     study = evt.convergence_study(dist_mod.from_dict(args.dist), args.n_grid)
-    rows = map(operator.attrgetter(*_CONVERGE_FIELDS), study.records)
-    if args.format == "csv":
-        out.write(",".join(_CONVERGE_FIELDS) + "\n")
-        out.writelines(map(_CONVERGE_ROW.__mod__, rows))
-    else:
-        _emit(_CONVERGE_FIELDS, rows, args.format, out)
+    # the study holds a column per record field, and the targets as constants
+    cells = [getattr(study, name) for name in _CONVERGE_FIELDS]
+    if args.format != "csv":
+        columns = (c.tolist() if np.ndim(c) else repeat(c) for c in cells)
+        _emit(_CONVERGE_FIELDS, zip(*columns), args.format, out)
+        return EXIT_OK
+    # _emit's CSV bytes, as no cell needs quoting: a constant cell is
+    # formatted once, into the row format, and a block of rows at a time
+    row = ",".join(
+        ("%d" if name == "n" else "%.15g") if np.ndim(c) else _csv_value(c).replace("%", "%%")
+        for name, c in zip(_CONVERGE_FIELDS, cells)
+    ) + "\n"
+    columns = [c for c in cells if np.ndim(c)]
+    width = len(columns)
+    out.write(",".join(_CONVERGE_FIELDS) + "\n")
+    size = len(study.n)
+    for start in range(0, size, _CONVERGE_BLOCK):
+        stop = min(start + _CONVERGE_BLOCK, size)
+        block = [None] * (width * (stop - start))
+        for k, column in enumerate(columns):
+            block[k::width] = column[start:stop].tolist()
+        out.write(row * (stop - start) % tuple(block))
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import EULER_GAMMA
+from .special import EULER_GAMMA, _math
 
 __all__ = [
     "FAMILIES",
@@ -124,6 +124,14 @@ class Family:
     - ``evi(d)``: extreme-value index xi, whose sign fixes the domain of
       attraction;
     - ``norming(d, n)``: norming constants (a_n, b_n) to the standard GEV(xi).
+
+    ``shannon``, ``extropy`` and ``norming`` take a Python int n, or an
+    integer array as :func:`~extremal_info.special._check_n_grid` builds it
+    (int64 while n * n fits, else Python ints), and give an array the bits
+    of the scalar calls, or raise what the scalar call at some element
+    raises.  A constant of the pair may stay a scalar.  Their array
+    arithmetic is numpy's, which warns where Python floats overflow
+    silently; callers that want the floats' silence use ``np.errstate``.
     """
 
     fields: tuple[str, ...]
@@ -157,21 +165,23 @@ def _logistic_norming(d, n):
     h(u) = (1 - F(u))/f(u) is evaluated in log space so that far-tail
     density underflow cannot poison the ratio.  The logistic record's own
     quantile, cdf and log_pdf are called on Python floats, with the public
-    functions' float() conversion; the public quantile's decline of a
-    1 - 1/n that rounds to 1 is kept, with its message.
+    functions' float() conversion, or on a float array; the public
+    quantile's decline of a 1 - 1/n that rounds to 1 is kept, with its
+    message.
     """
-    if n == 1:
+    m = _math(type(n))
+    if not m.all(n != 1):
         raise ValueError(
             "norming constants for the logistic family are undefined at "
             "n=1 (the 1 - 1/n quantile is degenerate)"
         )
-    t = 1.0 - 1.0 / n
-    if not t < 1.0:
+    t = m.float(1.0 - 1.0 / n)
+    if not m.all(t < 1.0):
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     record = REGISTRY["logistic"]
-    u = float(record.quantile(d, t))
-    log_tail = math.log1p(-float(record.cdf(d, u)))
-    return (math.exp(log_tail - float(record.log_pdf(d, u))), u)
+    u = m.float(record.quantile(d, t))
+    log_tail = m.log1p(-m.float(record.cdf(d, u)))
+    return (m.exp(log_tail - m.float(record.log_pdf(d, u))), u)
 
 
 def _pareto_log_pdf(d, x):
@@ -190,7 +200,7 @@ def _pareto_cdf(d, x):
 
 
 def _pareto_shannon(d, n):
-    nu, ln_n = d.nu, math.log(n)
+    nu, ln_n = d.nu, _math(type(n)).log(n)
     return (
         1.0
         + ln_n / nu
@@ -202,7 +212,8 @@ def _pareto_shannon(d, n):
 
 def _pareto_norming(d, n):
     # b_n = U(n) = theta n^{1/nu} and a_n = xi U(n), with xi = 1/nu
-    u = d.theta * float(n) ** (1.0 / d.nu)
+    m = _math(type(n))
+    u = d.theta * m.pow(m.float(n), 1.0 / d.nu)
     return (u / d.nu, u)
 
 
@@ -236,16 +247,22 @@ def _power_density_quantile(d, t):
 
 def _power_extropy(d, n):
     nu = d.nu
-    if 2.0 * n * nu <= 1.0:
-        # The defining integral of f^2 diverges at the lower endpoint.
+    # The defining integral of f^2 diverges at the lower endpoint; an array
+    # computes the diverging elements too and masks them.
+    diverges = 2.0 * n * nu <= 1.0
+    if diverges is True:
         return -math.inf
-    return -(n * n * nu * nu * d.theta) / (2.0 * (2.0 * n * nu - 1.0))
+    j = -(n * n * nu * nu * d.theta) / (2.0 * (2.0 * n * nu - 1.0))
+    return j if diverges is False else np.where(diverges, -math.inf, j)
 
 
 def _power_norming(d, n):
     # a_n = (1 - (1 - 1/n)^{1/nu})/theta = x* - U(n), b_n = U(n); at n = 1,
-    # a_n = 1/theta and log1p(-1) fails
-    a_n = 1.0 if n == 1 else -math.expm1(math.log1p(-1.0 / n) / d.nu)
+    # a_n = 1/theta and log1p(-1) fails, so n = 1 evaluates the formula at
+    # n = 2 and takes 1 in its place
+    m = _math(type(n))
+    first = n == 1
+    a_n = m.where(first, 1.0, -m.expm1(m.log1p(-1.0 / (n + first)) / d.nu))
     return (a_n / d.theta, (1.0 - a_n) / d.theta)
 
 
@@ -307,7 +324,7 @@ def _gev_sup_density(d):
 
 def _gev_shannon(d, n):
     xi = _gev_xi(d)
-    return 1.0 + EULER_GAMMA + xi * EULER_GAMMA + xi * math.log(n)
+    return 1.0 + EULER_GAMMA + xi * EULER_GAMMA + xi * _math(type(n)).log(n)
 
 
 def _gev_extropy(d, n):
@@ -317,7 +334,8 @@ def _gev_extropy(d, n):
             f"extropy of the maximum is -inf for gev with xi <= -2 (got xi={d.xi}); "
             "the closed form is valid only for xi > -2"
         )
-    return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * float(n) ** xi)
+    m = _math(type(n))
+    return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * m.pow(m.float(n), xi))
 
 
 def _gev_limits(d):
@@ -330,10 +348,10 @@ def _gev_limits(d):
 
 def _gev_norming(d, n):
     # exact max-stable constants
-    xi = _gev_xi(d)
+    xi, m = _gev_xi(d), _math(type(n))
     if xi == 0.0:
-        return (1.0, math.log(n))
-    return (float(n) ** xi, math.expm1(xi * math.log(n)) / xi)
+        return (1.0, m.log(n))
+    return (m.pow(m.float(n), xi), m.expm1(xi * m.log(n)) / xi)
 
 
 REGISTRY: dict[str, Family] = {
@@ -346,7 +364,7 @@ REGISTRY: dict[str, Family] = {
         density_quantile=lambda d, t: 1.0 / d.theta + 0.0 * t,
         sup_density=lambda d: 1.0 / d.theta,
         is_log_concave=lambda d: True,
-        shannon=lambda d, n: 1.0 - math.log(n) - 1.0 / n + math.log(d.theta),
+        shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - 1.0 / n + math.log(d.theta),
         extropy=lambda d, n: -(n * n) / (2.0 * (2.0 * n - 1.0) * d.theta),
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint
@@ -362,12 +380,12 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.theta,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: (
-            1.0 - math.log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
+            1.0 - _math(type(n)).log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
         ),
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n - 1.0)),
         limits=_exponential_limits,
         evi=lambda d: 0.0,
-        norming=lambda d, n: (1.0 / d.theta, math.log(n) / d.theta),
+        norming=lambda d, n: (1.0 / d.theta, _math(type(n)).log(n) / d.theta),
     ),
     "logistic": Family(
         fields=("theta",),
@@ -379,7 +397,7 @@ REGISTRY: dict[str, Family] = {
         density_quantile=lambda d, t: d.theta * t * (1.0 - t),
         sup_density=lambda d: d.theta / 4.0,
         is_log_concave=lambda d: True,
-        shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.theta) + special.harmonic(n),
+        shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - math.log(d.theta) + special.harmonic(n),
         extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n + 1.0)),
         limits=_exponential_limits,
         evi=lambda d: 0.0,
@@ -413,7 +431,9 @@ REGISTRY: dict[str, Family] = {
         density_quantile=_power_density_quantile,
         sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
         is_log_concave=lambda d: d.nu >= 1.0,
-        shannon=lambda d, n: 1.0 - math.log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n),
+        shannon=lambda d, n: (
+            1.0 - _math(type(n)).log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n)
+        ),
         extropy=_power_extropy,
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint, for any nu

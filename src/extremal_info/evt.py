@@ -21,18 +21,21 @@ normalized maximum is again the same gev member for every n.
 
 Because entropy of the normalized maximum is -ln a_n + H(X_(n)) and
 extropy is a_n J(X_(n)), the centering b_n never enters either measure;
-it is carried only for the distributional statements.
+it is carried only for the distributional statements.  A convergence
+study applies this law to the record's closed forms and norming once per
+grid, on the whole n array, and holds its results as columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import _check_index, _check_n_grid
+from .special import _check_index, _check_n_grid, _math
 
 __all__ = [
     "NormingConstants",
@@ -60,6 +63,16 @@ def _check_scale(a_n: float) -> float:
     """The norming scale a_n, which must be a positive finite real."""
     if not (a_n > 0.0 and math.isfinite(a_n)):
         raise ValueError(f"a_n must be a positive finite real, got {a_n!r}")
+    return a_n
+
+
+def _check_scales(a_n):
+    """:func:`_check_scale` at every a_n of an array (or at one a_n), at
+    once; the message names the first offending a_n."""
+    a = np.asarray(a_n, dtype=float)
+    bad = ~((a > 0.0) & np.isfinite(a))
+    if bad.any():
+        _check_scale(float(a[bad][0]))
     return a_n
 
 
@@ -94,20 +107,43 @@ class ConvergenceRecord:
     j_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceStudy:
-    """A convergence sweep over an n-grid.
+    """A convergence sweep over an n-grid, held as columns.
 
-    The targets are H and J of the limit law GEV(xi).  ``burn_in_index``
-    is the first index from which both gap sequences are non-increasing
-    through the end of the grid.  ``extension_targets`` flags xi != 0: the
-    paper's convergence statement is the Gumbel case, which these targets
-    extend.
+    Each :class:`ConvergenceRecord` field is an attribute: ``n`` and the
+    normalized measures and gaps are read-only arrays along the grid, and
+    the targets, H and J of the limit law GEV(xi), are constants.
+    ``records`` gives the rows.  ``burn_in_index`` is the first index from
+    which both gap sequences are non-increasing through the end of the
+    grid.  ``extension_targets`` flags xi != 0: the paper's convergence
+    statement is the Gumbel case, which these targets extend.
     """
 
-    records: tuple[ConvergenceRecord, ...]
+    n: np.ndarray
+    h_normalized: np.ndarray
+    j_normalized: np.ndarray
+    h_target: float
+    j_target: float
+    h_gap: np.ndarray
+    j_gap: np.ndarray
     burn_in_index: int
     xi: float
+
+    @property
+    def records(self) -> tuple[ConvergenceRecord, ...]:
+        return tuple(
+            map(
+                ConvergenceRecord,
+                self.n.tolist(),
+                self.h_normalized.tolist(),
+                self.j_normalized.tolist(),
+                repeat(self.h_target),
+                repeat(self.j_target),
+                self.h_gap.tolist(),
+                self.j_gap.tolist(),
+            )
+        )
 
     @property
     def domain(self) -> str:
@@ -180,48 +216,52 @@ def normalized_maximum_cdf(dist, n: int, x):
     return dist_mod.cdf(dist, nc.a_n * np.asarray(x, dtype=float) + nc.b_n) ** n
 
 
+def _normalized(record, dist, n):
+    """h = H - ln a_n and j = a_n J along the n array, a_n checked first."""
+    a_n = _check_scales(record.norming(dist, n)[0])
+    h = record.shannon(dist, n) - _math(type(a_n)).log(a_n)
+    return h, a_n * record.extropy(dist, n)
+
+
 def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """Normalized measures along an n-grid against their limiting targets.
 
     The targets are :func:`limiting_targets` of the record's xi, H and J
     of the limit law GEV(xi), flagged as an extension outside the Gumbel
     case.  The grid and xi are checked once (``gev(xi)`` declines a
-    non-finite xi); each n reads
-    the family record's norming and closed forms and checks a_n, with the
-    transformation law of the module docstring applied to them directly.
-    Gaps are absolute deviations; the reported burn-in index is where both
-    gap sequences become non-increasing through the end of the grid.
+    non-finite xi).  The family record's norming and closed forms are
+    called once, on the whole grid as an array, which gives the bits of
+    the scalar calls; a_n is checked, and the transformation law of the
+    module docstring is applied to the columns.  Where the scalar sequence
+    (norming, a_n check, H, J at each n in turn) raises, the study raises
+    the error of its first failing n.  Gaps are absolute deviations; the
+    reported burn-in index is where both gap sequences become
+    non-increasing through the end of the grid.
     """
-    grid = _check_n_grid(n_grid, "convergence_study")
+    n = _check_n_grid(n_grid, "convergence_study")
 
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
     h_target, j_target = limiting_targets(xi)
 
-    records = []
-    for n in grid:
-        a_n = _check_scale(record.norming(dist, n)[0])
-        h = record.shannon(dist, n) - math.log(a_n)
-        j = a_n * record.extropy(dist, n)
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                h_normalized=h,
-                j_normalized=j,
-                h_target=h_target,
-                j_target=j_target,
-                h_gap=abs(h - h_target),
-                j_gap=abs(j - j_target),
-            )
-        )
+    # numpy flags what Python floats let overflow to inf or nan in silence
+    with np.errstate(all="ignore"):
+        try:
+            h, j = _normalized(record, dist, n)
+        except (ArithmeticError, ValueError):
+            # an array raises at its first failing element, stage by stage;
+            # n by n finds the error the scalar sequence raises first
+            for k in range(n.size):
+                _normalized(record, dist, n[k : k + 1])
+            raise
+        h, j = np.asarray(h, dtype=float), np.asarray(j, dtype=float)
+        h_gap, j_gap = np.abs(h - h_target), np.abs(j - j_target)
 
-    # First index from which both gap sequences decay monotonically
-    # (up to roundoff) through the end of the grid.
+    # First index from which both gap sequences decay monotonically (up to
+    # roundoff) through the end of the grid: one past the last rise.
     tol = 1e-12
-    i = len(records) - 1
-    while i > 0 and (
-        records[i].h_gap <= records[i - 1].h_gap + tol
-        and records[i].j_gap <= records[i - 1].j_gap + tol
-    ):
-        i -= 1
-    return ConvergenceStudy(records=tuple(records), burn_in_index=i, xi=xi)
+    rises = ~((h_gap[1:] <= h_gap[:-1] + tol) & (j_gap[1:] <= j_gap[:-1] + tol))
+    burn_in = int(np.flatnonzero(rises)[-1]) + 1 if rises.any() else 0
+    for column in (n, h, j, h_gap, j_gap):
+        column.flags.writeable = False
+    return ConvergenceStudy(n, h, j, h_target, j_target, h_gap, j_gap, burn_in, xi)

@@ -1,8 +1,8 @@
 """Special functions and closed-form log integrals used throughout the package.
 
-Everything here is scalar and deterministic: the Euler-Mascheroni constant,
-harmonic numbers, the partial sums of sum(1/(k*2^k)), the beta function,
-and a small catalogue of integrals of the form
+Everything here is deterministic: the Euler-Mascheroni constant, harmonic
+numbers, the partial sums of sum(1/(k*2^k)), the beta function, and a
+small catalogue of integrals of the form
 ``integral of a power times a logarithmic factor`` that have elementary
 closed forms.  These closed forms serve as independent oracles for the
 adaptive quadrature in :mod:`extremal_info.numerics` and as building blocks
@@ -15,13 +15,24 @@ partials (the expansion ``math.fsum`` itself keeps), and each entry is the
 correctly rounded value of that exact sum.  Correct rounding is unique, so
 every entry is bit-identical to ``math.fsum`` over the same terms, while a
 lookup costs O(1) and growing the table costs O(1) per new term.
+
+``harmonic`` and ``beta_function`` (in its first argument) also take an
+array and give each element the bits of the scalar call, as the closed
+forms of :mod:`extremal_info.distributions` do.  Where a scalar call goes
+through libm (``math.log``, ``math.exp``, float ``**``), an array call
+applies the same libm function element by element (``_math``):
+numpy's SIMD loops for these functions differ from libm in the last bit
+on a few percent of inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from array import array
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special as _sc
@@ -43,6 +54,11 @@ EULER_GAMMA = float(np.euler_gamma)
 # H_n = psi(n + 1) + gamma takes over above it.  The two branches agree to
 # ~1e-15 at the switch point (covered by tests).
 _HARMONIC_EXACT_MAX = 10_000
+
+# The largest n whose square fits in int64.  A grid of n is held as int64 up
+# to here, so that integer arithmetic on n in the closed forms (n * n,
+# 2 * n - 1) is exact, and as an object array of Python ints beyond.
+_INT64_N_MAX = math.isqrt(np.iinfo(np.int64).max)
 
 # 1/(k*2^k) underflows double precision long before this cap, so partial
 # sums are numerically saturated past it.
@@ -86,13 +102,21 @@ class _PrefixSums:
                     values.append(math.fsum(partials))
         return values[m]
 
+    def take(self, m: np.ndarray) -> np.ndarray:
+        """Entries m, for an integer array m of indices >= 0."""
+        self[int(m.max(initial=0))]
+        # a live buffer view makes array.append raise BufferError, so the
+        # view is read, and dropped, under the lock that guards growth
+        with self._lock:
+            return np.frombuffer(self._values)[m.astype(np.intp)]
+
 
 _HARMONIC_TABLE = _PrefixSums(lambda k: 1.0 / k)
 # ldexp underflows gracefully to 0.0 where 2.0**k would overflow
 _HALF_GEOMETRIC_TABLE = _PrefixSums(lambda k: math.ldexp(1.0 / k, -k))
 
 
-def harmonic(n: int) -> float:
+def harmonic(n):
     """n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
 
     For n <= 10^4 the value is read from a lazily grown table of correctly
@@ -102,13 +126,24 @@ def harmonic(n: int) -> float:
 
     Parameters
     ----------
-    n : int
-        Index, n >= 1.
+    n : int or integer array
+        Index, n >= 1.  An array (of at least one dimension) gives a float
+        array with the bits of the scalar calls.
     """
-    n = _check_index(n, "harmonic")
-    if n <= _HARMONIC_EXACT_MAX:
-        return _HARMONIC_TABLE[n]
-    return float(_sc.digamma(n + 1.0)) + EULER_GAMMA
+    if type(n) is int and 0 < n <= _HARMONIC_EXACT_MAX:
+        return _HARMONIC_TABLE[n]  # the common call, which needs no other check
+    if not (isinstance(n, np.ndarray) and n.ndim):
+        n = _check_index(n, "harmonic")
+        if n <= _HARMONIC_EXACT_MAX:
+            return _HARMONIC_TABLE[n]
+        return float(_sc.digamma(n + 1.0)) + EULER_GAMMA
+    n = _check_indices(n, "harmonic")
+    exact = n <= _HARMONIC_EXACT_MAX
+    out = np.empty(n.shape)
+    out[exact] = _HARMONIC_TABLE.take(n[exact])
+    # n + 1.0 rounds a Python int as the scalar call does
+    out[~exact] = _sc.digamma(np.asarray(n[~exact] + 1.0, dtype=float)) + EULER_GAMMA
+    return out
 
 
 def half_geometric_sum(n: int) -> float:
@@ -122,16 +157,18 @@ def half_geometric_sum(n: int) -> float:
     return _HALF_GEOMETRIC_TABLE[min(n, _HALF_GEOMETRIC_CAP)]
 
 
-def beta_function(a: float, b: float) -> float:
+def beta_function(a, b: float):
     """Euler beta function B(a, b), computed via log-gamma for stability.
 
     Handles large arguments such as B(2n - 1, c) with n ~ 10^6 without
-    overflow.  Requires a > 0 and b > 0.
+    overflow.  Requires a > 0 and b > 0.  ``a`` may be an array, which
+    gives a float array with the bits of the scalar calls.
     """
-    a, b = float(a), float(b)
-    if not (a > 0.0 and b > 0.0):
+    m = _math(type(a))
+    a, b = m.float(a), float(b)
+    if not (m.all(a > 0.0) and b > 0.0):
         raise ValueError(f"beta_function requires a, b > 0, got ({a!r}, {b!r})")
-    return float(math.exp(_sc.betaln(a, b)))
+    return m.exp(_sc.betaln(a, b))
 
 
 def beta_n1_log_moment(n: int) -> float:
@@ -194,6 +231,57 @@ def log_power_integral(
     )
 
 
+def _elementwise(f):
+    """``f`` applied to each element of an array, as a float array of its
+    shape; further arguments are passed to every call."""
+
+    def apply(x: np.ndarray, *args) -> np.ndarray:
+        values = map(f, x.ravel().tolist(), *map(repeat, args))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
+
+    return apply
+
+
+# The math the closed forms call on n: libm on a Python number, the same
+# libm function element by element on an array (see the module docstring).
+# ``pow`` is ``**``, not math.pow, so that an overflow keeps its message;
+# ``all`` reduces a condition and ``where`` picks by one.
+_SCALAR_MATH = SimpleNamespace(
+    log=math.log,
+    log1p=math.log1p,
+    exp=math.exp,
+    expm1=math.expm1,
+    pow=operator.pow,
+    float=float,
+    all=bool,
+    where=lambda condition, x, y: x if condition else y,
+)
+_ARRAY_MATH = SimpleNamespace(
+    log=_elementwise(math.log),
+    log1p=_elementwise(math.log1p),
+    exp=_elementwise(math.exp),
+    expm1=_elementwise(math.expm1),
+    pow=_elementwise(operator.pow),
+    float=lambda x: np.asarray(x, dtype=float),
+    all=np.all,
+    where=np.where,
+)
+
+
+class _MathOfType(dict):
+    """The math for a type of n, remembered per type: an array's, element
+    by element, or a scalar's."""
+
+    def __missing__(self, kind: type) -> SimpleNamespace:
+        math_ = _ARRAY_MATH if issubclass(kind, np.ndarray) else _SCALAR_MATH
+        return self.setdefault(kind, math_)
+
+
+# ``_math(type(n))`` is the math for n: a dict lookup rather than a Python
+# function, as every scalar call of a closed form makes one
+_math = _MathOfType().__getitem__
+
+
 def _check_index(n: int | None, name: str, minimum: int = 1) -> int:
     """The package's one check on an integer n: int or numpy integer, not
     bool, and at least ``minimum``; ``name`` is the caller, for the message."""
@@ -205,11 +293,38 @@ def _check_index(n: int | None, name: str, minimum: int = 1) -> int:
     return n
 
 
-def _check_n_grid(n_grid, name: str) -> list[int]:
-    """A nonempty, strictly increasing grid of integers n >= 1, as a list."""
-    grid = [_check_index(n, name) for n in n_grid]
-    if not grid:
+def _check_indices(n: np.ndarray, name: str) -> np.ndarray:
+    """:func:`_check_index` at every element of an array of n, at once for an
+    integer array; the message names the first offending element."""
+    for m in n[n < 1] if n.dtype.kind in "iu" else n.flat:
+        _check_index(m, name)
+    return n
+
+
+def _check_n_grid(n_grid, name: str) -> np.ndarray:
+    """A nonempty, strictly increasing grid of integers n >= 1, as a new
+    array: int64 up to ``_INT64_N_MAX``, else an object array of Python ints.
+
+    Each n is checked by :func:`_check_index`, so a message names the first
+    offending value.  A range, an integer array and a list of ints are
+    checked as one integer array."""
+    if isinstance(n_grid, range):
+        ends = (n_grid.start, n_grid.stop, n_grid.step)
+        if max(map(abs, ends)) <= _INT64_N_MAX:
+            n_grid = np.arange(*ends)
+    if isinstance(n_grid, np.ndarray) and n_grid.ndim == 1 and n_grid.dtype.kind == "i":
+        grid = n_grid.astype(np.int64)
+    else:
+        grid = n_grid if isinstance(n_grid, list) else list(n_grid)
+        if operator.countOf(map(type, grid), int) != len(grid):
+            grid = [_check_index(n, name) for n in grid]
+        try:
+            grid = np.fromiter(grid, np.int64, len(grid))
+        except OverflowError:
+            grid = np.array(grid, dtype=object)
+    _check_indices(grid, name)
+    if not grid.size:
         raise ValueError(f"{name} requires an n_grid with at least one value of n")
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValueError(f"{name} requires a strictly increasing n_grid")
-    return grid
+    return grid.astype(object) if grid[-1] > _INT64_N_MAX else grid

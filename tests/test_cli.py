@@ -291,21 +291,59 @@ class TestConverge:
         assert rows == [dataclasses.asdict(record) for record in study.records]
         assert list(rows[0]) == [f.name for f in dataclasses.fields(evt.ConvergenceRecord)]
 
-    def test_rows_render_as_emit_does(self, monkeypatch):
-        # the converge row format must give the bytes of _emit's CSV rule
-        floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, np.float64(0.1)]
-        records = tuple(
-            evt.ConvergenceRecord(n, *(floats[(i + k) % len(floats)] for k in range(6)))
-            for n in (1, 2**31, 2**53)
-            for i in range(len(floats))
+    FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, np.float64(0.1)]
+
+    @pytest.mark.parametrize("shift", range(len(FLOATS)))
+    def test_rows_render_as_emit_does(self, monkeypatch, shift):
+        # the converge CSV and JSON must give the bytes of _emit's rules, with
+        # every special float in every column and target cell, across blocks
+        floats = self.FLOATS
+        n = np.array([*range(1, 600), 2**31, 2**53])
+
+        def column(k):
+            return np.array([floats[(i + k) % len(floats)] for i in range(n.size)])
+
+        study = evt.ConvergenceStudy(
+            n, column(shift), column(shift + 1), floats[shift],
+            floats[(shift + 1) % len(floats)], column(shift + 2), column(shift + 3), 0, 0.0,
         )
-        study = evt.ConvergenceStudy(records, 0, 0.0)
         monkeypatch.setattr(evt, "convergence_study", lambda dist, n_grid: study)
-        code, out, _ = run_cli("converge", "--dist", EXP1, "--n-grid", "2")
-        assert code == 0
-        want = io.StringIO()
-        cli._emit(cli._CONVERGE_FIELDS, map(dataclasses.astuple, records), "csv", want)
-        assert out == want.getvalue()
+        for fmt in ("csv", "json"):
+            code, out, _ = run_cli("converge", "--dist", EXP1, "--n-grid", "2", "--format", fmt)
+            assert code == 0
+            want = io.StringIO()
+            cli._emit(cli._CONVERGE_FIELDS, map(dataclasses.astuple, study.records), fmt, want)
+            assert out == want.getvalue()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[*range(1, 401), 10_000, 1_000_000], [2, 2**53 + 1], [2, 10**20]],
+        ids=["1:400:1,1e4,1e6", "2,2**53+1", "2,10**20"],
+    )
+    @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
+    def test_rows_are_the_public_normalized_measures(self, member, grid):
+        # CSV and JSON are what _emit renders from the public scalar
+        # normalized measures, or exit 2 with the message they raise
+        h_target, j_target = evt.limiting_targets(evt.mda_classify(member)[1])
+        rows, error = [], None
+        for n in grid:
+            try:
+                h = measures.shannon_normalized(member, n).value
+                j = measures.extropy_normalized(member, n).value
+            except (ArithmeticError, ValueError) as exc:
+                error = exc
+                break
+            rows.append((n, h, j, h_target, j_target, abs(h - h_target), abs(j - j_target)))
+        dist = json.dumps(distributions.to_dict(member))
+        n_grid = ",".join(map(str, grid))
+        for fmt in ("csv", "json"):
+            got = run_cli("converge", "--dist", dist, "--n-grid", n_grid, "--format", fmt)
+            if error is not None:
+                assert got == (2, "", f"domain error: {error}\n")
+            else:
+                want = io.StringIO()
+                cli._emit(cli._CONVERGE_FIELDS, rows, fmt, want)
+                assert got == (0, want.getvalue(), "")
 
     def test_power_function_from_n1(self):
         # a_1 = 1/theta, so h at n = 1 is H(X) + ln theta
@@ -559,11 +597,19 @@ class TestExitCodes:
         "spec, command",
         [
             ('{"family":"gev","xi":170}', ("measure", "--n", "1")),
-            ('{"family":"pareto","theta":1,"nu":0.01}', ("converge", "--n-grid", "1209,1210")),
+            # a_n = 100 n^100 is finite at n = 1154 and overflows from n = 1155
+            ('{"family":"pareto","theta":1,"nu":0.01}', ("converge", "--n-grid", "1154,1155")),
         ],
     )
     def test_an_overflow_exits_2(self, spec, command):
         assert run_cli(*command, "--dist", spec)[:2] == (2, "")
+
+    def test_a_grid_up_to_the_overflow_edge_exits_0(self):
+        spec = '{"family":"pareto","theta":1,"nu":0.01}'
+        assert run_cli("converge", "--dist", spec, "--n-grid", "1154")[0] == 0
+        assert run_cli("converge", "--dist", spec, "--n-grid", "1154,1155") == (
+            2, "", "domain error: a_n must be a positive finite real, got inf\n"
+        )
 
     @pytest.mark.parametrize(
         "spec, label",

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from extremal_info import canonical, distributions as d, evt, measures
+from extremal_info import canonical, distributions as d, evt, measures, special
 
 GAMMA = np.euler_gamma
 
@@ -293,6 +293,57 @@ class TestDistributionalConvergence:
 
 PARITY_MEMBERS = canonical.catalog_members() + (d.gev(-2.5), d.gev(1e-9), d.gev(-1.9))
 PARITY_GRID = [*range(1, 3001), 10**4, 10**4 + 1, 10**5, 10**6, 10**7, 10**9]
+# held as Python ints: n * n leaves int64, and 2**53 + 1 has no float64
+HUGE_GRID = [2, 10**9, 2**53 + 1, 10**20]
+
+
+def _bits(values, size):
+    return [float(v).hex() for v in np.broadcast_to(np.asarray(values, dtype=float), size)]
+
+
+def _assert_array_call_is_the_scalar_calls(fn, grid):
+    # an array gives the bits of the scalar calls, and raises what the first
+    # failing scalar call raises; without the failing n it gives their bits
+    want, first_error = {}, None
+    for n in grid:
+        try:
+            want[n] = fn(n)
+        except (ArithmeticError, ValueError) as exc:
+            first_error = first_error or exc
+    if first_error is not None:
+        with pytest.raises(type(first_error)) as raised:
+            fn(special._check_n_grid(grid, "test"))
+        assert str(raised.value) == str(first_error)
+    if want:
+        got = fn(special._check_n_grid(list(want), "test"))
+        pairs = isinstance(got, tuple)
+        for k in range(2 if pairs else 1):
+            column = [v[k] for v in want.values()] if pairs else list(want.values())
+            assert _bits(got[k] if pairs else got, len(want)) == _bits(column, len(want))
+
+
+class TestRecordsOnAnArray:
+    @pytest.mark.parametrize("grid", [PARITY_GRID, HUGE_GRID], ids=["parity", "huge"])
+    @pytest.mark.parametrize("fact", ["shannon", "extropy", "norming"])
+    @pytest.mark.parametrize("member", PARITY_MEMBERS, ids=lambda m: m.label())
+    def test_gives_the_bits_of_the_scalar_calls(self, member, fact, grid):
+        record_fn = getattr(d.REGISTRY[member.family], fact)
+        _assert_array_call_is_the_scalar_calls(lambda n: record_fn(member, n), grid)
+
+    @pytest.mark.parametrize("grid", [PARITY_GRID, HUGE_GRID], ids=["parity", "huge"])
+    def test_harmonic_gives_the_bits_of_the_scalar_calls(self, grid):
+        _assert_array_call_is_the_scalar_calls(special.harmonic, grid)
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [(np.array([3, 0, -1]), 0), (np.array([2.0, 3.0]), np.float64(2.0)), (np.array([True]), np.True_)],
+    )
+    def test_harmonic_names_the_first_offending_element(self, bad, first):
+        with pytest.raises(ValueError) as want:
+            special.harmonic(first)
+        with pytest.raises(ValueError) as got:
+            special.harmonic(bad)
+        assert str(got.value) == str(want.value)
 
 
 class TestConvergenceStudy:
@@ -387,6 +438,27 @@ class TestConvergenceStudy:
             got = {r.n: (r.h_normalized, r.j_normalized) for r in study.records}
             assert got == want
 
+    @pytest.mark.parametrize(
+        "member, grid",
+        [
+            # a_n overflows from n = 1155, n^100 from n = 1210
+            (d.pareto(1.0, 0.01), range(2, 5001)),
+            # a_n underflows to 0 at n = 2, but J at n = 1 is -inf already
+            (d.gev(-1e300), [1, 2]),
+        ],
+        ids=["pareto(1, 0.01)", "gev(-1e300)"],
+    )
+    def test_raises_what_the_first_failing_n_raises(self, member, grid):
+        # on the array each stage raises at its own first failing element;
+        # the study raises what the public measures raise at the first n
+        with pytest.raises((ArithmeticError, ValueError)) as want:
+            for n in grid:
+                measures.shannon_normalized(member, n)
+                measures.extropy_normalized(member, n)
+        with pytest.raises(type(want.value)) as got:
+            evt.convergence_study(member, grid)
+        assert str(got.value) == str(want.value)
+
     def test_reads_the_record_not_the_measures(self, monkeypatch):
         # one closed-form read per n: the public measures serve only the
         # limiting targets
@@ -416,7 +488,8 @@ class TestConvergenceStudy:
             d.REGISTRY,
             "exponential",
             dataclasses.replace(
-                record, norming=lambda dist, n: (bad, 0.0) if n == 3 else record.norming(dist, n)
+                record,
+                norming=lambda dist, n: (np.where(n == 3, bad, record.norming(dist, n)[0]), 0.0),
             ),
         )
         with pytest.raises(ValueError) as want:

@@ -229,3 +229,51 @@ class TestLogPowerIntegral:
             special.log_power_integral("power_logpow", nu=-1.0, mu=2.0)
         with pytest.raises(ValueError):
             special.log_power_integral("power_logpow", nu=1.0, mu=0.0)
+
+
+def _check_n_grid_one_by_one(n_grid, name):
+    """The grid rule stated per element: the reference for _check_n_grid."""
+    grid = [special._check_index(n, name) for n in n_grid]
+    if not grid:
+        raise ValueError(f"{name} requires an n_grid with at least one value of n")
+    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError(f"{name} requires a strictly increasing n_grid")
+    return grid
+
+
+class TestNGrid:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [], [0], [3, 0, -1], [2, 2.5], [2.5, 0], [True, 2], [2, True], [1, 1], [5, 3],
+            [2, 10**20], [10**20, 2], [2, 0, 10**20], (np.int64(2), np.int64(5)),
+            np.array([3, 2]), np.array([1, 0]), np.array([2.0, 3.0]), np.array([[1, 2]]),
+            np.array([2, 5], dtype=np.uint8), np.array([], dtype=np.int64),
+            range(0, 5), range(5, 0, -1), range(2, 10, 3), range(3, 3), range(10**20, 10**20 + 3),
+        ],
+        ids=repr,
+    )
+    def test_is_the_rule_stated_per_element(self, grid):
+        # the same grid, or the same message naming the same first offending n
+        try:
+            want = _check_n_grid_one_by_one(grid, "study")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                special._check_n_grid(grid, "study")
+            assert str(got.value) == str(exc)
+        else:
+            assert special._check_n_grid(grid, "study").tolist() == want
+
+    def test_is_int64_while_n_squared_fits(self):
+        # beyond, Python ints keep n * n and 2 n - 1 exact in the closed forms
+        edge = special._INT64_N_MAX
+        assert edge * edge <= np.iinfo(np.int64).max < (edge + 1) ** 2
+        assert special._check_n_grid([2, edge], "study").dtype == np.int64
+        beyond = special._check_n_grid([2, edge + 1], "study")
+        assert beyond.dtype == object and type(beyond[-1]) is int
+
+    def test_returns_a_new_array(self):
+        grid = np.array([2, 3])
+        checked = special._check_n_grid(grid, "study")
+        grid[0] = 0
+        assert checked.tolist() == [2, 3]
