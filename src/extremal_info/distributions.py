@@ -165,19 +165,19 @@ def _logistic_norming(d, n):
     h(u) = (1 - F(u))/f(u) is evaluated in log space so that far-tail
     density underflow cannot poison the ratio.  The logistic record's own
     quantile, cdf and log_pdf are called on Python floats, with the public
-    functions' float() conversion, or on a float array; the public
-    quantile's decline of a 1 - 1/n that rounds to 1 is kept, with its
-    message.
+    functions' float() conversion, or on a float array.  The constants are
+    undefined where 1 - 1/n is 0 (n = 1) or rounds to 1 (from about
+    n = 2^54 on), and the message names the first such n.
     """
     m = _math(type(n))
-    if not m.all(n != 1):
-        raise ValueError(
-            "norming constants for the logistic family are undefined at "
-            "n=1 (the 1 - 1/n quantile is degenerate)"
-        )
     t = m.float(1.0 - 1.0 / n)
-    if not m.all(t < 1.0):
-        raise ValueError("quantile requires probabilities strictly inside (0, 1)")
+    inside = (t > 0.0) & (t < 1.0)
+    if not m.all(inside):
+        first = np.ravel(n)[~np.ravel(inside)][0]
+        raise ValueError(
+            f"norming constants for the logistic family are undefined at n={first} "
+            "(1 - 1/n must round to a level strictly inside (0, 1))"
+        )
     record = REGISTRY["logistic"]
     u = m.float(record.quantile(d, t))
     log_tail = m.log1p(-m.float(record.cdf(d, u)))

@@ -175,9 +175,10 @@ def norming_constants(dist, n: int) -> NormingConstants:
     a = 1/theta, b = ln(n)/theta.  Uniform(0, theta): a = theta/n,
     b = theta - a.  Pareto(theta, nu): b = theta n^{1/nu}, a = b/nu.
     Power-function: a = (1 - (1-1/n)^{1/nu})/theta, b = 1/theta - a.
-    Logistic goes through h (undefined at n = 1, where the 1 - 1/n quantile
-    does not exist); a gev parent uses its exact max-stable constants
-    a = n^xi, b = (n^xi - 1)/xi.  xi is checked before the constants.
+    Logistic goes through h (undefined at n = 1 and where 1 - 1/n rounds
+    to 1, as the 1 - 1/n quantile is then infinite); a gev parent uses its
+    exact max-stable constants a = n^xi, b = (n^xi - 1)/xi.  xi is checked
+    before the constants.
     """
     n = _check_index(n, "norming_constants")
     record = dist_mod.REGISTRY[dist.family]

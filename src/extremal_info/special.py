@@ -9,12 +9,11 @@ adaptive quadrature in :mod:`extremal_info.numerics` and as building blocks
 for the entropy/extropy formulas in :mod:`extremal_info.measures`.
 
 Harmonic numbers up to n = 10^4 and the partial sums of sum(1/(k*2^k)) are
-read from module-level tables of correctly rounded prefix sums, grown on
-demand.  The running sum is held exactly as Shewchuk non-overlapping
-partials (the expansion ``math.fsum`` itself keeps), and each entry is the
-correctly rounded value of that exact sum.  Correct rounding is unique, so
-every entry is bit-identical to ``math.fsum`` over the same terms, while a
-lookup costs O(1) and growing the table costs O(1) per new term.
+read from module-level tuples of prefix sums, built once at import by exact
+integer summation: each double term is scaled to an exact integer, the
+integers are accumulated, and each prefix is divided back by Python's
+correctly rounded int / int.  Correct rounding is unique, so every entry is
+bit-identical to ``math.fsum`` over the same terms, and a lookup is O(1).
 
 ``harmonic`` and ``beta_function`` (in its first argument) also take an
 array and give each element the bits of the scalar call, as the closed
@@ -29,9 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-from array import array
-from itertools import repeat
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,64 +62,36 @@ _INT64_N_MAX = math.isqrt(np.iinfo(np.int64).max)
 _HALF_GEOMETRIC_CAP = 1_100
 
 
-class _PrefixSums:
-    """Correctly rounded prefix sums of ``term(1) + term(2) + ...``.
+def _prefix_sums(terms, shift: int) -> tuple[float, ...]:
+    """Correctly rounded prefix sums of the double ``terms``, from the empty
+    sum on: entry m equals ``math.fsum`` over the first m terms bit for bit.
 
-    Entry m equals ``math.fsum(term(k) for k in range(1, m + 1))`` bit for
-    bit; entry 0 is the empty sum.  The table grows lazily under a lock
-    taken only when a lookup misses.
-    """
-
-    def __init__(self, term):
-        self._term = term
-        self._values = array("d", [0.0])
-        self._partials: list[float] = []  # exact running sum, increasing magnitude
-        self._lock = threading.Lock()
-
-    def __getitem__(self, m: int) -> float:
-        values = self._values
-        if m >= len(values):
-            with self._lock:
-                partials = self._partials
-                for k in range(len(values), m + 1):
-                    # Shewchuk's grow-expansion: add term(k) to the partials
-                    # without error (Discrete Comput. Geom. 18, 1997).
-                    x = self._term(k)
-                    i = 0
-                    for y in partials:
-                        if abs(x) < abs(y):
-                            x, y = y, x
-                        hi = x + y
-                        lo = y - (hi - x)
-                        if lo:
-                            partials[i] = lo
-                            i += 1
-                        x = hi
-                    partials[i:] = [x]
-                    values.append(math.fsum(partials))
-        return values[m]
-
-    def take(self, m: np.ndarray) -> np.ndarray:
-        """Entries m, for an integer array m of indices >= 0."""
-        self[int(m.max(initial=0))]
-        # a live buffer view makes array.append raise BufferError, so the
-        # view is read, and dropped, under the lock that guards growth
-        with self._lock:
-            return np.frombuffer(self._values)[m.astype(np.intp)]
+    Each term p/q (q a power of two, at most 2^shift) is scaled to the exact
+    integer p * 2^shift / q; int / int then rounds each exact prefix once."""
+    scale = 1 << shift
+    scaled = (p * scale // q for p, q in map(float.as_integer_ratio, terms))
+    return (0.0, *(s / scale for s in accumulate(scaled)))
 
 
-_HARMONIC_TABLE = _PrefixSums(lambda k: 1.0 / k)
-# ldexp underflows gracefully to 0.0 where 2.0**k would overflow
-_HALF_GEOMETRIC_TABLE = _PrefixSums(lambda k: math.ldexp(1.0 / k, -k))
+# no 1/k with k <= 10^4 has a bit below 2^-67
+_HARMONIC_TABLE = _prefix_sums((1.0 / k for k in range(1, _HARMONIC_EXACT_MAX + 1)), 80)
+# no double has a bit below 2^-1074; ldexp underflows gracefully to 0.0
+# where 2.0**k would overflow
+_HALF_GEOMETRIC_TABLE = _prefix_sums(
+    (math.ldexp(1.0 / k, -k) for k in range(1, _HALF_GEOMETRIC_CAP + 1)), 1074
+)
+# the harmonic table as a read-only array, for array calls
+_HARMONIC_ARRAY = np.array(_HARMONIC_TABLE)
+_HARMONIC_ARRAY.flags.writeable = False
 
 
 def harmonic(n):
     """n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
 
-    For n <= 10^4 the value is read from a lazily grown table of correctly
-    rounded prefix sums, bit-identical to ``math.fsum(1/k for k in 1..n)``;
+    For n <= 10^4 the value is read from a table of correctly rounded prefix
+    sums built at import, bit-identical to ``math.fsum(1/k for k in 1..n)``;
     above that the identity H_n = psi(n + 1) + gamma is used.  Either way a
-    call is O(1) once the table covers n.
+    call is O(1).
 
     Parameters
     ----------
@@ -140,7 +109,7 @@ def harmonic(n):
     n = _check_indices(n, "harmonic")
     exact = n <= _HARMONIC_EXACT_MAX
     out = np.empty(n.shape)
-    out[exact] = _HARMONIC_TABLE.take(n[exact])
+    out[exact] = _HARMONIC_ARRAY[n[exact].astype(np.intp)]
     # n + 1.0 rounds a Python int as the scalar call does
     out[~exact] = _sc.digamma(np.asarray(n[~exact] + 1.0, dtype=float)) + EULER_GAMMA
     return out

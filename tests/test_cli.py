@@ -611,6 +611,18 @@ class TestExitCodes:
             2, "", "domain error: a_n must be a positive finite real, got inf\n"
         )
 
+    def test_logistic_past_the_quantile_edge_names_the_norming_and_n(self):
+        spec = '{"family":"logistic","theta":1}'
+        # 1 - 1/n rounds below 1 at n = 2^53 + 1 and to 1 at n = 2^54
+        assert run_cli("converge", "--dist", spec, "--n-grid", "2,9007199254740993")[0] == 0
+        assert run_cli("converge", "--dist", spec, "--n-grid", "2,18014398509481984") == (
+            2,
+            "",
+            "domain error: norming constants for the logistic family are undefined "
+            "at n=18014398509481984 (1 - 1/n must round to a level strictly inside "
+            "(0, 1))\n",
+        )
+
     @pytest.mark.parametrize(
         "spec, label",
         [

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -169,7 +170,7 @@ class TestCanonicalFromRegistry:
         )
 
     def test_names_no_family(self):
-        source = open(canonical.__file__, encoding="utf-8").read()
+        source = Path(canonical.__file__).read_text(encoding="utf-8")
         assert not [f for f in d.FAMILIES if f in source]
 
 

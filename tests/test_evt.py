@@ -121,29 +121,36 @@ class TestNormingConstants:
             assert nc.b_n == pytest.approx(math.log(n - 1.0) / theta, rel=1e-9)
 
     def test_logistic_degenerate_at_n1(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"logistic family are undefined at n=1 "):
             evt.norming_constants(d.logistic(1.0), 1)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_logistic_matches_the_public_functions_bit_for_bit(self, theta):
         # the recipe composed from the public quantile, cdf and log_pdf
         member = d.logistic(theta)
-        for n in (2, 3, 10, 5000, 10**6, 10**9, 2**53):
+        for n in (2, 3, 10, 5000, 10**6, 10**9, 2**53, 2**54 - 2):
             u = d.quantile(member, 1.0 - 1.0 / n)
             a = math.exp(math.log1p(-d.cdf(member, u)) - d.log_pdf(member, u))
             nc = evt.norming_constants(member, n)
             assert (nc.a_n, nc.b_n) == (a, u)
 
-    def test_logistic_declines_where_the_quantile_level_rounds_to_one(self):
-        # 1 - 1/n == 1.0 here; the decline is the public quantile's, not a
-        # divide-by-zero warning from log1p
-        with pytest.raises(ValueError) as public:
-            d.quantile(d.logistic(1.0), 1.0 - 1.0 / 10**17)
+    @pytest.mark.parametrize("n", [2**54, 10**17, 10**20])
+    def test_logistic_declines_where_the_quantile_level_rounds_to_one(self, n):
+        # 1 - 1/n == 1.0 here; the decline names the norming and n, and is
+        # not a divide-by-zero warning from log1p
+        assert 1.0 - 1.0 / n == 1.0
+        message = (
+            f"norming constants for the logistic family are undefined at n={n} "
+            "(1 - 1/n must round to a level strictly inside (0, 1))"
+        )
+        record = d.REGISTRY["logistic"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as raised:
-                evt.norming_constants(d.logistic(1.0), 10**17)
-        assert str(raised.value) == str(public.value)
+            with pytest.raises(ValueError) as scalar:
+                evt.norming_constants(d.logistic(1.0), n)
+            with pytest.raises(ValueError) as array:
+                record.norming(d.logistic(1.0), np.array([2, n, 10 * n], dtype=object))
+        assert str(scalar.value) == str(array.value) == message
 
     @pytest.mark.xfail(
         strict=True,

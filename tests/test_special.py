@@ -63,32 +63,32 @@ class TestHarmonic:
 class TestPrefixTables:
     """The prefix-sum tables reproduce math.fsum bit for bit."""
 
-    @pytest.fixture(scope="class")
-    def harmonic_fsums(self):
+    def test_harmonic_exact(self):
         terms = [1.0 / k for k in range(1, 10_001)]
-        return {n: math.fsum(terms[:n]) for n in range(1, 10_001)}
-
-    @pytest.fixture
-    def fresh_harmonic_table(self, monkeypatch):
-        table = special._PrefixSums(special._HARMONIC_TABLE._term)
-        monkeypatch.setattr(special, "_HARMONIC_TABLE", table)
-        return table
-
-    def test_harmonic_exact_when_filled_ascending(self, fresh_harmonic_table, harmonic_fsums):
-        mismatched = [n for n, v in harmonic_fsums.items() if special.harmonic(n) != v]
+        n = np.arange(1, 10_001)
+        fsums = [math.fsum(terms[:m]) for m in n.tolist()]
+        mismatched = [m for m, v in zip(n.tolist(), fsums) if special.harmonic(m) != v]
         assert mismatched == []
+        assert special.harmonic(n).tolist() == fsums
 
-    def test_harmonic_exact_after_one_cold_call(self, fresh_harmonic_table, harmonic_fsums):
-        assert special.harmonic(10_000) == harmonic_fsums[10_000]
-        mismatched = [n for n, v in harmonic_fsums.items() if special.harmonic(n) != v]
-        assert mismatched == []
-
-    def test_half_geometric_sum_exact(self, monkeypatch):
-        table = special._PrefixSums(special._HALF_GEOMETRIC_TABLE._term)
-        monkeypatch.setattr(special, "_HALF_GEOMETRIC_TABLE", table)
+    def test_half_geometric_sum_exact(self):
         terms = [math.ldexp(1.0 / k, -k) for k in range(1, 1101)]
         for n in range(0, 1201):
             assert special.half_geometric_sum(n) == math.fsum(terms[:n]), n
+
+    def test_tables_are_complete_at_import_and_immutable(self):
+        assert type(special._HARMONIC_TABLE) is tuple
+        assert type(special._HALF_GEOMETRIC_TABLE) is tuple
+        assert len(special._HARMONIC_TABLE) == special._HARMONIC_EXACT_MAX + 1
+        assert len(special._HALF_GEOMETRIC_TABLE) == special._HALF_GEOMETRIC_CAP + 1
+        array = special._HARMONIC_ARRAY
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+        assert array.tolist() == list(special._HARMONIC_TABLE)
+
+    def test_array_and_scalar_agree_across_the_switch_to_digamma(self):
+        n = [9_999, 10_000, 10_001, 10**6]
+        values = special.harmonic(np.array(n)).tolist()
+        assert [v.hex() for v in values] == [special.harmonic(m).hex() for m in n]
 
 
 class TestHalfGeometricSum:
