@@ -353,13 +353,16 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     evals = 0
     final_value = 0.0  # settled cells
     final_error = 0.0
-    work: list[tuple[float, float, float, float]] = []  # (a, b, vk, err)
+    # the unsettled cells, and their errors apart, so that the builtins
+    # sum(errs) and errs.index(max(errs)) scan them in C
+    work: list[tuple[float, float, float]] = []  # (a, b, vk)
+    errs: list[float] = []
 
     def best(value: float, error: float) -> QuadratureResult:
         """Everything integrated so far plus (value, error)."""
         return QuadratureResult(
             final_value + value + sum(c[2] for c in work),
-            final_error + error + sum(c[3] for c in work),
+            final_error + error + sum(errs),
             evals,
         )
 
@@ -382,7 +385,8 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     seeds = [-392.0, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, 22.0]
     for a, b in zip(seeds[:-1], seeds[1:]):
         vk, err = panel(a, b)
-        work.append((a, b, vk, err))
+        work.append((a, b, vk))
+        errs.append(err)
 
     target = 0.3 * abs_tol
 
@@ -390,11 +394,12 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         return 1e-16 * (1.0 + abs(vk))
 
     while True:
-        pending_error = sum(c[3] for c in work)
+        pending_error = sum(errs)
         if final_error + pending_error <= target or not work:
             break
-        worst = max(range(len(work)), key=lambda i: work[i][3])
-        a, b, vk, err = work.pop(worst)
+        worst = errs.index(max(errs))  # the first cell of largest error
+        a, b, vk = work.pop(worst)
+        err = errs.pop(worst)
         # A cell at most 1e-12 wide settles, so no bisection runs deeper than
         # 48 levels below the widest (200-wide) seed panel; only the
         # evaluation budget needs a cap.
@@ -416,12 +421,14 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
                 final_value += vk2
                 final_error += err2
             else:
-                work.append((lo, hi, vk2, err2))
+                work.append((lo, hi, vk2))
+                errs.append(err2)
 
     # Settle the window, then add each tail as it completes.
     final_value += sum(c[2] for c in work)
-    final_error += sum(c[3] for c in work)
+    final_error += sum(errs)
     work.clear()
+    errs.clear()
     for edge, direction in ((_U_LEFT, -1), (_U_RIGHT, +1)):
         tail, tail_error = _tail_sum(panel, best, edge, direction)
         final_value += tail

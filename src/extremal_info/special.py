@@ -22,17 +22,23 @@ through libm (``math.log``, ``math.exp``, float ``**``), an array call
 applies the same libm function element by element (``_math``):
 numpy's SIMD loops for these functions differ from libm in the last bit
 on a few percent of inputs.
+
+``scipy.special`` is imported at the first call that needs it, through
+``_sc``: digamma for H_n with n > 10^4, log-beta for ``beta_function`` (the
+Pareto extropy) and log-gamma for ``log_power_integral("power_logpow")``.
+No other module of the package imports scipy, so a command that needs none
+of these starts without it; its import is about half of a cold start.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special as _sc
 
 __all__ = [
     "EULER_GAMMA",
@@ -43,6 +49,16 @@ __all__ = [
     "log_power_integral",
     "LOG_POWER_INTEGRAL_KINDS",
 ]
+
+
+@functools.cache
+def _sc():
+    """``scipy.special``, imported at the first call (see the module
+    docstring)."""
+    from scipy import special
+
+    return special
+
 
 # Euler-Mascheroni constant, gamma = lim (H_n - ln n).
 EULER_GAMMA = float(np.euler_gamma)
@@ -105,13 +121,14 @@ def harmonic(n):
         n = _check_index(n, "harmonic")
         if n <= _HARMONIC_EXACT_MAX:
             return _HARMONIC_TABLE[n]
-        return float(_sc.digamma(n + 1.0)) + EULER_GAMMA
+        return float(_sc().digamma(n + 1.0)) + EULER_GAMMA
     n = _check_indices(n, "harmonic")
     exact = n <= _HARMONIC_EXACT_MAX
     out = np.empty(n.shape)
     out[exact] = _HARMONIC_ARRAY[n[exact].astype(np.intp)]
-    # n + 1.0 rounds a Python int as the scalar call does
-    out[~exact] = _sc.digamma(np.asarray(n[~exact] + 1.0, dtype=float)) + EULER_GAMMA
+    if not exact.all():  # a grid within the table needs no scipy
+        # n + 1.0 rounds a Python int as the scalar call does
+        out[~exact] = _sc().digamma(np.asarray(n[~exact] + 1.0, dtype=float)) + EULER_GAMMA
     return out
 
 
@@ -137,7 +154,7 @@ def beta_function(a, b: float):
     a, b = m.float(a), float(b)
     if not (m.all(a > 0.0) and b > 0.0):
         raise ValueError(f"beta_function requires a, b > 0, got ({a!r}, {b!r})")
-    return m.exp(_sc.betaln(a, b))
+    return m.exp(_sc().betaln(a, b))
 
 
 def beta_n1_log_moment(n: int) -> float:
@@ -194,7 +211,7 @@ def log_power_integral(
         nu, mu = float(nu), float(mu)
         if not (nu > 0.0 and mu > 0.0):
             raise ValueError(f"power_logpow requires nu, mu > 0, got ({nu!r}, {mu!r})")
-        return float(math.exp(_sc.gammaln(mu) - mu * math.log(nu)))
+        return float(math.exp(_sc().gammaln(mu) - mu * math.log(nu)))
     raise ValueError(
         f"unknown integral kind {kind!r}; expected one of {LOG_POWER_INTEGRAL_KINDS}"
     )

@@ -5,7 +5,11 @@ direct summation, scipy's gamma-family functions, or brute-force
 numerical integration with scipy.integrate.quad.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +93,102 @@ class TestPrefixTables:
         n = [9_999, 10_000, 10_001, 10**6]
         values = special.harmonic(np.array(n)).tolist()
         assert [v.hex() for v in values] == [special.harmonic(m).hex() for m in n]
+
+    def test_array_within_the_table_calls_no_digamma(self, monkeypatch):
+        def no_scipy():
+            raise AssertionError("harmonic reached for scipy with every n <= 10^4")
+
+        monkeypatch.setattr(special, "_sc", no_scipy)
+        values = special.harmonic(np.arange(1, 10_001)).tolist()
+        assert values == list(special._HARMONIC_TABLE[1:])
+
+
+# A fresh interpreter makes every closed-form call that needs neither digamma
+# nor the beta function and names each step after which scipy was loaded;
+# then it makes each call that needs scipy.special, with the accessor's cache
+# cleared, and reports whether the call imported it and the bits it gave
+# beside those of the direct scipy.special expression.
+_COLD_RUN = r"""
+import io, json, math, sys
+import numpy as np
+import extremal_info as e
+from extremal_info import cli, special
+
+loaded = []
+for d in e.catalog_members():
+    if d.family == "pareto":  # its extropy needs the beta function
+        continue
+    for n in (1, 50, 10**4):
+        for f in (e.shannon_max, e.extropy_max, e.shannon_bounds, e.extropy_bounds):
+            f(d, n)
+        if d.family != "logistic" or n > 1:  # logistic norming needs n >= 2
+            for f in (e.shannon_normalized, e.extropy_normalized, e.norming_constants):
+                f(d, n)
+    if "scipy" in sys.modules:
+        loaded.append(str(d))
+exp1 = '{"family":"exponential","theta":1}'
+for argv in (["figure1"], ["converge", "--dist", exp1, "--n-grid", "2:5000:1"]):
+    assert cli.main(argv, out=io.StringIO()) == 0
+    if "scipy" in sys.modules:
+        loaded.append(argv[0])
+
+calls = {
+    "pareto extropy": (
+        lambda: e.extropy_max(e.pareto(1.0, 2.0), 10).value,
+        lambda sc: -(2.0 * 10 * 10 / 2.0) * math.exp(sc.betaln(19, 2.5)),
+    ),
+    "harmonic(10_001)": (
+        lambda: special.harmonic(10_001),
+        lambda sc: float(sc.digamma(10_002.0)) + float(np.euler_gamma),
+    ),
+    "harmonic(array across 10^4)": (
+        lambda: special.harmonic(np.array([10_000, 10_001, 10**6])),
+        lambda sc: [
+            special.harmonic(10_000),
+            *(sc.digamma(np.array([10_002.0, 10**6 + 1.0])) + float(np.euler_gamma)),
+        ],
+    ),
+    "power_logpow": (
+        lambda: special.log_power_integral("power_logpow", nu=2, mu=3),
+        lambda sc: math.exp(sc.gammaln(3.0) - 3.0 * math.log(2.0)),
+    ),
+}
+needs_scipy = {}
+for name, (call, direct) in calls.items():
+    special._sc.cache_clear()
+    got = call()
+    imported = special._sc.cache_info().misses == 1 and "scipy.special" in sys.modules
+    from scipy import special as sc
+
+    needs_scipy[name] = [imported] + [
+        [float(v).hex() for v in np.ravel(x)] for x in (got, direct(sc))
+    ]
+print(json.dumps({"loaded": loaded, "needs_scipy": needs_scipy}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_run():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(special.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyOnFirstUse:
+    """scipy.special is imported by the first call that needs it, and only
+    then: a command that needs no digamma or beta function starts without
+    it."""
+
+    def test_calls_that_need_no_scipy_do_not_import_it(self, cold_run):
+        assert cold_run["loaded"] == []
+
+    def test_calls_that_need_scipy_import_it_and_keep_its_bits(self, cold_run):
+        for name, (imported, got, want) in cold_run["needs_scipy"].items():
+            assert imported, name
+            assert got == want, name
 
 
 class TestHalfGeometricSum:
