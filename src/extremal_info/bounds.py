@@ -152,68 +152,55 @@ def extropy_upper_envelope(dist, n: int) -> float:
     return -(n * n) * i_half * coeff
 
 
-def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
-    """Entropy of X_(n) against its finite-n envelopes.
-
-    The lower envelope 1 - ln n - 1/n presumes sup f <= 1 and is gated out
-    (reported as vacuously holding, with a note) when the parent's density
-    exceeds 1 somewhere.
-    """
-    n = _check_index(n, "shannon_bounds")
-    lower = 1.0 - math.log(n) - 1.0 / n
-    upper = shannon_upper_envelope(dist, n)
-    value = measures.shannon_max(dist, n, method, quad_tol=quad_tol).value
-
-    log_concave = dist_mod.is_log_concave(dist)
+def _unit_density_gate(dist, lead: str, noun: str) -> str:
+    """The note for a check that presumes sup f <= 1, or "" when that holds."""
     sup = dist_mod.sup_density(dist)
-    notes = []
-    if not log_concave:
-        notes.append(f"envelopes require a log-concave density; {dist.label()} is not")
     if sup > 1.0:
-        lower_holds = True
-        notes.append(
-            f"lower bound not enforced: sup density {sup:g} > 1 "
-            "(the bound presumes a density bounded by 1)"
-        )
-    else:
-        lower_holds = _ext_le(lower, value)
-    upper_holds = _ext_le(value, upper)
+        return f"{lead}: sup density {sup:g} > 1 (the {noun} presumes a density bounded by 1)"
+    return ""
+
+
+def _report(dist, lower: float, value: float, upper: float, lower_gate: str = "") -> BoundsReport:
+    """Order ``lower <= value <= upper`` under the log-concavity premise.
+
+    A non-empty ``lower_gate`` note gates the lower check out: it is
+    reported as holding vacuously and the note joins ``gate_note``.
+    """
+    log_concave = dist_mod.is_log_concave(dist)
+    notes = [] if log_concave else [f"envelopes require a log-concave density; {dist.label()} is not"]
+    if lower_gate:
+        notes.append(lower_gate)
     return BoundsReport(
         lower=lower,
         value=value,
         upper=upper,
-        lower_holds=lower_holds,
-        upper_holds=upper_holds,
+        lower_holds=bool(lower_gate) or _ext_le(lower, value),
+        upper_holds=_ext_le(value, upper),
         applicable=log_concave,
         gate_note="; ".join(notes),
     )
+
+
+def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
+    """Entropy of X_(n) against its finite-n envelopes; the lower envelope
+    1 - ln n - 1/n is gated on sup f <= 1."""
+    n = _check_index(n, "shannon_bounds")
+    lower = 1.0 - math.log(n) - 1.0 / n
+    upper = shannon_upper_envelope(dist, n)
+    value = measures.shannon_max(dist, n, method, quad_tol=quad_tol).value
+    return _report(dist, lower, value, upper, _unit_density_gate(dist, "lower bound not enforced", "bound"))
 
 
 def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
     """Extropy of X_(n) against its finite-n envelopes.
 
-    Both envelopes are scale-covariant, so no sup-density gate applies;
-    applicability is log-concavity alone.
+    Both envelopes are scale-covariant, so no sup-density gate applies.
     """
     n = _check_index(n, "extropy_bounds")
-    i_half = dist_mod.density_quantile(dist, 0.5)
-    lower = -0.5 * n * i_half
+    lower = -0.5 * n * dist_mod.density_quantile(dist, 0.5)
     upper = extropy_upper_envelope(dist, n)
     value = measures.extropy_max(dist, n, method, quad_tol=quad_tol).value
-
-    log_concave = dist_mod.is_log_concave(dist)
-    notes = []
-    if not log_concave:
-        notes.append(f"envelopes require a log-concave density; {dist.label()} is not")
-    return BoundsReport(
-        lower=lower,
-        value=value,
-        upper=upper,
-        lower_holds=_ext_le(lower, value),
-        upper_holds=_ext_le(value, upper),
-        applicable=log_concave,
-        gate_note="; ".join(notes),
-    )
+    return _report(dist, lower, value, upper)
 
 
 def shannon_limit_upper(dist) -> float:
@@ -252,6 +239,12 @@ def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: fl
     return sh_norm, ex_norm
 
 
+def _worst(gap, ts) -> tuple[float, float]:
+    """The largest entry of ``gap`` and the grid point where it sits."""
+    k = int(np.argmax(gap))
+    return float(gap[k]), float(ts[k])
+
+
 def envelope_check(dist, grid=None) -> EnvelopeReport:
     """Pointwise envelope checks for the density-quantile profile I(t).
 
@@ -272,30 +265,14 @@ def envelope_check(dist, grid=None) -> EnvelopeReport:
 
     i_vals = dist_mod.density_quantile(dist, ts)
     i_half = dist_mod.density_quantile(dist, 0.5)
-
-    bobkov_gap = 2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals
-    k = int(np.argmax(bobkov_gap))
-    bobkov_worst = float(bobkov_gap[k])
-    bobkov_worst_t = float(ts[k])
-
-    unit_gap = i_vals - 1.0
-    k = int(np.argmax(unit_gap))
-    unit_worst = float(unit_gap[k])
-    unit_worst_t = float(ts[k])
-
-    sup = dist_mod.sup_density(dist)
-    gated = sup > 1.0
-    note = (
-        f"I(t) <= 1 not applicable: sup density {sup:g} > 1 "
-        "(the envelope presumes a density bounded by 1)"
-        if gated
-        else ""
-    )
+    bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals, ts)
+    unit_worst, unit_worst_t = _worst(i_vals - 1.0, ts)
+    note = _unit_density_gate(dist, "I(t) <= 1 not applicable", "envelope")
     return EnvelopeReport(
         bobkov_holds=bobkov_worst <= _ORDER_TOL,
         bobkov_worst_violation=bobkov_worst,
         bobkov_worst_t=bobkov_worst_t,
-        unit_upper_applicable=not gated,
+        unit_upper_applicable=not note,
         unit_upper_holds=unit_worst <= _ORDER_TOL,
         unit_upper_worst_violation=unit_worst,
         unit_upper_worst_t=unit_worst_t,

@@ -148,7 +148,8 @@ def _grid(text: str):
     try:
         if ":" in text:
             a, b, step = (int(p) for p in text.split(":"))
-            return range(a, b + 1, step)
+            # b is included for either sign of step; step 0 stays an error
+            return range(a, b + (1 if step > 0 else -1), step)
         return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"expected a:b:step or a comma list of integers: {exc}") from None

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -302,11 +303,19 @@ def _gev_quantile(d, t):
     return -np.log(neg_log) if xi == 0.0 else np.expm1(-xi * np.log(neg_log)) / xi
 
 
+# Above this exponent k, (-ln t)^k can overflow for a double t in (0, 1):
+# -ln t peaks at ~744.4, at the smallest subnormal t.
+_GEV_K_FINITE = math.log(sys.float_info.max) / math.log(
+    -math.log(sys.float_info.min * sys.float_info.epsilon)
+)
+
+
 def _gev_density_quantile(d, t):
     k = _gev_xi(d) + 1.0
-    if k < 0.0:
-        # Only here is the exponent negative, so t -> 1 overflows to inf;
-        # errstate stays off the hot path, as for power_function.
+    if k < 0.0 or k > _GEV_K_FINITE:
+        # Only here can the power overflow to inf: as t -> 1 for a negative
+        # exponent, as t -> 0 for a large one; errstate stays off the hot
+        # path, as for power_function.
         with np.errstate(over="ignore"):
             return t * (-np.log(t)) ** k
     return t * (-np.log(t)) ** k

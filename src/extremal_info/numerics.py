@@ -382,7 +382,7 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
     # Seed the worklist with a handful of panels so the first refinement
     # pass already sees the broad structure of the transformed integrand.
-    seeds = [-392.0, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, 22.0]
+    seeds = [_U_LEFT, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, _U_RIGHT]
     for a, b in zip(seeds[:-1], seeds[1:]):
         vk, err = panel(a, b)
         work.append((a, b, vk))

@@ -218,6 +218,84 @@ class TestNormalizedBounds:
 
 
 # ---------------------------------------------------------------------------
+# Every report field, bit for bit, from the public pieces
+# ---------------------------------------------------------------------------
+
+PINNED_MEMBERS = list(canonical.catalog_members()) + [
+    d.exponential(3.0),
+    d.power_function(1.0, 0.3),
+    d.pareto(1.0, 2.0),
+]
+PINNED_N = sorted(set(canonical.TABLE_N) | {10**4, 10**6})
+
+
+def _ordered(a, b):
+    """a <= b over the extended reals, with 1e-12 relative slack when finite."""
+    if math.isinf(a) or math.isinf(b):
+        return a <= b
+    return a <= b + 1e-12 * max(1.0, abs(a), abs(b))
+
+
+def _sup_note(member, lead, noun):
+    sup = d.sup_density(member)
+    return f"{lead}: sup density {sup:g} > 1 (the {noun} presumes a density bounded by 1)" if sup > 1.0 else ""
+
+
+class TestReportsPinned:
+    @pytest.mark.parametrize("member", PINNED_MEMBERS, ids=lambda m: m.label())
+    def test_every_field(self, member):
+        log_concave = d.is_log_concave(member)
+        concave_note = [] if log_concave else [f"envelopes require a log-concave density; {member.label()} is not"]
+        floor_note = _sup_note(member, "lower bound not enforced", "bound")
+        i_half = d.density_quantile(member, 0.5)
+        for n in PINNED_N:
+            h = bounds.shannon_bounds(member, n)
+            lower = 1.0 - math.log(n) - 1.0 / n
+            value = measures.shannon_max(member, n).value
+            upper = bounds.shannon_upper_envelope(member, n)
+            assert h == bounds.BoundsReport(
+                lower=lower,
+                value=value,
+                upper=upper,
+                lower_holds=bool(floor_note) or _ordered(lower, value),
+                upper_holds=_ordered(value, upper),
+                applicable=log_concave,
+                gate_note="; ".join(concave_note + ([floor_note] if floor_note else [])),
+            ), n
+
+            j = bounds.extropy_bounds(member, n)
+            lower = -0.5 * n * i_half
+            value = measures.extropy_max(member, n).value
+            upper = bounds.extropy_upper_envelope(member, n)
+            assert j == bounds.BoundsReport(
+                lower=lower,
+                value=value,
+                upper=upper,
+                lower_holds=_ordered(lower, value),
+                upper_holds=_ordered(value, upper),
+                applicable=log_concave,
+                gate_note="; ".join(concave_note),
+            ), n
+
+    @pytest.mark.parametrize("member", PINNED_MEMBERS, ids=lambda m: m.label())
+    def test_unit_envelope_note(self, member):
+        report = bounds.envelope_check(member)
+        note = _sup_note(member, "I(t) <= 1 not applicable", "envelope")
+        assert report.gate_note == note
+        assert report.unit_upper_applicable is (note == "")
+
+    def test_note_strings(self):
+        h = bounds.shannon_bounds(d.pareto(1.0, 2.0), 3)
+        assert h.gate_note == (
+            "envelopes require a log-concave density; pareto(theta=1, nu=2) is not; "
+            "lower bound not enforced: sup density 2 > 1 (the bound presumes a density bounded by 1)"
+        )
+        assert bounds.envelope_check(d.exponential(3.0)).gate_note == (
+            "I(t) <= 1 not applicable: sup density 3 > 1 (the envelope presumes a density bounded by 1)"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Midpoint envelopes for I(t)
 # ---------------------------------------------------------------------------
 

@@ -484,6 +484,15 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error:")
 
+    def test_negative_step_grid_is_inclusive(self):
+        # 3:1:-1 is the decreasing grid 3, 2, 1, which the n-grid rule declines
+        code, _, err = run_cli("converge", "--dist", EXP1, "--n-grid", "3:1:-1")
+        assert code == 1
+        assert "strictly increasing" in err
+        code, out, _ = run_cli("converge", "--dist", EXP1, "--n-grid", "3:3:-1")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[1]] == ["3"]
+
     @pytest.mark.parametrize("grid", ["1:x:2", "1:10", "1:10:0"])
     def test_malformed_n_grid_names_the_accepted_forms(self, grid):
         _, _, err = run_cli("converge", "--dist", EXP1, "--n-grid", grid)
@@ -597,6 +606,8 @@ class TestExitCodes:
         "spec, command",
         [
             ('{"family":"gev","xi":170}', ("measure", "--n", "1")),
+            # I(t) overflows to inf at small t, without a numpy warning
+            ('{"family":"gev","xi":400}', ("measure", "--n", "2", "--method", "quad")),
             # a_n = 100 n^100 is finite at n = 1154 and overflows from n = 1155
             ('{"family":"pareto","theta":1,"nu":0.01}', ("converge", "--n-grid", "1154,1155")),
         ],

@@ -484,6 +484,31 @@ class TestDensityQuantileProfile:
             assert d.density_quantile(member, t) == math.inf
             assert d.density_quantile(member, np.array([t, 0.5]))[0] == math.inf
 
+    @pytest.mark.parametrize("xi", [106.0, 106.3, 106.4, 107.0, 400.0, 1e308])
+    def test_gev_large_shape_overflows_to_inf_silently(self, xi):
+        # a large xi + 1: (-ln t)^(xi+1) exceeds the double range as t -> 0,
+        # first at the smallest subnormal t, where -ln t ~ 744.4
+        ts = np.array([5e-324, 1e-300, 1e-3, 0.5, 0.999])
+        k = xi + 1.0
+        with np.errstate(over="ignore"):
+            want = ts * (-np.log(ts)) ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = d.density_quantile(d.gev(xi), ts)
+            scalars = [d.density_quantile(d.gev(xi), float(t)) for t in ts]
+        assert got.tobytes() == want.tobytes()
+        assert scalars == want.tolist()
+        assert np.isfinite(want[0]) == (xi < 106.33)  # where the overflow sets in
+
+    @pytest.mark.parametrize("member", [m for m in ALL_MEMBERS if m.family == "gev"], ids=lambda m: m.label())
+    def test_gev_catalog_profile_skips_errstate(self, member, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("errstate on the catalog's hot path")
+
+        monkeypatch.setattr(d.np, "errstate", refuse)
+        assert d.density_quantile(member, 0.25) > 0.0
+        assert np.all(d.density_quantile(member, INTERIOR_T) > 0.0)
+
 
 # ---------------------------------------------------------------------------
 # sup f and log-concavity
