@@ -4,162 +4,27 @@ Closed forms, quadrature, and Monte Carlo routes for the Shannon entropy
 and extropy of the maximum of n i.i.d. draws from six parametric
 families, plus the bounds, envelopes, and extreme-value limits that tie
 them together.
+
+The package re-exports every library module's ``__all__``, so a public
+name is declared once, where it is defined; :mod:`~extremal_info.cli` and
+:mod:`~extremal_info.verify` stay out of its namespace.
 """
 
-from .bounds import (
-    BoundsReport,
-    EnvelopeReport,
-    GapRecord,
-    GapStudy,
-    envelope_check,
-    exponential_gap,
-    extropy_bounds,
-    extropy_limit_upper,
-    extropy_upper_envelope,
-    normalized_bounds,
-    shannon_bounds,
-    shannon_limit_upper,
-    shannon_upper_envelope,
-)
-from .canonical import (
-    CANONICAL_NUS,
-    CANONICAL_THETAS,
-    CANONICAL_XIS,
-    catalog_members,
-    mc_representatives,
-)
-from .distributions import (
-    FAMILIES,
-    DistributionSpec,
-    cdf,
-    density_quantile,
-    exponential,
-    from_dict,
-    from_json,
-    gev,
-    is_log_concave,
-    log_pdf,
-    logistic,
-    pareto,
-    pdf,
-    power_function,
-    quantile,
-    sup_density,
-    to_dict,
-    uniform,
-)
-from .evt import (
-    ConvergenceRecord,
-    ConvergenceStudy,
-    NormingConstants,
-    convergence_study,
-    limit_cdf,
-    limiting_targets,
-    mda_classify,
-    norming_constants,
-    normalized_maximum_cdf,
-)
-from .measures import (
-    INDETERMINATE,
-    MeasureValue,
-    crosscheck,
-    extropy_limit,
-    extropy_max,
-    extropy_normalized,
-    is_indeterminate,
-    shannon_limit,
-    shannon_max,
-    shannon_normalized,
-)
-from .numerics import (
-    ConcavityReport,
-    McEstimate,
-    QuadratureError,
-    QuadratureResult,
-    grid_concavity_check,
-    integrate_unit,
-    mc_entropy_max,
-    mc_extropy_max,
-)
-from .special import (
-    EULER_GAMMA,
-    beta_function,
-    beta_n1_log_moment,
-    half_geometric_sum,
-    harmonic,
-    log_power_integral,
-)
+from . import bounds, canonical, distributions, evt, measures, numerics, special
+from .bounds import *  # noqa: F403
+from .canonical import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .evt import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsReport",
-    "CANONICAL_NUS",
-    "CANONICAL_THETAS",
-    "CANONICAL_XIS",
-    "ConcavityReport",
-    "ConvergenceRecord",
-    "ConvergenceStudy",
-    "DistributionSpec",
-    "EULER_GAMMA",
-    "EnvelopeReport",
-    "FAMILIES",
-    "GapRecord",
-    "GapStudy",
-    "INDETERMINATE",
-    "McEstimate",
-    "MeasureValue",
-    "NormingConstants",
-    "QuadratureError",
-    "QuadratureResult",
-    "beta_function",
-    "beta_n1_log_moment",
-    "catalog_members",
-    "cdf",
-    "convergence_study",
-    "crosscheck",
-    "density_quantile",
-    "envelope_check",
-    "exponential",
-    "exponential_gap",
-    "extropy_bounds",
-    "extropy_limit",
-    "extropy_limit_upper",
-    "extropy_max",
-    "extropy_normalized",
-    "extropy_upper_envelope",
-    "from_dict",
-    "from_json",
-    "gev",
-    "grid_concavity_check",
-    "half_geometric_sum",
-    "harmonic",
-    "integrate_unit",
-    "is_indeterminate",
-    "is_log_concave",
-    "limit_cdf",
-    "limiting_targets",
-    "log_pdf",
-    "log_power_integral",
-    "logistic",
-    "mc_entropy_max",
-    "mc_extropy_max",
-    "mc_representatives",
-    "mda_classify",
-    "norming_constants",
-    "normalized_bounds",
-    "normalized_maximum_cdf",
-    "pareto",
-    "pdf",
-    "power_function",
-    "quantile",
-    "shannon_bounds",
-    "shannon_limit",
-    "shannon_limit_upper",
-    "shannon_max",
-    "shannon_normalized",
-    "shannon_upper_envelope",
-    "sup_density",
-    "to_dict",
-    "uniform",
-]
+__all__ = list(
+    dict.fromkeys(
+        name
+        for module in (bounds, canonical, distributions, evt, measures, numerics, special)
+        for name in module.__all__
+    )
+)

@@ -35,7 +35,8 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .numerics import DEFAULT_QUAD_TOL
-from .special import EULER_GAMMA, _check_index, _check_n_grid, half_geometric_sum, harmonic
+from .special import EULER_GAMMA, _check_index, _check_n_grid, _check_real
+from .special import half_geometric_sum, harmonic
 
 __all__ = [
     "BoundsReport",
@@ -289,6 +290,7 @@ def exponential_gap(dist, n_grid, *, tol: float = 1e-4) -> GapStudy:
     family, whose measures converge exactly to the ceilings.
     """
     grid = _check_n_grid(n_grid, "exponential_gap")
+    tol = _check_real(tol, "tol")
 
     h_ub = shannon_limit_upper(dist)
     j_ub = extropy_limit_upper(dist)

@@ -46,8 +46,8 @@ from . import evt
 from . import measures
 from .measures import is_indeterminate
 from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, QuadratureError
-from .numerics import _check_samples, _check_seed, _check_tol
-from .special import _check_index, _check_n_grid
+from .numerics import _check_samples, _check_seed
+from .special import _check_index, _check_n_grid, _check_real
 
 __all__ = ["main"]
 
@@ -305,7 +305,7 @@ def _build_parser() -> _Parser:
                     help="number of draws"),
         "--n-grid": dict(type=_option_type("--n-grid", _grid, _check_n_grid), required=True,
                          help="a:b:step or comma list"),
-        "--tol": dict(type=_option_type("--tol", float, _check_tol), default=DEFAULT_QUAD_TOL,
+        "--tol": dict(type=_option_type("--tol", float, _check_real), default=DEFAULT_QUAD_TOL,
                       help="quadrature absolute tolerance"),
         "--samples": dict(type=_option_type("--samples", int, _check_samples),
                           default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),

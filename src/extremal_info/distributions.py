@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import EULER_GAMMA, _math
+from .special import EULER_GAMMA, _check_real, _math
 
 __all__ = [
     "FAMILIES",
@@ -474,16 +473,6 @@ FAMILIES = tuple(REGISTRY)
 # ---------------------------------------------------------------------------
 
 
-def _real(name: str, value, positive: bool) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
-    if not (math.isfinite(x) and (x > 0.0 or not positive)):
-        kind = "positive finite" if positive else "finite"
-        raise ValueError(f"{name} must be a {kind} real, got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """Immutable, validated description of one catalog member."""
@@ -499,7 +488,7 @@ class DistributionSpec:
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
         fields = REGISTRY[self.family].fields
-        object.__setattr__(self, "theta", _real("theta", self.theta, positive=True))
+        object.__setattr__(self, "theta", _check_real(self.theta, "theta"))
         if "theta" not in fields and self.theta != 1.0:
             raise ValueError(f"{self.family} does not take theta; it is fixed at 1")
         for name in ("nu", "xi"):
@@ -510,7 +499,7 @@ class DistributionSpec:
             elif value is None:
                 raise ValueError(f"{self.family} requires a shape parameter {name}")
             else:
-                object.__setattr__(self, name, _real(name, value, positive=name == "nu"))
+                object.__setattr__(self, name, _check_real(value, name, positive=name == "nu"))
 
     @property
     def support(self) -> tuple[float, float]:

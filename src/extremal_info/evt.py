@@ -35,7 +35,7 @@ from itertools import repeat
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import _check_index, _check_n_grid, _math
+from .special import _check_index, _check_n_grid, _check_real, _math
 
 __all__ = [
     "NormingConstants",
@@ -52,27 +52,20 @@ __all__ = [
 
 def _domain(xi: float) -> str:
     """The domain of attraction named by the sign of a finite index xi."""
-    if not math.isfinite(xi):
-        raise ValueError(f"xi must be a finite real, got {xi!r}")
+    xi = _check_real(xi, "xi", positive=False)
     if xi == 0.0:
         return "gumbel"
     return "frechet" if xi > 0.0 else "reversed_weibull"
 
 
-def _check_scale(a_n: float) -> float:
-    """The norming scale a_n, which must be a positive finite real."""
-    if not (a_n > 0.0 and math.isfinite(a_n)):
-        raise ValueError(f"a_n must be a positive finite real, got {a_n!r}")
-    return a_n
-
-
 def _check_scales(a_n):
-    """:func:`_check_scale` at every a_n of an array (or at one a_n), at
-    once; the message names the first offending a_n."""
+    """The norming scale rule, a positive finite real, at every a_n of an
+    array (or at one a_n), at once; the message names the first offending
+    a_n."""
     a = np.asarray(a_n, dtype=float)
     bad = ~((a > 0.0) & np.isfinite(a))
     if bad.any():
-        _check_scale(float(a[bad][0]))
+        _check_real(float(a[bad][0]), "a_n")
     return a_n
 
 
@@ -86,7 +79,7 @@ class NormingConstants:
     xi: float
 
     def __post_init__(self):
-        _check_scale(self.a_n)
+        _check_real(self.a_n, "a_n")
         _domain(self.xi)  # rejects a non-finite xi
 
     @property

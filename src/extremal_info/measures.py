@@ -120,36 +120,32 @@ def _normalize_method(method: str) -> str:
 #
 # The profile factors depend only on the member and the weights only on n,
 # so each is computed once per panel in a bounded cache keyed on the panel's
-# node tuple, and H, J and every n of one member share them.  The profile
-# comes from the family record, called on nodes integrate_panels has already
-# checked to lie in (0, 1); float() keeps the arithmetic on Python floats,
-# as the public density_quantile does.  Each value is the same product of
-# the same floats as the point integrand on the public API, so both give the
-# same bits.  A factor that raises leaves no cache entry.
+# node tuple, and H, J and every n of one member share them: one profile
+# table holds I and ln I together.  The profile comes from the family
+# record, called on nodes integrate_panels has already checked to lie in
+# (0, 1); float() keeps the arithmetic on Python floats, as the public
+# density_quantile does.  Each value is the same product of the same floats
+# as the point integrand on the public API, so both give the same bits.  A
+# factor that raises leaves no cache entry.
 #
 # The tables are sized to their working sets on the paper's grid (catalog x
 # TABLE_N, member-major, as tables and verify run it): one member touches at
 # most 59 distinct panels, and the whole grid 418 distinct (n, measure,
-# panel) weights.  The profile tables do not hold the catalog's 1544.
+# panel) weights.  The profile table does not hold the catalog's 1544.
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
-def _profile(dist, ts: tuple) -> tuple:
-    """I(t) at each node of one panel."""
+def _profile(dist, ts: tuple) -> tuple[tuple, tuple]:
+    """(I(t), ln I(t)) at each node of one panel; an I that underflowed to 0
+    has ln I = -inf, so an H panel fails as non-finite instead of in
+    math.log."""
     profile = dist_mod.REGISTRY[dist.family].density_quantile
-    return tuple(map(float, map(profile, repeat(dist), ts)))
-
-
-@functools.lru_cache(maxsize=64)
-def _log_profile(dist, ts: tuple) -> tuple:
-    """ln I(t) at each node of one panel; an I that underflowed to 0 gives
-    -inf, so the panel fails as non-finite instead of in math.log."""
-    profile = _profile(dist, ts)
+    values = tuple(map(float, map(profile, repeat(dist), ts)))
     try:  # map keeps math.log in C on the common path
-        return tuple(map(math.log, profile))
+        return values, tuple(map(math.log, values))
     except ValueError:
-        return tuple(math.log(i) if i else -math.inf for i in profile)
+        return values, tuple(math.log(i) if i else -math.inf for i in values)
 
 
 @functools.lru_cache(maxsize=512)
@@ -164,7 +160,7 @@ def _weight(n: int, measure: str, ts: tuple) -> tuple:
 
 def _shannon_quad(dist, n: int, tol: float) -> MeasureValue:
     def integrand(ys: tuple):
-        return map(operator.mul, _weight(n, "H", ys), _log_profile(dist, ys))
+        return map(operator.mul, _weight(n, "H", ys), _profile(dist, ys)[1])
 
     q = numerics.integrate_panels(integrand, abs_tol=tol)
     value = 1.0 - math.log(n) - 1.0 / n - q.value
@@ -173,7 +169,7 @@ def _shannon_quad(dist, n: int, tol: float) -> MeasureValue:
 
 def _extropy_quad(dist, n: int, tol: float) -> MeasureValue:
     def integrand(ts: tuple):
-        return map(operator.mul, _weight(n, "J", ts), _profile(dist, ts))
+        return map(operator.mul, _weight(n, "J", ts), _profile(dist, ts)[0])
 
     q = numerics.integrate_panels(integrand, abs_tol=tol)
     return MeasureValue(q.value, "quadrature", q.error_estimate)

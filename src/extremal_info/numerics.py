@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import _check_index
+from .special import _check_index, _check_real
 
 __all__ = [
     "QuadratureResult",
@@ -67,19 +67,13 @@ __all__ = [
     "grid_concavity_check",
 ]
 
-# Defaults and input rules shared by every quadrature and Monte Carlo entry
-# point and the CLI's options, the package's only checks on these values; a
-# rule's ``name`` is the caller's, for the message.
+# Defaults shared by every quadrature and Monte Carlo entry point and the
+# CLI's options, and the rules for the sample count and the seed, the
+# package's only checks on these values (a tolerance is a real, checked by
+# special._check_real); a rule's ``name`` is the caller's, for the message.
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
 MIN_SAMPLES = 100
-
-
-def _check_tol(tol, name: str = "abs_tol"):
-    """A quadrature tolerance: a positive finite number, returned as given."""
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
-    return tol
 
 
 def _check_samples(samples, name: str = "samples") -> int:
@@ -348,7 +342,7 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     is as described in :func:`integrate_unit`, which is this function with
     a point integrand.
     """
-    _check_tol(abs_tol)
+    abs_tol = _check_real(abs_tol, "abs_tol")
 
     evals = 0
     final_value = 0.0  # settled cells
@@ -509,6 +503,7 @@ def grid_concavity_check(g, grid, tol: float = 1e-9) -> ConcavityReport:
     and the worst violation (positive means the chord exceeded the function,
     i.e. local convexity).
     """
+    tol = _check_real(tol, "tol", positive=False)
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")

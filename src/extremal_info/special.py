@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from itertools import accumulate, repeat
 from types import SimpleNamespace
@@ -208,9 +209,7 @@ def log_power_integral(
     if kind == "power_logpow":
         if nu is None or mu is None:
             raise ValueError("power_logpow requires nu and mu")
-        nu, mu = float(nu), float(mu)
-        if not (nu > 0.0 and mu > 0.0):
-            raise ValueError(f"power_logpow requires nu, mu > 0, got ({nu!r}, {mu!r})")
+        nu, mu = _check_real(nu, "nu"), _check_real(mu, "mu")
         return float(math.exp(_sc().gammaln(mu) - mu * math.log(nu)))
     raise ValueError(
         f"unknown integral kind {kind!r}; expected one of {LOG_POWER_INTEGRAL_KINDS}"
@@ -277,6 +276,22 @@ def _check_index(n: int | None, name: str, minimum: int = 1) -> int:
     if n < minimum:
         raise ValueError(f"{name} requires n >= {minimum}, got {n}")
     return n
+
+
+def _check_real(value, name: str, positive: bool = True) -> float:
+    """The package's one check on a real parameter: a real number, not bool,
+    finite, and positive unless ``positive`` is false; returned as a float.
+    ``name`` is the parameter, for the message."""
+    # a Python float skips the ABC check, which costs more than the rest
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise ValueError(f"{name} must be a {kind} real, got {value!r}")
+    return x
 
 
 def _check_indices(n: np.ndarray, name: str) -> np.ndarray:

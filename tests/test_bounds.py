@@ -381,6 +381,12 @@ class TestExponentialGap:
         assert not study.attaining  # finite n cannot meet an impossible tol
         assert study.tol == 1e-12
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-4, True])
+    def test_rejects_a_tolerance_that_is_not_a_positive_finite_real(self, tol):
+        # an infinite tol would report pareto(1, 2) as attaining its ceilings
+        with pytest.raises(ValueError, match="^tol must be a (positive finite )?real"):
+            bounds.exponential_gap(d.pareto(1.0, 2.0), (2, 10), tol=tol)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             bounds.exponential_gap(d.exponential(1.0), ())

@@ -542,8 +542,8 @@ class TestExitCodes:
         [
             (("measure", "--dist", EXP1, "--n", "0"), special._check_index, 0),
             (("converge", "--dist", EXP1, "--n-grid", "3,2"), special._check_n_grid, [3, 2]),
-            (("bounds", "--dist", EXP1, "--n", "2", "--tol", "0"), numerics._check_tol, 0.0),
-            (("tables", "--tol", "inf"), numerics._check_tol, math.inf),
+            (("bounds", "--dist", EXP1, "--n", "2", "--tol", "0"), special._check_real, 0.0),
+            (("tables", "--tol", "inf"), special._check_real, math.inf),
             (("measure", "--dist", EXP1, "--n", "2", "--samples", "99"),
              numerics._check_samples, 99),
             (("verify", "--seed", "-2"), numerics._check_seed, -2),

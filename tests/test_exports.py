@@ -1,8 +1,9 @@
 """The export lists name exactly what the package and its modules provide,
 and the modules import each other without a cycle.
 
-A deleted function must leave every ``__all__`` that named it, and a name
-the package offers must be in the package's ``__all__``.
+A deleted function must leave every ``__all__`` that named it, a name the
+package offers must be in the package's ``__all__``, and the package offers
+every library module's ``__all__``.
 """
 
 import ast
@@ -31,6 +32,20 @@ def test_every_package_export_resolves():
     exported = extremal_info.__all__
     assert [n for n in exported if not hasattr(extremal_info, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_package_exports_every_library_module():
+    # the package re-exports each module's __all__, so a new module or name
+    # cannot be left out; the CLI and the verification suite stay outside
+    library = [name for name in MODULES if name not in ("cli", "verify")]
+    exported = {n for name in library for n in importlib.import_module(f"extremal_info.{name}").__all__}
+    assert set(extremal_info.__all__) == exported
+
+
+def test_version_is_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
+        assert extremal_info.__version__ == tomllib.load(f)["project"]["version"]
 
 
 def test_package_public_attributes_are_its_exports():

@@ -327,10 +327,10 @@ class TestAlternateRoutes:
         self, member, cache, monkeypatch, quadrature_caches
     ):
         # The quadrature integrands take each panel's values from the
-        # profile, log-profile and weight tables, filled from the family
-        # record on nodes integrate_panels has checked; integrate_unit on the
-        # point integrand of the public density_quantile must give the same
-        # bits, with the node, profile and weight caches all cold or all warm.
+        # profile and weight tables, filled from the family record on nodes
+        # integrate_panels has checked; integrate_unit on the point integrand
+        # of the public density_quantile must give the same bits, with the
+        # node, profile and weight caches all cold or all warm.
         integrate = numerics.integrate_panels
         seen = []
 
@@ -370,14 +370,13 @@ class TestAlternateRoutes:
         assert (sum(evals), min(evals), max(evals)) == (169_680, 345, 705)
 
     def test_cache_sizes_cover_the_table_grid_working_sets(self, table_grid):
-        # Member-major, as tables and verify run: a profile table must hold
-        # one member's panels, the weight table every (n, measure, panel) of
-        # the grid, and neither profile table the whole catalog's panels.
+        # Member-major, as tables and verify run: the profile table must hold
+        # one member's panels but not the whole catalog's, and the weight
+        # table every (n, measure, panel) of the grid.
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
         assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
-        for cached in (measures._profile, measures._log_profile):
-            assert max(per_member) <= cached.cache_info().maxsize < sum(per_member)
+        assert max(per_member) <= measures._profile.cache_info().maxsize < sum(per_member)
         assert weights <= measures._weight.cache_info().maxsize
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
@@ -428,7 +427,7 @@ class TestAlternateRoutes:
         assert outcomes[0][1] < 1000
         first_panel = numerics._panel_nodes(-392.0, -192.0)[0]
         hits = measures._profile.cache_info().hits
-        assert math.inf in measures._profile(member, first_panel)
+        assert math.inf in measures._profile(member, first_panel)[0]
         assert measures._profile.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize(

@@ -136,7 +136,7 @@ class TestIntegrateUnit:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="abs_tol must be a positive finite number"):
+        with pytest.raises(ValueError, match="abs_tol must be a positive finite real"):
             numerics.integrate_unit(lambda t: 1.0, abs_tol=tol)
 
     def test_result_fields_are_python_floats(self):
@@ -241,7 +241,6 @@ class TestMcEstimators:
             (numerics._check_samples, 99, "samples must be at least 100, got 99"),
             (numerics._check_samples, 1e5, "samples must be an integer, got 100000.0"),
             (numerics._check_seed, -1, "seed must be a non-negative integer, got -1"),
-            (numerics._check_tol, 0.0, "abs_tol must be a positive finite number, got 0.0"),
         ],
     )
     def test_validators_state_the_rule_under_the_given_name(self, check, value, message):
@@ -251,6 +250,13 @@ class TestMcEstimators:
         with pytest.raises(ValueError) as excinfo:
             check(value, "--flag")
         assert str(excinfo.value) == "--flag" + message[message.index(" "):]
+
+    @pytest.mark.parametrize("name", ["abs_tol", "--flag"])
+    def test_the_tolerance_rule_states_itself_under_the_given_name(self, name):
+        # the real-number rule has no default name: every caller gives one
+        with pytest.raises(ValueError) as excinfo:
+            special._check_real(0.0, name)
+        assert str(excinfo.value) == f"{name} must be a positive finite real, got 0.0"
 
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
     def test_non_finite_summand_is_named(self, estimator, monkeypatch):
@@ -439,6 +445,18 @@ class TestGridConcavityCheck:
             numerics.grid_concavity_check(lambda t: t, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="strictly increasing"):
             numerics.grid_concavity_check(lambda t: t, np.array([0.0, 0.5, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, True, "0"])
+    def test_rejects_a_tolerance_that_is_not_a_finite_real(self, tol):
+        # a nan or infinite slack would report the convex x^2 as concave
+        grid = np.linspace(-1.0, 1.0, 51)
+        with pytest.raises(ValueError, match="^tol must be a (finite )?real"):
+            numerics.grid_concavity_check(lambda t: t * t, grid, tol=tol)
+
+    def test_a_negative_slack_is_allowed(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        report = numerics.grid_concavity_check(lambda t: t * (1.0 - t), grid, tol=-1.0)
+        assert not report.concave and report.tol == -1.0
 
     def test_rejects_nonfinite_values(self):
         grid = np.linspace(0.0, 1.0, 5)

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy import special as sps
 
-from extremal_info import special
+from extremal_info import distributions, measures, numerics, special
 
 
 def test_euler_gamma_value():
@@ -329,6 +329,51 @@ class TestLogPowerIntegral:
             special.log_power_integral("power_logpow", nu=-1.0, mu=2.0)
         with pytest.raises(ValueError):
             special.log_power_integral("power_logpow", nu=1.0, mu=0.0)
+
+
+class TestRealRule:
+    """Every real parameter goes through ``special._check_real``: a real
+    number, not bool, finite, and positive where the parameter must be."""
+
+    BAD = [True, False, "1e-3", "2", 1j, math.nan, math.inf, -math.inf, 0.0, 0, -1.0]
+    # each site's parameter name and a call that passes ``value`` as it
+    SITES = {
+        "integrate_unit": ("abs_tol", lambda v: numerics.integrate_unit(lambda t: 1.0, abs_tol=v)),
+        "shannon_max": (
+            "abs_tol",
+            lambda v: measures.shannon_max(distributions.exponential(1.0), 5, "quad", quad_tol=v),
+        ),
+        "spec": ("theta", lambda v: distributions.from_dict({"family": "exponential", "theta": v})),
+        "power_logpow_nu": ("nu", lambda v: special.log_power_integral("power_logpow", nu=v, mu=3.0)),
+        "power_logpow_mu": ("mu", lambda v: special.log_power_integral("power_logpow", nu=2.0, mu=v)),
+    }
+
+    @staticmethod
+    def message(name, value, positive=True):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"{name} must be a real number, got {value!r}"
+        kind = "positive finite" if positive else "finite"
+        return f"{name} must be a {kind} real, got {value!r}"
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    @pytest.mark.parametrize("site", SITES)
+    def test_every_site_states_the_rule_under_its_name(self, site, value):
+        name, call = self.SITES[site]
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        assert str(excinfo.value) == self.message(name, value)
+
+    def test_a_finite_real_of_either_sign_passes_where_allowed(self):
+        assert [distributions.gev(v).xi for v in (0, -1.0)] == [0.0, -1.0]
+        for value in (math.nan, -math.inf, True, "0"):
+            with pytest.raises(ValueError) as excinfo:
+                distributions.gev(value)
+            assert str(excinfo.value) == self.message("xi", value, positive=False)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.int64(2), np.float32(2.0)], ids=repr)
+    def test_accepts_any_real_and_returns_a_python_float(self, value):
+        got = special._check_real(value, "x")
+        assert type(got) is float and got == 2.0
 
 
 def _check_n_grid_one_by_one(n_grid, name):
