@@ -17,14 +17,18 @@ geometric decay the transform produces.  The 15 nodes of a panel depend
 only on its u-interval, so they are computed and range-checked once per
 distinct panel and kept in a bounded cache.  The kernel,
 :func:`integrate_panels`, hands the integrand one panel's node tuple at a
-time, each t already known to lie in (0, 1), and takes the 15 values back,
-so an integrand can cache per-panel factors on that tuple;
+time, each t already known to lie in (0, 1), and takes the 15 values back;
 :func:`integrate_unit` is the same kernel over a point integrand called
-once per node.  A panel whose value or error is not finite (the integrand
-overflowed or returned nan) fails at once with the panel's place in the
-message -- its t-interval, or its (1 - t)-interval right of u = 0, where t
-rounds to 1 -- instead of spending the evaluation budget on an error that
-can never shrink.
+once per node.  A caller that integrates many integrands over the same
+panels can rule them all at once: :func:`_gk15_rows` applies the GK15 rule
+to a stack of panels in one numpy pass, with the bits of the scalar rule,
+and :func:`integrate_panels` reads those (value, error) pairs as ``known``
+panels instead of evaluating them, so the adaptive loop, the tails and the
+result stay the same.  A panel whose value or error is not finite (the
+integrand overflowed or returned nan) fails at once with the panel's place
+in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
+where t rounds to 1 -- instead of spending the evaluation budget on an
+error that can never shrink.
 
 Monte Carlo
 -----------
@@ -232,6 +236,35 @@ def _gk15(g, a: float, b: float) -> tuple[float, float]:
     return h * resk, abs(h * (resk - resg))
 
 
+# _gk15's coefficients in its order of summation, as columns: the centre
+# term first, then j = 0..6 (odd j for G7).
+_KRONROD = np.array([_WGK[7], *_WGK[:7]])[:, None]
+_GAUSS = np.array([_WG[3], *_WG[:3]])[:, None]
+
+
+def _gk15_rows(w, v, dtdu, half) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gk15` on k panels at once, bit for bit, for an integrand that
+    is a product w x v.
+
+    Row i of the (k, 15) arrays ``w``, ``v`` and ``dtdu`` holds panel i's
+    factors and dt/du at its nodes in the order :func:`_gk15` sums them, and
+    ``half[i]`` its half-width 0.5 (b - a).  Every element goes through the
+    IEEE operations of :func:`_gk15` in the same order -- (w v) dt/du, the
+    pair sums, then each rule summed left to right, as ``add.accumulate``
+    defines its running sum -- so row i has the scalar rule's bits on that
+    panel, inf and nan included, and no floating-point warning is raised.
+    Returns the arrays of Kronrod values and |K15 - G7|.
+    """
+    with np.errstate(all="ignore"):
+        f = (w * v * dtdu).T
+        terms = np.empty((8, len(half)))
+        terms[0] = f[0]
+        np.add(f[1::2], f[2::2], out=terms[1:])  # the pairs f(c - x_j) + f(c + x_j)
+        resk = np.add.accumulate(_KRONROD * terms)[-1]
+        resg = np.add.accumulate(_GAUSS * terms[0::2])[-1]
+        return half * resk, np.abs(half * (resk - resg))
+
+
 def _wynn_limit(sums: list[float]) -> tuple[float, float]:
     """Wynn epsilon acceleration of a sequence of partial sums.
 
@@ -328,19 +361,22 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     return integrate_panels(lambda ts: [f(t) for t in ts], abs_tol)
 
 
-def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
+def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> QuadratureResult:
     """Integrate over (0, 1) an integrand given one GK15 panel at a time.
 
     ``g`` receives the tuple of a panel's 15 nodes t, each already checked to
     lie in (0, 1), and returns the 15 integrand values in the same order, as
-    any iterable.  A panel recurs with an equal node tuple in every integral
-    that visits it, so ``g`` may key its own caches on the tuple: an
-    integrand whose factors depend on fewer parameters than the integral (a
-    profile on the member, a weight on n) then computes each factor once per
-    panel and shares it across integrals.  Everything else -- the adaptive
-    loop, the tails, the fail-fast check and the meaning of ``abs_tol`` --
-    is as described in :func:`integrate_unit`, which is this function with
-    a point integrand.
+    any iterable.  Everything else -- the adaptive loop, the tails, the
+    fail-fast check and the meaning of ``abs_tol`` -- is as described in
+    :func:`integrate_unit`, which is this function with a point integrand.
+
+    ``known``, if given, is a dict from a panel's (a, b) to the
+    (value, error) :func:`_gk15` gives there for this integrand, such as
+    :func:`_gk15_rows` computes for many panels at once.  A panel found
+    there is read, not evaluated, and still counts its 15 evaluations, so
+    the result is the same to the bit.  Any other panel is evaluated by one
+    call of ``g`` and then set, ``known[a, b] = (value, error)``, so a dict
+    subclass can pair each new panel with the values ``g`` just gave.
     """
     abs_tol = _check_real(abs_tol, "abs_tol")
 
@@ -363,7 +399,12 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     def panel(a: float, b: float) -> tuple[float, float]:
         """GK15 on [a, b]; a non-finite value or error fails at once."""
         nonlocal evals
-        vk, err = _gk15(g, a, b)
+        rule = None if known is None else known.get((a, b))
+        if rule is None:
+            rule = _gk15(g, a, b)
+            if known is not None:
+                known[a, b] = rule
+        vk, err = rule
         evals += 15
         if not (math.isfinite(vk) and math.isfinite(err)):
             right = a >= 0.0  # t rounds to 1 there, so name 1 - t = sigma(-u)

@@ -12,10 +12,10 @@ identities.
 ``run_all`` runs the contracts on a smoke grid, next to groups that check
 the installation only (quadrature oracle, distribution consistency, a
 one-seed Monte Carlo check, CLI determinism).  It is deterministic.  On a
-2-CPU Intel Xeon, ``run_all`` takes about 0.15 s on its first call in a
-process and 0.12 s after that, and ``extremal-info verify`` about 0.8 s
-with interpreter start-up.  ``tests/test_acceptance.py`` runs the same
-contracts on the release grid.
+2-CPU Intel Xeon, ``run_all`` takes about 0.3 s of CPU on its first call
+in a process, most of it importing ``scipy.special``, and 0.04 s after
+that, and ``extremal-info verify`` about 0.6 s with interpreter start-up.
+``tests/test_acceptance.py`` runs the same contracts on the release grid.
 """
 
 from __future__ import annotations

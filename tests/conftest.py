@@ -19,8 +19,8 @@ from extremal_info import measures, numerics
 
 @pytest.fixture
 def quadrature_caches():
-    """The panel-node cache and the measures' profile and weight tables."""
-    return (numerics._panel_nodes, measures._profile, measures._weight)
+    """The panel-node cache and the measures' panel, weight and profile tables."""
+    return (numerics._panel_nodes, measures._tables)
 
 
 @pytest.hookimpl(hookwrapper=True)

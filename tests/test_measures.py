@@ -7,6 +7,10 @@ scale laws, and degenerate cases are exercised for every family.
 
 import dataclasses
 import math
+import operator
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -276,24 +280,26 @@ class TestScaleLaws:
 @pytest.fixture(scope="module")
 def table_grid():
     """The 300 quadrature integrals of crosscheck over catalog x TABLE_N, in
-    table order: their results, each member's distinct panels and the
-    distinct (n, measure, panel) weights."""
+    table order: their results, each member's distinct panels, the distinct
+    panels of the grid and the distinct (n, measure, panel) weights."""
     integrate = numerics.integrate_panels
-    results, weights, per_member, panels = [], set(), [], set()
+    results, weights, per_member, panels, grid_panels = [], set(), [], set(), set()
     tag = {}
     routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
 
-    def recording(g, abs_tol):
-        def seen(ts):
-            panels.add(ts)
-            weights.add((tag["n"], tag["measure"], ts))
-            return g(ts)
-
-        results.append(integrate(seen, abs_tol=abs_tol))
+    def recording(g, abs_tol, known):
+        results.append(integrate(g, abs_tol=abs_tol, known=known))
         return results[-1]
+
+    def visit(known, key):
+        # integrate_panels looks up every panel it visits in ``known``
+        panels.add(key)
+        weights.add((tag["n"], tag["measure"], key))
+        return dict.get(known, key)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numerics, "integrate_panels", recording)
+        m.setattr(measures._Known, "get", visit)
         for member in canonical.catalog_members():
             panels.clear()
             for n in canonical.TABLE_N:
@@ -301,7 +307,13 @@ def table_grid():
                 for tag["measure"], route in routes:
                     route(member, n, "quadrature")
             per_member.append(len(panels))
-    return {"results": results, "panels_per_member": per_member, "weights": len(weights)}
+            grid_panels |= panels
+    return {
+        "results": results,
+        "panels_per_member": per_member,
+        "panels": len(grid_panels),
+        "weights": len(weights),
+    }
 
 
 class TestAlternateRoutes:
@@ -334,8 +346,8 @@ class TestAlternateRoutes:
         integrate = numerics.integrate_panels
         seen = []
 
-        def recording(g, abs_tol):
-            seen.append(integrate(g, abs_tol=abs_tol))
+        def recording(g, abs_tol, known):
+            seen.append(integrate(g, abs_tol=abs_tol, known=known))
             return seen[-1]
 
         def key(q):
@@ -370,14 +382,126 @@ class TestAlternateRoutes:
         assert (sum(evals), min(evals), max(evals)) == (169_680, 345, 705)
 
     def test_cache_sizes_cover_the_table_grid_working_sets(self, table_grid):
-        # Member-major, as tables and verify run: the profile table must hold
-        # one member's panels but not the whole catalog's, and the weight
-        # table every (n, measure, panel) of the grid.
+        # Member-major, as tables and verify run: the tables must hold every
+        # panel, member and (n, measure) of the grid, so that a second sweep
+        # runs warm, and stay bounded past it.
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
         assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
-        assert max(per_member) <= measures._profile.cache_info().maxsize < sum(per_member)
-        assert weights <= measures._weight.cache_info().maxsize
+        assert (measures._ROW_CAP, measures._MEMBER_CAP, measures._WEIGHT_CAP) == (256, 64, 64)
+        assert table_grid["panels"] == 59 <= measures._ROW_CAP
+        assert len(per_member) == 30 <= measures._MEMBER_CAP
+        assert 2 * len(canonical.TABLE_N) <= measures._WEIGHT_CAP
+
+    def test_a_warm_second_sweep_of_the_table_grid_makes_no_scalar_rule_call(
+        self, monkeypatch, quadrature_caches
+    ):
+        def sweep():
+            for member in canonical.catalog_members():
+                for n in canonical.TABLE_N:
+                    measures.crosscheck(member, n)
+
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        sweep()
+        calls = []
+        scalar = numerics._gk15
+        monkeypatch.setattr(numerics, "_gk15", lambda *args: calls.append(args) or scalar(*args))
+        sweep()
+        assert calls == []
+
+    def test_integrals_on_threads_share_the_tables(self, quadrature_caches):
+        # More threads than cores, switching often, fill the tables of two
+        # members and eight (n, measure) pairs from cold while reading them:
+        # every result must be the one-thread result.
+        ns = (1, 2, 3, 5, 7, 10, 20, 50)
+        cells = [(m, n) for m in canonical.catalog_members()[:2] for n in ns]
+        want = [measures.crosscheck(*cell) for cell in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                for cached in quadrature_caches:
+                    cached.cache_clear()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = pool.map(lambda cell: measures.crosscheck(*cell), cells * 2, timeout=120)
+                    assert list(got) == want * 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "route, member, n",
+        [("extropy_max", d.power_function(1.0, 0.3), 1), ("shannon_max", d.pareto(1.0, 0.01), 1)],
+        ids=["power_function J", "pareto H"],
+    )
+    def test_a_failing_profile_gives_the_scalar_bits_cold_and_warm(
+        self, route, member, n, quadrature_caches
+    ):
+        # The profile overflows (power_function) or underflows (pareto), so
+        # the member's table holds inf, and nan or -inf, factors: the warm
+        # call reads every panel from one numpy pass, which must fail as the
+        # cold one did and warn about nothing.
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in ("cold", "warm"):
+                with pytest.raises(numerics.QuadratureError) as excinfo:
+                    getattr(measures, route)(member, n, "quadrature")
+                best = excinfo.value.best
+                outcomes.append((str(excinfo.value), best.value.hex(), best.evaluations))
+            measure = "H" if route == "shannon_max" else "J"
+            profile = measures._tables.profiles[member]
+            known = measures._tables.known(profile, n, measure)
+        assert outcomes[0] == outcomes[1]
+
+        def integrand(ts):
+            values, logs = measures._profile_row(member, ts)
+            weights = measures._weight_row(n, measure, ts)
+            return map(operator.mul, weights, logs if measure == "H" else values)
+
+        got = {key: tuple(map(float.hex, rule)) for key, rule in known.items()}
+        want = {key: tuple(map(float.hex, numerics._gk15(integrand, *key))) for key in known}
+        assert got == want
+        assert not all(map(math.isfinite, (x for rule in known.values() for x in rule)))
+
+    def test_capped_tables_give_the_same_bits(self, monkeypatch, quadrature_caches):
+        # One member visits more panels than the panel table may hold, and
+        # alternates with another member and between (n, measure) pairs past
+        # the profile and weight caps; each result, and the failure's message
+        # and evaluations, must be those of the uncapped tables, cold and warm.
+        exp2, pf = d.exponential(2.0), d.power_function(1.0, 0.3)
+        cases = [
+            (measures.shannon_max, exp2, 5),
+            (measures.extropy_max, exp2, 5),
+            (measures.shannon_max, exp2, 50),
+            (measures.extropy_max, pf, 1),
+            (measures.shannon_max, pf, 2),
+            (measures.shannon_max, exp2, 5),
+        ]
+
+        def outcome(route, member, n):
+            try:
+                q = route(member, n, "quadrature")
+            except numerics.QuadratureError as exc:
+                return str(exc), exc.best.value.hex(), exc.best.evaluations
+            return q.value.hex(), q.error_estimate.hex()
+
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        want = [outcome(*case) for case in cases]
+        assert any(len(w) == 3 for w in want)
+        monkeypatch.setattr(measures, "_ROW_CAP", 24)
+        monkeypatch.setattr(measures, "_MEMBER_CAP", 1)
+        monkeypatch.setattr(measures, "_WEIGHT_CAP", 1)
+        for cached in quadrature_caches:
+            cached.cache_clear()
+        tables = measures._tables
+        for _ in ("cold", "warm"):
+            assert [outcome(*case) for case in cases] == want
+            assert len(tables.nodes) == 24 and len(tables.rows) == 24
+            assert len(tables.profiles) == 1 and len(tables.weights) == 1
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
     def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):
@@ -425,10 +549,9 @@ class TestAlternateRoutes:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
-        first_panel = numerics._panel_nodes(-392.0, -192.0)[0]
-        hits = measures._profile.cache_info().hits
-        assert math.inf in measures._profile(member, first_panel)[0]
-        assert measures._profile.cache_info().hits == hits + 1
+        profile = measures._tables.profiles[member]
+        first_panel = list(profile.keys).index((-392.0, -192.0))
+        assert math.inf in profile.values[first_panel]
 
     @pytest.mark.parametrize(
         "member, closed, place",

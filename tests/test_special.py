@@ -340,8 +340,12 @@ class TestRealRule:
     SITES = {
         "integrate_unit": ("abs_tol", lambda v: numerics.integrate_unit(lambda t: 1.0, abs_tol=v)),
         "shannon_max": (
-            "abs_tol",
+            "quad_tol",
             lambda v: measures.shannon_max(distributions.exponential(1.0), 5, "quad", quad_tol=v),
+        ),
+        "extropy_max_closed": (
+            "quad_tol",
+            lambda v: measures.extropy_max(distributions.exponential(1.0), 5, quad_tol=v),
         ),
         "spec": ("theta", lambda v: distributions.from_dict({"family": "exponential", "theta": v})),
         "power_logpow_nu": ("nu", lambda v: special.log_power_integral("power_logpow", nu=v, mu=3.0)),
