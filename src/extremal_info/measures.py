@@ -27,6 +27,7 @@ so neither normalized measure depends on b_n.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import threading
@@ -120,42 +121,35 @@ def _normalize_method(method: str) -> str:
 #     H:  n y^(n-1)            x  ln I(y)
 #     J:  -(n^2/2) t^(2n-2)    x  I(t)
 #
-# The profile factors depend only on the member and the weights only on
-# (n, measure), and the integrals of the paper's grid revisit a few dozen
-# panels, so both are kept in tables with a row per panel:
+# The weights depend only on (n, measure), the profile factors only on the
+# member, and the integrals of the paper's grid revisit a few dozen panels.
+# So the route keeps a panel list -- every panel an integral has visited,
+# in the order first visited -- and factor tables with one row per listed
+# panel: per (n, measure) the weights, each by pow, and per member I and
+# ln I, from the family record through float() as the public
+# density_quantile does (an I that underflowed to 0 has ln I = -inf, so an
+# H panel fails as non-finite instead of in math.log).  A table read while
+# shorter than the list is first extended to it, so a member's profile is
+# also taken on panels only other members visited; as a family record's
+# density_quantile is defined and silent on all of (0, 1), each row is the
+# one the member's own integrand would give.
 #
-#   - the panel table: each panel's node tuple, dt/du at its nodes, its
-#     half-width and, per (n, measure), a weight table of n y^(n-1) or
-#     -(n^2/2) t^(2n-2) at its nodes, each computed once by pow;
-#   - per member, a profile table: for every panel the member has visited,
-#     its row in the panel table and I and ln I at its nodes, from the
-#     family record on nodes integrate_panels has already checked to lie in
-#     (0, 1), through float() as the public density_quantile does (an I that
-#     underflowed to 0 has ln I = -inf, so an H panel fails as non-finite
-#     instead of in math.log).
-#
-# Each integral first applies numerics._gk15_rows to every panel of its
-# member's profile table, in one numpy pass, and hands integrate_panels the
-# (value, error) of each as ``known``; the adaptive loop, the tails and the
-# Wynn step run unchanged on those.  A panel new to the member goes through
-# the scalar integrand and numerics._gk15, and joins the tables afterwards,
-# also when the integral fails; a factor that raises joins nothing.  Every
-# value is the same product of the same floats as the point integrand on
-# the public API, and _gk15_rows sums as _gk15 does, so every route gives
-# the same bits.
+# Each integral rules every listed panel in one numpy pass of
+# numerics._gk15_rows and hands integrate_panels the (value, error) of each
+# as ``known``.  Any other panel goes through the scalar integrand and
+# numerics._gk15, and integrate_panels sets it in ``known`` in visit order;
+# it joins the list after the integral, failed or not.  Every value is the
+# same product of the same floats as the point integrand on the public API,
+# and _gk15_rows sums as _gk15 does, so every route gives the same bits.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
-# tables hold 59 panels, 30 members with at most 59 panels each, and 10
-# (n, measure) weight tables, all well inside the caps below: the panel
-# table stops growing at _ROW_CAP panels, past which new panels stay on the
-# scalar path, and only the _MEMBER_CAP profile tables and _WEIGHT_CAP
-# weight tables used last are kept.  The tables start empty and fill from
-# the first quadrature call.
+# list holds 59 panels and 40 tables are read, well inside the caps: the
+# list stops at _ROW_CAP panels, past which new panels stay on the scalar
+# path, and only the _TABLE_CAP tables read last are kept.
 # ---------------------------------------------------------------------------
 
 _ROW_CAP = 256
-_MEMBER_CAP = 64
-_WEIGHT_CAP = 64
+_TABLE_CAP = 64
 
 
 def _profile_row(dist, ts: tuple) -> tuple[tuple, tuple]:
@@ -177,50 +171,11 @@ def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
     return tuple(map(operator.mul, repeat(factor), map(pow, ts, repeat(power))))
 
 
-def _grown(array: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` with twice the rows, and at least 64, the new
-    ones zero."""
-    grown = np.zeros((max(64, 2 * len(array)), *array.shape[1:]), array.dtype)
-    grown[: len(array)] = array
-    return grown
-
-
-def _recent(tables: dict, key, cap: int, new):
-    """``tables[key]``, made by ``new()`` if absent, as the most recently
-    used entry; the least recently used entries go past ``cap``."""
-    table = tables.pop(key, None)
-    if table is None:
-        table = new()
-        while len(tables) >= cap:
-            del tables[next(iter(tables))]
-    tables[key] = table
-    return table
-
-
-class _Profile:
-    """One member's profile table, a row per panel it has visited: the
-    panel's (a, b), its row in the panel table, and I and ln I at its
-    nodes."""
-
-    def __init__(self):
-        self.keys: dict[tuple[float, float], None] = {}  # in row order
-        self.rows = np.zeros(0, dtype=np.intp)
-        self.values, self.logs = np.zeros((0, 15)), np.zeros((0, 15))
-
-    def append(self, key, row: int, values: tuple, logs: tuple) -> None:
-        """Add panel ``key``, at ``row`` of the panel table."""
-        k = len(self.keys)
-        if k == len(self.rows):
-            self.rows, self.values, self.logs = map(_grown, (self.rows, self.values, self.logs))
-        self.keys[key] = None
-        self.rows[k], self.values[k], self.logs[k] = row, values, logs
-
-
 class _Tables:
-    """The panel table -- each panel's node tuple, dt/du at its nodes,
-    half-width and, per (n, measure), weights -- and the members' profile
-    tables; ``cache_clear`` empties them all.  Reads and writes hold
-    ``lock``, as integrals on other threads share the tables."""
+    """The panel list, (a, b) -> node tuple with dt/du and half-widths as
+    arrays in list order, and the factor tables; ``cache_clear`` empties
+    them all.  Reads and writes hold ``lock``, as integrals on other
+    threads share the tables."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -228,78 +183,46 @@ class _Tables:
 
     def cache_clear(self) -> None:
         with self.lock:
-            self.rows: dict[tuple[float, float], int] = {}  # panel (a, b) -> row
-            self.keys: list[tuple[float, float]] = []  # row -> (a, b), shared by the profiles
-            self.nodes: list[tuple] = []
+            self.panels: dict[tuple[float, float], tuple] = {}
             self.dtdu, self.half = np.zeros((0, 15)), np.zeros(0)
-            self.weights: dict[tuple[int, str], np.ndarray] = {}  # (n, measure) -> table
-            self.profiles: dict = {}  # member -> _Profile
+            self.factors: dict = {}  # (n, measure) or member -> (k, P, 15) table
 
-    def _weight_table(self, n: int, measure: str) -> np.ndarray:
-        """A weight table with a row for every panel."""
-        table = np.zeros((len(self.half), 15))
-        for row, ts in enumerate(self.nodes):
-            table[row] = _weight_row(n, measure, ts)
+    def add(self, keys) -> None:
+        """List the panels ``keys`` not listed yet, in order, while the list
+        is shorter than _ROW_CAP."""
+        new = [key for key in keys if key not in self.panels][: _ROW_CAP - len(self.panels)]
+        if new:
+            nodes, dtdu = zip(*(numerics._panel_nodes(*key) for key in new))
+            self.panels.update(zip(new, nodes))
+            self.dtdu = np.concatenate((self.dtdu, dtdu))
+            self.half = np.concatenate((self.half, [0.5 * (b - a) for a, b in new]))
+
+    def _read(self, key, rows) -> np.ndarray:
+        """Factor table ``key``, the k factors ``rows(ts)`` gives at the
+        nodes of each listed panel as a (k, P, 15) array, extended to the
+        list if shorter, as the most recently read table; the least
+        recently read go past _TABLE_CAP."""
+        table = self.factors.pop(key, None)
+        have = 0 if table is None else table.shape[1]
+        if have < len(self.panels):
+            listed = itertools.islice(self.panels.values(), have, None)
+            new = np.array(list(zip(*map(rows, listed))))
+            table = new if table is None else np.concatenate((table, new), axis=1)
+        while len(self.factors) >= _TABLE_CAP:
+            del self.factors[next(iter(self.factors))]
+        self.factors[key] = table
         return table
 
-    def known(self, profile: _Profile, n: int, measure: str) -> _Known:
-        """(a, b) -> (value, error) of the (n, measure) integrand on every
-        panel of the member's profile table, in one numpy pass."""
-        weights = _recent(
-            self.weights, (n, measure), _WEIGHT_CAP, lambda: self._weight_table(n, measure)
-        )
-        k = len(profile.keys)
-        if not k:
-            return _Known()
-        rows = profile.rows[:k]
-        vk, err = numerics._gk15_rows(
-            weights.take(rows, axis=0),
-            (profile.logs if measure == "H" else profile.values)[:k],
-            self.dtdu.take(rows, axis=0),
-            self.half.take(rows),
-        )
-        return _Known(zip(profile.keys, zip(vk.tolist(), err.tolist())))
-
-    def join(self, profile: _Profile, n: int, measure: str, new: list) -> None:
-        """Add the panels ``new`` to the member, each with its factors
-        (I, ln I, weights) from the scalar (n, measure) integrand, unless
-        an integral on another thread added it first."""
-        for key, (values, logs, weights) in new:
-            if key in profile.keys:
-                continue
-            row = self.rows.get(key)
-            if row is None:
-                row = len(self.nodes)
-                if row >= _ROW_CAP:
-                    continue
-                if row == len(self.half):
-                    self.dtdu, self.half = _grown(self.dtdu), _grown(self.half)
-                    self.weights = {pair: _grown(t) for pair, t in self.weights.items()}
-                ts, dtdu = numerics._panel_nodes(*key)
-                self.rows[key] = row
-                self.keys.append(key)
-                self.nodes.append(ts)
-                self.dtdu[row], self.half[row] = dtdu, 0.5 * (key[1] - key[0])
-                for pair, table in self.weights.items():
-                    table[row] = weights if pair == (n, measure) else _weight_row(*pair, ts)
-            profile.append(self.keys[row], row, values, logs)
-
-
-class _Known(dict):
-    """The (value, error) of one integral on its member's panels, as
-    integrate_panels reads them.  A panel new to the member is not stored
-    but kept in ``new`` with ``factors``, the (I, ln I, weights) the scalar
-    integrand set just before, for the tables to join after the integral;
-    at most _ROW_CAP of them, as no profile table holds more."""
-
-    def __init__(self, rules=()):
-        super().__init__(rules)
-        self.factors: tuple | None = None
-        self.new: list = []
-
-    def __setitem__(self, key, rule) -> None:
-        if len(self.new) < _ROW_CAP:
-            self.new.append((key, self.factors))
+    def known(self, dist, n: int, measure: str) -> dict:
+        """(a, b) -> (value, error) of the (n, measure) integrand of ``dist``
+        on every listed panel, in one numpy pass."""
+        if not self.panels:
+            return {}
+        (weights,) = self._read((n, measure), lambda ts: (_weight_row(n, measure, ts),))
+        values, logs = self._read(dist, lambda ts: _profile_row(dist, ts))
+        factor = logs if measure == "H" else values
+        vk, err = numerics._gk15_rows(weights, factor, self.dtdu, self.half)
+        return dict(zip(self.panels, zip(vk.tolist(), err.tolist())))
 
 
 _tables = _Tables()
@@ -308,20 +231,18 @@ _tables = _Tables()
 def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
     """The (n, measure) integral of ``dist`` through the tables."""
     with _tables.lock:
-        profile = _recent(_tables.profiles, dist, _MEMBER_CAP, _Profile)
-        known = _tables.known(profile, n, measure)
+        known = _tables.known(dist, n, measure)
+    listed = len(known)
 
     def integrand(ts: tuple):
         values, logs = _profile_row(dist, ts)
-        weights = _weight_row(n, measure, ts)
-        known.factors = values, logs, weights
-        return map(operator.mul, weights, logs if measure == "H" else values)
+        return map(operator.mul, _weight_row(n, measure, ts), logs if measure == "H" else values)
 
     try:
         return numerics.integrate_panels(integrand, tol, known=known)
     finally:
         with _tables.lock:
-            _tables.join(profile, n, measure, known.new)
+            _tables.add(itertools.islice(known, listed, None))
 
 
 def _shannon_quad(dist, n: int, tol: float) -> MeasureValue:

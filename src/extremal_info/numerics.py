@@ -10,10 +10,10 @@ singularities -- ``ln t``, ``ln(1 - t)``, ``ln(-ln t)`` and ``t**-alpha``
 with ``alpha < 1`` -- into smooth, exponentially decaying profiles in ``u``.
 The transformed integrand is handled by adaptive bisection with a fixed
 Gauss-Kronrod 7/15 kernel (worst cell split first, evaluations capped, with
-an explicit failure carrying the best estimate instead of silent
-truncation).  The residual mass beyond the working window is summed by
-Wynn epsilon extrapolation of unit-width tail cells, which is exact for the
-geometric decay the transform produces.  The 15 nodes of a panel depend
+an explicit failure carrying the best estimate, tails included, instead of
+silent truncation).  The residual mass beyond the working window is summed
+by Wynn epsilon extrapolation of unit-width tail cells, which is exact for
+the geometric decay the transform produces.  The 15 nodes of a panel depend
 only on its u-interval, so they are computed and range-checked once per
 distinct panel and kept in a bounded cache.  The kernel,
 :func:`integrate_panels`, hands the integrand one panel's node tuple at a
@@ -24,11 +24,12 @@ panels can rule them all at once: :func:`_gk15_rows` applies the GK15 rule
 to a stack of panels in one numpy pass, with the bits of the scalar rule,
 and :func:`integrate_panels` reads those (value, error) pairs as ``known``
 panels instead of evaluating them, so the adaptive loop, the tails and the
-result stay the same.  A panel whose value or error is not finite (the
-integrand overflowed or returned nan) fails at once with the panel's place
-in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
-where t rounds to 1 -- instead of spending the evaluation budget on an
-error that can never shrink.
+result stay the same; each other panel it sets there, in visit order,
+after its one call of the integrand.  A panel whose value or error is not
+finite (the integrand overflowed or returned nan) fails at once with the
+panel's place in the message -- its t-interval, or its (1 - t)-interval
+right of u = 0, where t rounds to 1 -- instead of spending the evaluation
+budget on an error that can never shrink.
 
 Monte Carlo
 -----------
@@ -352,8 +353,9 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     abs_tol : float
         Target absolute tolerance; the returned ``error_estimate`` is an
         honest bound and may exceed ``abs_tol`` only together with an
-        explicit :class:`QuadratureError`, raised with the best estimate so
-        far once the evaluations exceed ``_MAX_EVALS``.
+        explicit :class:`QuadratureError`, raised with the best estimate --
+        the window so far plus both tails -- once the evaluations exceed
+        ``_MAX_EVALS``.
 
     This is :func:`integrate_panels` with ``f`` called at each node of a
     panel in turn, so both give the same bits for the same values.
@@ -375,8 +377,9 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
     :func:`_gk15_rows` computes for many panels at once.  A panel found
     there is read, not evaluated, and still counts its 15 evaluations, so
     the result is the same to the bit.  Any other panel is evaluated by one
-    call of ``g`` and then set, ``known[a, b] = (value, error)``, so a dict
-    subclass can pair each new panel with the values ``g`` just gave.
+    call of ``g`` and then set, ``known[a, b] = (value, error)``, in visit
+    order, so after the integral, failed or not, the keys ``known`` gained
+    are the new panels in the order ``g`` saw them.
     """
     abs_tol = _check_real(abs_tol, "abs_tol")
 
@@ -424,6 +427,7 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
         errs.append(err)
 
     target = 0.3 * abs_tol
+    exhausted = False
 
     def _noise_floor(vk: float) -> float:
         return 1e-16 * (1.0 + abs(vk))
@@ -443,12 +447,10 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
             final_error += err
             continue
         if evals > _MAX_EVALS:
-            failed = best(vk, err)
-            raise QuadratureError(
-                f"evaluation budget exhausted ({evals} evaluations) with error "
-                f"{failed.error_estimate:.3e} above tolerance {abs_tol:.3e}",
-                best=failed,
-            )
+            exhausted = True
+            final_value += vk
+            final_error += err
+            break
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             vk2, err2 = panel(lo, hi)
@@ -468,7 +470,14 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
         tail, tail_error = _tail_sum(panel, best, edge, direction)
         final_value += tail
         final_error += tail_error
-    return QuadratureResult(final_value, final_error, evals)
+    result = QuadratureResult(final_value, final_error, evals)
+    if exhausted:
+        raise QuadratureError(
+            f"evaluation budget exhausted ({evals} evaluations) with error "
+            f"{final_error:.3e} above tolerance {abs_tol:.3e}",
+            best=result,
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------

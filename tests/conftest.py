@@ -1,7 +1,8 @@
 """Shared pytest hooks: aggregate acceptance checks into one summary line each.
 
-Also the ``quadrature_caches`` fixture: every cache the quadrature route
-keeps between calls, for tests that run it cold and warm.
+Also the ``quadrature_caches`` fixture: a function that empties every cache
+the quadrature route keeps between calls, for tests that run it cold and
+warm.
 
 Tests marked ``@pytest.mark.acceptance(num, label)`` are grouped by ``num``;
 after the run a single PASS/FAIL line is printed per group.  Expected
@@ -19,8 +20,14 @@ from extremal_info import measures, numerics
 
 @pytest.fixture
 def quadrature_caches():
-    """The panel-node cache and the measures' panel, weight and profile tables."""
-    return (numerics._panel_nodes, measures._tables)
+    """Empties the panel-node cache and the measures' panel list and factor
+    tables when called."""
+
+    def clear():
+        numerics._panel_nodes.cache_clear()
+        measures._tables.cache_clear()
+
+    return clear
 
 
 @pytest.hookimpl(hookwrapper=True)

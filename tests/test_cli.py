@@ -229,8 +229,7 @@ class TestTables:
         assert tables_output == (GOLDEN / "tables.csv").read_text()
 
     def test_matches_golden_with_quadrature_caches_cold_and_warm(self, quadrature_caches):
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        quadrature_caches()
         golden = (GOLDEN / "tables.csv").read_text()
         for _ in ("cold", "warm"):
             code, out, _err = run_cli("tables")

@@ -287,19 +287,23 @@ def table_grid():
     tag = {}
     routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
 
-    def recording(g, abs_tol, known):
-        results.append(integrate(g, abs_tol=abs_tol, known=known))
-        return results[-1]
+    class Visits(dict):
+        def get(self, key):
+            # integrate_panels looks up every panel it visits in ``known``
+            panels.add(key)
+            weights.add((tag["n"], tag["measure"], key))
+            return dict.get(self, key)
 
-    def visit(known, key):
-        # integrate_panels looks up every panel it visits in ``known``
-        panels.add(key)
-        weights.add((tag["n"], tag["measure"], key))
-        return dict.get(known, key)
+    def recording(g, abs_tol, known):
+        visits = Visits(known)
+        try:
+            results.append(integrate(g, abs_tol=abs_tol, known=visits))
+        finally:
+            known.update(visits)  # the panels set during the run, in visit order
+        return results[-1]
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numerics, "integrate_panels", recording)
-        m.setattr(measures._Known, "get", visit)
         for member in canonical.catalog_members():
             panels.clear()
             for n in canonical.TABLE_N:
@@ -369,8 +373,7 @@ class TestAlternateRoutes:
                 m.setattr(numerics, "integrate_panels", recording)
                 for route in routes:
                     if cache == "cold":
-                        for cached in quadrature_caches:
-                            cached.cache_clear()
+                        quadrature_caches()
                     route(member, n, "quadrature")
             assert [key(q) for q in seen] == want, n
 
@@ -388,10 +391,10 @@ class TestAlternateRoutes:
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
         assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
-        assert (measures._ROW_CAP, measures._MEMBER_CAP, measures._WEIGHT_CAP) == (256, 64, 64)
+        assert (measures._ROW_CAP, measures._TABLE_CAP) == (256, 64)
         assert table_grid["panels"] == 59 <= measures._ROW_CAP
-        assert len(per_member) == 30 <= measures._MEMBER_CAP
-        assert 2 * len(canonical.TABLE_N) <= measures._WEIGHT_CAP
+        assert len(per_member) == 30
+        assert len(per_member) + 2 * len(canonical.TABLE_N) <= measures._TABLE_CAP
 
     def test_a_warm_second_sweep_of_the_table_grid_makes_no_scalar_rule_call(
         self, monkeypatch, quadrature_caches
@@ -401,8 +404,7 @@ class TestAlternateRoutes:
                 for n in canonical.TABLE_N:
                     measures.crosscheck(member, n)
 
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        quadrature_caches()
         sweep()
         calls = []
         scalar = numerics._gk15
@@ -421,8 +423,7 @@ class TestAlternateRoutes:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(8):
-                for cached in quadrature_caches:
-                    cached.cache_clear()
+                quadrature_caches()
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     got = pool.map(lambda cell: measures.crosscheck(*cell), cells * 2, timeout=120)
                     assert list(got) == want * 2
@@ -439,10 +440,9 @@ class TestAlternateRoutes:
     ):
         # The profile overflows (power_function) or underflows (pareto), so
         # the member's table holds inf, and nan or -inf, factors: the warm
-        # call reads every panel from one numpy pass, which must fail as the
-        # cold one did and warn about nothing.
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        # call reads every listed panel from one numpy pass, which must fail
+        # as the cold one did and warn about nothing.
+        quadrature_caches()
         outcomes = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -452,8 +452,7 @@ class TestAlternateRoutes:
                 best = excinfo.value.best
                 outcomes.append((str(excinfo.value), best.value.hex(), best.evaluations))
             measure = "H" if route == "shannon_max" else "J"
-            profile = measures._tables.profiles[member]
-            known = measures._tables.known(profile, n, measure)
+            known = measures._tables.known(member, n, measure)
         assert outcomes[0] == outcomes[1]
 
         def integrand(ts):
@@ -467,10 +466,10 @@ class TestAlternateRoutes:
         assert not all(map(math.isfinite, (x for rule in known.values() for x in rule)))
 
     def test_capped_tables_give_the_same_bits(self, monkeypatch, quadrature_caches):
-        # One member visits more panels than the panel table may hold, and
+        # One member visits more panels than the panel list may hold, and
         # alternates with another member and between (n, measure) pairs past
-        # the profile and weight caps; each result, and the failure's message
-        # and evaluations, must be those of the uncapped tables, cold and warm.
+        # the factor table cap; each result, and the failure's message and
+        # evaluations, must be those of the uncapped tables, cold and warm.
         exp2, pf = d.exponential(2.0), d.power_function(1.0, 0.3)
         cases = [
             (measures.shannon_max, exp2, 5),
@@ -488,20 +487,54 @@ class TestAlternateRoutes:
                 return str(exc), exc.best.value.hex(), exc.best.evaluations
             return q.value.hex(), q.error_estimate.hex()
 
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        quadrature_caches()
         want = [outcome(*case) for case in cases]
         assert any(len(w) == 3 for w in want)
         monkeypatch.setattr(measures, "_ROW_CAP", 24)
-        monkeypatch.setattr(measures, "_MEMBER_CAP", 1)
-        monkeypatch.setattr(measures, "_WEIGHT_CAP", 1)
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        monkeypatch.setattr(measures, "_TABLE_CAP", 1)
+        quadrature_caches()
         tables = measures._tables
         for _ in ("cold", "warm"):
             assert [outcome(*case) for case in cases] == want
-            assert len(tables.nodes) == 24 and len(tables.rows) == 24
-            assert len(tables.profiles) == 1 and len(tables.weights) == 1
+            assert len(tables.panels) == 24 and tables.dtdu.shape == (24, 15)
+            assert len(tables.factors) == 1
+
+    def test_no_result_depends_on_call_history(self, quadrature_caches):
+        # A member's factor table has a row for every listed panel, also for
+        # panels only other members' integrals visited: each integral, and
+        # each failure's message, must be the same from cold tables whatever
+        # ran before it, and no row may warn.
+        grid = [
+            (member, n, measure)
+            for member in canonical.catalog_members()
+            for n in canonical.TABLE_N
+            for measure in "HJ"
+        ]
+        edges = [
+            (d.power_function(1.0, 0.3), 1, "J"),
+            (d.pareto(1.0, 0.01), 1, "H"),
+            (d.gev(40.0), 1, "H"),
+            (d.gev(-30.0), 3, "H"),
+            (d.gev(-0.9), 5, "J"),
+        ]
+
+        def outcome(member, n, measure):
+            try:
+                q = measures._quad(member, n, measure, numerics.DEFAULT_QUAD_TOL)
+            except numerics.QuadratureError as exc:
+                return str(exc), exc.best.value.hex(), exc.best.evaluations
+            return q.value.hex(), q.error_estimate.hex(), q.evaluations
+
+        def cold(cases):
+            quadrature_caches()
+            return [outcome(*case) for case in cases]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = cold(grid)
+            assert cold(grid[::-1]) == forward[::-1]
+            for case in edges:
+                assert cold(grid + [case]) == forward + cold([case])
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
     def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):
@@ -535,12 +568,11 @@ class TestAlternateRoutes:
 
     def test_quadrature_fails_at_once_on_overflowing_profile(self, quadrature_caches):
         # nu = 0.3: I(t) = 0.3 t^(-7/3) overflows to inf near t = 0 and J = -inf.
-        # The second call takes those inf values from the profile table and
-        # must fail the same way after the same work.
+        # The second call takes those inf values from the member's factor
+        # table and must fail the same way after the same work.
         member = d.power_function(1.0, 0.3)
         assert measures.extropy_max(member, 1).value == -math.inf
-        for cached in quadrature_caches:
-            cached.cache_clear()
+        quadrature_caches()
         outcomes = []
         for _ in range(2):
             with pytest.raises(numerics.QuadratureError) as excinfo:
@@ -549,9 +581,9 @@ class TestAlternateRoutes:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
-        profile = measures._tables.profiles[member]
-        first_panel = list(profile.keys).index((-392.0, -192.0))
-        assert math.inf in profile.values[first_panel]
+        values, _logs = measures._tables.factors[member]
+        first_panel = list(measures._tables.panels).index((-392.0, -192.0))
+        assert math.inf in values[first_panel]
 
     @pytest.mark.parametrize(
         "member, closed, place",

@@ -122,18 +122,25 @@ class TestIntegrateUnit:
         assert excinfo.value.best.error_estimate == math.inf
 
     def test_budget_exhaustion_raises_with_best_estimate(self, monkeypatch):
-        # gev xi = -1.9 J at n = 1 is finite but needs more than 3000
-        # evaluations; the check runs before each bisection, so the run
-        # stops at the first one past the budget.
+        # gev xi = -1.9 J at n = 1 and uniform J at n = 1e4 are finite but
+        # need more than 3000 evaluations; the check runs before each
+        # bisection, so the run stops at the first one past the budget, and
+        # then adds both tails (2 x 7 cells of 15 evaluations) to its best
+        # estimate, whose error must cover the closed form.
         monkeypatch.setattr(numerics, "_MAX_EVALS", 3000)
-        start = time.perf_counter()
-        with pytest.raises(numerics.QuadratureError) as excinfo:
-            measures.extropy_max(distributions.gev(-1.9), 1, "quad")
-        assert time.perf_counter() - start < 1.0
-        assert str(excinfo.value).startswith("evaluation budget exhausted (3015 evaluations) ")
-        best = excinfo.value.best
-        assert best.evaluations == 3015
-        assert 1e-10 < best.error_estimate < math.inf
+        for member, n in ((distributions.gev(-1.9), 1), (distributions.uniform(1.0), 10_000)):
+            closed = measures.extropy_max(member, n).value
+            start = time.perf_counter()
+            with pytest.raises(numerics.QuadratureError) as excinfo:
+                measures.extropy_max(member, n, "quad")
+            assert time.perf_counter() - start < 1.0
+            best = excinfo.value.best
+            assert str(excinfo.value).startswith(
+                f"evaluation budget exhausted ({best.evaluations} evaluations) "
+            )
+            assert best.evaluations == 3225
+            assert 1e-10 < best.error_estimate < math.inf
+            assert abs(best.value - closed) <= best.error_estimate
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
