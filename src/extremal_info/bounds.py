@@ -119,20 +119,26 @@ def _ext_le(a: float, b: float) -> bool:
     return a <= b + _ORDER_TOL * max(1.0, abs(a), abs(b))
 
 
-def _log_two_i_half(dist) -> float:
-    """ln[2 I(1/2)], the parent's term in both entropy ceilings."""
-    i_half = dist_mod.density_quantile(dist, 0.5)
+def _i_half(dist) -> float:
+    """I(1/2) from the family record, with the bits of the public scalar call."""
+    return float(dist_mod.REGISTRY[dist.family].density_quantile(dist, 0.5))
+
+
+def _loggable_i_half(dist) -> float:
+    """I(1/2), declined where it underflows to 0 and ln[2 I(1/2)] has no value."""
+    i_half = _i_half(dist)
     if i_half == 0.0:
         raise ValueError(f"I(1/2) of {dist.label()} underflows to 0, so ln[2 I(1/2)] is undefined")
-    return math.log(2.0 * i_half)
+    return i_half
 
 
-def shannon_upper_envelope(dist, n: int) -> float:
-    """The finite-n entropy upper envelope (valid for log-concave parents)."""
-    n = _check_index(n, "shannon_upper_envelope")
+# The envelopes, pure functions of I(1/2) and a checked n
+
+
+def _shannon_envelope(i_half: float, n: int) -> float:
     return (
         1.0
-        - _log_two_i_half(dist)
+        - math.log(2.0 * i_half)
         - math.log(n)
         - 1.0 / n
         + _LN2
@@ -141,10 +147,7 @@ def shannon_upper_envelope(dist, n: int) -> float:
     )
 
 
-def extropy_upper_envelope(dist, n: int) -> float:
-    """The finite-n extropy upper envelope (valid for log-concave parents)."""
-    n = _check_index(n, "extropy_upper_envelope")
-    i_half = dist_mod.density_quantile(dist, 0.5)
+def _extropy_envelope(i_half: float, n: int) -> float:
     coeff = (
         1.0 / (2.0 * n * (2.0 * n - 1.0))
         - math.exp(-(2.0 * n - 1.0) * _LN2) / (2.0 * n - 1.0)
@@ -153,9 +156,21 @@ def extropy_upper_envelope(dist, n: int) -> float:
     return -(n * n) * i_half * coeff
 
 
+def shannon_upper_envelope(dist, n: int) -> float:
+    """The finite-n entropy upper envelope (valid for log-concave parents)."""
+    n = _check_index(n, "shannon_upper_envelope")
+    return _shannon_envelope(_loggable_i_half(dist), n)
+
+
+def extropy_upper_envelope(dist, n: int) -> float:
+    """The finite-n extropy upper envelope (valid for log-concave parents)."""
+    n = _check_index(n, "extropy_upper_envelope")
+    return _extropy_envelope(_i_half(dist), n)
+
+
 def _unit_density_gate(dist, lead: str, noun: str) -> str:
     """The note for a check that presumes sup f <= 1, or "" when that holds."""
-    sup = dist_mod.sup_density(dist)
+    sup = dist_mod.REGISTRY[dist.family].sup_density(dist)
     if sup > 1.0:
         return f"{lead}: sup density {sup:g} > 1 (the {noun} presumes a density bounded by 1)"
     return ""
@@ -167,7 +182,7 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
     A non-empty ``lower_gate`` note gates the lower check out: it is
     reported as holding vacuously and the note joins ``gate_note``.
     """
-    log_concave = dist_mod.is_log_concave(dist)
+    log_concave = dist_mod.REGISTRY[dist.family].is_log_concave(dist)
     notes = [] if log_concave else [f"envelopes require a log-concave density; {dist.label()} is not"]
     if lower_gate:
         notes.append(lower_gate)
@@ -182,14 +197,25 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
     )
 
 
+def _shannon_report(dist, n: int, i_half: float, method: str, quad_tol: float) -> BoundsReport:
+    lower = 1.0 - math.log(n) - 1.0 / n
+    upper = _shannon_envelope(i_half, n)
+    value = measures._shannon(dist, n, method, quad_tol)[0]
+    return _report(dist, lower, value, upper, _unit_density_gate(dist, "lower bound not enforced", "bound"))
+
+
+def _extropy_report(dist, n: int, i_half: float, method: str, quad_tol: float) -> BoundsReport:
+    lower = -0.5 * n * i_half
+    upper = _extropy_envelope(i_half, n)
+    value = measures._extropy(dist, n, method, quad_tol)[0]
+    return _report(dist, lower, value, upper)
+
+
 def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
     """Entropy of X_(n) against its finite-n envelopes; the lower envelope
     1 - ln n - 1/n is gated on sup f <= 1."""
     n = _check_index(n, "shannon_bounds")
-    lower = 1.0 - math.log(n) - 1.0 / n
-    upper = shannon_upper_envelope(dist, n)
-    value = measures.shannon_max(dist, n, method, quad_tol=quad_tol).value
-    return _report(dist, lower, value, upper, _unit_density_gate(dist, "lower bound not enforced", "bound"))
+    return _shannon_report(dist, n, _loggable_i_half(dist), *measures._route(method, quad_tol))
 
 
 def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
@@ -198,20 +224,17 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     Both envelopes are scale-covariant, so no sup-density gate applies.
     """
     n = _check_index(n, "extropy_bounds")
-    lower = -0.5 * n * dist_mod.density_quantile(dist, 0.5)
-    upper = extropy_upper_envelope(dist, n)
-    value = measures.extropy_max(dist, n, method, quad_tol=quad_tol).value
-    return _report(dist, lower, value, upper)
+    return _extropy_report(dist, n, _i_half(dist), *measures._route(method, quad_tol))
 
 
 def shannon_limit_upper(dist) -> float:
     """Limiting entropy ceiling 1 - ln[2 I(1/2)] + gamma."""
-    return 1.0 - _log_two_i_half(dist) + EULER_GAMMA
+    return 1.0 - math.log(2.0 * _loggable_i_half(dist)) + EULER_GAMMA
 
 
 def extropy_limit_upper(dist) -> float:
     """Limiting extropy ceiling -I(1/2)/4."""
-    return -0.25 * dist_mod.density_quantile(dist, 0.5)
+    return -0.25 * _i_half(dist)
 
 
 def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL):
@@ -221,23 +244,17 @@ def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: fl
     (order-preserving), with the same applicability gates as the
     unnormalized reports.  Returns ``(shannon_report, extropy_report)``.
     """
-    nc = evt.norming_constants(dist, n)
-    sh = shannon_bounds(dist, n, method, quad_tol=quad_tol)
-    ex = extropy_bounds(dist, n, method, quad_tol=quad_tol)
-    log_a = math.log(nc.a_n)
-    sh_norm = replace(
-        sh,
-        lower=sh.lower - log_a,
-        value=sh.value - log_a,
-        upper=sh.upper - log_a,
+    n = _check_index(n, "normalized_bounds")
+    a_n = evt._norming(dist, n)[0]
+    i_half = _loggable_i_half(dist)
+    route = measures._route(method, quad_tol)
+    sh = _shannon_report(dist, n, i_half, *route)
+    ex = _extropy_report(dist, n, i_half, *route)
+    log_a = math.log(a_n)
+    return (
+        replace(sh, lower=sh.lower - log_a, value=sh.value - log_a, upper=sh.upper - log_a),
+        replace(ex, lower=a_n * ex.lower, value=a_n * ex.value, upper=a_n * ex.upper),
     )
-    ex_norm = replace(
-        ex,
-        lower=nc.a_n * ex.lower,
-        value=nc.a_n * ex.value,
-        upper=nc.a_n * ex.upper,
-    )
-    return sh_norm, ex_norm
 
 
 def _worst(gap, ts) -> tuple[float, float]:
@@ -265,7 +282,7 @@ def envelope_check(dist, grid=None) -> EnvelopeReport:
             raise ValueError("grid points must lie strictly inside (0, 1)")
 
     i_vals = dist_mod.density_quantile(dist, ts)
-    i_half = dist_mod.density_quantile(dist, 0.5)
+    i_half = _i_half(dist)
     bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals, ts)
     unit_worst, unit_worst_t = _worst(i_vals - 1.0, ts)
     note = _unit_density_gate(dist, "I(t) <= 1 not applicable", "envelope")

@@ -174,11 +174,20 @@ def norming_constants(dist, n: int) -> NormingConstants:
     before the constants.
     """
     n = _check_index(n, "norming_constants")
+    a, b, xi = _norming(dist, n)
+    nc = object.__new__(NormingConstants)  # _norming ran __post_init__'s checks, in order
+    nc.__dict__.update(a_n=a, b_n=b, xi=xi)
+    return nc
+
+
+def _norming(dist, n: int) -> tuple:
+    """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n after."""
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
     _domain(xi)
     a, b = record.norming(dist, n)
-    return NormingConstants(a, b, xi)
+    _check_real(a, "a_n")
+    return a, b, xi
 
 
 def limiting_targets(xi: float) -> tuple[float, float]:

@@ -93,19 +93,23 @@ class MeasureValue:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not is_indeterminate(self.value):
+        # a Python float is already what float() would give
+        if type(self.value) is not float and not is_indeterminate(self.value):
             object.__setattr__(self, "value", float(self.value))
-        err = float(self.error_estimate)
+        if type(self.error_estimate) is not float:
+            object.__setattr__(self, "error_estimate", float(self.error_estimate))
+        err = self.error_estimate
         if not (err >= 0.0):
             raise ValueError(f"error_estimate must be nonnegative, got {err!r}")
         if self.method == "closed_form" and err != 0.0:
             raise ValueError("closed-form values carry no error estimate")
-        object.__setattr__(self, "error_estimate", err)
 
 
-def _normalize_method(method: str) -> str:
+def _route(method: str, quad_tol) -> tuple[str, float]:
+    """``method``'s canonical name and ``quad_tol`` checked, ``quad_tol`` first."""
+    quad_tol = _check_real(quad_tol, "quad_tol")
     try:
-        return _METHOD_ALIASES[method]
+        return _METHOD_ALIASES[method], quad_tol
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(set(_METHOD_ALIASES))}"
@@ -245,15 +249,40 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
             _tables.add(itertools.islice(known, listed, None))
 
 
-def _shannon_quad(dist, n: int, tol: float) -> MeasureValue:
-    q = _quad(dist, n, "H", tol)
-    value = 1.0 - math.log(n) - 1.0 / n - q.value
-    return MeasureValue(value, "quadrature", q.error_estimate)
+# The routes: cores that take checked arguments and a canonical method and
+# give (value, method, error estimate).  Each public entry point checks its
+# own arguments once, under its own name, and calls them.
 
 
-def _extropy_quad(dist, n: int, tol: float) -> MeasureValue:
-    q = _quad(dist, n, "J", tol)
-    return MeasureValue(q.value, "quadrature", q.error_estimate)
+def _shannon(dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple:
+    """H of the maximum of n draws by ``method``, as (value, method, error)."""
+    if method == "closed_form":
+        return dist_mod.REGISTRY[dist.family].shannon(dist, n), method, 0.0
+    if method == "quadrature":
+        q = _quad(dist, n, "H", quad_tol)
+        return 1.0 - math.log(n) - 1.0 / n - q.value, method, q.error_estimate
+    est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
+    return est.estimate, method, est.std_error
+
+
+def _extropy(dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple:
+    """J of the maximum of n draws by ``method``, as (value, method, error)."""
+    if method == "closed_form":
+        return dist_mod.REGISTRY[dist.family].extropy(dist, n), method, 0.0
+    if method == "quadrature":
+        q = _quad(dist, n, "J", quad_tol)
+        return q.value, method, q.error_estimate
+    est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
+    return est.estimate, method, est.std_error
+
+
+def _normalized(core, name: str, dist, n, method, norming, quad_tol, samples, seed) -> tuple:
+    """a_n and ``core``'s (value, method, error): n checked under ``name``, a_n
+    as norming_constants takes it unless ``norming`` is given, then the route."""
+    n = _check_index(n, name)
+    a_n = evt._norming(dist, n)[0] if norming is None else None
+    value, method, error = core(dist, n, *_route(method, quad_tol), samples, seed)
+    return (a_n if norming is None else norming.a_n), value, method, error
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +309,7 @@ def shannon_max(
     route.
     """
     n = _check_index(n, "shannon_max")
-    quad_tol = _check_real(quad_tol, "quad_tol")
-    method = _normalize_method(method)
-    if method == "closed_form":
-        return MeasureValue(dist_mod.REGISTRY[dist.family].shannon(dist, n), "closed_form")
-    if method == "quadrature":
-        return _shannon_quad(dist, n, quad_tol)
-    est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
-    return MeasureValue(est.estimate, "monte_carlo", est.std_error)
+    return MeasureValue(*_shannon(dist, n, *_route(method, quad_tol), samples, seed))
 
 
 def extropy_max(
@@ -306,14 +328,7 @@ def extropy_max(
     raised instead of evaluating an invalid expression.
     """
     n = _check_index(n, "extropy_max")
-    quad_tol = _check_real(quad_tol, "quad_tol")
-    method = _normalize_method(method)
-    if method == "closed_form":
-        return MeasureValue(dist_mod.REGISTRY[dist.family].extropy(dist, n), "closed_form")
-    if method == "quadrature":
-        return _extropy_quad(dist, n, quad_tol)
-    est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
-    return MeasureValue(est.estimate, "monte_carlo", est.std_error)
+    return MeasureValue(*_extropy(dist, n, *_route(method, quad_tol), samples, seed))
 
 
 def shannon_limit(dist) -> float:
@@ -346,10 +361,10 @@ def shannon_normalized(
     Equal to -ln a_n + H(X_(n)); the centering b_n never enters.  ``norming``
     overrides the catalog's norming constants (only its ``a_n`` matters).
     """
-    if norming is None:
-        norming = evt.norming_constants(dist, n)
-    base = shannon_max(dist, n, method, quad_tol=quad_tol, samples=samples, seed=seed)
-    return MeasureValue(base.value - math.log(norming.a_n), base.method, base.error_estimate)
+    a_n, value, method, error = _normalized(
+        _shannon, "shannon_normalized", dist, n, method, norming, quad_tol, samples, seed
+    )
+    return MeasureValue(value - math.log(a_n), method, error)
 
 
 def extropy_normalized(
@@ -366,12 +381,10 @@ def extropy_normalized(
 
     Equal to a_n * J(X_(n)); the centering b_n never enters.
     """
-    if norming is None:
-        norming = evt.norming_constants(dist, n)
-    base = extropy_max(dist, n, method, quad_tol=quad_tol, samples=samples, seed=seed)
-    return MeasureValue(
-        norming.a_n * base.value, base.method, norming.a_n * base.error_estimate
+    a_n, value, method, error = _normalized(
+        _extropy, "extropy_normalized", dist, n, method, norming, quad_tol, samples, seed
     )
+    return MeasureValue(a_n * value, method, a_n * error)
 
 
 def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:
@@ -381,10 +394,12 @@ def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:
     j_gap.  Used by the table reproduction command and the verification
     suite.
     """
-    h_closed = shannon_max(dist, n, "closed_form").value
-    h_quad = shannon_max(dist, n, "quadrature", quad_tol=quad_tol).value
-    j_closed = extropy_max(dist, n, "closed_form").value
-    j_quad = extropy_max(dist, n, "quadrature", quad_tol=quad_tol).value
+    n = _check_index(n, "crosscheck")
+    quad_tol = _check_real(quad_tol, "quad_tol")
+    h_closed = _shannon(dist, n, "closed_form", quad_tol)[0]
+    h_quad = _shannon(dist, n, "quadrature", quad_tol)[0]
+    j_closed = _extropy(dist, n, "closed_form", quad_tol)[0]
+    j_quad = _extropy(dist, n, "quadrature", quad_tol)[0]
     return {
         "h_closed": h_closed,
         "h_quad": h_quad,

@@ -82,7 +82,13 @@ class TestArgumentChecking:
         [
             lambda n: measures.shannon_max(d.exponential(1.0), n),
             lambda n: measures.extropy_max(d.exponential(1.0), n),
+            lambda n: measures.shannon_normalized(d.exponential(1.0), n),
+            lambda n: measures.extropy_normalized(d.exponential(1.0), n),
+            lambda n: measures.crosscheck(d.exponential(1.0), n),
             lambda n: bounds.shannon_bounds(d.exponential(1.0), n),
+            lambda n: bounds.extropy_bounds(d.exponential(1.0), n),
+            lambda n: bounds.normalized_bounds(d.exponential(1.0), n),
+            lambda n: bounds.shannon_upper_envelope(d.exponential(1.0), n),
             lambda n: bounds.extropy_upper_envelope(d.exponential(1.0), n),
             lambda n: evt.norming_constants(d.exponential(1.0), n),
             lambda n: numerics.mc_entropy_max(d.exponential(1.0), n, samples=100),
@@ -91,18 +97,27 @@ class TestArgumentChecking:
         ids=[
             "shannon_max",
             "extropy_max",
+            "shannon_normalized",
+            "extropy_normalized",
+            "crosscheck",
             "shannon_bounds",
+            "extropy_bounds",
+            "normalized_bounds",
+            "shannon_upper_envelope",
             "extropy_upper_envelope",
             "norming_constants",
             "mc_entropy_max",
             "harmonic",
         ],
     )
-    def test_one_integer_rule_everywhere(self, entry):
+    def test_one_integer_rule_everywhere(self, entry, request):
+        # the message names the entry point the caller called
+        name = request.node.callspec.id
         entry(np.int64(3))
         for bad in (True, 2.5, np.array(3), 0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as excinfo:
                 entry(bad)
+            assert str(excinfo.value).startswith(f"{name} requires "), str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -730,3 +745,103 @@ class TestNormalized:
         j = measures.extropy_normalized(member, 10**6).value
         assert h == pytest.approx(1.0 + GAMMA, abs=1e-5)
         assert j == pytest.approx(-0.125, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# The normalized route, bit for bit, from the family record
+# ---------------------------------------------------------------------------
+
+NORMALIZED_MEMBERS = list(canonical.catalog_members()) + [
+    d.exponential(3.0),
+    d.power_function(1.0, 0.3),
+    d.pareto(1.0, 2.0),
+    d.gev(-0.9),
+    d.gev(0.3),
+]
+NORMALIZED_N = (1, 2, 10, 100, 10**4, 10**5, 10**6)
+LOGISTIC_AT_ONE = (
+    "norming constants for the logistic family are undefined at n=1 "
+    "(1 - 1/n must round to a level strictly inside (0, 1))"
+)
+
+
+def _bits(x):
+    """Every field of a result, floats as float.hex, so -0.0 and 0.0 differ."""
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, dict)):
+        return {k: _bits(v) for k, v in x.items()} if isinstance(x, dict) else tuple(map(_bits, x))
+    return float(x).hex() if isinstance(x, float) else x
+
+
+class TestNormalizedPinned:
+    @pytest.mark.parametrize("member", NORMALIZED_MEMBERS, ids=lambda m: m.label())
+    def test_every_field(self, member):
+        record = d.REGISTRY[member.family]
+        override = evt.NormingConstants(2.0, 5.0, 0.0)  # only a_n enters
+        for n in NORMALIZED_N:
+            h, j = record.shannon(member, n), record.extropy(member, n)
+            got = measures.shannon_normalized(member, n, norming=override)
+            assert _bits(got) == _bits(measures.MeasureValue(h - math.log(2.0), "closed_form")), n
+            got = measures.extropy_normalized(member, n, norming=override)
+            assert _bits(got) == _bits(measures.MeasureValue(2.0 * j, "closed_form")), n
+            if member.family == "logistic" and n == 1:
+                continue  # declined, below
+            a_n = record.norming(member, n)[0]
+            got = measures.shannon_normalized(member, n)
+            assert _bits(got) == (float(h - math.log(a_n)).hex(), "closed_form", (0.0).hex()), n
+            got = measures.extropy_normalized(member, n)
+            assert _bits(got) == (float(a_n * j).hex(), "closed_form", (0.0).hex()), n
+
+            # the unnormalized reports shifted by -ln a_n and scaled by a_n
+            raw_h, raw_j = bounds.shannon_bounds(member, n), bounds.extropy_bounds(member, n)
+            log_a = math.log(a_n)
+            want_h = dataclasses.replace(
+                raw_h, lower=raw_h.lower - log_a, value=raw_h.value - log_a, upper=raw_h.upper - log_a
+            )
+            want_j = dataclasses.replace(
+                raw_j, lower=a_n * raw_j.lower, value=a_n * raw_j.value, upper=a_n * raw_j.upper
+            )
+            got_h, got_j = bounds.normalized_bounds(member, n)
+            assert (_bits(got_h), _bits(got_j)) == (_bits(want_h), _bits(want_j)), n
+
+    @pytest.mark.parametrize(
+        "entry", [measures.shannon_normalized, measures.extropy_normalized, bounds.normalized_bounds]
+    )
+    def test_logistic_declines_at_n1(self, entry):
+        with pytest.raises(ValueError) as excinfo:
+            entry(d.logistic(1.0), 1)
+        assert str(excinfo.value) == LOGISTIC_AT_ONE
+
+
+class TestOneCheckPerCall:
+    """The closed-route entry points call private cores, not one another."""
+
+    ENTRIES = {
+        "shannon_bounds": lambda m: bounds.shannon_bounds(m, 7),
+        "extropy_bounds": lambda m: bounds.extropy_bounds(m, 7),
+        "shannon_normalized": lambda m: measures.shannon_normalized(m, 7),
+        "extropy_normalized": lambda m: measures.extropy_normalized(m, 7),
+        "normalized_bounds": lambda m: bounds.normalized_bounds(m, 7),
+        "crosscheck": lambda m: measures.crosscheck(m, 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_no_public_entry_point_is_reentered(self, name, monkeypatch):
+        member = d.logistic(2.0)
+        entry = self.ENTRIES[name]
+        want = entry(member)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public entry point was re-entered")
+
+        for module, attr in (
+            (measures, "shannon_max"),
+            (measures, "extropy_max"),
+            (evt, "norming_constants"),
+            (d, "density_quantile"),
+            (bounds, "shannon_upper_envelope"),
+            (bounds, "extropy_upper_envelope"),
+        ):
+            monkeypatch.setattr(module, attr, refuse)
+        assert _bits(entry(member)) == _bits(want)
