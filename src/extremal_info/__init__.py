@@ -21,10 +21,8 @@ from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = list(
-    dict.fromkeys(
-        name
-        for module in (bounds, canonical, distributions, evt, measures, numerics, special)
-        for name in module.__all__
-    )
-)
+__all__ = [
+    name
+    for module in (bounds, canonical, distributions, evt, measures, numerics, special)
+    for name in module.__all__
+]

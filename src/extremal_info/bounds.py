@@ -169,11 +169,17 @@ def extropy_upper_envelope(dist, n: int) -> float:
 
 
 def _unit_density_gate(dist, lead: str, noun: str) -> str:
-    """The note for a check that presumes sup f <= 1, or "" when that holds."""
-    sup = dist_mod.REGISTRY[dist.family].sup_density(dist)
-    if sup > 1.0:
-        return f"{lead}: sup density {sup:g} > 1 (the {noun} presumes a density bounded by 1)"
-    return ""
+    """The note for a check that presumes sup f <= 1, or "" when that holds;
+    a sup f beyond the double range is > 1."""
+    try:
+        sup = dist_mod.REGISTRY[dist.family].sup_density(dist)
+    except OverflowError:
+        shown = "beyond the double range"
+    else:
+        if not sup > 1.0:
+            return ""
+        shown = f"{sup:g}"
+    return f"{lead}: sup density {shown} > 1 (the {noun} presumes a density bounded by 1)"
 
 
 def _report(dist, lower: float, value: float, upper: float, lower_gate: str = "") -> BoundsReport:

@@ -10,16 +10,16 @@ converge  normalized measures along an n-grid vs their limiting targets
 verify    run the built-in invariant suite; plain-text report
 
 ``--tol`` is read by measure, bounds, tables and verify; ``--samples`` by
-measure; ``--seed`` (default ``$EXTREMAL_INFO_SEED``, else 0) by measure and
-verify; ``--format`` by all but verify.  This module only parses and
-renders: option values are checked by the library's validators, and the
-``bounds`` and ``converge`` columns are the fields of their report records.
-Reports are CSV (default) or JSON on stdout.  Numbers are printed with 15
+measure; ``--seed`` by measure and verify; ``--format`` by all but verify.
+This module only parses and renders: option values are checked by the
+library's validators, their defaults are the library's, and the ``bounds``
+and ``converge`` columns are the fields of their report records.  Reports
+are CSV (default) or JSON on stdout.  Numbers are printed with 15
 significant digits; extended reals use the literals ``inf``, ``-inf`` and
 ``indeterminate``.  Identical invocations (including ``--seed``) produce
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 domain
-error (a rejected value, an arithmetic overflow or a failed quadrature),
-3 verification failure.
+byte-identical output, and no environment variable is read.  Exit codes:
+0 success, 1 usage error, 2 domain error (a rejected value, an arithmetic
+overflow or a failed quadrature), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import io
 import json
 import math
 import operator
-import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import repeat
@@ -45,7 +44,7 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .measures import is_indeterminate
-from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, QuadratureError
+from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, DEFAULT_SEED, QuadratureError
 from .numerics import _check_samples, _check_seed
 from .special import _check_index, _check_n_grid, _check_real
 
@@ -55,8 +54,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
-
-SEED_ENV_VAR = "EXTREMAL_INFO_SEED"
 
 _FIGURE1_MAX_N = 50
 
@@ -155,19 +152,6 @@ def _grid(text: str):
         raise ValueError(f"expected a:b:step or a comma list of integers: {exc}") from None
 
 
-_seed = _option_type("--seed", int, _check_seed)
-
-
-def _seed_or_env(seed: int | None) -> int:
-    """``--seed`` if given, else the environment variable, else 0."""
-    if seed is not None:
-        return seed
-    try:
-        return _seed(os.environ.get(SEED_ENV_VAR, "0"))
-    except UsageError as exc:
-        raise UsageError(f"environment variable {SEED_ENV_VAR}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -186,7 +170,7 @@ _TABLES_HEADER = (
 
 
 def cmd_measure(args, out) -> int:
-    route = dict(quad_tol=args.tol, samples=args.samples, seed=_seed_or_env(args.seed))
+    route = dict(quad_tol=args.tol, samples=args.samples, seed=args.seed)
     dist = dist_mod.from_dict(args.dist)
     h = measures.shannon_max(dist, args.n, args.method, **route)
     j = measures.extropy_max(dist, args.n, args.method, **route)
@@ -279,7 +263,7 @@ def cmd_converge(args, out) -> int:
 def cmd_verify(args, out) -> int:
     from . import verify as verify_mod
 
-    results = verify_mod.run_all(quad_tol=args.tol, seed=_seed_or_env(args.seed))
+    results = verify_mod.run_all(quad_tol=args.tol, seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok" if r.passed else "FAIL"
@@ -309,7 +293,8 @@ def _build_parser() -> _Parser:
                       help="quadrature absolute tolerance"),
         "--samples": dict(type=_option_type("--samples", int, _check_samples),
                           default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),
-        "--seed": dict(type=_seed, help=f"Monte Carlo seed (default: ${SEED_ENV_VAR} or 0)"),
+        "--seed": dict(type=_option_type("--seed", int, _check_seed), default=DEFAULT_SEED,
+                       help="Monte Carlo seed"),
         "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
     }
     parser = _Parser(

@@ -35,16 +35,18 @@ in :mod:`~extremal_info.evt` look the record up by family name.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from . import special
-from .special import EULER_GAMMA, _check_real, _math
+from .special import EULER_GAMMA, _check_real, _elementwise, _math
 
 __all__ = [
     "FAMILIES",
@@ -327,12 +329,58 @@ def _gev_sup_density(d):
     if xi == -1.0:
         return 1.0
     k = xi + 1.0
-    return math.exp(k * math.log(k) - k)
+    try:
+        return math.exp(k * math.log(k) - k)
+    except OverflowError:
+        raise OverflowError(
+            f"sup density of {d.label()} is e^{k * math.log(k) - k:.6g}, beyond the double range"
+        ) from None
 
 
 def _gev_shannon(d, n):
     xi = _gev_xi(d)
     return 1.0 + EULER_GAMMA + xi * EULER_GAMMA + xi * _math(type(n)).log(n)
+
+
+# ln(2 pi) to 66 digits, and Stirling's series for ln Gamma(z): its
+# coefficients B_2k / (2k (2k - 1)) as (numerator, denominator)
+_LN_2PI = Decimal("1.837877066409345483560659472811235279722794947275566825634303080965")
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360))
+
+
+def _ln_gamma(z: Decimal) -> Decimal:
+    """ln Gamma(z) for z > 0 at the context's precision: Stirling's series
+    from z = 20 on (its first omitted term is below 1e-19 there), the
+    recurrence Gamma(z + 1) = z Gamma(z) below."""
+    shift = Decimal(1)
+    while z < 20:
+        shift *= z
+        z += 1
+    series = sum(Decimal(p) / (q * z ** (2 * i + 1)) for i, (p, q) in enumerate(_STIRLING))
+    return (z - Decimal("0.5")) * z.ln() - z + _LN_2PI / 2 + series - shift.ln()
+
+
+def _gev_extropy_at(n, xi: float) -> float:
+    """J at one n: -Gamma(xi + 2)/(2^(xi+3) n^xi), or, where Gamma
+    (xi > 169.6), a power or their product overflows, -exp of its logarithm
+    taken in decimal with 25 digits past the size of its largest term."""
+    try:
+        den = 2.0 ** (xi + 3.0) * float(n) ** xi
+        if den < math.inf:
+            return -math.gamma(xi + 2.0) / den
+    except OverflowError:
+        pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = 25 + math.ceil(math.log10(xi + 3.0) + math.log10(math.log(xi + 3.0) + math.log(n) + 1.0))
+        x = Decimal(xi)
+        log_j = _ln_gamma(x + 2) - (x + 3) * Decimal(2).ln() - x * Decimal(int(n)).ln()
+        if log_j < -800:
+            return -0.0
+        if log_j < 710 and (j := float(log_j.exp())) < math.inf:
+            return -j
+    raise OverflowError(
+        f"extropy of the maximum of n={n} draws from gev(xi={xi:g}) is -e^{log_j:.6g}, beyond the double range"
+    )
 
 
 def _gev_extropy(d, n):
@@ -342,8 +390,9 @@ def _gev_extropy(d, n):
             f"extropy of the maximum is -inf for gev with xi <= -2 (got xi={d.xi}); "
             "the closed form is valid only for xi > -2"
         )
-    m = _math(type(n))
-    return -math.gamma(xi + 2.0) / (2.0 ** (xi + 3.0) * m.pow(m.float(n), xi))
+    if isinstance(n, np.ndarray):
+        return _elementwise(_gev_extropy_at)(n, xi)
+    return _gev_extropy_at(n, xi)
 
 
 def _gev_limits(d):
@@ -667,7 +716,9 @@ def sup_density(dist: DistributionSpec) -> float:
 
     Closed form for every family.  For gev, sup_x f(x) = sup_t I(t) with
     I(t) = t(-ln t)^k, k = xi + 1; for xi > -1 the peak sits at -ln t = k,
-    giving k^k e^{-k}.  xi = -1 gives 1 and xi < -1 gives +inf.
+    giving k^k e^{-k}.  xi = -1 gives 1 and xi < -1 gives +inf.  Past
+    xi ~ 170.3, k^k e^{-k} is finite but beyond the double range, and an
+    ``OverflowError`` naming the member is raised.
     """
     return REGISTRY[dist.family].sup_density(dist)
 

@@ -39,16 +39,14 @@ import numpy as np
 from . import distributions as dist_mod
 from . import evt
 from . import numerics
-from .distributions import INDETERMINATE, Indeterminate
-from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES
+from .distributions import INDETERMINATE, Indeterminate  # noqa: F401  (distributions exports both)
+from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
 from .special import _check_index, _check_real
 from .special import harmonic  # noqa: F401  (perfbench's tracer patches measures.harmonic)
 
 __all__ = [
     "METHODS",
     "MeasureValue",
-    "Indeterminate",
-    "INDETERMINATE",
     "is_indeterminate",
     "shannon_max",
     "extropy_max",
@@ -120,7 +118,7 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # Quadrature forms
 #
 # Both integrands are a weight times a profile factor, taken a GK15 panel
-# at a time through numerics.integrate_panels:
+# at a time through numerics._integrate:
 #
 #     H:  n y^(n-1)            x  ln I(y)
 #     J:  -(n^2/2) t^(2n-2)    x  I(t)
@@ -139,12 +137,13 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # one the member's own integrand would give.
 #
 # Each integral rules every listed panel in one numpy pass of
-# numerics._gk15_rows and hands integrate_panels the (value, error) of each
-# as ``known``.  Any other panel goes through the scalar integrand and
-# numerics._gk15, and integrate_panels sets it in ``known`` in visit order;
-# it joins the list after the integral, failed or not.  Every value is the
-# same product of the same floats as the point integrand on the public API,
-# and _gk15_rows sums as _gk15 does, so every route gives the same bits.
+# numerics._gk15_rows, and its panel rule reads a listed panel's
+# (value, error) from that pass.  Any other panel goes through the scalar
+# integrand and numerics._gk15, and the route records it once that rule has
+# returned; the recorded panels join the list after the integral, failed or
+# not.  Every value is the same product of the same floats as the point
+# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
+# route gives the same bits.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
 # list holds 59 panels and 40 tables are read, well inside the caps: the
@@ -242,8 +241,14 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
         values, logs = _profile_row(dist, ts)
         return map(operator.mul, _weight_row(n, measure, ts), logs if measure == "H" else values)
 
+    def rule(a: float, b: float) -> tuple[float, float]:
+        found = known.get((a, b))
+        if found is None:
+            found = known[a, b] = numerics._gk15(integrand, a, b)
+        return found
+
     try:
-        return numerics.integrate_panels(integrand, tol, known=known)
+        return numerics._integrate(rule, tol)
     finally:
         with _tables.lock:
             _tables.add(itertools.islice(known, listed, None))
@@ -251,21 +256,39 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
 
 # The routes: cores that take checked arguments and a canonical method and
 # give (value, method, error estimate).  Each public entry point checks its
-# own arguments once, under its own name, and calls them.
+# own arguments once, under its own name, and calls them.  A failed
+# integral's best estimate leaves in the units of the value the call
+# returns, mapped by the same law.
 
 
-def _shannon(dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple:
+def _map_best(exc: numerics.QuadratureError, law) -> None:
+    """Map ``exc.best`` by ``law(value, error)`` -> (value, error)."""
+    if exc.best is not None:
+        value, error = law(exc.best.value, exc.best.error_estimate)
+        exc.best = numerics.QuadratureResult(value, error, exc.best.evaluations)
+
+
+def _shannon(
+    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> tuple:
     """H of the maximum of n draws by ``method``, as (value, method, error)."""
     if method == "closed_form":
         return dist_mod.REGISTRY[dist.family].shannon(dist, n), method, 0.0
     if method == "quadrature":
-        q = _quad(dist, n, "H", quad_tol)
-        return 1.0 - math.log(n) - 1.0 / n - q.value, method, q.error_estimate
+        shift = 1.0 - math.log(n) - 1.0 / n
+        try:
+            q = _quad(dist, n, "H", quad_tol)
+        except numerics.QuadratureError as exc:
+            _map_best(exc, lambda value, error: (shift - value, error))
+            raise
+        return shift - q.value, method, q.error_estimate
     est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
     return est.estimate, method, est.std_error
 
 
-def _extropy(dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple:
+def _extropy(
+    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> tuple:
     """J of the maximum of n draws by ``method``, as (value, method, error)."""
     if method == "closed_form":
         return dist_mod.REGISTRY[dist.family].extropy(dist, n), method, 0.0
@@ -276,13 +299,30 @@ def _extropy(dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_
     return est.estimate, method, est.std_error
 
 
-def _normalized(core, name: str, dist, n, method, norming, quad_tol, samples, seed) -> tuple:
-    """a_n and ``core``'s (value, method, error): n checked under ``name``, a_n
-    as norming_constants takes it unless ``norming`` is given, then the route."""
+def _normalized(core, law, name: str, dist, n, method, norming, quad_tol, samples, seed) -> MeasureValue:
+    """``core``'s measure of the normalized maximum, mapped by ``law(a_n,
+    value, error)`` -> (value, error): n checked under ``name``, a_n as
+    norming_constants takes it unless ``norming`` is given, then the route;
+    a ``norming`` object is read after the route, whose checks come first."""
     n = _check_index(n, name)
     a_n = evt._norming(dist, n)[0] if norming is None else None
-    value, method, error = core(dist, n, *_route(method, quad_tol), samples, seed)
-    return (a_n if norming is None else norming.a_n), value, method, error
+    try:
+        value, method, error = core(dist, n, *_route(method, quad_tol), samples, seed)
+    except numerics.QuadratureError as exc:
+        _map_best(exc, lambda value, error: law(a_n if norming is None else norming.a_n, value, error))
+        raise
+    value, error = law(a_n if norming is None else norming.a_n, value, error)
+    return MeasureValue(value, method, error)
+
+
+def _shannon_law(a_n: float, value: float, error: float) -> tuple[float, float]:
+    """H of the maximum to h of the normalized one: -ln a_n, error kept."""
+    return value - math.log(a_n), error
+
+
+def _extropy_law(a_n: float, value: float, error: float) -> tuple[float, float]:
+    """J of the maximum to j of the normalized one: value and error times a_n."""
+    return a_n * value, a_n * error
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +337,7 @@ def shannon_max(
     *,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Shannon entropy H of the maximum of n i.i.d. draws from ``dist``.
 
@@ -319,7 +359,7 @@ def extropy_max(
     *,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Extropy J of the maximum of n i.i.d. draws from ``dist``.
 
@@ -354,17 +394,14 @@ def shannon_normalized(
     norming=None,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Entropy of the normalized maximum (X_(n) - b_n)/a_n.
 
     Equal to -ln a_n + H(X_(n)); the centering b_n never enters.  ``norming``
     overrides the catalog's norming constants (only its ``a_n`` matters).
     """
-    a_n, value, method, error = _normalized(
-        _shannon, "shannon_normalized", dist, n, method, norming, quad_tol, samples, seed
-    )
-    return MeasureValue(value - math.log(a_n), method, error)
+    return _normalized(_shannon, _shannon_law, "shannon_normalized", dist, n, method, norming, quad_tol, samples, seed)
 
 
 def extropy_normalized(
@@ -375,16 +412,13 @@ def extropy_normalized(
     norming=None,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Extropy of the normalized maximum (X_(n) - b_n)/a_n.
 
     Equal to a_n * J(X_(n)); the centering b_n never enters.
     """
-    a_n, value, method, error = _normalized(
-        _extropy, "extropy_normalized", dist, n, method, norming, quad_tol, samples, seed
-    )
-    return MeasureValue(a_n * value, method, a_n * error)
+    return _normalized(_extropy, _extropy_law, "extropy_normalized", dist, n, method, norming, quad_tol, samples, seed)
 
 
 def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:

@@ -15,21 +15,22 @@ silent truncation).  The residual mass beyond the working window is summed
 by Wynn epsilon extrapolation of unit-width tail cells, which is exact for
 the geometric decay the transform produces.  The 15 nodes of a panel depend
 only on its u-interval, so they are computed and range-checked once per
-distinct panel and kept in a bounded cache.  The kernel,
-:func:`integrate_panels`, hands the integrand one panel's node tuple at a
-time, each t already known to lie in (0, 1), and takes the 15 values back;
-:func:`integrate_unit` is the same kernel over a point integrand called
-once per node.  A caller that integrates many integrands over the same
-panels can rule them all at once: :func:`_gk15_rows` applies the GK15 rule
-to a stack of panels in one numpy pass, with the bits of the scalar rule,
-and :func:`integrate_panels` reads those (value, error) pairs as ``known``
-panels instead of evaluating them, so the adaptive loop, the tails and the
-result stay the same; each other panel it sets there, in visit order,
-after its one call of the integrand.  A panel whose value or error is not
-finite (the integrand overflowed or returned nan) fails at once with the
-panel's place in the message -- its t-interval, or its (1 - t)-interval
-right of u = 0, where t rounds to 1 -- instead of spending the evaluation
-budget on an error that can never shrink.
+distinct panel and kept in a bounded cache.  The adaptive loop,
+:func:`_integrate`, asks a panel rule for the GK15 (value, error) of each
+panel it visits, once and in visit order, and keeps no panel of its own.
+:func:`integrate_panels` is that loop over the scalar rule :func:`_gk15` of
+an integrand handed one panel's node tuple at a time, each t already known
+to lie in (0, 1); :func:`integrate_unit` is the same over a point integrand
+called once per node.  A caller that integrates many integrands over the
+same panels can rule them all at once -- :func:`_gk15_rows` applies the
+GK15 rule to a stack of panels in one numpy pass, with the bits of the
+scalar rule -- and hand :func:`_integrate` a rule that reads those pairs,
+so the adaptive loop, the tails and the result stay the same.  A panel
+whose value or error is not finite (the integrand overflowed or returned
+nan) fails at once with the panel's place in the message -- its
+t-interval, or its (1 - t)-interval right of u = 0, where t rounds to 1 --
+instead of spending the evaluation budget on an error that can never
+shrink.
 
 Monte Carlo
 -----------
@@ -78,6 +79,7 @@ __all__ = [
 # special._check_real); a rule's ``name`` is the caller's, for the message.
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
+DEFAULT_SEED = 0
 MIN_SAMPLES = 100
 
 
@@ -363,7 +365,7 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     return integrate_panels(lambda ts: [f(t) for t in ts], abs_tol)
 
 
-def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> QuadratureResult:
+def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integrate over (0, 1) an integrand given one GK15 panel at a time.
 
     ``g`` receives the tuple of a panel's 15 nodes t, each already checked to
@@ -371,16 +373,14 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
     any iterable.  Everything else -- the adaptive loop, the tails, the
     fail-fast check and the meaning of ``abs_tol`` -- is as described in
     :func:`integrate_unit`, which is this function with a point integrand.
-
-    ``known``, if given, is a dict from a panel's (a, b) to the
-    (value, error) :func:`_gk15` gives there for this integrand, such as
-    :func:`_gk15_rows` computes for many panels at once.  A panel found
-    there is read, not evaluated, and still counts its 15 evaluations, so
-    the result is the same to the bit.  Any other panel is evaluated by one
-    call of ``g`` and then set, ``known[a, b] = (value, error)``, in visit
-    order, so after the integral, failed or not, the keys ``known`` gained
-    are the new panels in the order ``g`` saw them.
     """
+    return _integrate(functools.partial(_gk15, g), abs_tol)
+
+
+def _integrate(rule, abs_tol: float) -> QuadratureResult:
+    """The adaptive loop and the tails over a panel rule: ``rule(a, b)`` is
+    the GK15 (value, error) on [a, b] in u-space, called once for each panel
+    visited, in visit order, and counted as 15 evaluations."""
     abs_tol = _check_real(abs_tol, "abs_tol")
 
     evals = 0
@@ -400,14 +400,9 @@ def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL, known=None) -> Quadra
         )
 
     def panel(a: float, b: float) -> tuple[float, float]:
-        """GK15 on [a, b]; a non-finite value or error fails at once."""
+        """The rule on [a, b]; a non-finite value or error fails at once."""
         nonlocal evals
-        rule = None if known is None else known.get((a, b))
-        if rule is None:
-            rule = _gk15(g, a, b)
-            if known is not None:
-                known[a, b] = rule
-        vk, err = rule
+        vk, err = rule(a, b)
         evals += 15
         if not (math.isfinite(vk) and math.isfinite(err)):
             right = a >= 0.0  # t rounds to 1 there, so name 1 - t = sigma(-u)
@@ -512,7 +507,7 @@ def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
     return McEstimate(est, se, samples, seed)
 
 
-def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
+def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
     """Plug-in Monte Carlo estimate of the entropy of the sample maximum.
 
     Averages ``-ln f_max(X)`` over draws of the maximum, where
@@ -526,7 +521,7 @@ def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) 
     return _mc_estimate(summands, "-ln f_max(X)", samples, seed)
 
 
-def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> McEstimate:
+def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
     """Plug-in Monte Carlo estimate of the extropy of the sample maximum.
 
     Same draws as :func:`mc_entropy_max`; the estimator averages

@@ -381,7 +381,7 @@ def _group(name, fn) -> GroupResult:
     return GroupResult(name, True)
 
 
-def run_all(quad_tol: float = numerics.DEFAULT_QUAD_TOL, seed: int = 0) -> list[GroupResult]:
+def run_all(quad_tol: float = numerics.DEFAULT_QUAD_TOL, seed: int = numerics.DEFAULT_SEED) -> list[GroupResult]:
     """Run every group on the smoke grid, with quadrature tolerance
     ``quad_tol`` and Monte Carlo seed ``seed``, and return their results in order."""
     catalog = canonical.catalog_members()

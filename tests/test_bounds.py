@@ -54,6 +54,13 @@ class TestShannonBounds:
         assert report.lower_holds  # not enforced, hence vacuously true
         assert "sup density" in report.gate_note
 
+    def test_a_sup_density_beyond_the_double_range_gates_the_lower_bound(self):
+        # sup f of gev(200) is e^865: sup_density overflows, and the gate
+        # reads that as sup f > 1
+        report = bounds.shannon_bounds(d.gev(200.0), 1)
+        assert report.lower_holds
+        assert "lower bound not enforced: sup density beyond the double range > 1" in report.gate_note
+
     @pytest.mark.parametrize("member", LOG_CONCAVE_MEMBERS, ids=lambda m: m.label())
     def test_envelope_ordering_sweep(self, member):
         for n in range(1, 201, 7):
@@ -320,6 +327,11 @@ class TestEnvelopeCheck:
         assert not report.unit_upper_holds  # raw outcome still reported
         assert report.unit_upper_worst_violation > 0.0
         assert "sup density" in report.gate_note
+
+    def test_a_sup_density_beyond_the_double_range_gates_unit_upper(self):
+        report = bounds.envelope_check(d.gev(200.0))
+        assert not report.unit_upper_applicable
+        assert report.gate_note.startswith("I(t) <= 1 not applicable: sup density beyond the double range > 1")
 
     @pytest.mark.parametrize("member", LOG_CONCAVE_MEMBERS, ids=lambda m: m.label())
     def test_bobkov_holds_for_log_concave_members(self, member):

@@ -516,26 +516,6 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("domain error:")
 
-    def test_seed_env_var_is_honored(self, monkeypatch):
-        args = ("measure", "--dist", EXP1, "--n", "3", "--method", "mc",
-                "--samples", "500")
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
-        _, from_env, _ = run_cli(*args)
-        monkeypatch.delenv(cli.SEED_ENV_VAR)
-        _, explicit, _ = run_cli(*args, "--seed", "5")
-        _, other, _ = run_cli(*args, "--seed", "6")
-        assert from_env == explicit
-        assert from_env != other
-
-    @pytest.mark.parametrize("value", ["not-a-seed", "-1"])
-    def test_invalid_seed_env_var_is_usage_error(self, monkeypatch, value):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
-        code, _, err = run_cli(
-            "measure", "--dist", EXP1, "--n", "3", "--method", "mc", "--samples", "500"
-        )
-        assert code == 1
-        assert cli.SEED_ENV_VAR in err and "--seed" in err
-
     @pytest.mark.parametrize(
         "argv, check, value",
         [
@@ -604,7 +584,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "spec, command",
         [
-            ('{"family":"gev","xi":170}', ("measure", "--n", "1")),
+            # J = -Gamma(202)/2^203 = -e^727.8 lies past the double range
+            ('{"family":"gev","xi":200}', ("measure", "--n", "1")),
             # I(t) overflows to inf at small t, without a numpy warning
             ('{"family":"gev","xi":400}', ("measure", "--n", "2", "--method", "quad")),
             # a_n = 100 n^100 is finite at n = 1154 and overflows from n = 1155
@@ -613,6 +594,13 @@ class TestExitCodes:
     )
     def test_an_overflow_exits_2(self, spec, command):
         assert run_cli(*command, "--dist", spec)[:2] == (2, "")
+
+    def test_a_gev_extropy_past_gammas_range_is_a_double(self):
+        # Gamma(172) overflows, but J = -Gamma(172)/2^173 = -1.04e257 does not
+        # (mpmath: -1.03654665708265657e257)
+        code, out, _ = run_cli("measure", "--n", "1", "--dist", '{"family":"gev","xi":170}')
+        assert code == 0
+        assert parse_csv(out)[1][0][4] == "-1.03654665708266e+257"
 
     def test_a_grid_up_to_the_overflow_edge_exits_0(self):
         spec = '{"family":"pareto","theta":1,"nu":0.01}'
@@ -705,18 +693,20 @@ class TestOptionsPerCommand:
     def test_verify_options_reach_run_all(self, monkeypatch):
         calls = []
         monkeypatch.setattr(verify, "run_all", lambda **kwargs: calls.append(kwargs) or [])
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         assert run_cli("verify")[0] == 0
         assert run_cli("verify", "--tol", "1e-9", "--seed", "7")[0] == 0
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
-        assert run_cli("verify", "--tol", "1e-8")[0] == 0
-        assert run_cli("verify", "--seed", "6")[0] == 0
-        assert calls == [
-            {"quad_tol": 1e-10, "seed": 0},
-            {"quad_tol": 1e-9, "seed": 7},
-            {"quad_tol": 1e-8, "seed": 5},
-            {"quad_tol": 1e-10, "seed": 6},
-        ]
+        assert calls == [{"quad_tol": 1e-10, "seed": 0}, {"quad_tol": 1e-9, "seed": 7}]
+
+    def test_the_environment_changes_no_output(self, monkeypatch):
+        # The seed comes from --seed alone: a variable once read as its
+        # default, set to another seed or to a malformed one, changes nothing.
+        mc = ("measure", "--dist", EXP1, "--n", "3", "--method", "mc", "--samples", "500")
+        invocations = (mc, (*mc, "--seed", "6"), ("verify",))
+        want = [run_cli(*argv) for argv in invocations]
+        for value in ("5", "not-a-seed", "-1"):
+            monkeypatch.setenv("EXTREMAL_INFO_SEED", value)
+            assert [run_cli(*argv) for argv in invocations] == want
+        assert want[0][0] == 0 and want[0][1] != want[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,12 @@ class TestSupDensity:
         assert d.sup_density(d.gev(-1.0)) == 1.0
         assert d.sup_density(d.gev(-1.5)) == math.inf
 
+    def test_gev_beyond_the_double_range_is_a_named_overflow(self):
+        # k^k e^-k with k = 201 is e^864.96: finite, but not a double
+        with pytest.raises(OverflowError, match=r"^sup density of gev\(xi=200\) is e\^864\.96") as excinfo:
+            d.sup_density(d.gev(200.0))
+        assert "math range error" not in str(excinfo.value)
+
     @pytest.mark.parametrize("member", ALL_MEMBERS, ids=MEMBER_IDS)
     def test_dominates_density_profile(self, member):
         sup = d.sup_density(member)

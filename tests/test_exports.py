@@ -1,5 +1,6 @@
 """The export lists name exactly what the package and its modules provide,
-and the modules import each other without a cycle.
+the modules import each other without a cycle, and none reads the
+environment.
 
 A deleted function must leave every ``__all__`` that named it, a name the
 package offers must be in the package's ``__all__``, and the package offers
@@ -32,6 +33,31 @@ def test_every_package_export_resolves():
     exported = extremal_info.__all__
     assert [n for n in exported if not hasattr(extremal_info, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_no_name_is_exported_by_two_modules():
+    # a name is declared once, where it is defined
+    owners = {}
+    for name in MODULES:
+        for export in importlib.import_module(f"extremal_info.{name}").__all__:
+            owners.setdefault(export, []).append(name)
+    assert {export: names for export, names in owners.items() if len(names) > 1} == {}
+
+
+def _reads_the_environment(node) -> bool:
+    """``os.environ``, ``os.getenv`` or either imported from ``os``."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_reads_the_environment(path):
+    # a call's result and a command's output depend on its arguments alone
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if _reads_the_environment(node)] == []
 
 
 def test_package_exports_every_library_module():

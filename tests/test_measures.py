@@ -8,10 +8,12 @@ scale laws, and degenerate cases are exercised for every family.
 import dataclasses
 import math
 import operator
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
@@ -259,6 +261,79 @@ class TestExtropyClosedForms:
         assert got == pytest.approx(want, rel=1e-14)
 
 
+class TestGevExtropyBeyondTheDirectForm:
+    # Gamma(xi + 2) overflows past xi = 169.6, and n^xi or 2^(xi+3) n^xi
+    # past the double range; there, and only there, J is taken as -exp of
+    # its logarithm, ln Gamma(xi + 2) - (xi + 3) ln 2 - xi ln n, in decimal.
+
+    @staticmethod
+    def reference(xi, n) -> float:
+        with mpmath.workdps(50):
+            xi = mpmath.mpf(xi)
+            return float(-mpmath.gamma(xi + 2) / (2 ** (xi + 3) * mpmath.mpf(n) ** xi))
+
+    def test_pinned_at_xi_200_and_n_50(self):
+        got = measures.extropy_max(d.gev(200.0), 50).value
+        assert got == -1.9815028917540361e-24 == self.reference(200, 50)
+
+    @pytest.mark.parametrize("xi", [50.0, 100.0, 169.7, 170.0, 180.0, 200.0, 250.0, 338.5, 400.0, 860.0, 1000.0])
+    def test_matches_mpmath_within_1e_13(self, xi):
+        # A J past the double range is a named overflow, one below it -0.0
+        for n in (1, 3, 100, 1000, 10**6, 10**12, 10**400):
+            try:
+                got = measures.extropy_max(d.gev(xi), n).value
+            except OverflowError as exc:
+                assert "beyond the double range" in str(exc)
+                assert abs(self.reference(xi, n)) == math.inf
+                continue
+            want = self.reference(xi, n)
+            if abs(want) < sys.float_info.min:
+                assert got == 0.0 or abs(got) < sys.float_info.min
+                continue
+            assert got == pytest.approx(want, rel=1e-13), n
+
+    def test_underflows_to_minus_zero(self):
+        got = measures.extropy_max(d.gev(100.0), 10**6).value
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+    @pytest.mark.parametrize(
+        "xi, log_j", [(200.0, r"727\.8"), (1e308, r"7\.07503e\+310")], ids=["xi=200", "xi=1e308"]
+    )
+    def test_a_j_beyond_the_double_range_is_a_named_overflow(self, xi, log_j):
+        # J at n = 1, the target of the normalized maxima, is -e^727.8 for
+        # gev(200) and -e^(7e310) for gev(1e308): not a double
+        message = rf"n=1 draws from gev\(xi={re.escape(f'{xi:g}')}\) is -e\^{log_j}"
+        for call in (lambda: measures.extropy_max(d.gev(xi), 1), lambda: evt.limiting_targets(xi)):
+            with pytest.raises(OverflowError, match=message) as excinfo:
+                call()
+            assert "math range error" not in str(excinfo.value)
+
+    def test_targets_and_studies_past_gammas_range(self):
+        h, j = evt.limiting_targets(180.0)
+        assert j == measures.extropy_max(d.gev(180.0), 1).value
+        assert j == pytest.approx(self.reference(180, 1), rel=1e-13)
+        # gev is max-stable: the normalized extropy is the target at every n
+        study = evt.convergence_study(d.gev(180.0), [1, 2, 3])
+        assert study.j_normalized.tolist() == pytest.approx([j] * 3, rel=1e-13)
+
+    @pytest.mark.parametrize("xi, grid", [(100.0, [1, 10, 1000, 10**6]), (180.0, [1, 2, 3])])
+    def test_an_array_takes_each_n_by_the_scalar_rule(self, xi, grid):
+        record, member = d.REGISTRY["gev"], d.gev(xi)
+        got = record.extropy(member, np.array(grid))
+        assert [x.hex() for x in got.tolist()] == [record.extropy(member, n).hex() for n in grid]
+
+    def test_catalog_cells_keep_the_direct_form(self):
+        grid = (*canonical.TABLE_N, 10**4, 10**6)
+        for member in canonical.catalog_members():
+            if member.family == "gev":
+                want = [
+                    (-math.gamma(member.xi + 2.0) / (2.0 ** (member.xi + 3.0) * float(n) ** member.xi)).hex()
+                    for n in grid
+                ]
+                assert [measures.extropy_max(member, n).value.hex() for n in grid] == want
+                assert [x.hex() for x in d.REGISTRY["gev"].extropy(member, np.array(grid)).tolist()] == want
+
+
 # ---------------------------------------------------------------------------
 # Scale laws
 # ---------------------------------------------------------------------------
@@ -297,28 +372,23 @@ def table_grid():
     """The 300 quadrature integrals of crosscheck over catalog x TABLE_N, in
     table order: their results, each member's distinct panels, the distinct
     panels of the grid and the distinct (n, measure, panel) weights."""
-    integrate = numerics.integrate_panels
+    integrate = numerics._integrate
     results, weights, per_member, panels, grid_panels = [], set(), [], set(), set()
     tag = {}
     routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
 
-    class Visits(dict):
-        def get(self, key):
-            # integrate_panels looks up every panel it visits in ``known``
-            panels.add(key)
-            weights.add((tag["n"], tag["measure"], key))
-            return dict.get(self, key)
+    def recording(rule, abs_tol):
+        def visit(a, b):
+            # the kernel asks the rule once for every panel it visits
+            panels.add((a, b))
+            weights.add((tag["n"], tag["measure"], (a, b)))
+            return rule(a, b)
 
-    def recording(g, abs_tol, known):
-        visits = Visits(known)
-        try:
-            results.append(integrate(g, abs_tol=abs_tol, known=visits))
-        finally:
-            known.update(visits)  # the panels set during the run, in visit order
+        results.append(integrate(visit, abs_tol))
         return results[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(numerics, "integrate_panels", recording)
+        m.setattr(numerics, "_integrate", recording)
         for member in canonical.catalog_members():
             panels.clear()
             for n in canonical.TABLE_N:
@@ -359,14 +429,14 @@ class TestAlternateRoutes:
     ):
         # The quadrature integrands take each panel's values from the
         # profile and weight tables, filled from the family record on nodes
-        # integrate_panels has checked; integrate_unit on the point integrand
+        # checked to lie in (0, 1); integrate_unit on the point integrand
         # of the public density_quantile must give the same bits, with the
         # node, profile and weight caches all cold or all warm.
-        integrate = numerics.integrate_panels
+        integrate = numerics._integrate
         seen = []
 
-        def recording(g, abs_tol, known):
-            seen.append(integrate(g, abs_tol=abs_tol, known=known))
+        def recording(rule, abs_tol):
+            seen.append(integrate(rule, abs_tol))
             return seen[-1]
 
         def key(q):
@@ -385,7 +455,7 @@ class TestAlternateRoutes:
                     route(member, n, "quadrature")
             seen.clear()
             with monkeypatch.context() as m:
-                m.setattr(numerics, "integrate_panels", recording)
+                m.setattr(numerics, "_integrate", recording)
                 for route in routes:
                     if cache == "cold":
                         quadrature_caches()
@@ -745,6 +815,41 @@ class TestNormalized:
         j = measures.extropy_normalized(member, 10**6).value
         assert h == pytest.approx(1.0 + GAMMA, abs=1e-5)
         assert j == pytest.approx(-0.125, abs=1e-5)
+
+
+@pytest.mark.parametrize("route", ["shannon_normalized", "extropy_normalized"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [({"method": "bogus"}, "unknown method 'bogus'"), ({"quad_tol": -1.0}, "quad_tol must be a positive finite real")],
+)
+def test_a_malformed_norming_is_read_after_the_routes_checks(route, fault, message):
+    # norming.a_n is read once the route has run, so a second fault is
+    # named first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        getattr(measures, route)(d.exponential(1.0), 5, norming=object(), **fault)
+
+
+@pytest.mark.parametrize(
+    "route, member, n",
+    [
+        ("shannon_max", d.exponential(1.0), 10**6),
+        ("shannon_normalized", d.exponential(4.0), 10**6),
+        ("extropy_max", d.uniform(1.0), 10**4),
+        ("extropy_normalized", d.uniform(2.0), 10**4),
+    ],
+)
+def test_a_failed_integral_gives_its_best_in_the_units_of_the_value(route, member, n, monkeypatch):
+    # A budget of 3000 evaluations stops each integral short.  Its best
+    # estimate is of what the call returns -- for H, not the raw integral of
+    # n t^(n-1) ln I(t), which is -14.39 for exponential(1) at n = 10^6 --
+    # and is mapped by the law of the value, within its error estimate.
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 3000)
+    with pytest.raises(numerics.QuadratureError, match=r"^evaluation budget exhausted \(3225 evaluations\)") as excinfo:
+        getattr(measures, route)(member, n, "quadrature")
+    best = excinfo.value.best
+    closed = getattr(measures, route)(member, n).value
+    assert best.evaluations == 3225
+    assert abs(best.value - closed) <= best.error_estimate
 
 
 # ---------------------------------------------------------------------------
