@@ -35,7 +35,7 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .numerics import DEFAULT_QUAD_TOL
-from .special import EULER_GAMMA, _check_index, _check_n_grid, _check_real
+from .special import EULER_GAMMA, _check_index, _check_n_grid
 from .special import half_geometric_sum, harmonic
 
 __all__ = [
@@ -59,6 +59,14 @@ _LN2 = math.log(2.0)
 # Comparison slack for the *_holds flags: the orderings are mathematical,
 # the slack only absorbs last-bit rounding in the closed forms.
 _ORDER_TOL = 1e-12
+
+# The grid of envelope_check, t = k/1000 for k = 1..999.
+_ENVELOPE_GRID = np.arange(1, 1000) / 1000.0
+_ENVELOPE_GRID.flags.writeable = False
+
+# The gap below which exponential_gap calls a study attaining (acceptance
+# check 5's threshold).
+_ATTAINMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -263,34 +271,25 @@ def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: fl
     )
 
 
-def _worst(gap, ts) -> tuple[float, float]:
-    """The largest entry of ``gap`` and the grid point where it sits."""
+def _worst(gap) -> tuple[float, float]:
+    """The largest entry of ``gap`` on the envelope grid and the t where it sits."""
     k = int(np.argmax(gap))
-    return float(gap[k]), float(ts[k])
+    return float(gap[k]), float(_ENVELOPE_GRID[k])
 
 
-def envelope_check(dist, grid=None) -> EnvelopeReport:
+def envelope_check(dist) -> EnvelopeReport:
     """Pointwise envelope checks for the density-quantile profile I(t).
 
     Checks 2 I(1/2) min{t, 1-t} <= I(t) (valid for every log-concave
     parent, no normalization needed) and I(t) <= 1 (which presumes
     sup f <= 1 and is flagged inapplicable otherwise, though the raw
-    outcome is still reported).  The default grid is t = k/1000 for
-    k = 1..999.
+    outcome is still reported) on the grid t = k/1000, k = 1..999.
     """
-    if grid is None:
-        ts = np.arange(1, 1000) / 1000.0
-    else:
-        ts = np.asarray(grid, dtype=float)
-        if ts.ndim != 1 or ts.size == 0:
-            raise ValueError("grid must be a nonempty one-dimensional array")
-        if np.any((ts <= 0.0) | (ts >= 1.0)):
-            raise ValueError("grid points must lie strictly inside (0, 1)")
-
+    ts = _ENVELOPE_GRID
     i_vals = dist_mod.density_quantile(dist, ts)
     i_half = _i_half(dist)
-    bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals, ts)
-    unit_worst, unit_worst_t = _worst(i_vals - 1.0, ts)
+    bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals)
+    unit_worst, unit_worst_t = _worst(i_vals - 1.0)
     note = _unit_density_gate(dist, "I(t) <= 1 not applicable", "envelope")
     return EnvelopeReport(
         bobkov_holds=bobkov_worst <= _ORDER_TOL,
@@ -304,16 +303,16 @@ def envelope_check(dist, grid=None) -> EnvelopeReport:
     )
 
 
-def exponential_gap(dist, n_grid, *, tol: float = 1e-4) -> GapStudy:
+def exponential_gap(dist, n_grid) -> GapStudy:
     """Signed gaps between the limiting ceilings and the exact measures.
 
     Emits (UB_H - H(X_(n)), UB_J - J(X_(n))) along ``n_grid``.  The study
-    is classified ``attaining`` when both gaps vanish within ``tol`` at
-    the largest n; within the catalog that singles out the exponential
-    family, whose measures converge exactly to the ceilings.
+    is classified ``attaining`` when both gaps are below 1e-4, the
+    study's ``tol``, at the largest n; within the catalog that singles out
+    the exponential family, whose measures converge exactly to the
+    ceilings.
     """
     grid = _check_n_grid(n_grid, "exponential_gap")
-    tol = _check_real(tol, "tol")
 
     h_ub = shannon_limit_upper(dist)
     j_ub = extropy_limit_upper(dist)
@@ -327,5 +326,5 @@ def exponential_gap(dist, n_grid, *, tol: float = 1e-4) -> GapStudy:
         records.append(GapRecord(n=n, shannon_gap=h_ub - h_val, extropy_gap=j_ub - j_val))
 
     last = records[-1]
-    attaining = max(abs(last.shannon_gap), abs(last.extropy_gap)) < tol
-    return GapStudy(records=tuple(records), attaining=attaining, tol=tol)
+    attaining = max(abs(last.shannon_gap), abs(last.extropy_gap)) < _ATTAINMENT_TOL
+    return GapStudy(records=tuple(records), attaining=attaining, tol=_ATTAINMENT_TOL)

@@ -180,12 +180,21 @@ def norming_constants(dist, n: int) -> NormingConstants:
     return nc
 
 
+def _norming_overflow(dist, n) -> OverflowError:
+    """The error for constants whose computation overflows at ``n``."""
+    return OverflowError(f"norming constants for {dist.label()} overflow the double range at n={n}")
+
+
 def _norming(dist, n: int) -> tuple:
-    """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n after."""
+    """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n
+    after.  A record that overflows (n^xi of a gev member, say) is named."""
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
     _domain(xi)
-    a, b = record.norming(dist, n)
+    try:
+        a, b = record.norming(dist, n)
+    except OverflowError:
+        raise _norming_overflow(dist, n) from None
     _check_real(a, "a_n")
     return a, b, xi
 
@@ -220,8 +229,14 @@ def normalized_maximum_cdf(dist, n: int, x):
 
 
 def _normalized(record, dist, n):
-    """h = H - ln a_n and j = a_n J along the n array, a_n checked first."""
-    a_n = _check_scales(record.norming(dist, n)[0])
+    """h = H - ln a_n and j = a_n J along the n array, a_n checked first.
+    A norming overflow is named at the array's first n, which is the
+    failing one in the study's n-by-n replay."""
+    try:
+        a_n = record.norming(dist, n)[0]
+    except OverflowError:
+        raise _norming_overflow(dist, n[0]) from None
+    a_n = _check_scales(a_n)
     h = record.shannon(dist, n) - _math(type(a_n)).log(a_n)
     return h, a_n * record.extropy(dist, n)
 

@@ -156,13 +156,10 @@ _TABLE_CAP = 64
 
 
 def _profile_row(dist, ts: tuple) -> tuple[tuple, tuple]:
-    """(I(t), ln I(t)) at each node of one panel."""
+    """(I(t), ln I(t)) at each node of one panel; ln 0 is -inf."""
     profile = dist_mod.REGISTRY[dist.family].density_quantile
     values = tuple(map(float, map(profile, repeat(dist), ts)))
-    try:  # map keeps math.log in C on the common path
-        return values, tuple(map(math.log, values))
-    except ValueError:
-        return values, tuple(math.log(i) if i else -math.inf for i in values)
+    return values, tuple(math.log(i) if i else -math.inf for i in values)
 
 
 def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
@@ -299,19 +296,18 @@ def _extropy(
     return est.estimate, method, est.std_error
 
 
-def _normalized(core, law, name: str, dist, n, method, norming, quad_tol, samples, seed) -> MeasureValue:
+def _normalized(core, law, name: str, dist, n, method, quad_tol, samples, seed) -> MeasureValue:
     """``core``'s measure of the normalized maximum, mapped by ``law(a_n,
     value, error)`` -> (value, error): n checked under ``name``, a_n as
-    norming_constants takes it unless ``norming`` is given, then the route;
-    a ``norming`` object is read after the route, whose checks come first."""
+    norming_constants takes it, then the route."""
     n = _check_index(n, name)
-    a_n = evt._norming(dist, n)[0] if norming is None else None
+    a_n = evt._norming(dist, n)[0]
     try:
         value, method, error = core(dist, n, *_route(method, quad_tol), samples, seed)
     except numerics.QuadratureError as exc:
-        _map_best(exc, lambda value, error: law(a_n if norming is None else norming.a_n, value, error))
+        _map_best(exc, lambda value, error: law(a_n, value, error))
         raise
-    value, error = law(a_n if norming is None else norming.a_n, value, error)
+    value, error = law(a_n, value, error)
     return MeasureValue(value, method, error)
 
 
@@ -391,17 +387,17 @@ def shannon_normalized(
     n: int,
     method: str = "closed_form",
     *,
-    norming=None,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Entropy of the normalized maximum (X_(n) - b_n)/a_n.
 
-    Equal to -ln a_n + H(X_(n)); the centering b_n never enters.  ``norming``
-    overrides the catalog's norming constants (only its ``a_n`` matters).
+    Equal to -ln a_n + H(X_(n)), with a_n from :func:`norming_constants
+    <extremal_info.evt.norming_constants>`; the centering b_n never enters.
+    Same routes as :func:`shannon_max`.
     """
-    return _normalized(_shannon, _shannon_law, "shannon_normalized", dist, n, method, norming, quad_tol, samples, seed)
+    return _normalized(_shannon, _shannon_law, "shannon_normalized", dist, n, method, quad_tol, samples, seed)
 
 
 def extropy_normalized(
@@ -409,16 +405,17 @@ def extropy_normalized(
     n: int,
     method: str = "closed_form",
     *,
-    norming=None,
     quad_tol: float = DEFAULT_QUAD_TOL,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> MeasureValue:
     """Extropy of the normalized maximum (X_(n) - b_n)/a_n.
 
-    Equal to a_n * J(X_(n)); the centering b_n never enters.
+    Equal to a_n * J(X_(n)), with a_n from :func:`norming_constants
+    <extremal_info.evt.norming_constants>`; the centering b_n never enters.
+    Same routes as :func:`shannon_max`.
     """
-    return _normalized(_extropy, _extropy_law, "extropy_normalized", dist, n, method, norming, quad_tol, samples, seed)
+    return _normalized(_extropy, _extropy_law, "extropy_normalized", dist, n, method, quad_tol, samples, seed)
 
 
 def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:

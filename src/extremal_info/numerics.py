@@ -18,19 +18,17 @@ only on its u-interval, so they are computed and range-checked once per
 distinct panel and kept in a bounded cache.  The adaptive loop,
 :func:`_integrate`, asks a panel rule for the GK15 (value, error) of each
 panel it visits, once and in visit order, and keeps no panel of its own.
-:func:`integrate_panels` is that loop over the scalar rule :func:`_gk15` of
-an integrand handed one panel's node tuple at a time, each t already known
-to lie in (0, 1); :func:`integrate_unit` is the same over a point integrand
-called once per node.  A caller that integrates many integrands over the
-same panels can rule them all at once -- :func:`_gk15_rows` applies the
-GK15 rule to a stack of panels in one numpy pass, with the bits of the
-scalar rule -- and hand :func:`_integrate` a rule that reads those pairs,
-so the adaptive loop, the tails and the result stay the same.  A panel
-whose value or error is not finite (the integrand overflowed or returned
-nan) fails at once with the panel's place in the message -- its
-t-interval, or its (1 - t)-interval right of u = 0, where t rounds to 1 --
-instead of spending the evaluation budget on an error that can never
-shrink.
+:func:`integrate_unit` is that loop over the scalar rule :func:`_gk15` of
+a point integrand called once per node.  A caller that integrates many
+integrands over the same panels can rule them all at once --
+:func:`_gk15_rows` applies the GK15 rule to a stack of panels in one numpy
+pass, with the bits of the scalar rule -- and hand :func:`_integrate` a
+rule that reads those pairs, so the adaptive loop, the tails and the
+result stay the same.  A panel whose value or error is not finite (the
+integrand overflowed or returned nan) fails at once with the panel's place
+in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
+where t rounds to 1 -- instead of spending the evaluation budget on an
+error that can never shrink.
 
 Monte Carlo
 -----------
@@ -45,7 +43,8 @@ of n i.i.d. draws is Beta(n, 1), drawn in one shot as ``V^{1/n}`` with
 never through its quantile, cdf or density.  A summand that is not finite
 (a profile that underflowed to 0 near t = 1, or overflowed) fails the
 estimate with a ``ValueError`` naming the summand before any moment is
-taken.
+taken.  The moments are taken of the summands scaled by a power of 2, so
+a mean or standard error that is a double does not overflow on the way.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "McEstimate",
     "ConcavityReport",
     "integrate_unit",
-    "integrate_panels",
     "mc_entropy_max",
     "mc_extropy_max",
     "grid_concavity_check",
@@ -359,22 +357,10 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         the window so far plus both tails -- once the evaluations exceed
         ``_MAX_EVALS``.
 
-    This is :func:`integrate_panels` with ``f`` called at each node of a
-    panel in turn, so both give the same bits for the same values.
+    Each panel is ruled by :func:`_gk15`, with ``f`` called at its nodes
+    in turn, inside the adaptive loop :func:`_integrate`.
     """
-    return integrate_panels(lambda ts: [f(t) for t in ts], abs_tol)
-
-
-def integrate_panels(g, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """Integrate over (0, 1) an integrand given one GK15 panel at a time.
-
-    ``g`` receives the tuple of a panel's 15 nodes t, each already checked to
-    lie in (0, 1), and returns the 15 integrand values in the same order, as
-    any iterable.  Everything else -- the adaptive loop, the tails, the
-    fail-fast check and the meaning of ``abs_tol`` -- is as described in
-    :func:`integrate_unit`, which is this function with a point integrand.
-    """
-    return _integrate(functools.partial(_gk15, g), abs_tol)
+    return _integrate(functools.partial(_gk15, lambda ts: [f(t) for t in ts]), abs_tol)
 
 
 def _integrate(rule, abs_tol: float) -> QuadratureResult:
@@ -498,12 +484,21 @@ def _draw_profile(dist, n: int, samples: int, seed: int, name: str):
 def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
     """Mean and standard error of the summands ``values``.  A non-finite one
     (a profile that underflowed to 0, say) leaves no mean to estimate and is
-    named."""
+    named.
+
+    Both moments are taken of the summands over 2^e, with e the binary
+    exponent of the largest |summand|, and multiplied back by 2^e.  Scaling
+    by a power of 2 rounds nothing short of the subnormals, so the moments
+    keep their bits, and neither the squares nor the sum can overflow where
+    the answer is a double.
+    """
     bad = samples - np.count_nonzero(np.isfinite(values))
     if bad:
         raise ValueError(f"Monte Carlo summand {summand} non-finite for {bad} of {samples} draws")
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    e = math.frexp(max(values.max(), -values.min()))[1]
+    scaled = np.ldexp(values, -e)
+    est = math.ldexp(float(np.mean(scaled)), e)
+    se = math.ldexp(float(np.std(scaled, ddof=1)), e) / math.sqrt(samples)
     return McEstimate(est, se, samples, seed)
 
 
@@ -537,18 +532,21 @@ def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEF
 # Concavity on a grid
 # ---------------------------------------------------------------------------
 
+# The slack of a concavity scan: a chord may exceed the function by this
+# much, rounding in ln f or I, before a triple counts as a violation.
+_CONCAVITY_TOL = 1e-9
 
-def grid_concavity_check(g, grid, tol: float = 1e-9) -> ConcavityReport:
+
+def grid_concavity_check(g, grid) -> ConcavityReport:
     """Check concavity of ``g`` on a grid by second differences.
 
     ``g`` is called once, on the whole grid as a float64 array, and must
     return one value per grid point.  For every consecutive triple the value
     at the middle point must lie on or above the chord through the outer
-    points, up to ``tol``.  Returns a report listing the violating triples
-    and the worst violation (positive means the chord exceeded the function,
-    i.e. local convexity).
+    points, up to a slack of 1e-9, the report's ``tol``.  Returns a report
+    listing the violating triples and the worst violation (positive means
+    the chord exceeded the function, i.e. local convexity).
     """
-    tol = _check_real(tol, "tol", positive=False)
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")
@@ -565,11 +563,11 @@ def grid_concavity_check(g, grid, tol: float = 1e-9) -> ConcavityReport:
     xl, xm, xr = xs[:-2], xs[1:-1], xs[2:]
     lam = (xr - xm) / (xr - xl)
     gap = (lam * values[:-2] + (1.0 - lam) * values[2:]) - values[1:-1]
-    bad = gap > tol
+    bad = gap > _CONCAVITY_TOL
     violations = tuple(zip(xl[bad].tolist(), xm[bad].tolist(), xr[bad].tolist(), gap[bad].tolist()))
     return ConcavityReport(
         concave=not violations,
         worst_violation=float(gap.max()),
         violations=violations,
-        tol=tol,
+        tol=_CONCAVITY_TOL,
     )

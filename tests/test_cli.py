@@ -590,6 +590,8 @@ class TestExitCodes:
             ('{"family":"gev","xi":400}', ("measure", "--n", "2", "--method", "quad")),
             # a_n = 100 n^100 is finite at n = 1154 and overflows from n = 1155
             ('{"family":"pareto","theta":1,"nu":0.01}', ("converge", "--n-grid", "1154,1155")),
+            # a_n = n^100 raises OverflowError at n = 10^6
+            ('{"family":"gev","xi":100}', ("converge", "--n-grid", "10,1000000")),
         ],
     )
     def test_an_overflow_exits_2(self, spec, command):

@@ -183,6 +183,15 @@ class TestNormingConstants:
             same = evt.normalized_maximum_cdf(member, 1, x)
             assert np.allclose(same, d.cdf(member, nc.a_n * x + nc.b_n), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "entry", [evt.norming_constants, measures.shannon_normalized, measures.extropy_normalized]
+    )
+    def test_an_overflowing_record_is_named(self, entry):
+        # a_n = n^100 is past the double range at n = 10^6
+        with pytest.raises(OverflowError) as excinfo:
+            entry(d.gev(100.0), 10**6)
+        assert str(excinfo.value) == "norming constants for gev(xi=100) overflow the double range at n=1000000"
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             evt.norming_constants(d.exponential(1.0), 0)
@@ -450,10 +459,12 @@ class TestConvergenceStudy:
         [
             # a_n overflows from n = 1155, n^100 from n = 1210
             (d.pareto(1.0, 0.01), range(2, 5001)),
+            # n^170 overflows from n = 66
+            (d.gev(170.0), range(2, 200)),
             # a_n underflows to 0 at n = 2, but J at n = 1 is -inf already
             (d.gev(-1e300), [1, 2]),
         ],
-        ids=["pareto(1, 0.01)", "gev(-1e300)"],
+        ids=["pareto(1, 0.01)", "gev(170)", "gev(-1e300)"],
     )
     def test_raises_what_the_first_failing_n_raises(self, member, grid):
         # on the array each stage raises at its own first failing element;
@@ -530,37 +541,3 @@ class TestConvergenceStudy:
         # non-integer entries are rejected, not truncated to n = 2, 3
         with pytest.raises(ValueError):
             evt.convergence_study(d.exponential(1.0), [2.7, 3.2])
-
-
-# ---------------------------------------------------------------------------
-# Centering invariance
-# ---------------------------------------------------------------------------
-
-
-class TestCenteringInvariance:
-    def test_measures_ignore_the_centering_constant(self):
-        member = d.exponential(2.0)
-        n = 7
-        base = evt.norming_constants(member, n)
-        for offset in (-5.0, 0.0, 123.0):
-            moved = dataclasses.replace(base, b_n=base.b_n + offset)
-            assert (
-                measures.shannon_normalized(member, n, norming=moved).value
-                == measures.shannon_normalized(member, n, norming=base).value
-            )
-            assert (
-                measures.extropy_normalized(member, n, norming=moved).value
-                == measures.extropy_normalized(member, n, norming=base).value
-            )
-
-    def test_custom_scale_shifts_measures_exactly(self):
-        member = d.uniform(1.0)
-        n = 3
-        base = evt.norming_constants(member, n)
-        doubled = dataclasses.replace(base, a_n=2.0 * base.a_n)
-        h_base = measures.shannon_normalized(member, n, norming=base).value
-        h_doubled = measures.shannon_normalized(member, n, norming=doubled).value
-        assert h_doubled == pytest.approx(h_base - math.log(2.0), abs=1e-14)
-        j_base = measures.extropy_normalized(member, n, norming=base).value
-        j_doubled = measures.extropy_normalized(member, n, norming=doubled).value
-        assert j_doubled == pytest.approx(2.0 * j_base, rel=1e-14)

@@ -704,6 +704,21 @@ class TestAlternateRoutes:
         assert chk["h_gap"] < 1e-9
         assert chk["j_gap"] < 1e-9
 
+    def test_profile_row_takes_ln_0_as_minus_inf(self, monkeypatch):
+        ts = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        profile = dict(zip(ts, (2.0, 1e-300, math.inf, math.nan, 0.0, -0.0)))
+        record = d.REGISTRY["exponential"]
+        monkeypatch.setitem(
+            d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=lambda dist, t: profile[t])
+        )
+        values, logs = measures._profile_row(d.exponential(1.0), ts)
+        assert list(map(float.hex, values)) == list(map(float.hex, profile.values()))
+        want = (math.log(2.0), math.log(1e-300), math.inf, math.nan, -math.inf, -math.inf)
+        assert list(map(float.hex, logs)) == list(map(float.hex, want))
+        profile[0.6] = -1.0
+        with pytest.raises(ValueError, match="math domain error"):
+            measures._profile_row(d.exponential(1.0), ts)
+
 
 # ---------------------------------------------------------------------------
 # Large-n limits
@@ -817,18 +832,6 @@ class TestNormalized:
         assert j == pytest.approx(-0.125, abs=1e-5)
 
 
-@pytest.mark.parametrize("route", ["shannon_normalized", "extropy_normalized"])
-@pytest.mark.parametrize(
-    "fault, message",
-    [({"method": "bogus"}, "unknown method 'bogus'"), ({"quad_tol": -1.0}, "quad_tol must be a positive finite real")],
-)
-def test_a_malformed_norming_is_read_after_the_routes_checks(route, fault, message):
-    # norming.a_n is read once the route has run, so a second fault is
-    # named first
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        getattr(measures, route)(d.exponential(1.0), 5, norming=object(), **fault)
-
-
 @pytest.mark.parametrize(
     "route, member, n",
     [
@@ -883,13 +886,8 @@ class TestNormalizedPinned:
     @pytest.mark.parametrize("member", NORMALIZED_MEMBERS, ids=lambda m: m.label())
     def test_every_field(self, member):
         record = d.REGISTRY[member.family]
-        override = evt.NormingConstants(2.0, 5.0, 0.0)  # only a_n enters
         for n in NORMALIZED_N:
             h, j = record.shannon(member, n), record.extropy(member, n)
-            got = measures.shannon_normalized(member, n, norming=override)
-            assert _bits(got) == _bits(measures.MeasureValue(h - math.log(2.0), "closed_form")), n
-            got = measures.extropy_normalized(member, n, norming=override)
-            assert _bits(got) == _bits(measures.MeasureValue(2.0 * j, "closed_form")), n
             if member.family == "logistic" and n == 1:
                 continue  # declined, below
             a_n = record.norming(member, n)[0]
