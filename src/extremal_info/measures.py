@@ -139,11 +139,11 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # Each integral rules every listed panel in one numpy pass of
 # numerics._gk15_rows, and its panel rule reads a listed panel's
 # (value, error) from that pass.  Any other panel goes through the scalar
-# integrand and numerics._gk15, and the route records it once that rule has
-# returned; the recorded panels join the list after the integral, failed or
-# not.  Every value is the same product of the same floats as the point
-# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
-# route gives the same bits.
+# integrand and numerics._gk15; the panels it visited join the list once
+# the integral has returned, so a failed one lists nothing.  Every value
+# is the same product of the same floats as the point integrand on the
+# public API, and _gk15_rows sums as _gk15 does, so every route gives the
+# same bits.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
 # list holds 59 panels and 40 tables are read, well inside the caps: the
@@ -172,10 +172,11 @@ def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
 
 
 class _Tables:
-    """The panel list, (a, b) -> node tuple with dt/du and half-widths as
-    arrays in list order, and the factor tables; ``cache_clear`` empties
-    them all.  Reads and writes hold ``lock``, as integrals on other
-    threads share the tables."""
+    """The panel list, an ordered set of (a, b) whose nodes and dt/du come
+    from numerics._panel_nodes, with dt/du and half-widths as arrays in list
+    order, and the factor tables; ``cache_clear`` empties them all.  Reads
+    and writes hold ``lock``, as integrals on other threads share the
+    tables."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -183,7 +184,7 @@ class _Tables:
 
     def cache_clear(self) -> None:
         with self.lock:
-            self.panels: dict[tuple[float, float], tuple] = {}
+            self.panels: dict[tuple[float, float], None] = {}
             self.dtdu, self.half = np.zeros((0, 15)), np.zeros(0)
             self.factors: dict = {}  # (n, measure) or member -> (k, P, 15) table
 
@@ -192,9 +193,8 @@ class _Tables:
         is shorter than _ROW_CAP."""
         new = [key for key in keys if key not in self.panels][: _ROW_CAP - len(self.panels)]
         if new:
-            nodes, dtdu = zip(*(numerics._panel_nodes(*key) for key in new))
-            self.panels.update(zip(new, nodes))
-            self.dtdu = np.concatenate((self.dtdu, dtdu))
+            self.panels.update(dict.fromkeys(new))
+            self.dtdu = np.concatenate((self.dtdu, [numerics._panel_nodes(*key)[1] for key in new]))
             self.half = np.concatenate((self.half, [0.5 * (b - a) for a, b in new]))
 
     def _read(self, key, rows) -> np.ndarray:
@@ -205,8 +205,8 @@ class _Tables:
         table = self.factors.pop(key, None)
         have = 0 if table is None else table.shape[1]
         if have < len(self.panels):
-            listed = itertools.islice(self.panels.values(), have, None)
-            new = np.array(list(zip(*map(rows, listed))))
+            listed = itertools.islice(self.panels, have, None)
+            new = np.array(list(zip(*(rows(numerics._panel_nodes(*panel)[0]) for panel in listed))))
             table = new if table is None else np.concatenate((table, new), axis=1)
         while len(self.factors) >= _TABLE_CAP:
             del self.factors[next(iter(self.factors))]
@@ -244,11 +244,10 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
             found = known[a, b] = numerics._gk15(integrand, a, b)
         return found
 
-    try:
-        return numerics._integrate(rule, tol)
-    finally:
-        with _tables.lock:
-            _tables.add(itertools.islice(known, listed, None))
+    result = numerics._integrate(rule, tol)
+    with _tables.lock:
+        _tables.add(itertools.islice(known, listed, None))
+    return result
 
 
 # The routes: cores that take checked arguments and a canonical method and

@@ -137,6 +137,38 @@ class TestExtropyBounds:
 
 
 # ---------------------------------------------------------------------------
+# Floors from sup f, and an entropy-extropy inequality
+# ---------------------------------------------------------------------------
+
+FINITE_SUP_MEMBERS = [m for m in canonical.catalog_members() if math.isfinite(d.sup_density(m))]
+FLOOR_N = (1, 2, 3, 5, 10, 49, 51, 1001, 10**4 + 1, 10**6 + 1)
+
+
+def _at_least(lhs, rhs):
+    """lhs >= rhs to 1e-12 relative."""
+    return rhs - lhs <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("member", FINITE_SUP_MEMBERS, ids=lambda m: m.label())
+def test_closed_forms_keep_the_sup_density_floors_and_the_entropy_extropy_inequality(member):
+    # With H = 1 - ln n - 1/n - E ln I(T), T ~ Beta(n, 1), and
+    # J = -n^2/(2(2n - 1)) E I(T'), T' ~ Beta(2n - 1, 1), I <= sup f gives
+    # H >= 1 - ln n - 1/n - ln sup f and J >= -n^2 sup f / (2(2n - 1)), with
+    # no log-concavity.  By Jensen, -E ln I >= -ln E I, and for odd
+    # n = 2m - 1, E_Beta(n,1) I = -2n J(X_(m))/m^2, which ties H to J.
+    sup = d.sup_density(member)
+    for n in FLOOR_N:
+        h = measures.shannon_max(member, n).value
+        shift = 1.0 - math.log(n) - 1.0 / n
+        assert _at_least(h, shift - math.log(sup)), n
+        assert _at_least(measures.extropy_max(member, n).value, -n * n * sup / (2 * (2 * n - 1))), n
+        if n % 2:
+            m = (n + 1) // 2
+            mean_profile = -2 * n * measures.extropy_max(member, m).value / (m * m)
+            assert _at_least(h, shift - math.log(mean_profile)), n
+
+
+# ---------------------------------------------------------------------------
 # Limit ceilings
 # ---------------------------------------------------------------------------
 

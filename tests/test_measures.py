@@ -524,21 +524,26 @@ class TestAlternateRoutes:
         self, route, member, n, quadrature_caches
     ):
         # The profile overflows (power_function) or underflows (pareto), so
-        # the member's table holds inf, and nan or -inf, factors: the warm
-        # call reads every listed panel from one numpy pass, which must fail
-        # as the cold one did and warn about nothing.
+        # the member's table holds inf, and nan or -inf, factors.  A failed
+        # integral lists no panel, so the cold call rules every panel by the
+        # scalar rule; once one catalog integral has listed its panels, the
+        # warm calls read each of them from one numpy pass, which must fail
+        # as the cold call did and warn about nothing.
+        def outcome():
+            with pytest.raises(numerics.QuadratureError) as excinfo:
+                getattr(measures, route)(member, n, "quadrature")
+            best = excinfo.value.best
+            return str(excinfo.value), best.value.hex(), best.evaluations
+
+        measure = "H" if route == "shannon_max" else "J"
         quadrature_caches()
-        outcomes = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for _ in ("cold", "warm"):
-                with pytest.raises(numerics.QuadratureError) as excinfo:
-                    getattr(measures, route)(member, n, "quadrature")
-                best = excinfo.value.best
-                outcomes.append((str(excinfo.value), best.value.hex(), best.evaluations))
-            measure = "H" if route == "shannon_max" else "J"
+            cold = outcome()
+            assert not measures._tables.panels
+            measures.crosscheck(canonical.catalog_members()[0], 2)
+            assert [outcome(), outcome()] == [cold, cold]
             known = measures._tables.known(member, n, measure)
-        assert outcomes[0] == outcomes[1]
 
         def integrand(ts):
             values, logs = measures._profile_row(member, ts)
@@ -653,8 +658,9 @@ class TestAlternateRoutes:
 
     def test_quadrature_fails_at_once_on_overflowing_profile(self, quadrature_caches):
         # nu = 0.3: I(t) = 0.3 t^(-7/3) overflows to inf near t = 0 and J = -inf.
-        # The second call takes those inf values from the member's factor
-        # table and must fail the same way after the same work.
+        # Once a catalog integral has listed its panels, the second call
+        # takes those inf values from the member's factor table and must
+        # fail the same way after the same work.
         member = d.power_function(1.0, 0.3)
         assert measures.extropy_max(member, 1).value == -math.inf
         quadrature_caches()
@@ -663,6 +669,7 @@ class TestAlternateRoutes:
             with pytest.raises(numerics.QuadratureError) as excinfo:
                 measures.extropy_max(member, 1, method="quad")
             outcomes.append((str(excinfo.value), excinfo.value.best.evaluations))
+            measures.crosscheck(canonical.catalog_members()[0], 2)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
@@ -853,6 +860,33 @@ def test_a_failed_integral_gives_its_best_in_the_units_of_the_value(route, membe
     closed = getattr(measures, route)(member, n).value
     assert best.evaluations == 3225
     assert abs(best.value - closed) <= best.error_estimate
+
+
+def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadrature_caches):
+    # A failed integral lists none of the panels it visited: with a budget
+    # of 3000 evaluations, gev(-1.9) J at n = 1 visits more than 200 panels
+    # and fails, and the panel list, its arrays and every factor table read
+    # before it stay as they were, so the integrals after it do not slow
+    # down, and the next catalog integral keeps its bits.
+    members = canonical.catalog_members()
+    quadrature_caches()
+    want = measures.extropy_max(members[1], 50, "quadrature")
+    quadrature_caches()
+    measures.crosscheck(members[0], 2)
+    tables = measures._tables
+
+    def state():
+        factors = {key: table.tobytes() for key, table in tables.factors.items()}
+        return list(tables.panels), tables.dtdu.tobytes(), tables.half.tobytes(), factors
+
+    before = state()
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 3000)
+    with pytest.raises(numerics.QuadratureError, match=r"^evaluation budget exhausted"):
+        measures.extropy_max(d.gev(-1.9), 1, "quadrature")
+    panels, dtdu, half, factors = state()
+    assert (panels, dtdu, half) == before[:3]
+    assert {key: factors[key] for key in before[3]} == before[3]
+    assert measures.extropy_max(members[1], 50, "quadrature") == want
 
 
 # ---------------------------------------------------------------------------

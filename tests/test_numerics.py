@@ -297,11 +297,16 @@ def test_error_estimate_bounds_the_error_at_an_interior_kink():
 def test_every_returned_estimate_keeps_the_tolerance_and_bounds_the_error(quadrature_caches):
     # Every result returned without a QuadratureError must have an estimate
     # within the tolerance and an error within the estimate: over catalog x
-    # TABLE_N x tol for H and J against the closed forms, and over check 8's
-    # y^(nu-1) (-ln y)^(-1/2) against its closed form.  Today the estimate
-    # exceeds the tolerance in 1 cell at 1e-10 (power_function(2, 3) J at
-    # n = 50, 1.06x) and 87 at 1e-12 (up to 95.7x), and is 5.05e-8 at
-    # mu = 1/2 for a true error of 7.9e-12.
+    # TABLE_N x tol for H and J against the closed forms, over check 8's
+    # y^(nu-1) (-ln y)^(-1/2) against its closed form, and over slowly
+    # decaying tails that return within milliseconds: (1 - t)^-alpha and
+    # t^-alpha, exactly 1/(1 - alpha), and gev J at n = 1 for xi in (-2, -1)
+    # against the closed form.  Today the estimate exceeds the tolerance in
+    # 1 cell at 1e-10 (power_function(2, 3) J at n = 50, 1.06x) and 87 at
+    # 1e-12 (up to 95.7x), and is 5.05e-8 at mu = 1/2 for a true error of
+    # 7.9e-12.  Each of the 7 power tails and both gev cases breach it too,
+    # worst (1 - t)^-0.9 at 1e-8 with 2.75e-2, and gev(-1.5) J gives 2.52e-8
+    # at 1e-10: 101 breaches in all.
     breaches = []
 
     def check(label, tol, reference, integrate):
@@ -326,6 +331,15 @@ def test_every_returned_estimate_keeps_the_tolerance_and_bounds_the_error(quadra
             special.log_power_integral("power_logpow", nu=nu, mu=0.5),
             lambda: numerics.integrate_unit(lambda y: y ** (nu - 1) * (-math.log(y)) ** -0.5),
         )
+    tails = [(1e-8, 0.5, "1 - t"), (1e-8, 0.8, "1 - t"), (1e-8, 0.9, "1 - t")]
+    tails += [(tol, alpha, base) for tol in (1e-10, 1e-12) for alpha, base in ((0.5, "1 - t"), (0.95, "t"))]
+    for tol, alpha, base in tails:
+        f = (lambda t: t**-alpha) if base == "t" else (lambda t: (1.0 - t) ** -alpha)
+        check(f"({base})^-{alpha}", tol, 1.0 / (1.0 - alpha), lambda: numerics.integrate_unit(f, tol))
+    for xi in (-1.5, -1.7):
+        member = distributions.gev(xi)
+        label, exact = f"extropy_max({member.label()}, 1)", measures.extropy_max(member, 1).value
+        check(label, numerics.DEFAULT_QUAD_TOL, exact, lambda: measures.extropy_max(member, 1, "quad"))
     quadrature_caches()  # the tolerances past the default leave panels no other test visits
     assert breaches == []
 
