@@ -36,7 +36,6 @@ in :mod:`~extremal_info.evt` look the record up by family name.
 from __future__ import annotations
 
 import decimal
-import json
 import math
 import sys
 from collections.abc import Callable
@@ -62,7 +61,6 @@ __all__ = [
     "power_function",
     "gev",
     "from_dict",
-    "from_json",
     "to_dict",
     "pdf",
     "log_pdf",
@@ -619,15 +617,6 @@ def from_dict(data: dict) -> DistributionSpec:
         )
     kwargs = {k: data[k] for k in allowed if k in data}
     return DistributionSpec(family, **kwargs)
-
-
-def from_json(text: str) -> DistributionSpec:
-    """Parse a JSON object into a validated spec."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON distribution spec: {exc}") from exc
-    return from_dict(data)
 
 
 def to_dict(dist: DistributionSpec) -> dict:

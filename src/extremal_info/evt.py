@@ -23,7 +23,9 @@ Because entropy of the normalized maximum is -ln a_n + H(X_(n)) and
 extropy is a_n J(X_(n)), the centering b_n never enters either measure;
 it is carried only for the distributional statements.  A convergence
 study applies this law to the record's closed forms and norming once per
-grid, on the whole n array, and holds its results as columns.
+grid, on the whole n array, and holds its results as columns.  Where the
+array raises, the study replays the normalized measures' scalar path n by
+n, so its error is the one that path raises at the first failing n.
 """
 
 from __future__ import annotations
@@ -56,17 +58,6 @@ def _domain(xi: float) -> str:
     if xi == 0.0:
         return "gumbel"
     return "frechet" if xi > 0.0 else "reversed_weibull"
-
-
-def _check_scales(a_n):
-    """The norming scale rule, a positive finite real, at every a_n of an
-    array (or at one a_n), at once; the message names the first offending
-    a_n."""
-    a = np.asarray(a_n, dtype=float)
-    bad = ~((a > 0.0) & np.isfinite(a))
-    if bad.any():
-        _check_real(float(a[bad][0]), "a_n")
-    return a_n
 
 
 @dataclass(frozen=True)
@@ -180,11 +171,6 @@ def norming_constants(dist, n: int) -> NormingConstants:
     return nc
 
 
-def _norming_overflow(dist, n) -> OverflowError:
-    """The error for constants whose computation overflows at ``n``."""
-    return OverflowError(f"norming constants for {dist.label()} overflow the double range at n={n}")
-
-
 def _norming(dist, n: int) -> tuple:
     """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n
     after.  A record that overflows (n^xi of a gev member, say) is named."""
@@ -194,7 +180,8 @@ def _norming(dist, n: int) -> tuple:
     try:
         a, b = record.norming(dist, n)
     except OverflowError:
-        raise _norming_overflow(dist, n) from None
+        msg = f"norming constants for {dist.label()} overflow the double range at n={n}"
+        raise OverflowError(msg) from None
     _check_real(a, "a_n")
     return a, b, xi
 
@@ -229,15 +216,15 @@ def normalized_maximum_cdf(dist, n: int, x):
 
 
 def _normalized(record, dist, n):
-    """h = H - ln a_n and j = a_n J along the n array, a_n checked first.
-    A norming overflow is named at the array's first n, which is the
-    failing one in the study's n-by-n replay."""
-    try:
-        a_n = record.norming(dist, n)[0]
-    except OverflowError:
-        raise _norming_overflow(dist, n[0]) from None
-    a_n = _check_scales(a_n)
-    h = record.shannon(dist, n) - _math(type(a_n)).log(a_n)
+    """h = H - ln a_n and j = a_n J along the n array.  A record's error
+    passes through, and an a_n that is not a positive finite real raises:
+    either tells the study to replay the scalar path, which names the
+    error."""
+    # a grid past int64 is an object array, and so may be its a_n
+    a_n = np.asarray(record.norming(dist, n)[0], dtype=float)
+    if not ((a_n > 0.0) & np.isfinite(a_n)).all():
+        raise ValueError(f"an a_n of {dist.label()} is not a positive finite real")
+    h = record.shannon(dist, n) - _math(np.ndarray).log(a_n)
     return h, a_n * record.extropy(dist, n)
 
 
@@ -249,12 +236,13 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
     case.  The grid and xi are checked once (``gev(xi)`` declines a
     non-finite xi).  The family record's norming and closed forms are
     called once, on the whole grid as an array, which gives the bits of
-    the scalar calls; a_n is checked, and the transformation law of the
-    module docstring is applied to the columns.  Where the scalar sequence
-    (norming, a_n check, H, J at each n in turn) raises, the study raises
-    the error of its first failing n.  Gaps are absolute deviations; the
-    reported burn-in index is where both gap sequences become
-    non-increasing through the end of the grid.
+    the scalar calls, and the transformation law of the module docstring
+    is applied to the columns.  Where the array raises or gives an a_n
+    that is not a positive finite real, the study replays the normalized
+    measures' scalar path (``_norming``, then H and J, at each n in turn)
+    and raises that path's error at its first failing n.  Gaps are
+    absolute deviations; the reported burn-in index is where both gap
+    sequences become non-increasing through the end of the grid.
     """
     n = _check_n_grid(n_grid, "convergence_study")
 
@@ -268,9 +256,12 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
             h, j = _normalized(record, dist, n)
         except (ArithmeticError, ValueError):
             # an array raises at its first failing element, stage by stage;
-            # n by n finds the error the scalar sequence raises first
-            for k in range(n.size):
-                _normalized(record, dist, n[k : k + 1])
+            # the normalized measures' scalar path, n by n, raises the error
+            # of the first failing n
+            for m in n.tolist():
+                _norming(dist, m)
+                record.shannon(dist, m)
+                record.extropy(dist, m)
             raise
         h, j = np.asarray(h, dtype=float), np.asarray(j, dtype=float)
         h_gap, j_gap = np.abs(h - h_target), np.abs(j - j_target)

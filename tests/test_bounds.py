@@ -6,7 +6,9 @@ equality and violation cases.
 """
 
 import math
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +139,72 @@ class TestExtropyBounds:
 
 
 # ---------------------------------------------------------------------------
+# Extropy envelopes on random log-concave laws, against an exact J
+# ---------------------------------------------------------------------------
+#
+# A density is log-concave exactly when its profile I(t) = f(F^-1(t)) is
+# concave on (0, 1) (Bobkov 1996), so every concave piecewise-linear I > 0
+# on (0, 1) is the profile of a log-concave law.  With dyadic knots its
+# extropy J = -(n^2/2) int_0^1 t^(2n-2) I(t) dt is a rational number.
+
+
+def _random_concave_profile(rng):
+    """(knots, values) of a concave piecewise-linear I > 0 on (0, 1): knots
+    at k/64 and slopes decreasing in steps of 1/16, as Fractions."""
+    inner = sorted(rng.sample(range(1, 64), rng.randint(1, 5)))
+    knots = [Fraction(0)] + [Fraction(k, 64) for k in inner] + [Fraction(1)]
+    slopes = [Fraction(rng.randint(-32, 32), 16)]
+    for _ in knots[2:]:
+        slopes.append(slopes[-1] - Fraction(rng.randint(1, 8), 16))
+    rise = sum(s * (b - a) for s, a, b in zip(slopes, knots, knots[1:]))
+    # I(0), I(1) >= 0, and I is not linear, so I > 0 inside
+    values = [max(Fraction(0), -rise) + Fraction(rng.randint(0, 8), 16)]
+    for s, a, b in zip(slopes, knots, knots[1:]):
+        values.append(values[-1] + s * (b - a))
+    return knots, values
+
+
+def _profile_at(knots, values, t):
+    k = next(i for i in range(len(knots) - 1) if knots[i] <= t <= knots[i + 1])
+    a, b = knots[k], knots[k + 1]
+    return values[k] + (values[k + 1] - values[k]) * (t - a) / (b - a)
+
+
+def _exact_extropy(knots, values, n):
+    """J = -(n^2/2) sum over segments of int t^(2n-2) (alpha + beta t) dt."""
+    p = 2 * n - 2
+    total = Fraction(0)
+    for a, b, ia, ib in zip(knots, knots[1:], values, values[1:]):
+        beta = (ib - ia) / (b - a)
+        alpha = ia - beta * a
+        total += alpha * (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        total += beta * (b ** (p + 2) - a ** (p + 2)) / (p + 2)
+    return -Fraction(n * n, 2) * total
+
+
+RANDOM_PROFILES = [_random_concave_profile(random.Random(seed)) for seed in range(20)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_random_log_concave_extropy_lies_between_its_envelopes(n):
+    for knots, values in RANDOM_PROFILES:
+        i_half = _profile_at(knots, values, Fraction(1, 2))
+        j = float(_exact_extropy(knots, values, n))
+        lower = float(-Fraction(n, 2) * i_half)
+        upper = bounds._extropy_envelope(float(i_half), n)
+        assert lower <= j + 1e-12 * abs(j), (knots, values)
+        assert j <= upper + 1e-12 * abs(upper), (knots, values)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 4)], ids=["c=1/2", "c=3/4"])
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 1000])
+def test_the_tent_profile_attains_the_extropy_envelope(c, n):
+    # I(t) = 2c min(t, 1 - t), the Laplace profile with I(1/2) = c
+    j = float(_exact_extropy([Fraction(0), Fraction(1, 2), Fraction(1)], [Fraction(0), c, Fraction(0)], n))
+    assert bounds._extropy_envelope(float(c), n) == pytest.approx(j, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Floors from sup f, and an entropy-extropy inequality
 # ---------------------------------------------------------------------------
 
@@ -263,7 +331,8 @@ class TestNormalizedBounds:
 PINNED_MEMBERS = list(canonical.catalog_members()) + [
     d.exponential(3.0),
     d.power_function(1.0, 0.3),
-    d.pareto(1.0, 2.0),
+    # a catalog member as well, so it needs an id of its own
+    pytest.param(d.pareto(1.0, 2.0), id="pareto(theta=1, nu=2) again"),
 ]
 PINNED_N = sorted(set(canonical.TABLE_N) | {10**4, 10**6})
 

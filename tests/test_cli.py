@@ -449,6 +449,18 @@ class TestVerify:
             f"{member.label()}: density-quantile profile not concave on grid",
         ]
 
+    def test_bound_orderings_reports_a_member_whose_sup_density_overflows(self):
+        # the entropy gate is read from the report's gate_note, so a sup f
+        # beyond the double range is a gated lower bound, not an error
+        member = distributions.gev(200.0)
+        h = bounds.shannon_bounds(member, 50)
+        j = bounds.extropy_bounds(member, 50)
+        assert verify.bound_orderings([member], [50]) == [
+            f"gev(xi=200) n=50: {name} ordering violated: "
+            f"{r.lower!r} <= {r.value!r} <= {r.upper!r}, applicable=False"
+            for name, r in (("entropy", h), ("extropy", j))
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Error handling and exit codes

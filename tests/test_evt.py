@@ -502,14 +502,14 @@ class TestConvergenceStudy:
     def test_a_bad_scale_raises_as_norming_constants_does(self, monkeypatch, bad):
         # the study checks each a_n by the rule NormingConstants applies
         record = d.REGISTRY["exponential"]
-        monkeypatch.setitem(
-            d.REGISTRY,
-            "exponential",
-            dataclasses.replace(
-                record,
-                norming=lambda dist, n: (np.where(n == 3, bad, record.norming(dist, n)[0]), 0.0),
-            ),
-        )
+
+        def norming(dist, n):
+            # an array for an array n, a Python float for a scalar n, as
+            # the Family contract asks
+            a_n = np.where(n == 3, bad, record.norming(dist, n)[0])
+            return (a_n if isinstance(n, np.ndarray) else float(a_n)), 0.0
+
+        monkeypatch.setitem(d.REGISTRY, "exponential", dataclasses.replace(record, norming=norming))
         with pytest.raises(ValueError) as want:
             evt.NormingConstants(bad, 0.0, 0.0)
         with pytest.raises(ValueError) as got:

@@ -350,7 +350,9 @@ SCALE_FAMILIES = [
 
 
 class TestScaleLaws:
-    @pytest.mark.parametrize("maker, shift, factor", SCALE_FAMILIES)
+    @pytest.mark.parametrize(
+        "maker, shift, factor", SCALE_FAMILIES, ids=[maker(1.0).family for maker, _, _ in SCALE_FAMILIES]
+    )
     @pytest.mark.parametrize("theta", [0.25, 3.0])
     def test_entropy_shift_and_extropy_scale(self, maker, shift, factor, theta):
         for n in range(1, 21):
@@ -896,7 +898,8 @@ def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadratur
 NORMALIZED_MEMBERS = list(canonical.catalog_members()) + [
     d.exponential(3.0),
     d.power_function(1.0, 0.3),
-    d.pareto(1.0, 2.0),
+    # a catalog member as well, so it needs an id of its own
+    pytest.param(d.pareto(1.0, 2.0), id="pareto(theta=1, nu=2) again"),
     d.gev(-0.9),
     d.gev(0.3),
 ]

@@ -40,6 +40,7 @@ class TestIntegrateUnit:
             (lambda t: math.log(-math.log(t)), -np.euler_gamma),
             (lambda t: 3.0 * t * t * math.log(t), -1.0 / 3.0),
         ],
+        ids=["t", "t^2", "ln t", "ln(1-t)", "t^-0.5", "(1-t)^-0.5", "ln(-ln t)", "3t^2 ln t"],
     )
     def test_known_integrals(self, f, truth):
         res = numerics.integrate_unit(f, abs_tol=1e-10)
