@@ -251,8 +251,8 @@ def extropy_limit_upper(dist) -> float:
     return -0.25 * _i_half(dist)
 
 
-def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL):
-    """Envelopes for the normalized maximum (X_(n) - b_n)/a_n.
+def normalized_bounds(dist, n: int):
+    """Envelopes for the normalized maximum (X_(n) - b_n)/a_n, in closed form.
 
     Entropy bounds shift by -ln a_n and extropy bounds scale by a_n > 0
     (order-preserving), with the same applicability gates as the
@@ -261,9 +261,8 @@ def normalized_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: fl
     n = _check_index(n, "normalized_bounds")
     a_n = evt._norming(dist, n)[0]
     i_half = _loggable_i_half(dist)
-    route = measures._route(method, quad_tol)
-    sh = _shannon_report(dist, n, i_half, *route)
-    ex = _extropy_report(dist, n, i_half, *route)
+    sh = _shannon_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
+    ex = _extropy_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
     log_a = math.log(a_n)
     return (
         replace(sh, lower=sh.lower - log_a, value=sh.value - log_a, upper=sh.upper - log_a),

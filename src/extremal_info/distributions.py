@@ -199,13 +199,19 @@ def _pareto_cdf(d, x):
     return np.where(x > th, 1.0 - tail, 0.0)
 
 
+def _log_of(value: float, log_value) -> float:
+    """ln ``value``, or ``log_value()``, its logarithm taken term by term,
+    where ``value`` is 0, subnormal or inf and ln ``value`` would be wrong."""
+    return math.log(value) if sys.float_info.min <= value < math.inf else log_value()
+
+
 def _pareto_shannon(d, n):
     nu, ln_n = d.nu, _math(type(n)).log(n)
     return (
         1.0
         + ln_n / nu
         - 1.0 / n
-        - math.log(nu / d.theta)
+        - _log_of(nu / d.theta, lambda: math.log(nu) - math.log(d.theta))
         + ((nu + 1.0) / nu) * (special.harmonic(n) - ln_n)
     )
 
@@ -239,8 +245,9 @@ def _power_quantile(d, t):
 def _power_density_quantile(d, t):
     if d.nu < 1.0:
         # Only here is the exponent negative, so t -> 0 overflows to inf (the
-        # true value); errstate is kept off the catalog's hot path (~1 us).
-        with np.errstate(over="ignore"):
+        # true value), and where nu theta underflows to 0 the profile is
+        # 0 x inf, nan; errstate is kept off the catalog's hot path (~1 us).
+        with np.errstate(over="ignore", invalid="ignore"):
             return d.nu * d.theta * np.asarray(t) ** ((d.nu - 1.0) / d.nu)
     return d.nu * d.theta * np.asarray(t) ** ((d.nu - 1.0) / d.nu)
 
@@ -487,7 +494,10 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
         is_log_concave=lambda d: d.nu >= 1.0,
         shannon=lambda d, n: (
-            1.0 - _math(type(n)).log(n) - math.log(d.nu * d.theta) - 1.0 / (d.nu * n)
+            1.0
+            - _math(type(n)).log(n)
+            - _log_of(d.nu * d.theta, lambda: math.log(d.nu) + math.log(d.theta))
+            - 1.0 / (d.nu * n)
         ),
         extropy=_power_extropy,
         limits=lambda d: (-math.inf, -math.inf),

@@ -254,14 +254,7 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
 # give (value, method, error estimate).  Each public entry point checks its
 # own arguments once, under its own name, and calls them.  A failed
 # integral's best estimate leaves in the units of the value the call
-# returns, mapped by the same law.
-
-
-def _map_best(exc: numerics.QuadratureError, law) -> None:
-    """Map ``exc.best`` by ``law(value, error)`` -> (value, error)."""
-    if exc.best is not None:
-        value, error = law(exc.best.value, exc.best.error_estimate)
-        exc.best = numerics.QuadratureResult(value, error, exc.best.evaluations)
+# returns.
 
 
 def _shannon(
@@ -275,7 +268,9 @@ def _shannon(
         try:
             q = _quad(dist, n, "H", quad_tol)
         except numerics.QuadratureError as exc:
-            _map_best(exc, lambda value, error: (shift - value, error))
+            best = exc.best
+            if best is not None:
+                exc.best = numerics.QuadratureResult(shift - best.value, best.error_estimate, best.evaluations)
             raise
         return shift - q.value, method, q.error_estimate
     est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
@@ -293,31 +288,6 @@ def _extropy(
         return q.value, method, q.error_estimate
     est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
     return est.estimate, method, est.std_error
-
-
-def _normalized(core, law, name: str, dist, n, method, quad_tol, samples, seed) -> MeasureValue:
-    """``core``'s measure of the normalized maximum, mapped by ``law(a_n,
-    value, error)`` -> (value, error): n checked under ``name``, a_n as
-    norming_constants takes it, then the route."""
-    n = _check_index(n, name)
-    a_n = evt._norming(dist, n)[0]
-    try:
-        value, method, error = core(dist, n, *_route(method, quad_tol), samples, seed)
-    except numerics.QuadratureError as exc:
-        _map_best(exc, lambda value, error: law(a_n, value, error))
-        raise
-    value, error = law(a_n, value, error)
-    return MeasureValue(value, method, error)
-
-
-def _shannon_law(a_n: float, value: float, error: float) -> tuple[float, float]:
-    """H of the maximum to h of the normalized one: -ln a_n, error kept."""
-    return value - math.log(a_n), error
-
-
-def _extropy_law(a_n: float, value: float, error: float) -> tuple[float, float]:
-    """J of the maximum to j of the normalized one: value and error times a_n."""
-    return a_n * value, a_n * error
 
 
 # ---------------------------------------------------------------------------
@@ -381,40 +351,26 @@ def extropy_limit(dist):
     return dist_mod.REGISTRY[dist.family].limits(dist)[1]
 
 
-def shannon_normalized(
-    dist,
-    n: int,
-    method: str = "closed_form",
-    *,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> MeasureValue:
-    """Entropy of the normalized maximum (X_(n) - b_n)/a_n.
+def shannon_normalized(dist, n: int) -> MeasureValue:
+    """Entropy of the normalized maximum (X_(n) - b_n)/a_n, in closed form.
 
     Equal to -ln a_n + H(X_(n)), with a_n from :func:`norming_constants
     <extremal_info.evt.norming_constants>`; the centering b_n never enters.
-    Same routes as :func:`shannon_max`.
     """
-    return _normalized(_shannon, _shannon_law, "shannon_normalized", dist, n, method, quad_tol, samples, seed)
+    n = _check_index(n, "shannon_normalized")
+    a_n = evt._norming(dist, n)[0]
+    return MeasureValue(dist_mod.REGISTRY[dist.family].shannon(dist, n) - math.log(a_n), "closed_form")
 
 
-def extropy_normalized(
-    dist,
-    n: int,
-    method: str = "closed_form",
-    *,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> MeasureValue:
-    """Extropy of the normalized maximum (X_(n) - b_n)/a_n.
+def extropy_normalized(dist, n: int) -> MeasureValue:
+    """Extropy of the normalized maximum (X_(n) - b_n)/a_n, in closed form.
 
     Equal to a_n * J(X_(n)), with a_n from :func:`norming_constants
     <extremal_info.evt.norming_constants>`; the centering b_n never enters.
-    Same routes as :func:`shannon_max`.
     """
-    return _normalized(_extropy, _extropy_law, "extropy_normalized", dist, n, method, quad_tol, samples, seed)
+    n = _check_index(n, "extropy_normalized")
+    a_n = evt._norming(dist, n)[0]
+    return MeasureValue(a_n * dist_mod.REGISTRY[dist.family].extropy(dist, n), "closed_form")
 
 
 def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:

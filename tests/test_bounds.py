@@ -331,8 +331,6 @@ class TestNormalizedBounds:
 PINNED_MEMBERS = list(canonical.catalog_members()) + [
     d.exponential(3.0),
     d.power_function(1.0, 0.3),
-    # a catalog member as well, so it needs an id of its own
-    pytest.param(d.pareto(1.0, 2.0), id="pareto(theta=1, nu=2) again"),
 ]
 PINNED_N = sorted(set(canonical.TABLE_N) | {10**4, 10**6})
 

@@ -20,6 +20,11 @@ MEMBERS = (
     *(d.gev(xi) for xi in (-1.99, -1.5, -0.9, 0.3, 5.0, 50.0, 100.0, 170.0, 171.0, 200.0, 1000.0)),
     *(d.pareto(theta, nu) for theta in (1e-3, 1.0, 1e3) for nu in (1e-3, 0.01, 1.0, 1e3)),
     *(d.power_function(theta, nu) for theta in (1e-3, 1e3) for nu in (1e-3, 0.3, 1e3)),
+    # nu/theta and nu*theta beyond the double range
+    d.pareto(1e-300, 1e300),
+    d.pareto(1e300, 1e-300),
+    d.power_function(1e-300, 1e-300),
+    d.power_function(1e300, 1e300),
     *(family(theta) for family in (d.exponential, d.logistic, d.uniform) for theta in (1e-300, 1e300)),
 )
 CLOSED_ROUTE = (

@@ -50,7 +50,7 @@ def test_quick_start_values():
         literal, end = match.groups()
         assert shown.startswith(literal) if end == "..." else shown == literal, (ast.unparse(node), shown)
         checked.append(literal)
-    assert checked == ["1.5263831609742078", "-0.13157894736842105", "True", "1.86582324", "1.86582349", "-0.0678"]
+    assert checked == ["1.5263831609742078", "-0.13157894736842105", "True", "1.86582324", "1.86582349", "1.83957474146", "-0.0678"]
 
 
 def test_command_line_examples():
