@@ -16,10 +16,14 @@ library's validators, their defaults are the library's, and the ``bounds``
 and ``converge`` columns are the fields of their report records.  Reports
 are CSV (default) or JSON on stdout.  Numbers are printed with 15
 significant digits; extended reals use the literals ``inf``, ``-inf`` and
-``indeterminate``.  Identical invocations (including ``--seed``) produce
-byte-identical output, and no environment variable is read.  Exit codes:
-0 success, 1 usage error, 2 domain error (a rejected value, an arithmetic
-overflow or a failed quadrature), 3 verification failure.
+``indeterminate``.  ``converge`` renders its CSV a block of rows at a time,
+formatting each column in numpy, and every float cell is byte-identical to
+``"%.15g" % x``: the cells that go to Python's own ``%.15g`` are nan, +-inf,
+magnitudes below 1e-8 or from 1e15 up, and a 15-digit rounding that carries
+to the next power of ten.  Identical invocations (including ``--seed``)
+produce byte-identical output, and no environment variable is read.  Exit
+codes: 0 success, 1 usage error, 2 domain error (a rejected value, an
+arithmetic overflow or a failed quadrature), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -119,6 +123,195 @@ def _params_label(dist) -> str:
 
 
 # ---------------------------------------------------------------------------
+# CSV columns
+# ---------------------------------------------------------------------------
+
+# Rows rendered at a time, which keeps a block's arrays under 1 MB
+_BLOCK_ROWS = 512
+# A float cell's slot: its sign, the "0.000" of a fixed form below 1, the 15
+# significant digits, the point, the 15 digits again and "e-0" and the
+# exponent digit.  A layout keeps the integer digits from the first copy and
+# the fraction digits from the second, so a cell's kept bytes are a few runs.
+_FLOAT_SLOT = b"-0.000" + b"0" * 15 + b"." + b"0" * 15 + b"e-00"
+_SIGN, _INTEGER, _POINT, _FRACTION, _EXPONENT = 0, 6, 21, 22, 37
+# The ASCII code of a pad byte, which no rendered cell contains
+_PAD = ord(" ")
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """10**k for k = 0..22, each an exact double, and the kept bytes of a
+    float slot by layout: row (X + 8) * 15 + D - 1 is %.15g of a value whose
+    15-digit rounding has decimal exponent X in [-8, 14] and D digits once
+    its trailing zeros go.  The sign is kept per cell."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    keep = np.zeros((23, 15, len(_FLOAT_SLOT)), dtype=bool)
+    for x in range(-8, 15):
+        for d in range(1, 16):
+            row = keep[x + 8, d - 1]
+            if x < -4:  # d.ddde-0X
+                row[_INTEGER] = True
+                row[_POINT] = d > 1
+                row[_FRACTION + 1:_FRACTION + d] = True
+                row[_EXPONENT:] = True
+            elif x < 0:  # 0.000ddd
+                row[1:2 - x] = True
+                row[_INTEGER:_INTEGER + d] = True
+            else:  # ddd.ddd, or ddd000 with no point
+                row[_INTEGER:_INTEGER + x + 1] = True
+                row[_POINT] = d > x + 1
+                row[_FRACTION + x + 1:_FRACTION + d] = True
+    return pow10, keep.reshape(23 * 15, -1)
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The four ASCII digits of each number below 10**4, as one uint32."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digits(v: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` (a multiple of 4) decimal digits of each nonnegative
+    int64 in ``v``, leading zeros included, as ASCII bytes."""
+    quads = _quads()
+    out = np.empty(v.shape + (count // 4,), dtype=np.uint32)
+    for i in reversed(range(count // 4)):
+        q = v // 10_000
+        out[..., i] = quads[v - q * 10_000]
+        v = q
+    return out.view(np.uint8)
+
+
+def _padded(template: str, values: list) -> np.ndarray:
+    """``template % value`` of each value, left-justified in a fixed width
+    by the template and padded with spaces, as rows of ASCII bytes."""
+    text = (template * len(values) % tuple(values)).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(values), -1)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into two halves of at most 26 bits
+    whose sum is exact."""
+    t = 134217729.0 * v
+    high = t - (t - v)
+    return high, v - high
+
+
+def _g15(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.15g" % v`` of each double v in the 1-d ``x``, as rows of slot
+    bytes and the mask of the bytes kept.
+
+    A finite v whose magnitude |v| rounds to a 15-digit decimal exponent in
+    [-8, 14] takes the fast path: y = |v|·10**k, with k = 14 - that
+    exponent, is one correctly rounded product, as 10**k is exact, and the
+    significand that %.15g rounds |v| to is rint(y).  Where y lies halfway
+    between two integers, the exact remainder of the product (Dekker's two
+    products) says which way |v|·10**k rounds, and an exact tie goes to
+    even, as %.15g does.  A zero takes the fast path too.  Every other cell
+    (nan, ±inf, a magnitude below 1e-8 or from 1e15 up, and a significand
+    that carries to 10**15) is Python's own %.15g.
+    """
+    pow10, layouts = _layouts()
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        e = np.floor(np.log10(a))
+        fits = (e >= -8) & (e <= 14)
+        k = np.where(fits, 14 - e, 0).astype(np.intp)
+        y = a * pow10[k]
+        # log10 may round across a power of ten: re-derive k once
+        k += (y < 1e14) & (k < 22)
+        k -= (y >= 1e15) & (k > 0)
+        y = a * pow10[k]
+        r = np.rint(y)
+        tie = np.flatnonzero(np.abs(y - r) == 0.5)
+        if tie.size:
+            (a_high, a_low), (p_high, p_low) = _split(a[tie]), _split(pow10[k[tie]])
+            rest = (a_high * p_high - y[tie] + a_high * p_low + a_low * p_high) + a_low * p_low
+            r[tie] = np.rint(y[tie] + 0.25 * np.sign(rest))
+        zero = a == 0.0
+        fast = fits & (y >= 1e14) & (r < 1e15) | zero
+        k[zero] = 14
+        digits = _digits(np.where(fast, r, 0.0).astype(np.int64), 16)[:, 1:]
+    kept = 15 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    kept[zero] = 1
+    # decimal exponent 14 - k, so layout (22 - k) * 15 + kept - 1
+    keep = np.take(layouts, (22 - k) * 15 + kept - 1, axis=0)
+    keep[:, _SIGN] = np.signbit(x)
+    chars = np.empty(keep.shape, dtype=np.uint8)
+    chars[...] = np.frombuffer(_FLOAT_SLOT, dtype=np.uint8)
+    chars[:, _INTEGER:_POINT] = digits
+    chars[:, _FRACTION:_EXPONENT] = digits
+    # the exponent digit -X = k - 14 of d.ddde-0X, masked off elsewhere
+    chars[:, -1] = k + (ord("0") - 14)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = _padded(f"%-{len(_FLOAT_SLOT)}.15g", x[slow].tolist())
+        chars[slow] = text
+        keep[slow] = text != _PAD
+    return chars, keep
+
+
+def _int_slots(column: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``"%d" % n`` of each nonnegative integer n in ``column``, in slots of
+    ``width`` bytes (a multiple of 4 for int64), and the mask of the bytes
+    kept: int64 digits, or Python's own %d for an object array."""
+    if column.dtype.kind == "O":
+        text = _padded(f"%-{width}d", column.tolist())
+        return text, text != _PAD
+    digits = _digits(column.astype(np.int64), width)
+    # from the first significant digit on, or the last digit of a 0
+    first = np.where(column == 0, width - 1, np.argmax(digits != ord("0"), axis=1))
+    return digits, np.arange(width) >= first[:, None]
+
+
+def _write_csv_rows(cells: Sequence, out) -> None:
+    """Write the CSV rows whose columns are ``cells``: each an array along
+    the rows or a constant cell.  The bytes are those of :func:`_emit`'s
+    CSV, provided no cell needs quoting: a float cell is ``"%.15g"``, an
+    integer ``"%d"`` and a constant is formatted once.  A row is a slot per
+    column, each followed by its separator, and the kept bytes of
+    ``_BLOCK_ROWS`` rows are written at a time."""
+    floats = [j for j, c in enumerate(cells) if np.ndim(c) and c.dtype.kind == "f"]
+    ints = [j for j, c in enumerate(cells) if np.ndim(c) and j not in floats]
+    texts = {j: _csv_value(c).encode("ascii") for j, c in enumerate(cells) if not np.ndim(c)}
+    widths = [len(_FLOAT_SLOT)] * len(cells)
+    for j in ints:
+        if cells[j].dtype.kind == "O":
+            widths[j] = max(len("%d" % n) for n in cells[j].tolist())
+        else:
+            widths[j] = -(-len(str(cells[j].max())) // 4) * 4
+    for j, text in texts.items():
+        widths[j] = len(text)
+    stops = np.cumsum(widths) + np.arange(1, len(cells) + 1)
+    slots = [slice(stop - 1 - width, stop - 1) for stop, width in zip(stops.tolist(), widths)]
+    row_chars = np.full(stops[-1], _PAD, dtype=np.uint8)
+    row_chars[stops - 1] = ord(",")
+    row_chars[-1] = ord("\n")
+    row_keep = np.zeros(stops[-1], dtype=bool)
+    row_keep[stops - 1] = True
+    for j, text in texts.items():
+        row_chars[slots[j]] = np.frombuffer(text, dtype=np.uint8)
+        row_keep[slots[j]] = True
+    size = next(len(c) for c in cells if np.ndim(c))
+    for start in range(0, size, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, size))
+        chars = np.empty((rows.stop - start, stops[-1]), dtype=np.uint8)
+        chars[...] = row_chars
+        keep = np.empty(chars.shape, dtype=bool)
+        keep[...] = row_keep
+        if floats:
+            block = np.stack([cells[j][rows] for j in floats], axis=1, dtype=float)
+            float_chars, float_keep = _g15(block.ravel())
+            for i, j in enumerate(floats):
+                chars[:, slots[j]] = float_chars[i::len(floats)]
+                keep[:, slots[j]] = float_keep[i::len(floats)]
+        for j in ints:
+            chars[:, slots[j]], keep[:, slots[j]] = _int_slots(cells[j][rows], widths[j])
+        out.write(chars[keep].tobytes().decode("ascii"))
+
+
+# ---------------------------------------------------------------------------
 # Option values
 # ---------------------------------------------------------------------------
 
@@ -160,8 +353,6 @@ def _grid(text: str):
 # fields and reads each row with one attrgetter.
 _BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport))
 _CONVERGE_FIELDS = tuple(f.name for f in dataclasses.fields(evt.ConvergenceRecord))
-# converge formats its CSV rows this many at a time, with one % format
-_CONVERGE_BLOCK = 256
 # The closed/quad/gap columns are the keys of measures.crosscheck.
 _TABLES_HEADER = (
     "family", "params", "n", "h_closed", "h_quad", "h_gap", "h_ub",
@@ -241,22 +432,9 @@ def cmd_converge(args, out) -> int:
         columns = (c.tolist() if np.ndim(c) else repeat(c) for c in cells)
         _emit(_CONVERGE_FIELDS, zip(*columns), args.format, out)
         return EXIT_OK
-    # _emit's CSV bytes, as no cell needs quoting: a constant cell is
-    # formatted once, into the row format, and a block of rows at a time
-    row = ",".join(
-        ("%d" if name == "n" else "%.15g") if np.ndim(c) else _csv_value(c).replace("%", "%%")
-        for name, c in zip(_CONVERGE_FIELDS, cells)
-    ) + "\n"
-    columns = [c for c in cells if np.ndim(c)]
-    width = len(columns)
+    # _emit's CSV bytes, as no cell needs quoting
     out.write(",".join(_CONVERGE_FIELDS) + "\n")
-    size = len(study.n)
-    for start in range(0, size, _CONVERGE_BLOCK):
-        stop = min(start + _CONVERGE_BLOCK, size)
-        block = [None] * (width * (stop - start))
-        for k, column in enumerate(columns):
-            block[k::width] = column[start:stop].tolist()
-        out.write(row * (stop - start) % tuple(block))
+    _write_csv_rows(cells, out)
     return EXIT_OK
 
 

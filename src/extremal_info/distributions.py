@@ -205,6 +205,32 @@ def _log_of(value: float, log_value) -> float:
     return math.log(value) if sys.float_info.min <= value < math.inf else log_value()
 
 
+def _entropy_in_range(shannon):
+    """A closed H that names an overflow.  Each of its terms that can
+    overflow has the sign of the sum's excess, so where the arithmetic gives
+    +-inf, H itself lies beyond the double range, and an ``OverflowError``
+    names the member and the n (an array's first such n)."""
+
+    def entropy(d, n):
+        value = shannon(d, n)
+        if isinstance(n, np.ndarray):
+            # a grid past int64 gives an object array
+            beyond = ~np.isfinite(np.asarray(value, dtype=float))
+            if not beyond.any():
+                return value
+            first = np.argmax(beyond)
+            n, value = n.ravel()[first], value.ravel()[first]
+        elif math.isfinite(value):
+            return value
+        bound = f"below -{sys.float_info.max:.6g}" if value < 0 else f"above {sys.float_info.max:.6g}"
+        raise OverflowError(
+            f"entropy of the maximum of n={n} draws from {d.label()} is {bound}, beyond the double range"
+        )
+
+    return entropy
+
+
+@_entropy_in_range
 def _pareto_shannon(d, n):
     nu, ln_n = d.nu, _math(type(n)).log(n)
     return (
@@ -493,8 +519,8 @@ REGISTRY: dict[str, Family] = {
         density_quantile=_power_density_quantile,
         sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
         is_log_concave=lambda d: d.nu >= 1.0,
-        shannon=lambda d, n: (
-            1.0
+        shannon=_entropy_in_range(
+            lambda d, n: 1.0
             - _math(type(n)).log(n)
             - _log_of(d.nu * d.theta, lambda: math.log(d.nu) + math.log(d.theta))
             - 1.0 / (d.nu * n)

@@ -10,12 +10,20 @@ failures (strict xfail) count as passing because the recorded expectation
 held.  The marker is registered in ``pyproject.toml``, which also turns on
 ``--strict-markers``: a misspelt marker fails collection instead of
 silently dropping a test out of the summary.
+
+The one hypothesis profile is loaded here: every property test draws the
+same examples on every run (``derandomize``, which also keeps no example
+database), with no per-example deadline.
 """
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from extremal_info import measures, numerics
+
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture

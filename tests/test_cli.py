@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from extremal_info import (
     bounds, canonical, cli, distributions, evt, measures, numerics, special, verify,
@@ -72,6 +73,60 @@ def parse_csv(text):
 def test_csv_cell(value, cell):
     # every cell prints as the extended-real rule of _json_value says
     assert cli._csv_value(value) == cell
+
+
+# The converge renderer: every float cell is "%.15g" of its value.  Its
+# fast path reads a 15-digit significand off one product |x|·10**k, so the
+# targeted cells sit where that is hardest: near 15-digit ties
+# (m + 1/2)·10**-k and on exact ones, which go to even; near the edges 1e-8
+# and 1e15 of the fast range and 1e-4 of the fixed form; and near
+# 999999999999999.5·10**e, the tie below a significand that carries to
+# 10**15.
+
+
+def _rendered(values) -> list[str]:
+    """Each value as the converge CSV renders a float cell."""
+    out = io.StringIO()
+    cli._write_csv_rows([np.array(values, dtype=float)], out)
+    return out.getvalue().split("\n")[:-1]
+
+
+def _steps(x: float, count: int) -> float:
+    """``x`` moved by ``count`` ulps."""
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+@st.composite
+def _near_ties(draw):
+    m = draw(st.integers(10**14, 10**15 - 1))
+    k = draw(st.integers(14, 22))
+    x = float(f"{m}5e-{k + 1}")
+    return draw(st.sampled_from((1.0, -1.0))) * _steps(x, draw(st.integers(-2, 2)))
+
+
+@st.composite
+def _exact_ties(draw):
+    # an odd multiple of 2**-(j + 1) with 16 significant digits, the last a 5
+    j = draw(st.integers(0, 5))
+    return (2 * draw(st.integers(10 ** (14 - j), 10 ** (15 - j) - 1)) + 1) / 2 ** (j + 1)
+
+
+NEAR_EDGES_AND_CARRIES = [
+    sign * _steps(x, count)
+    for x in (1e-9, 1e-8, 1e-5, 1e-4, 1.0, 1e14, 1e15, 1e16,
+              *(float(f"9999999999999995e{e}") for e in range(-24, 1)))
+    for count in range(-3, 4)
+    for sign in (1.0, -1.0)
+]
+
+
+@given(st.lists(st.floats() | _near_ties() | _exact_ties(), min_size=1, max_size=50))
+@example([9.999999999999999, math.nextafter(1e-4, 0.0), -0.0, 0.0, 5e-324, math.inf, math.nan])
+@example(NEAR_EDGES_AND_CARRIES)
+def test_every_float_cell_is_its_percent_15g(values):
+    assert _rendered(values) == ["%.15g" % x for x in values]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +398,21 @@ class TestConverge:
                 want = io.StringIO()
                 cli._emit(cli._CONVERGE_FIELDS, rows, fmt, want)
                 assert got == (0, want.getvalue(), "")
+
+    @pytest.mark.parametrize(
+        "member",
+        [m for m in canonical.catalog_members() if evt.mda_classify(m)[0] == "gumbel"],
+        ids=lambda m: m.label(),
+    )
+    def test_rows_over_several_blocks_render_as_emit_does(self, member):
+        grid = f"2:{3 * cli._BLOCK_ROWS}:1"
+        code, out, _ = run_cli("converge", "--dist", json.dumps(distributions.to_dict(member)),
+                               "--n-grid", grid)
+        assert code == 0
+        study = evt.convergence_study(member, range(2, 3 * cli._BLOCK_ROWS + 1))
+        want = io.StringIO()
+        cli._emit(cli._CONVERGE_FIELDS, map(dataclasses.astuple, study.records), "csv", want)
+        assert out == want.getvalue()
 
     def test_power_function_from_n1(self):
         # a_1 = 1/theta, so h at n = 1 is H(X) + ln theta

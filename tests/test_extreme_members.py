@@ -9,13 +9,18 @@ the package's own; Python's math errors ("Numerical result out of range",
 numpy floating-point warning is raised.
 """
 
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from extremal_info import bounds, evt, measures, numerics
 from extremal_info import distributions as d
 
+# members whose closed H lies beyond the double range at n = 1 and 3
+# (about -1e310 and +1e310)
+BEYOND_RANGE_H = (d.power_function(1.0, 1e-310), d.pareto(1.0, 1e-310))
 MEMBERS = (
     *(d.gev(xi) for xi in (-1.99, -1.5, -0.9, 0.3, 5.0, 50.0, 100.0, 170.0, 171.0, 200.0, 1000.0)),
     *(d.pareto(theta, nu) for theta in (1e-3, 1.0, 1e3) for nu in (1e-3, 0.01, 1.0, 1e3)),
@@ -26,6 +31,7 @@ MEMBERS = (
     d.power_function(1e-300, 1e-300),
     d.power_function(1e300, 1e300),
     *(family(theta) for family in (d.exponential, d.logistic, d.uniform) for theta in (1e-300, 1e300)),
+    *BEYOND_RANGE_H,
 )
 CLOSED_ROUTE = (
     measures.shannon_max,
@@ -80,3 +86,21 @@ def test_monte_carlo(entry):
         for n in (1, 5, 10**6)
     ]
     assert _failures(calls) == []
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("member", BEYOND_RANGE_H, ids=lambda m: m.label())
+def test_an_entropy_beyond_the_double_range_is_named(member, n):
+    # the scalar and the array call name the member and the n
+    named = re.escape(f"entropy of the maximum of n={n} draws from {member.label()} is ")
+    with pytest.raises(OverflowError, match=named + ".*, beyond the double range$"):
+        measures.shannon_max(member, n)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match=named):
+        d.REGISTRY[member.family].shannon(member, np.array([n, n + 1]))
+
+
+def test_a_study_names_its_first_n_whose_entropy_is_beyond_the_double_range():
+    # pareto(1, 1e-310) has xi = 1e310, which the study declines first
+    member = BEYOND_RANGE_H[0]
+    with pytest.raises(OverflowError, match=re.escape(f"n=3 draws from {member.label()}")):
+        evt.convergence_study(member, [3, 4, 10**6])
