@@ -173,15 +173,19 @@ def norming_constants(dist, n: int) -> NormingConstants:
 
 def _norming(dist, n: int) -> tuple:
     """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n
-    after.  A record that overflows (n^xi of a gev member, say) is named."""
+    after.  A record that overflows (n^xi of a gev member, say), or whose
+    a_n float arithmetic takes to inf or to 0, is named."""
     record = dist_mod.REGISTRY[dist.family]
     xi = record.evi(dist)
     _domain(xi)
     try:
         a, b = record.norming(dist, n)
     except OverflowError:
-        msg = f"norming constants for {dist.label()} overflow the double range at n={n}"
-        raise OverflowError(msg) from None
+        a = math.inf  # named below, as an a_n that float arithmetic takes to inf
+    if a == math.inf:
+        raise OverflowError(f"norming constants for {dist.label()} overflow the double range at n={n}")
+    if a == 0.0:
+        raise ValueError(f"norming constants for {dist.label()} underflow the double range at n={n}")
     _check_real(a, "a_n")
     return a, b, xi
 

@@ -690,7 +690,8 @@ class TestExitCodes:
         spec = '{"family":"pareto","theta":1,"nu":0.01}'
         assert run_cli("converge", "--dist", spec, "--n-grid", "1154")[0] == 0
         assert run_cli("converge", "--dist", spec, "--n-grid", "1154,1155") == (
-            2, "", "domain error: a_n must be a positive finite real, got inf\n"
+            2, "", "domain error: norming constants for pareto(theta=1, nu=0.01) overflow "
+            "the double range at n=1155\n"
         )
 
     def test_logistic_past_the_quantile_edge_names_the_norming_and_n(self):

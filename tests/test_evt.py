@@ -192,6 +192,29 @@ class TestNormingConstants:
             entry(d.gev(100.0), 10**6)
         assert str(excinfo.value) == "norming constants for gev(xi=100) overflow the double range at n=1000000"
 
+    @pytest.mark.parametrize(
+        "member, grid, n, error, way",
+        [
+            # a_n = 100 n^100 is finite at n = 1154 and inf from n = 1155
+            (d.pareto(1.0, 0.01), (1154, 1155, 1156), 1155, OverflowError, "overflow"),
+            # a_n = 1/theta is inf at every n
+            (d.exponential(1e-320), (3, 4), 3, OverflowError, "overflow"),
+            # a_n = theta/n is subnormal at n = 1000 and 0 at n = 10^6
+            (d.uniform(1e-320), (1000, 10**6), 10**6, ValueError, "underflow"),
+        ],
+        ids=["pareto", "exponential", "uniform"],
+    )
+    def test_an_a_n_that_float_arithmetic_takes_to_inf_or_0_is_named(self, member, grid, n, error, way):
+        message = f"norming constants for {member.label()} {way} the double range at n={n}"
+        for entry in (evt.norming_constants, measures.shannon_normalized, measures.extropy_normalized):
+            with pytest.raises(error) as excinfo:
+                entry(member, n)
+            assert str(excinfo.value) == message
+        # the study replays the scalar path, which names the grid's first failing n
+        with pytest.raises(error) as excinfo:
+            evt.convergence_study(member, grid)
+        assert str(excinfo.value) == message
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             evt.norming_constants(d.exponential(1.0), 0)
@@ -500,7 +523,8 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_a_bad_scale_raises_as_norming_constants_does(self, monkeypatch, bad):
-        # the study checks each a_n by the rule NormingConstants applies
+        # the study checks each a_n by the rule norming_constants applies,
+        # which names an a_n of 0 or inf
         record = d.REGISTRY["exponential"]
 
         def norming(dist, n):
@@ -510,9 +534,9 @@ class TestConvergenceStudy:
             return (a_n if isinstance(n, np.ndarray) else float(a_n)), 0.0
 
         monkeypatch.setitem(d.REGISTRY, "exponential", dataclasses.replace(record, norming=norming))
-        with pytest.raises(ValueError) as want:
-            evt.NormingConstants(bad, 0.0, 0.0)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises((OverflowError, ValueError)) as want:
+            evt.norming_constants(d.exponential(1.0), 3)
+        with pytest.raises(want.type) as got:
             evt.convergence_study(d.exponential(1.0), (2, 3, 4))
         assert str(got.value) == str(want.value)
 

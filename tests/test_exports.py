@@ -1,6 +1,6 @@
 """The export lists name exactly what the package and its modules provide,
-the modules import each other without a cycle, and none reads the
-environment.
+the modules import each other without a cycle, none reads the environment,
+and each release contract in ``verify`` runs in both of its suites.
 
 A deleted function must leave every ``__all__`` that named it, a name the
 package offers must be in the package's ``__all__``, and the package offers
@@ -130,3 +130,44 @@ def test_module_level_imports_form_a_dag():
 def test_the_only_function_local_import_is_verify_in_the_cli():
     _, local = _import_graph()
     assert local == {("cli", "cmd_verify", "verify")}
+
+
+def _contracts_and_their_callers():
+    """(the ``@_contract`` functions of ``verify``, the functions ``run_all``
+    reaches through its body's names, the ``verify.<name>`` calls of the
+    acceptance suite)."""
+    functions = {
+        node.name: node
+        for node in ast.parse((Path(extremal_info.__file__).parent / "verify.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    contracts = {
+        name
+        for name, node in functions.items()
+        if any(isinstance(d, ast.Name) and d.id == "_contract" for d in node.decorator_list)
+    }
+    reached, todo = set(), ["run_all"]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo.extend(n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name))
+    suite = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    called = {
+        node.func.attr
+        for node in ast.walk(suite)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "verify"
+    }
+    return contracts, reached, called
+
+
+def test_every_contract_runs_in_verify_and_in_the_acceptance_suite():
+    # a release check is written once, as a contract, so that neither suite
+    # restates it and none is orphaned
+    contracts, reached, called = _contracts_and_their_callers()
+    assert contracts
+    assert sorted(contracts - reached) == []
+    assert sorted(contracts - called) == []
