@@ -111,11 +111,32 @@ def _emit(header: Sequence[str], rows: Iterable[Sequence], output_format: str, o
             writer.writerow([_csv_value(v) for v in row])
         out.write(buf.getvalue())
     else:
-        payload = [
-            {key: _json_value(value) for key, value in zip(header, row)} for row in rows
-        ]
-        out.write(json.dumps(payload, indent=2))
+        out.write(_json_rows(header, rows))
         out.write("\n")
+
+
+def _json_cell(x) -> str:
+    """A report cell as ``json.dumps`` writes its :func:`_json_value`."""
+    x = _json_value(x)
+    if isinstance(x, float):
+        return float.__repr__(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int.__repr__(x)
+    return json.dumps(x)  # a string, true, false or null
+
+
+def _json_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``json.dumps`` of the rows as objects keyed by ``header`` (distinct
+    keys), with ``indent=2``, byte for byte, written a row at a time."""
+    keys = [f"    {json.dumps(key)}: " for key in header]
+    objects = []
+    text = float.__repr__
+    for row in rows:
+        # x - x is 0.0 for a finite x, nan for inf and nan
+        cells = [text(x) if type(x) is float and x - x == 0.0 else _json_cell(x) for x in row]
+        items = ",\n".join(map(operator.add, keys, cells))
+        objects.append(f"  {{\n{items}\n  }}" if items else "  {}")
+    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
 
 
 def _params_label(dist) -> str:

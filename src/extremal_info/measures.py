@@ -27,7 +27,6 @@ so neither normalized measure depends on b_n.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import threading
@@ -124,34 +123,34 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 #     J:  -(n^2/2) t^(2n-2)    x  I(t)
 #
 # The weights depend only on (n, measure), the profile factors only on the
-# member, and the integrals of the paper's grid revisit a few dozen panels.
-# So the route keeps a panel list -- every panel an integral has visited,
-# in the order first visited -- and factor tables with one row per listed
-# panel: per (n, measure) the weights, each by pow, and per member I and
-# ln I, from the family record through float() as the public
-# density_quantile does (an I that underflowed to 0 has ln I = -inf, so an
-# H panel fails as non-finite instead of in math.log).  A table read while
-# shorter than the list is first extended to it, so a member's profile is
-# also taken on panels only other members visited; as a family record's
-# density_quantile is defined and silent on all of (0, 1), each row is the
-# one the member's own integrand would give.
+# member, and the integrals of the paper's grid revisit a few dozen panels,
+# which numerics' panel index holds by id.  So the route keeps factor
+# tables with one row per panel of the index, in id order: per
+# (n, measure) the weights, each by pow, and per member I and ln I, from
+# the family record through float() as the public density_quantile does
+# (an I that underflowed to 0 has ln I = -inf, so an H panel fails as
+# non-finite instead of in math.log).  A table read while shorter than the
+# integral's copy of the index is first extended to it, so a member's
+# profile is also taken on panels only other members visited; as a family
+# record's density_quantile is defined and silent on all of (0, 1), each
+# row is the one the member's own integrand would give.
 #
-# Each integral rules every listed panel in one numpy pass of
-# numerics._gk15_rows, and its panel rule reads a listed panel's
-# (value, error) from that pass.  Any other panel goes through the scalar
-# integrand and numerics._gk15; the panels it visited join the list once
-# the integral has returned, so a failed one lists nothing.  Every value
-# is the same product of the same floats as the point integrand on the
-# public API, and _gk15_rows sums as _gk15 does, so every route gives the
-# same bits.
+# Each integral rules every panel the index held when it started in one
+# numpy pass of numerics._gk15_rows, and its panel rule reads a held
+# panel's (value, error) from that pass by id.  Any other panel goes
+# through the scalar integrand and numerics._gk15; the panels it visited
+# join the index once the integral has returned, so a failed one lists
+# nothing.  Every value is the same product of the same floats as the point
+# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
+# route gives the same bits.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
-# list holds 59 panels and 40 tables are read, well inside the caps: the
-# list stops at _ROW_CAP panels, past which new panels stay on the scalar
-# path, and only the _TABLE_CAP tables read last are kept.
+# index holds 59 panels, the 23 fixed ones among them, and 40 tables are
+# read, well inside the caps: the index stops at numerics._PANEL_CAP
+# panels, past which new panels stay on the scalar path, and only the
+# _TABLE_CAP tables read last are kept.
 # ---------------------------------------------------------------------------
 
-_ROW_CAP = 256
 _TABLE_CAP = 64
 
 
@@ -172,57 +171,43 @@ def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
 
 
 class _Tables:
-    """The panel list, an ordered set of (a, b) whose nodes and dt/du come
-    from numerics._panel_nodes, with dt/du and half-widths as arrays in list
-    order, and the factor tables; ``cache_clear`` empties them all.  Reads
-    and writes hold ``lock``, as integrals on other threads share the
+    """The factor tables, with a row for each panel of numerics' index in
+    id order, for the index ``epoch`` they were read under: a walk from
+    another epoch (the index was cleared) empties them first.  Reads and
+    writes hold ``lock``, as integrals on other threads share the
     tables."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.cache_clear()
+        self.epoch = None
+        self.factors: dict = {}  # (n, measure) or member -> (k, P, 15) table
 
-    def cache_clear(self) -> None:
-        with self.lock:
-            self.panels: dict[tuple[float, float], None] = {}
-            self.dtdu, self.half = np.zeros((0, 15)), np.zeros(0)
-            self.factors: dict = {}  # (n, measure) or member -> (k, P, 15) table
-
-    def add(self, keys) -> None:
-        """List the panels ``keys`` not listed yet, in order, while the list
-        is shorter than _ROW_CAP."""
-        new = [key for key in keys if key not in self.panels][: _ROW_CAP - len(self.panels)]
-        if new:
-            self.panels.update(dict.fromkeys(new))
-            self.dtdu = np.concatenate((self.dtdu, [numerics._panel_nodes(*key)[1] for key in new]))
-            self.half = np.concatenate((self.half, [0.5 * (b - a) for a, b in new]))
-
-    def _read(self, key, rows) -> np.ndarray:
+    def _read(self, key, rows, walk: numerics._Walk) -> np.ndarray:
         """Factor table ``key``, the k factors ``rows(ts)`` gives at the
-        nodes of each listed panel as a (k, P, 15) array, extended to the
-        list if shorter, as the most recently read table; the least
-        recently read go past _TABLE_CAP."""
+        nodes of each panel the walk found listed as a (k, P, 15) array,
+        extended to them if shorter, as the most recently read table; the
+        least recently read go past _TABLE_CAP."""
         table = self.factors.pop(key, None)
         have = 0 if table is None else table.shape[1]
-        if have < len(self.panels):
-            listed = itertools.islice(self.panels, have, None)
-            new = np.array(list(zip(*(rows(numerics._panel_nodes(*panel)[0]) for panel in listed))))
+        if have < walk.listed:
+            new = np.array(list(zip(*(rows(panel[2]) for panel in walk.panels[have : walk.listed]))))
             table = new if table is None else np.concatenate((table, new), axis=1)
         while len(self.factors) >= _TABLE_CAP:
             del self.factors[next(iter(self.factors))]
         self.factors[key] = table
-        return table
+        return table[:, : walk.listed]
 
-    def known(self, dist, n: int, measure: str) -> dict:
-        """(a, b) -> (value, error) of the (n, measure) integrand of ``dist``
-        on every listed panel, in one numpy pass."""
-        if not self.panels:
-            return {}
-        (weights,) = self._read((n, measure), lambda ts: (_weight_row(n, measure, ts),))
-        values, logs = self._read(dist, lambda ts: _profile_row(dist, ts))
-        factor = logs if measure == "H" else values
-        vk, err = numerics._gk15_rows(weights, factor, self.dtdu, self.half)
-        return dict(zip(self.panels, zip(vk.tolist(), err.tolist())))
+    def rule_listed(self, dist, n: int, measure: str, walk: numerics._Walk) -> list:
+        """The (value, error) of the (n, measure) integrand of ``dist`` on
+        each panel the walk found listed, by id, in one numpy pass."""
+        with self.lock:
+            if self.epoch != walk.epoch:
+                self.factors.clear()
+                self.epoch = walk.epoch
+            (weights,) = self._read((n, measure), lambda ts: (_weight_row(n, measure, ts),), walk)
+            values, logs = self._read(dist, lambda ts: _profile_row(dist, ts), walk)
+        vk, err = numerics._gk15_rows(weights, logs if measure == "H" else values, walk.dtdu, walk.half)
+        return list(zip(vk.tolist(), err.tolist()))
 
 
 _tables = _Tables()
@@ -230,23 +215,21 @@ _tables = _Tables()
 
 def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
     """The (n, measure) integral of ``dist`` through the tables."""
-    with _tables.lock:
-        known = _tables.known(dist, n, measure)
-    listed = len(known)
+    walk = numerics._index.walk()
+    pairs = _tables.rule_listed(dist, n, measure, walk)
 
     def integrand(ts: tuple):
         values, logs = _profile_row(dist, ts)
         return map(operator.mul, _weight_row(n, measure, ts), logs if measure == "H" else values)
 
-    def rule(a: float, b: float) -> tuple[float, float]:
-        found = known.get((a, b))
-        if found is None:
-            found = known[a, b] = numerics._gk15(integrand, a, b)
-        return found
+    def rule(i: int) -> tuple[float, float]:
+        try:
+            return pairs[i]
+        except IndexError:  # a panel the index did not hold
+            return numerics._gk15(integrand, walk.panel(i))
 
-    result = numerics._integrate(rule, tol)
-    with _tables.lock:
-        _tables.add(itertools.islice(known, listed, None))
+    result = numerics._integrate(rule, tol, walk)
+    numerics._index.add(walk)
     return result
 
 

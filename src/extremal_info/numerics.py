@@ -14,21 +14,25 @@ an explicit failure carrying the best estimate, tails included, instead of
 silent truncation).  The residual mass beyond the working window is summed
 by Wynn epsilon extrapolation of unit-width tail cells, which is exact for
 the geometric decay the transform produces.  The 15 nodes of a panel depend
-only on its u-interval, so they are computed and range-checked once per
-distinct panel and kept in a bounded cache.  The adaptive loop,
-:func:`_integrate`, asks a panel rule for the GK15 (value, error) of each
-panel it visits, once and in visit order, and keeps no panel of its own.
+only on its u-interval, so the panels that integrals share are held in
+one bounded index by integer id, each with its bounds, width, nodes
+(range-checked once, when the panel is made) and the ids of its halves;
+the 9 seed panels and the 14 tail cells have fixed ids.  The adaptive loop,
+:func:`_integrate`, walks a copy of the index by id and asks a panel rule
+for the GK15 (value, error) of each panel it visits, once and in visit
+order; a panel the index does not hold gets a per-call id, and joins the
+index only if the caller lists it once the integral has returned.
 :func:`integrate_unit` is that loop over the scalar rule :func:`_gk15` of
-a point integrand called once per node.  A caller that integrates many
-integrands over the same panels can rule them all at once --
-:func:`_gk15_rows` applies the GK15 rule to a stack of panels in one numpy
-pass, with the bits of the scalar rule -- and hand :func:`_integrate` a
-rule that reads those pairs, so the adaptive loop, the tails and the
-result stay the same.  A panel whose value or error is not finite (the
-integrand overflowed or returned nan) fails at once with the panel's place
-in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
-where t rounds to 1 -- instead of spending the evaluation budget on an
-error that can never shrink.
+a point integrand called once per node, and lists nothing.  A caller that
+integrates many integrands over the same panels can rule them all at
+once -- :func:`_gk15_rows` applies the GK15 rule to a stack of panels in
+one numpy pass, with the bits of the scalar rule -- and hand
+:func:`_integrate` a rule that reads those pairs by id, so the adaptive
+loop, the tails and the result stay the same.  A panel whose value or
+error is not finite (the integrand overflowed or returned nan) fails at
+once with the panel's place in the message -- its t-interval, or its
+(1 - t)-interval right of u = 0, where t rounds to 1 -- instead of
+spending the evaluation budget on an error that can never shrink.
 
 Monte Carlo
 -----------
@@ -49,10 +53,10 @@ a mean or standard error that is a double does not overflow on the way.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,17 +199,12 @@ def _logistic_nodes(us) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(ts), tuple(ws)
 
 
-@functools.lru_cache(maxsize=256)
-def _panel_nodes(a: float, b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The 15 nodes t and weights dt/du of the GK15 panel on [a, b] in u-space.
-
-    Both tuples are ordered as :func:`_gk15` sums them: c, c - x_0, c + x_0,
-    ..., c - x_6, c + x_6.  Every t is checked once here to lie in (0, 1), so
-    integrands may take the nodes as already-validated probabilities.  The
-    cache is bounded: the seed panels, their bisections and the tail cells
-    repeat across integrals, so a few dozen distinct panels cover ``tables``
-    and ``verify``.
-    """
+def _panel(a: float, b: float) -> tuple:
+    """The GK15 panel [a, b] in u-space as (a, b, ts, ws): its 15 nodes t
+    and weights dt/du, ordered as :func:`_gk15` sums them: c, c - x_0,
+    c + x_0, ..., c - x_6, c + x_6.  Every t is checked here to lie in
+    (0, 1), so integrands may take the nodes as already-validated
+    probabilities."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     us = [c]
@@ -215,14 +214,14 @@ def _panel_nodes(a: float, b: float) -> tuple[tuple[float, ...], tuple[float, ..
     ts, ws = _logistic_nodes(us)
     if not all(0.0 < t < 1.0 for t in ts):
         raise ValueError(f"GK15 panel [{a!r}, {b!r}] has a node outside (0, 1)")
-    return ts, ws
+    return a, b, ts, ws
 
 
-def _gk15(g, a: float, b: float) -> tuple[float, float]:
-    """Gauss-Kronrod 7/15 rule for g's values times dt/du on [a, b] in
-    u-space: (Kronrod value, |K15 - G7|).  ``g`` maps the panel's node tuple
-    to the 15 integrand values in the same order."""
-    ts, ws = _panel_nodes(a, b)
+def _gk15(g, panel: tuple) -> tuple[float, float]:
+    """Gauss-Kronrod 7/15 rule for g's values times dt/du on a panel
+    (a, b, ts, ws) of :func:`_panel`: (Kronrod value, |K15 - G7|).  ``g``
+    maps the node tuple ts to the 15 integrand values in the same order."""
+    a, b, ts, ws = panel
     # f0 at the centre c, then f(c - x_j), f(c + x_j) for j = 0..6, each
     # times dt/du; zip fails unless g gave exactly 15 values.
     f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = itertools.starmap(
@@ -298,22 +297,16 @@ def _wynn_limit(sums: list[float]) -> tuple[float, float]:
     return estimates[-1], spread
 
 
-def _tail_sum(panel, best, edge: float, direction: int) -> tuple[float, float]:
-    """Extrapolated integral beyond `edge` toward +/- infinity.
+def _tail_sum(panel, best, cells: range) -> tuple[float, float]:
+    """Extrapolated integral beyond an edge of the working window.
 
-    Integrates unit-width cells with ``panel`` marching away from the
-    working window and sums the (nearly geometric) sequence with Wynn
-    epsilon.  Raises QuadratureError, with ``best(value, error)`` as its
-    estimate, when the cells fail to decay, which signals a non-integrable
-    endpoint.
+    Integrates the unit-width tail cells ``cells``, by id, marching away
+    from the window, with ``panel`` and sums the (nearly geometric)
+    sequence with Wynn epsilon.  Raises QuadratureError, with
+    ``best(value, error)`` as its estimate, when the cells fail to decay,
+    which signals a non-integrable endpoint.
     """
-    cells = []
-    for m in range(_TAIL_CELLS):
-        a = edge + direction * m
-        b = edge + direction * (m + 1)
-        lo, hi = (a, b) if direction > 0 else (b, a)
-        vk, _ = panel(lo, hi)
-        cells.append(vk)
+    cells = [panel(i)[0] for i in cells]
     scale = max(abs(c) for c in cells)
     if scale == 0.0:
         return 0.0, 0.0
@@ -339,6 +332,131 @@ def _tail_sum(panel, best, edge: float, direction: int) -> tuple[float, float]:
     return limit, err
 
 
+# ---------------------------------------------------------------------------
+# The panel index
+#
+# Every integral starts from the same 9 seed panels and ends on the same 14
+# tail cells, and its bisections revisit a few dozen panels across the
+# integrals of the paper's grid.  So the panels are held by id, each with
+# its bounds, width, the ids of its halves once both are held, and its
+# nodes; the 9 seeds have ids 0-8, the 7 left tail cells 9-15 and the 7
+# right ones 16-22, outward.  An integral walks a copy of the index as it
+# stood when it started (a _Walk): a panel it visits that the index does
+# not hold gets a per-call id past the held ones.  Those panels join the
+# index only through add, once the integral has returned, so a failed one
+# lists nothing, and the index stops at _PANEL_CAP panels.
+# ---------------------------------------------------------------------------
+
+_SEED_BOUNDS = (_U_LEFT, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, _U_RIGHT)
+_SEEDS = range(9)
+_LEFT_TAIL = range(9, 9 + _TAIL_CELLS)
+_RIGHT_TAIL = range(9 + _TAIL_CELLS, 9 + 2 * _TAIL_CELLS)
+_FIXED = tuple(
+    [_panel(a, b) for a, b in zip(_SEED_BOUNDS[:-1], _SEED_BOUNDS[1:])]
+    + [_panel(_U_LEFT - (m + 1), _U_LEFT - m) for m in range(_TAIL_CELLS)]
+    + [_panel(_U_RIGHT + m, _U_RIGHT + (m + 1)) for m in range(_TAIL_CELLS)]
+)
+_PANEL_CAP = 256
+
+
+class _Walk:
+    """One integral's copy of the index: ``panels`` (a, b, ts, ws),
+    ``width`` b - a and ``kids``, the ids of the halves or None, by id;
+    ``listed`` panels were held when it started, with dt/du and half-widths
+    as the (listed, 15) and (listed,) arrays ``dtdu`` and ``half``, and
+    ``epoch`` names that state.  The panels from ``listed`` on are the
+    halves this integral made, in visit order, as (a, b) alone, so that an
+    integral that runs to its budget holds no nodes; ``parents`` holds
+    their parents' ids, one per pair."""
+
+    __slots__ = ("panels", "width", "kids", "listed", "dtdu", "half", "epoch", "parents")
+
+    def __init__(self, index: "_PanelIndex"):
+        self.panels = list(index.panels)
+        self.width = list(index.width)
+        self.kids = list(index.kids)
+        self.listed = len(self.panels)
+        self.dtdu, self.half, self.epoch = index.dtdu, index.half, index.epoch
+        self.parents: list[int] = []
+
+    def panel(self, i: int) -> tuple:
+        """Panel ``i`` as (a, b, ts, ws), a per-call one's nodes made anew."""
+        return self.panels[i] if i < self.listed else _panel(*self.panels[i])
+
+    def split(self, i: int) -> tuple[int, int]:
+        """Per-call ids for the halves of panel ``i``."""
+        a, b = self.panels[i][:2]
+        mid = 0.5 * (a + b)
+        self.parents.append(i)
+        first = len(self.panels)
+        for lo, hi in ((a, mid), (mid, b)):
+            self.panels.append((lo, hi))
+            self.width.append(hi - lo)
+            self.kids.append(None)
+        return first, first + 1
+
+
+class _PanelIndex:
+    """The panels held across integrals, by id; ``ids`` maps (a, b) to its
+    id.  ``cache_clear`` keeps only the fixed panels and starts a new
+    ``epoch``, so that tables kept by id elsewhere can tell.  Reads and
+    writes hold ``lock``, as integrals on other threads share the index."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.epoch = 0
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.epoch += 1
+            self.panels = list(_FIXED)
+            self.width = [b - a for a, b, _, _ in _FIXED]
+            self.kids: list = [None] * len(_FIXED)
+            self.ids = {panel[:2]: i for i, panel in enumerate(_FIXED)}
+            self.dtdu = np.array([panel[3] for panel in _FIXED])
+            self.half = np.array([0.5 * (b - a) for a, b, _, _ in _FIXED])
+
+    def walk(self) -> _Walk:
+        with self.lock:
+            return _Walk(self)
+
+    def add(self, walk: _Walk) -> None:
+        """List the panels ``walk`` made that the index does not hold, in
+        visit order, while it holds fewer than _PANEL_CAP, and point each
+        parent at its halves once both are held."""
+        if not walk.parents:
+            return
+        with self.lock:
+            if walk.epoch != self.epoch:
+                return
+            held = {}  # the walk's per-call ids -> the index's, where it holds them
+            new = []
+            for j, parent in enumerate(walk.parents):
+                pair = []
+                for i in (walk.listed + 2 * j, walk.listed + 2 * j + 1):
+                    bounds = walk.panels[i]
+                    k = self.ids.get(bounds)
+                    if k is None and len(self.panels) < _PANEL_CAP:
+                        k = self.ids[bounds] = len(self.panels)
+                        panel = _panel(*bounds)
+                        self.panels.append(panel)
+                        self.width.append(walk.width[i])
+                        self.kids.append(None)
+                        new.append(panel)
+                    held[i] = k
+                    pair.append(k)
+                parent = parent if parent < walk.listed else held[parent]
+                if parent is not None and None not in pair:
+                    self.kids[parent] = tuple(pair)
+            if new:
+                self.dtdu = np.concatenate((self.dtdu, [panel[3] for panel in new]))
+                self.half = np.concatenate((self.half, [0.5 * (b - a) for a, b, _, _ in new]))
+
+
+_index = _PanelIndex()
+
+
 def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integrate ``f`` over the open interval (0, 1) to absolute tolerance.
 
@@ -348,8 +466,8 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         Real integrand, finite on the open interval, called with one Python
         float t at a time.  Integrable endpoint singularities of the types
         ln t, ln(1 - t), ln(-ln t) and t**-alpha (alpha < 1) are supported.
-        Each t is a panel node computed and checked to lie in (0, 1) once
-        per distinct panel, in a bounded cache shared by all calls.
+        Each t is a panel node, checked to lie in (0, 1) when its panel was
+        made.
     abs_tol : float
         Target absolute tolerance; the returned ``error_estimate`` is an
         honest bound and may exceed ``abs_tol`` only together with an
@@ -358,72 +476,82 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         ``_MAX_EVALS``.
 
     Each panel is ruled by :func:`_gk15`, with ``f`` called at its nodes
-    in turn, inside the adaptive loop :func:`_integrate`.
+    in turn, inside the adaptive loop :func:`_integrate`.  The panels come
+    from the shared index; the ones it does not hold are made for this
+    call and dropped, so point integrands add nothing to it.
     """
-    return _integrate(functools.partial(_gk15, lambda ts: [f(t) for t in ts]), abs_tol)
+    walk = _index.walk()
+
+    def values(ts: tuple) -> list:
+        return [f(t) for t in ts]
+
+    def rule(i: int) -> tuple[float, float]:
+        return _gk15(values, walk.panel(i))
+
+    return _integrate(rule, abs_tol, walk)
 
 
-def _integrate(rule, abs_tol: float) -> QuadratureResult:
-    """The adaptive loop and the tails over a panel rule: ``rule(a, b)`` is
-    the GK15 (value, error) on [a, b] in u-space, called once for each panel
-    visited, in visit order, and counted as 15 evaluations."""
+def _integrate(rule, abs_tol: float, walk: _Walk) -> QuadratureResult:
+    """The adaptive loop and the tails over a panel rule: ``rule(i)`` is the
+    GK15 (value, error) of the panel with id ``i`` in ``walk``, called once
+    for each panel visited, in visit order, and counted as 15 evaluations."""
     abs_tol = _check_real(abs_tol, "abs_tol")
+    width, kids, split = walk.width, walk.kids, walk.split
+    isfinite = math.isfinite
 
     evals = 0
     final_value = 0.0  # settled cells
     final_error = 0.0
-    # the unsettled cells, and their errors apart, so that the builtins
-    # sum(errs) and errs.index(max(errs)) scan them in C
-    work: list[tuple[float, float, float]] = []  # (a, b, vk)
+    # the unsettled cells by id, with their values and errors apart, so
+    # that the builtins sum(errs) and errs.index(max(errs)) scan them in C
+    work: list[int] = []
+    vals: list[float] = []
     errs: list[float] = []
 
     def best(value: float, error: float) -> QuadratureResult:
         """Everything integrated so far plus (value, error)."""
-        return QuadratureResult(
-            final_value + value + sum(c[2] for c in work),
-            final_error + error + sum(errs),
-            evals,
+        return QuadratureResult(final_value + value + sum(vals), final_error + error + sum(errs), evals)
+
+    def fail(i: int):
+        """Panel i's value or error is not finite: fail at once, naming it."""
+        a, b = walk.panels[i][:2]
+        right = a >= 0.0  # t rounds to 1 there, so name 1 - t = sigma(-u)
+        lo, hi = _logistic_nodes((-b, -a) if right else (a, b))[0]
+        raise QuadratureError(
+            f"integrand non-finite for {'1 - t' if right else 't'} in [{lo:.6g}, {hi:.6g}]",
+            best=best(0.0, math.inf),
         )
 
-    def panel(a: float, b: float) -> tuple[float, float]:
-        """The rule on [a, b]; a non-finite value or error fails at once."""
+    def panel(i: int) -> tuple[float, float]:
+        """The rule on panel i; a non-finite value or error fails at once."""
         nonlocal evals
-        vk, err = rule(a, b)
+        vk, err = rule(i)
         evals += 15
-        if not (math.isfinite(vk) and math.isfinite(err)):
-            right = a >= 0.0  # t rounds to 1 there, so name 1 - t = sigma(-u)
-            lo, hi = _logistic_nodes((-b, -a) if right else (a, b))[0]
-            raise QuadratureError(
-                f"integrand non-finite for {'1 - t' if right else 't'} in [{lo:.6g}, {hi:.6g}]",
-                best=best(0.0, math.inf),
-            )
+        if not (isfinite(vk) and isfinite(err)):
+            fail(i)
         return vk, err
 
     # Seed the worklist with a handful of panels so the first refinement
     # pass already sees the broad structure of the transformed integrand.
-    seeds = [_U_LEFT, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, _U_RIGHT]
-    for a, b in zip(seeds[:-1], seeds[1:]):
-        vk, err = panel(a, b)
-        work.append((a, b, vk))
+    for i in _SEEDS:
+        vk, err = panel(i)
+        work.append(i)
+        vals.append(vk)
         errs.append(err)
 
     target = 0.3 * abs_tol
     exhausted = False
-
-    def _noise_floor(vk: float) -> float:
-        return 1e-16 * (1.0 + abs(vk))
-
     while True:
-        pending_error = sum(errs)
-        if final_error + pending_error <= target or not work:
+        if final_error + sum(errs) <= target or not work:
             break
         worst = errs.index(max(errs))  # the first cell of largest error
-        a, b, vk = work.pop(worst)
+        i = work.pop(worst)
+        vk = vals.pop(worst)
         err = errs.pop(worst)
         # A cell at most 1e-12 wide settles, so no bisection runs deeper than
         # 48 levels below the widest (200-wide) seed panel; only the
-        # evaluation budget needs a cap.
-        if err <= _noise_floor(vk) or (b - a) <= 1e-12:
+        # evaluation budget needs a cap.  1e-16 (1 + |vk|) is the noise floor.
+        if err <= 1e-16 * (1.0 + abs(vk)) or width[i] <= 1e-12:
             final_value += vk
             final_error += err
             continue
@@ -432,23 +560,27 @@ def _integrate(rule, abs_tol: float) -> QuadratureResult:
             final_value += vk
             final_error += err
             break
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            vk2, err2 = panel(lo, hi)
-            if err2 <= _noise_floor(vk2) or (hi - lo) <= 1e-12:
-                final_value += vk2
-                final_error += err2
+        for j in kids[i] or split(i):
+            vk, err = rule(j)  # panel(j), inline
+            evals += 15
+            if not (isfinite(vk) and isfinite(err)):
+                fail(j)
+            if err <= 1e-16 * (1.0 + abs(vk)) or width[j] <= 1e-12:
+                final_value += vk
+                final_error += err
             else:
-                work.append((lo, hi, vk2))
-                errs.append(err2)
+                work.append(j)
+                vals.append(vk)
+                errs.append(err)
 
     # Settle the window, then add each tail as it completes.
-    final_value += sum(c[2] for c in work)
+    final_value += sum(vals)
     final_error += sum(errs)
     work.clear()
+    vals.clear()
     errs.clear()
-    for edge, direction in ((_U_LEFT, -1), (_U_RIGHT, +1)):
-        tail, tail_error = _tail_sum(panel, best, edge, direction)
+    for cells in (_LEFT_TAIL, _RIGHT_TAIL):
+        tail, tail_error = _tail_sum(panel, best, cells)
         final_value += tail
         final_error += tail_error
     result = QuadratureResult(final_value, final_error, evals)
@@ -502,6 +634,27 @@ def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
     return McEstimate(est, se, samples, seed)
 
 
+def _entropy_estimate(n: int, t, profile, samples: int, seed: int) -> McEstimate:
+    """The mean of -ln f_max(X) = -(ln n + (n - 1) ln T + ln I(T))."""
+    with np.errstate(divide="ignore"):
+        summands = -(math.log(n) + (n - 1) * np.log(t) + np.log(profile))
+    return _mc_estimate(summands, "-ln f_max(X)", samples, seed)
+
+
+def _extropy_estimate(n: int, t, profile, samples: int, seed: int) -> McEstimate:
+    """The mean of -f_max(X)/2 = -(n/2) T^(n-1) I(T)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        summands = -0.5 * n * t ** (n - 1) * profile
+    return _mc_estimate(summands, "-f_max(X)/2", samples, seed)
+
+
+def _mc_pair(dist, n: int, samples: int, seed: int, name: str) -> tuple[McEstimate, McEstimate]:
+    """The estimates of :func:`mc_entropy_max` and :func:`mc_extropy_max`,
+    with their bits, from one draw."""
+    n, t, profile = _draw_profile(dist, n, samples, seed, name)
+    return _entropy_estimate(n, t, profile, samples, seed), _extropy_estimate(n, t, profile, samples, seed)
+
+
 def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
     """Plug-in Monte Carlo estimate of the entropy of the sample maximum.
 
@@ -511,9 +664,7 @@ def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEF
     by sqrt(samples).
     """
     n, t, profile = _draw_profile(dist, n, samples, seed, "mc_entropy_max")
-    with np.errstate(divide="ignore"):
-        summands = -(math.log(n) + (n - 1) * np.log(t) + np.log(profile))
-    return _mc_estimate(summands, "-ln f_max(X)", samples, seed)
+    return _entropy_estimate(n, t, profile, samples, seed)
 
 
 def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
@@ -523,9 +674,7 @@ def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEF
     ``-f_max(X)/2``.
     """
     n, t, profile = _draw_profile(dist, n, samples, seed, "mc_extropy_max")
-    with np.errstate(over="ignore", invalid="ignore"):
-        summands = -0.5 * n * t ** (n - 1) * profile
-    return _mc_estimate(summands, "-f_max(X)/2", samples, seed)
+    return _extropy_estimate(n, t, profile, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared pytest hooks: aggregate acceptance checks into one summary line each.
 
-Also the ``quadrature_caches`` fixture: a function that empties every cache
-the quadrature route keeps between calls, for tests that run it cold and
-warm.
+Also the ``quadrature_caches`` fixture: a function that empties the one
+cache the quadrature route keeps between calls, the panel index, for tests
+that run it cold and warm.
 
 Tests marked ``@pytest.mark.acceptance(num, label)`` are grouped by ``num``;
 after the run a single PASS/FAIL line is printed per group.  Expected
@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from extremal_info import measures, numerics
+from extremal_info import numerics
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -28,14 +28,9 @@ settings.load_profile("repeatable")
 
 @pytest.fixture
 def quadrature_caches():
-    """Empties the panel-node cache and the measures' panel list and factor
-    tables when called."""
-
-    def clear():
-        numerics._panel_nodes.cache_clear()
-        measures._tables.cache_clear()
-
-    return clear
+    """Empties the panel index when called; the measures' factor tables,
+    kept by panel id, start afresh at their next read."""
+    return numerics._index.cache_clear
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -129,6 +129,36 @@ def test_every_float_cell_is_its_percent_15g(values):
     assert _rendered(values) == ["%.15g" % x for x in values]
 
 
+# The JSON writer: rows as json.dumps(..., indent=2) writes the objects of
+# _json_value's cells, byte for byte.
+
+_JSON_CELLS = (
+    st.floats()
+    | st.floats(min_value=-2.3e-308, max_value=2.3e-308)  # subnormals and signed zeros
+    | st.builds(np.float64, st.floats())
+    | st.sampled_from([math.inf, -math.inf, math.nan, distributions.INDETERMINATE, True, False, None])
+    | st.integers(min_value=-(2**80), max_value=2**80)  # past int64
+    | st.text()
+)
+
+
+@given(
+    st.lists(st.text(), unique=True, max_size=6),
+    st.lists(st.lists(_JSON_CELLS, max_size=8), max_size=5),
+)
+@example(
+    ["h", 'q"uote', "back\\slash", "é", "\u2028", ""],
+    [
+        [-0.0, 0.0, 5e-324, -5e-324, math.inf, math.nan],
+        [distributions.INDETERMINATE, 2**64, -(2**70), True, None, 'say "x"\\ é ∞'],
+    ],
+)
+@example([], [[], [1.0]])
+def test_json_rows_are_json_dumps(header, rows):
+    payload = [{key: cli._json_value(value) for key, value in zip(header, row)} for row in rows]
+    assert cli._json_rows(header, rows) == json.dumps(payload, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------

@@ -402,6 +402,32 @@ class TestScaleLaws:
 # ---------------------------------------------------------------------------
 
 
+# ROADMAP item 17's 24 large-n integrals: each returns, and lists its panels.
+LARGE_N_MEMBERS = (d.exponential(1.0), d.logistic(1.0), d.pareto(1.0, 2.0), d.gev(0.5))
+LARGE_N = (10**3, 10**4, 10**5)
+
+
+def _assert_index_consistent():
+    """Every id the index holds names one panel, in order, with its width,
+    nodes and arrays, and each child pair is the two halves of its parent:
+    a lost update between threads would break one of these."""
+    index = numerics._index
+    assert len(index.panels) <= numerics._PANEL_CAP
+    assert index.panels[: len(numerics._FIXED)] == list(numerics._FIXED)
+    assert index.ids == {panel[:2]: i for i, panel in enumerate(index.panels)}
+    assert len(index.ids) == len(index.panels)  # no panel held twice
+    assert index.width == [b - a for a, b, _, _ in index.panels]
+    assert all(panel == numerics._panel(*panel[:2]) for panel in index.panels)
+    assert index.dtdu.tolist() == [list(panel[3]) for panel in index.panels]
+    assert index.half.tolist() == [0.5 * (b - a) for a, b, _, _ in index.panels]
+    assert len(index.kids) == len(index.panels)
+    for i, pair in enumerate(index.kids):
+        if pair is not None:
+            a, b = index.panels[i][:2]
+            mid = 0.5 * (a + b)
+            assert [index.panels[j][:2] for j in pair] == [(a, mid), (mid, b)]
+
+
 @pytest.fixture(scope="module")
 def table_grid():
     """The 300 quadrature integrals of crosscheck over catalog x TABLE_N, in
@@ -412,14 +438,15 @@ def table_grid():
     tag = {}
     routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
 
-    def recording(rule, abs_tol):
-        def visit(a, b):
-            # the kernel asks the rule once for every panel it visits
-            panels.add((a, b))
-            weights.add((tag["n"], tag["measure"], (a, b)))
-            return rule(a, b)
+    def recording(rule, abs_tol, walk):
+        def visit(i):
+            # the kernel asks the rule once for every panel it visits, by id
+            key = walk.panels[i][:2]
+            panels.add(key)
+            weights.add((tag["n"], tag["measure"], key))
+            return rule(i)
 
-        results.append(integrate(visit, abs_tol))
+        results.append(integrate(visit, abs_tol, walk))
         return results[-1]
 
     with pytest.MonkeyPatch.context() as m:
@@ -466,12 +493,12 @@ class TestAlternateRoutes:
         # profile and weight tables, filled from the family record on nodes
         # checked to lie in (0, 1); integrate_unit on the point integrand
         # of the public density_quantile must give the same bits, with the
-        # node, profile and weight caches all cold or all warm.
+        # panel index and the profile and weight tables all cold or all warm.
         integrate = numerics._integrate
         seen = []
 
-        def recording(rule, abs_tol):
-            seen.append(integrate(rule, abs_tol))
+        def recording(rule, abs_tol, walk):
+            seen.append(integrate(rule, abs_tol, walk))
             return seen[-1]
 
         def key(q):
@@ -505,23 +532,23 @@ class TestAlternateRoutes:
         assert (sum(evals), min(evals), max(evals)) == (169_680, 345, 705)
 
     def test_cache_sizes_cover_the_table_grid_working_sets(self, table_grid):
-        # Member-major, as tables and verify run: the tables must hold every
-        # panel, member and (n, measure) of the grid, so that a second sweep
-        # runs warm, and stay bounded past it.
+        # Member-major, as tables and verify run: the panel index and the
+        # tables must hold every panel, member and (n, measure) of the grid,
+        # so that a second sweep runs warm, and stay bounded past it.
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
         assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
-        assert (measures._ROW_CAP, measures._TABLE_CAP) == (256, 64)
-        assert table_grid["panels"] == 59 <= measures._ROW_CAP
+        assert (numerics._PANEL_CAP, measures._TABLE_CAP) == (256, 64)
+        assert table_grid["panels"] == 59 <= numerics._PANEL_CAP
         assert len(per_member) == 30
         assert len(per_member) + 2 * len(canonical.TABLE_N) <= measures._TABLE_CAP
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 17: the panel list keeps the first panels any returned integral visited",
+        reason="ROADMAP item 17: the panel index keeps the first panels any returned integral visited",
     )
     def test_the_grid_rules_only_its_own_panels_after_large_n_integrals(self, quadrature_caches):
-        # 24 large-n integrals that all return grow the list from the grid's
+        # 24 large-n integrals that all return grow the index from the grid's
         # 59 panels to 113, and every later integral rules all of them.
         quadrature_caches()
         routes = (measures.shannon_max, measures.extropy_max)
@@ -529,13 +556,13 @@ class TestAlternateRoutes:
             for n in canonical.TABLE_N:
                 for route in routes:
                     route(member, n, "quadrature")
-        assert len(measures._tables.panels) == 59
-        for member in (d.exponential(1.0), d.logistic(1.0), d.pareto(1.0, 2.0), d.gev(0.5)):
-            for n in (10**3, 10**4, 10**5):
+        assert len(numerics._index.panels) == 59
+        for member in LARGE_N_MEMBERS:
+            for n in LARGE_N:
                 for route in routes:
                     route(member, n, "quadrature")
         cell = canonical.catalog_members()[0], canonical.TABLE_N[0], "H"
-        assert len(measures._tables.known(*cell)) <= 59
+        assert len(measures._tables.rule_listed(*cell, numerics._index.walk())) <= 59
 
     def test_a_warm_second_sweep_of_the_table_grid_makes_no_scalar_rule_call(
         self, monkeypatch, quadrature_caches
@@ -554,20 +581,26 @@ class TestAlternateRoutes:
         assert calls == []
 
     def test_integrals_on_threads_share_the_tables(self, quadrature_caches):
-        # More threads than cores, switching often, fill the tables of two
-        # members and eight (n, measure) pairs from cold while reading them:
-        # every result must be the one-thread result.
+        # Two threads, and then more threads than cores, switching often,
+        # fill the panel index and the tables of two members and eight
+        # (n, measure) pairs from cold while reading them: every result must
+        # be the one-thread result, and the index must end as the serial
+        # sweep leaves it, up to the order of its ids.
         ns = (1, 2, 3, 5, 7, 10, 20, 50)
         cells = [(m, n) for m in canonical.catalog_members()[:2] for n in ns]
+        quadrature_caches()
         want = [measures.crosscheck(*cell) for cell in cells]
+        serial = set(numerics._index.ids)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(8):
+            for workers in (2, 2, 8, 8, 8, 8, 8, 8):
                 quadrature_caches()
-                with ThreadPoolExecutor(max_workers=8) as pool:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
                     got = pool.map(lambda cell: measures.crosscheck(*cell), cells * 2, timeout=120)
                     assert list(got) == want * 2
+                assert set(numerics._index.ids) == serial
+                _assert_index_consistent()
         finally:
             sys.setswitchinterval(interval)
 
@@ -581,10 +614,11 @@ class TestAlternateRoutes:
     ):
         # The profile overflows (power_function) or underflows (pareto), so
         # the member's table holds inf, and nan or -inf, factors.  A failed
-        # integral lists no panel, so the cold call rules every panel by the
-        # scalar rule; once one catalog integral has listed its panels, the
-        # warm calls read each of them from one numpy pass, which must fail
-        # as the cold call did and warn about nothing.
+        # integral lists no panel, so the cold call rules only the 23 fixed
+        # panels in one numpy pass and every other by the scalar rule; once
+        # one catalog integral has listed its panels, the warm calls read
+        # each of them from that pass, which must fail as the cold call did
+        # and warn about nothing.
         def outcome():
             with pytest.raises(numerics.QuadratureError) as excinfo:
                 getattr(measures, route)(member, n, "quadrature")
@@ -596,20 +630,22 @@ class TestAlternateRoutes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cold = outcome()
-            assert not measures._tables.panels
+            assert numerics._index.panels == list(numerics._FIXED)
             measures.crosscheck(canonical.catalog_members()[0], 2)
             assert [outcome(), outcome()] == [cold, cold]
-            known = measures._tables.known(member, n, measure)
+            walk = numerics._index.walk()
+            listed = measures._tables.rule_listed(member, n, measure, walk)
 
         def integrand(ts):
             values, logs = measures._profile_row(member, ts)
             weights = measures._weight_row(n, measure, ts)
             return map(operator.mul, weights, logs if measure == "H" else values)
 
-        got = {key: tuple(map(float.hex, rule)) for key, rule in known.items()}
-        want = {key: tuple(map(float.hex, numerics._gk15(integrand, *key))) for key in known}
+        assert len(listed) == walk.listed > len(numerics._FIXED)
+        got = [tuple(map(float.hex, rule)) for rule in listed]
+        want = [tuple(map(float.hex, numerics._gk15(integrand, walk.panels[i]))) for i in range(walk.listed)]
         assert got == want
-        assert not all(map(math.isfinite, (x for rule in known.values() for x in rule)))
+        assert not all(map(math.isfinite, (x for rule in listed for x in rule)))
 
     def test_capped_tables_give_the_same_bits(self, monkeypatch, quadrature_caches):
         # One member visits more panels than the panel list may hold, and
@@ -636,14 +672,14 @@ class TestAlternateRoutes:
         quadrature_caches()
         want = [outcome(*case) for case in cases]
         assert any(len(w) == 3 for w in want)
-        monkeypatch.setattr(measures, "_ROW_CAP", 24)
+        monkeypatch.setattr(numerics, "_PANEL_CAP", 24)
         monkeypatch.setattr(measures, "_TABLE_CAP", 1)
         quadrature_caches()
-        tables = measures._tables
+        index = numerics._index
         for _ in ("cold", "warm"):
             assert [outcome(*case) for case in cases] == want
-            assert len(tables.panels) == 24 and tables.dtdu.shape == (24, 15)
-            assert len(tables.factors) == 1
+            assert len(index.panels) == 24 and index.dtdu.shape == (24, 15)
+            assert len(measures._tables.factors) == 1
 
     def test_no_result_depends_on_call_history(self, quadrature_caches):
         # A member's factor table has a row for every listed panel, also for
@@ -730,8 +766,7 @@ class TestAlternateRoutes:
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
         values, _logs = measures._tables.factors[member]
-        first_panel = list(measures._tables.panels).index((-392.0, -192.0))
-        assert math.inf in values[first_panel]
+        assert math.inf in values[numerics._index.ids[-392.0, -192.0]]
 
     @pytest.mark.parametrize(
         "member, closed, place",
@@ -919,28 +954,49 @@ def test_a_failed_integral_gives_its_best_in_the_units_of_the_value(route, membe
 def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadrature_caches):
     # A failed integral lists none of the panels it visited: with a budget
     # of 3000 evaluations, gev(-1.9) J at n = 1 visits more than 200 panels
-    # and fails, and the panel list, its arrays and every factor table read
+    # and fails, and the panel index, its arrays and every factor table read
     # before it stay as they were, so the integrals after it do not slow
-    # down, and the next catalog integral keeps its bits.
+    # down, and the next catalog integral keeps its bits.  Point integrands
+    # read the index but list nothing, so integrate_unit neither adds to it
+    # nor evicts what the measures rule in their numpy pass.
     members = canonical.catalog_members()
     quadrature_caches()
     want = measures.extropy_max(members[1], 50, "quadrature")
     quadrature_caches()
     measures.crosscheck(members[0], 2)
-    tables = measures._tables
 
     def state():
-        factors = {key: table.tobytes() for key, table in tables.factors.items()}
-        return list(tables.panels), tables.dtdu.tobytes(), tables.half.tobytes(), factors
+        index = numerics._index
+        held = list(index.panels), list(index.kids), dict(index.ids), index.dtdu.tobytes(), index.half.tobytes()
+        return held, {key: table.tobytes() for key, table in measures._tables.factors.items()}
 
     before = state()
-    monkeypatch.setattr(numerics, "_MAX_EVALS", 3000)
-    with pytest.raises(numerics.QuadratureError, match=r"^evaluation budget exhausted"):
-        measures.extropy_max(d.gev(-1.9), 1, "quadrature")
-    panels, dtdu, half, factors = state()
-    assert (panels, dtdu, half) == before[:3]
-    assert {key: factors[key] for key in before[3]} == before[3]
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_MAX_EVALS", 3000)
+        with pytest.raises(numerics.QuadratureError, match=r"^evaluation budget exhausted"):
+            measures.extropy_max(d.gev(-1.9), 1, "quadrature")
+    after = state()
+    assert after[0] == before[0]
+    assert {key: after[1][key] for key in before[1]} == before[1]
+    for f in (math.log, lambda t: t**-0.5, lambda t: math.log1p(-t), lambda t: math.log(-math.log(t))):
+        numerics.integrate_unit(f, 1e-12)
+    assert state() == after
     assert measures.extropy_max(members[1], 50, "quadrature") == want
+    _assert_index_consistent()
+
+    # the 24 large-n integrals all return and list their panels, within the cap
+    for member in LARGE_N_MEMBERS:
+        for n in LARGE_N:
+            measures.crosscheck(member, n)
+    assert len(before[0][0]) < len(numerics._index.panels) <= numerics._PANEL_CAP
+    _assert_index_consistent()
+    monkeypatch.setattr(numerics, "_PANEL_CAP", 64)
+    quadrature_caches()
+    for member in LARGE_N_MEMBERS:
+        for n in LARGE_N:
+            measures.crosscheck(member, n)
+    assert len(numerics._index.panels) == 64
+    _assert_index_consistent()
 
 
 # ---------------------------------------------------------------------------

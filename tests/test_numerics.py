@@ -162,7 +162,8 @@ class TestPanelNodes:
         us = [c]
         for x in numerics._XGK[:7]:
             us += [c - h * x, c + h * x]
-        assert numerics._panel_nodes(a, b) == numerics._logistic_nodes(us)
+        panel = numerics._index.panels[numerics._index.ids[a, b]]
+        assert panel == (a, b, *numerics._logistic_nodes(us)) == numerics._panel(a, b)
 
     def test_logistic_nodes_are_the_logistic_map_and_its_derivative(self):
         us = [-399.5, -100.0, -7.25, -1e-3, 0.0, 1e-3, 3.5, 21.0, 28.5]
@@ -176,10 +177,22 @@ class TestPanelNodes:
     def test_rejects_panel_with_a_node_rounding_to_one(self):
         # sigma(u) rounds to 1.0 for u above ~37
         with pytest.raises(ValueError, match="outside"):
-            numerics._panel_nodes(30.0, 40.0)
+            numerics._panel(30.0, 40.0)
 
-    def test_cache_is_bounded(self):
-        assert numerics._panel_nodes.cache_info().maxsize == 256
+    def test_the_seeds_and_tail_cells_have_fixed_ids(self, quadrature_caches):
+        # ids 0-8 are the seed panels, 9-15 the left tail cells and 16-22
+        # the right ones, outward, and a cleared index holds only them
+        seeds = [-392.0, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, 22.0]
+        bounds = list(zip(seeds[:-1], seeds[1:]))
+        bounds += [(-392.0 - m - 1, -392.0 - m) for m in range(7)]
+        bounds += [(22.0 + m, 22.0 + m + 1) for m in range(7)]
+        quadrature_caches()
+        index = numerics._index
+        assert [panel[:2] for panel in index.panels] == bounds
+        assert index.ids == {key: i for i, key in enumerate(bounds)}
+        assert index.kids == [None] * 23
+        fixed = (numerics._SEEDS, numerics._LEFT_TAIL, numerics._RIGHT_TAIL)
+        assert fixed == (range(9), range(9, 16), range(16, 23))
 
 
 class TestGk15Rows:
@@ -190,18 +203,17 @@ class TestGk15Rows:
         math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
         1e308, -1e308, 1.7976931348623157e308, 1e-300, 1.0, -1.0,
     ]
-    PANELS = [
-        (-392.0, -192.0), (-17.0, -7.0), (-3.5, -3.25), (0.0, 7.0), (14.0, 22.0), (22.0, 23.0),
-    ]
+    # seed panels and a tail cell by their fixed ids, and a panel of its own
+    PANELS = [numerics._FIXED[i] for i in (0, 4, 6, 8, 16)] + [numerics._panel(-3.5, -3.25)]
 
     @staticmethod
-    def scalar(w, v, key):
-        return numerics._gk15(lambda ts: map(operator.mul, w, v), *key)
+    def scalar(w, v, panel):
+        return numerics._gk15(lambda ts: map(operator.mul, w, v), panel)
 
     def test_each_row_has_the_bits_of_the_scalar_rule(self):
         rng = np.random.default_rng(20240)
         k = 600
-        keys = [self.PANELS[i % len(self.PANELS)] for i in range(k)]
+        panels = [self.PANELS[i % len(self.PANELS)] for i in range(k)]
 
         def factors():
             pick = rng.random((k, 15))
@@ -211,8 +223,8 @@ class TestGk15Rows:
             return np.where(pick < 0.3, special, np.where(pick < 0.6, bits, scaled))
 
         w, v = factors(), factors()
-        dtdu = np.array([numerics._panel_nodes(*key)[1] for key in keys])
-        half = np.array([0.5 * (b - a) for a, b in keys])
+        dtdu = np.array([panel[3] for panel in panels])
+        half = np.array([0.5 * (b - a) for a, b, _, _ in panels])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = numerics._gk15_rows(w, v, dtdu, half)
@@ -220,8 +232,8 @@ class TestGk15Rows:
             single = [numerics._gk15_rows(w[i], v[i], dtdu[i], half[i]) for i in one]
         got = [(vk.hex(), err.hex()) for vk, err in zip(*(a.tolist() for a in rows))]
         want = [
-            tuple(map(float.hex, self.scalar(w[i].tolist(), v[i].tolist(), key)))
-            for i, key in enumerate(keys)
+            tuple(map(float.hex, self.scalar(w[i].tolist(), v[i].tolist(), panel)))
+            for i, panel in enumerate(panels)
         ]
         assert got == want
         assert [(vk.item().hex(), err.item().hex()) for vk, err in single] == want[::7]
@@ -234,7 +246,8 @@ class TestIntegratePanels:
 
     @staticmethod
     def integrate(g, abs_tol=numerics.DEFAULT_QUAD_TOL):
-        return numerics._integrate(functools.partial(numerics._gk15, g), abs_tol)
+        walk = numerics._index.walk()
+        return numerics._integrate(lambda i: numerics._gk15(g, walk.panel(i)), abs_tol, walk)
 
     def test_integrand_gets_each_panel_as_a_node_tuple(self):
         panels = []
@@ -249,23 +262,32 @@ class TestIntegratePanels:
         assert all(type(ts) is tuple and len(ts) == 15 for ts in panels)
         assert all(0.0 < t < 1.0 for ts in panels for t in ts)
 
-    def test_the_kernel_asks_the_rule_once_per_panel_in_visit_order(self):
+    def test_the_kernel_asks_the_rule_once_per_panel_in_visit_order(self, quadrature_caches):
         g = lambda ts: map(math.sqrt, ts)
         asked, seen = [], []
+        quadrature_caches()
+        walk = numerics._index.walk()
 
-        def rule(a, b):
-            asked.append((a, b))
-            return numerics._gk15(g, a, b)
+        def rule(i):
+            asked.append(i)
+            return numerics._gk15(g, walk.panel(i))
 
-        first = numerics._integrate(rule, 1e-10)
+        first = numerics._integrate(rule, 1e-10, walk)
         assert first == self.integrate(lambda ts: seen.append(ts) or g(ts), 1e-10)
         assert first.evaluations == 15 * len(asked) == 15 * len(set(asked))
+        # the seeds first, then halves with per-call ids in visit order, the
+        # tail cells last
+        assert asked[:9] == list(numerics._SEEDS) and asked[-14:] == list(range(9, 23))
+        assert asked[9:-14] == list(range(23, 23 + len(asked) - 23))
+        assert walk.listed == 23 and len(walk.panels) == len(asked)
         # _gk15 hands g the panels the rule was asked for, in order
-        assert seen == [numerics._panel_nodes(*key)[0] for key in asked]
+        assert seen == [walk.panel(i)[2] for i in asked]
         # the same answers in the same order give the same result, no integrand needed
-        answers, replay = iter([numerics._gk15(g, *key) for key in asked]), []
-        assert numerics._integrate(lambda a, b: replay.append((a, b)) or next(answers), 1e-10) == first
+        answers, replay = iter([numerics._gk15(g, walk.panel(i)) for i in asked]), []
+        again = numerics._index.walk()
+        assert numerics._integrate(lambda i: replay.append(i) or next(answers), 1e-10, again) == first
         assert replay == asked
+        assert again.panels == walk.panels
 
     def test_rejects_a_panel_of_the_wrong_length(self):
         for wrong in (lambda ts: ts[:-1], lambda ts: ts + ts[:1]):
@@ -501,6 +523,17 @@ class TestMcEstimators:
         dist = distributions.exponential(1.0)
         a = numerics.mc_entropy_max(dist, 2, samples=200, seed=np.uint32(7))
         assert a == numerics.mc_entropy_max(dist, 2, samples=200, seed=7)
+
+    @pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
+    def test_one_draw_gives_both_estimators_bits(self, member):
+        # verify's Monte Carlo group takes H and J from one draw per seed
+        def bits(est):
+            return est.estimate.hex(), est.std_error.hex(), est.samples, est.seed
+
+        for n, seed in ((1, 0), (5, 451)):
+            h, j = numerics._mc_pair(member, n, 2000, seed, "test")
+            assert bits(h) == bits(numerics.mc_entropy_max(member, n, samples=2000, seed=seed))
+            assert bits(j) == bits(numerics.mc_extropy_max(member, n, samples=2000, seed=seed))
 
     def test_determinism(self):
         dist = distributions.logistic(2.0)
