@@ -382,10 +382,10 @@ _TABLES_HEADER = (
 
 
 def cmd_measure(args, out) -> int:
-    route = dict(quad_tol=args.tol, samples=args.samples, seed=args.seed)
     dist = dist_mod.from_dict(args.dist)
-    h = measures.shannon_max(dist, args.n, args.method, **route)
-    j = measures.extropy_max(dist, args.n, args.method, **route)
+    # both measures at once: the quadrature takes them from one cell
+    cells = measures._both(dist, args.n, *measures._route(args.method, args.tol), args.samples, args.seed)
+    h, j = (measures.MeasureValue(*cell) for cell in cells)
     header = ["family", "params", "n", "H", "J", "method", "error_estimate", "h_error", "j_error"]
     rows = [
         [

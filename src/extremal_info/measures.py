@@ -31,6 +31,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -122,43 +123,47 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 #     H:  n y^(n-1)            x  ln I(y)
 #     J:  -(n^2/2) t^(2n-2)    x  I(t)
 #
-# The weights depend only on (n, measure), the profile factors only on the
-# member, and the integrals of the paper's grid revisit a few dozen panels,
-# which numerics' panel index holds by id.  So the route keeps factor
-# tables with one row per panel of the index, in id order: per
-# (n, measure) the weights, each by pow, and per member I and ln I, from
-# the family record through float() as the public density_quantile does
-# (an I that underflowed to 0 has ln I = -inf, so an H panel fails as
-# non-finite instead of in math.log).  A table read while shorter than the
-# integral's copy of the index is first extended to it, so a member's
-# profile is also taken on panels only other members visited; as a family
-# record's density_quantile is defined and silent on all of (0, 1), each
-# row is the one the member's own integrand would give.
+# The weights depend only on n, the profile factors only on the member,
+# and the integrals of the paper's grid revisit a few dozen panels, which
+# numerics' panel index holds by id.  So the route keeps factor tables
+# with one row per panel of the index, in id order, each holding both
+# measures' factors, H's first: per n the two weights, each by pow, and per
+# member ln I and I, from the family record through float() as the public
+# density_quantile does (an I that underflowed to 0 has ln I = -inf, so an
+# H panel fails as non-finite instead of in math.log).  A table read while
+# shorter than the walk's copy of the index is first extended to it, so a
+# member's profile is also taken on panels only other members visited; as
+# a family record's density_quantile is defined and silent on all of
+# (0, 1), each row is the one the member's own integrand would give.
 #
-# Each integral rules every panel the index held when it started in one
-# numpy pass of numerics._gk15_rows, and its panel rule reads a held
-# panel's (value, error) from that pass by id.  Any other panel goes
-# through the scalar integrand and numerics._gk15; the panels it visited
-# join the index once the integral has returned, so a failed one lists
-# nothing.  Every value is the same product of the same floats as the point
-# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
-# route gives the same bits.
+# The unit of work is the (member, n) cell: _quadrature takes one walk of
+# the index, reads the cell's two tables once and rules every panel the
+# index held when it started, for each requested measure, in one numpy
+# pass of numerics._gk15_rows.  It then runs the adaptive loop once per
+# measure, H first, on that walk, with a panel rule that reads a held
+# panel's (value, error) from the pass by id.  Any other panel goes through
+# the scalar integrand and numerics._gk15; the panels the cell visited join
+# the index once every integral of it has returned, so a failed cell lists
+# nothing.  Every value is the same product of the same floats as the
+# point integrand on the public API, and _gk15_rows sums as _gk15 does, so
+# every route gives the same bits, one measure or both.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
-# index holds 59 panels, the 23 fixed ones among them, and 40 tables are
-# read, well inside the caps: the index stops at numerics._PANEL_CAP
-# panels, past which new panels stay on the scalar path, and only the
-# _TABLE_CAP tables read last are kept.
+# index holds 59 panels, the 23 fixed ones among them, and 35 tables are
+# read (30 members and 5 n), well inside the caps: the index stops at
+# numerics._PANEL_CAP panels, past which new panels stay on the scalar
+# path, and only the _TABLE_CAP tables read last are kept.
 # ---------------------------------------------------------------------------
 
 _TABLE_CAP = 64
+_MEASURES = "HJ"  # the order of the rows of every factor table
 
 
 def _profile_row(dist, ts: tuple) -> tuple[tuple, tuple]:
-    """(I(t), ln I(t)) at each node of one panel; ln 0 is -inf."""
+    """(ln I(t), I(t)) at each node of one panel; ln 0 is -inf."""
     profile = dist_mod.REGISTRY[dist.family].density_quantile
     values = tuple(map(float, map(profile, repeat(dist), ts)))
-    return values, tuple(math.log(i) if i else -math.inf for i in values)
+    return tuple(math.log(i) if i else -math.inf for i in values), values
 
 
 def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
@@ -168,6 +173,11 @@ def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
     else:
         factor, power = -(0.5 * n * n), 2 * n - 2
     return tuple(map(operator.mul, repeat(factor), map(pow, ts, repeat(power))))
+
+
+def _weight_rows(n: int, ts: tuple) -> tuple[tuple, tuple]:
+    """H's and J's weights at each node of one panel."""
+    return tuple(_weight_row(n, measure, ts) for measure in _MEASURES)
 
 
 class _Tables:
@@ -180,11 +190,11 @@ class _Tables:
     def __init__(self):
         self.lock = threading.Lock()
         self.epoch = None
-        self.factors: dict = {}  # (n, measure) or member -> (k, P, 15) table
+        self.factors: dict = {}  # n or member -> (2, P, 15) table
 
     def _read(self, key, rows, walk: numerics._Walk) -> np.ndarray:
-        """Factor table ``key``, the k factors ``rows(ts)`` gives at the
-        nodes of each panel the walk found listed as a (k, P, 15) array,
+        """Factor table ``key``, the two factors ``rows(ts)`` gives at the
+        nodes of each panel the walk found listed as a (2, P, 15) array,
         extended to them if shorter, as the most recently read table; the
         least recently read go past _TABLE_CAP."""
         table = self.factors.pop(key, None)
@@ -197,30 +207,47 @@ class _Tables:
         self.factors[key] = table
         return table[:, : walk.listed]
 
-    def rule_listed(self, dist, n: int, measure: str, walk: numerics._Walk) -> list:
-        """The (value, error) of the (n, measure) integrand of ``dist`` on
-        each panel the walk found listed, by id, in one numpy pass."""
+    def cell(self, dist, n: int, walk: numerics._Walk) -> tuple[np.ndarray, np.ndarray]:
+        """The weight table of n and the profile table of ``dist``, each
+        (2, P, 15) over the panels the walk found listed."""
         with self.lock:
             if self.epoch != walk.epoch:
                 self.factors.clear()
                 self.epoch = walk.epoch
-            (weights,) = self._read((n, measure), lambda ts: (_weight_row(n, measure, ts),), walk)
-            values, logs = self._read(dist, lambda ts: _profile_row(dist, ts), walk)
-        vk, err = numerics._gk15_rows(weights, logs if measure == "H" else values, walk.dtdu, walk.half)
-        return list(zip(vk.tolist(), err.tolist()))
+            weights = self._read(n, partial(_weight_rows, n), walk)
+            profile = self._read(dist, partial(_profile_row, dist), walk)
+        return weights, profile
 
 
 _tables = _Tables()
 
 
-def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
-    """The (n, measure) integral of ``dist`` through the tables."""
+def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.QuadratureResult]:
+    """The quadrature of each measure in ``measures`` -- "H", "J" or "HJ" --
+    of the maximum of n draws from ``dist``, in that order, as results in
+    the measure's own units: one walk, one read of the cell's tables and
+    one numpy pass for them all.  The first integral that fails raises, with
+    its best estimate in its measure's units, and the cell lists no panel."""
     walk = numerics._index.walk()
-    pairs = _tables.rule_listed(dist, n, measure, walk)
+    rows = slice(_MEASURES.index(measures[0]), _MEASURES.index(measures[-1]) + 1)
+    weights, profile = _tables.cell(dist, n, walk)
+    vk, err = numerics._gk15_rows(weights[rows], profile[rows], walk.dtdu, walk.half)
+    results = [
+        _integral(dist, n, measure, list(zip(vks, errs)), tol, walk)
+        for measure, vks, errs in zip(measures, vk.tolist(), err.tolist())
+    ]
+    numerics._index.add(walk)
+    return results
+
+
+def _integral(dist, n: int, measure: str, pairs: list, tol: float, walk: numerics._Walk):
+    """One measure's integral on the cell's walk, ``pairs`` holding the
+    (value, error) of each listed panel by id; H leaves as 1 - ln n - 1/n
+    less the integral, its best estimate too if it fails."""
+    row = _MEASURES.index(measure)
 
     def integrand(ts: tuple):
-        values, logs = _profile_row(dist, ts)
-        return map(operator.mul, _weight_row(n, measure, ts), logs if measure == "H" else values)
+        return map(operator.mul, _weight_row(n, measure, ts), _profile_row(dist, ts)[row])
 
     def rule(i: int) -> tuple[float, float]:
         try:
@@ -228,9 +255,17 @@ def _quad(dist, n: int, measure: str, tol: float) -> numerics.QuadratureResult:
         except IndexError:  # a panel the index did not hold
             return numerics._gk15(integrand, walk.panel(i))
 
-    result = numerics._integrate(rule, tol, walk)
-    numerics._index.add(walk)
-    return result
+    if measure == "J":
+        return numerics._integrate(rule, tol, walk)
+    shift = 1.0 - math.log(n) - 1.0 / n
+    try:
+        q = numerics._integrate(rule, tol, walk)
+    except numerics.QuadratureError as exc:
+        best = exc.best
+        if best is not None:
+            exc.best = numerics.QuadratureResult(shift - best.value, best.error_estimate, best.evaluations)
+        raise
+    return numerics.QuadratureResult(shift - q.value, q.error_estimate, q.evaluations)
 
 
 # The routes: cores that take checked arguments and a canonical method and
@@ -247,15 +282,8 @@ def _shannon(
     if method == "closed_form":
         return dist_mod.REGISTRY[dist.family].shannon(dist, n), method, 0.0
     if method == "quadrature":
-        shift = 1.0 - math.log(n) - 1.0 / n
-        try:
-            q = _quad(dist, n, "H", quad_tol)
-        except numerics.QuadratureError as exc:
-            best = exc.best
-            if best is not None:
-                exc.best = numerics.QuadratureResult(shift - best.value, best.error_estimate, best.evaluations)
-            raise
-        return shift - q.value, method, q.error_estimate
+        (q,) = _quadrature(dist, n, "H", quad_tol)
+        return q.value, method, q.error_estimate
     est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
     return est.estimate, method, est.std_error
 
@@ -267,10 +295,21 @@ def _extropy(
     if method == "closed_form":
         return dist_mod.REGISTRY[dist.family].extropy(dist, n), method, 0.0
     if method == "quadrature":
-        q = _quad(dist, n, "J", quad_tol)
+        (q,) = _quadrature(dist, n, "J", quad_tol)
         return q.value, method, q.error_estimate
     est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
     return est.estimate, method, est.std_error
+
+
+def _both(
+    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> tuple[tuple, tuple]:
+    """H and J of the maximum of n draws by ``method``, each as (value,
+    method, error); the quadrature takes both from one cell."""
+    if method == "quadrature":
+        return tuple((q.value, method, q.error_estimate) for q in _quadrature(dist, n, "HJ", quad_tol))
+    route = method, quad_tol, samples, seed
+    return _shannon(dist, n, *route), _extropy(dist, n, *route)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +399,18 @@ def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:
     """Closed form vs quadrature for both measures, with absolute gaps.
 
     Returns a dict with keys h_closed, h_quad, h_gap, j_closed, j_quad,
-    j_gap.  Used by the table reproduction command and the verification
-    suite.
+    j_gap.  Both closed forms are taken first, then both quadratures from
+    one (member, n) cell, H first, so a failing H integral raises as
+    :func:`shannon_max` does, before J's runs.  The ``tables`` command
+    builds its rows from it; the verification suite checks the same
+    agreement on the same cells in
+    :func:`extremal_info.verify.closed_vs_quadrature`.
     """
     n = _check_index(n, "crosscheck")
     quad_tol = _check_real(quad_tol, "quad_tol")
     h_closed = _shannon(dist, n, "closed_form", quad_tol)[0]
-    h_quad = _shannon(dist, n, "quadrature", quad_tol)[0]
     j_closed = _extropy(dist, n, "closed_form", quad_tol)[0]
-    j_quad = _extropy(dist, n, "quadrature", quad_tol)[0]
+    h_quad, j_quad = (q.value for q in _quadrature(dist, n, "HJ", quad_tol))
     return {
         "h_closed": h_closed,
         "h_quad": h_quad,

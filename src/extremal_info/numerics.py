@@ -24,15 +24,16 @@ order; a panel the index does not hold gets a per-call id, and joins the
 index only if the caller lists it once the integral has returned.
 :func:`integrate_unit` is that loop over the scalar rule :func:`_gk15` of
 a point integrand called once per node, and lists nothing.  A caller that
-integrates many integrands over the same panels can rule them all at
-once -- :func:`_gk15_rows` applies the GK15 rule to a stack of panels in
-one numpy pass, with the bits of the scalar rule -- and hand
-:func:`_integrate` a rule that reads those pairs by id, so the adaptive
-loop, the tails and the result stay the same.  A panel whose value or
-error is not finite (the integrand overflowed or returned nan) fails at
-once with the panel's place in the message -- its t-interval, or its
-(1 - t)-interval right of u = 0, where t rounds to 1 -- instead of
-spending the evaluation budget on an error that can never shrink.
+integrates several integrands over the same panels can rule them all at
+once -- :func:`_gk15_rows` applies the GK15 rule to a stack of panels, for
+one or more integrands, in one numpy pass, with the bits of the scalar
+rule -- and hand :func:`_integrate` a rule per integrand that reads those
+pairs by id, so the adaptive loop, the tails and the result stay the
+same.  A panel whose value or error is not finite (the integrand
+overflowed or returned nan) fails at once with the panel's place in the
+message -- its t-interval, or its (1 - t)-interval right of u = 0, where t
+rounds to 1 -- instead of spending the evaluation budget on an error that
+can never shrink.
 
 Monte Carlo
 -----------
@@ -243,25 +244,29 @@ _GAUSS = np.array([_WG[3], *_WG[:3]])[:, None]
 
 
 def _gk15_rows(w, v, dtdu, half) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gk15` on k panels at once, bit for bit, for an integrand that
-    is a product w x v.
+    """:func:`_gk15` on P panels at once, bit for bit, for an integrand that
+    is a product w x v, for one or more integrands.
 
-    Row i of the (k, 15) arrays ``w``, ``v`` and ``dtdu`` holds panel i's
-    factors and dt/du at its nodes in the order :func:`_gk15` sums them, and
-    ``half[i]`` its half-width 0.5 (b - a).  Every element goes through the
-    IEEE operations of :func:`_gk15` in the same order -- (w v) dt/du, the
-    pair sums, then each rule summed left to right, as ``add.accumulate``
-    defines its running sum -- so row i has the scalar rule's bits on that
-    panel, inf and nan included, and no floating-point warning is raised.
-    Returns the arrays of Kronrod values and |K15 - G7|.
+    Row i of the (P, 15) array ``dtdu`` holds panel i's dt/du at its nodes
+    in the order :func:`_gk15` sums them, and ``half[i]`` its half-width
+    0.5 (b - a); ``w`` and ``v`` hold the factors at those nodes, as a
+    (P, 15) array or a stack of them, (k, P, 15) for k integrands.  Every
+    element goes through the IEEE operations of :func:`_gk15` in the same
+    order -- (w v) dt/du, the pair sums, then each rule summed left to right,
+    as ``add.accumulate`` defines its running sum -- so each row has the
+    scalar rule's bits on its panel, inf and nan included, and no
+    floating-point warning is raised.  Returns the arrays, shaped as ``w``
+    less its node axis, of Kronrod values and |K15 - G7|.
     """
     with np.errstate(all="ignore"):
-        f = (w * v * dtdu).T
-        terms = np.empty((8, len(half)))
+        f = w * v * dtdu
+        shape = f.shape[:-1]
+        f = f.reshape(-1, 15).T
+        terms = np.empty((8, f.shape[1]))
         terms[0] = f[0]
         np.add(f[1::2], f[2::2], out=terms[1:])  # the pairs f(c - x_j) + f(c + x_j)
-        resk = np.add.accumulate(_KRONROD * terms)[-1]
-        resg = np.add.accumulate(_GAUSS * terms[0::2])[-1]
+        resk = np.add.accumulate(_KRONROD * terms)[-1].reshape(shape)
+        resg = np.add.accumulate(_GAUSS * terms[0::2])[-1].reshape(shape)
         return half * resk, np.abs(half * (resk - resg))
 
 
@@ -360,14 +365,15 @@ _PANEL_CAP = 256
 
 
 class _Walk:
-    """One integral's copy of the index: ``panels`` (a, b, ts, ws),
-    ``width`` b - a and ``kids``, the ids of the halves or None, by id;
-    ``listed`` panels were held when it started, with dt/du and half-widths
-    as the (listed, 15) and (listed,) arrays ``dtdu`` and ``half``, and
-    ``epoch`` names that state.  The panels from ``listed`` on are the
-    halves this integral made, in visit order, as (a, b) alone, so that an
-    integral that runs to its budget holds no nodes; ``parents`` holds
-    their parents' ids, one per pair."""
+    """The copy of the index that one integral, or the integrals of one
+    (member, n) cell in turn, walk: ``panels`` (a, b, ts, ws), ``width``
+    b - a and ``kids``, the ids of the halves or None, by id; ``listed``
+    panels were held when it started, with dt/du and half-widths as the
+    (listed, 15) and (listed,) arrays ``dtdu`` and ``half``, and ``epoch``
+    names that state.  The panels from ``listed`` on are the halves its
+    integrals made, in visit order, each panel split at most once, as
+    (a, b) alone, so that an integral that runs to its budget holds no
+    nodes; ``parents`` holds their parents' ids, one per pair."""
 
     __slots__ = ("panels", "width", "kids", "listed", "dtdu", "half", "epoch", "parents")
 
@@ -384,7 +390,8 @@ class _Walk:
         return self.panels[i] if i < self.listed else _panel(*self.panels[i])
 
     def split(self, i: int) -> tuple[int, int]:
-        """Per-call ids for the halves of panel ``i``."""
+        """Per-call ids for the halves of panel ``i``, which later integrals
+        on this walk find as its kids."""
         a, b = self.panels[i][:2]
         mid = 0.5 * (a + b)
         self.parents.append(i)
@@ -393,6 +400,7 @@ class _Walk:
             self.panels.append((lo, hi))
             self.width.append(hi - lo)
             self.kids.append(None)
+        self.kids[i] = first, first + 1
         return first, first + 1
 
 

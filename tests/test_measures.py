@@ -7,6 +7,8 @@ scale laws, and degenerate cases are exercised for every family.
 
 import dataclasses
 import inspect
+import io
+import json
 import math
 import operator
 import re
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from extremal_info import bounds, canonical, distributions as d, evt, measures, numerics, special
+from extremal_info import bounds, canonical, cli, distributions as d, evt, measures, numerics, special
 
 GAMMA = np.euler_gamma
 
@@ -432,31 +434,35 @@ def _assert_index_consistent():
 def table_grid():
     """The 300 quadrature integrals of crosscheck over catalog x TABLE_N, in
     table order: their results, each member's distinct panels, the distinct
-    panels of the grid and the distinct (n, measure, panel) weights."""
+    panels of the grid, the distinct (n, panel) weight rows and the keys of
+    the factor tables read."""
     integrate = numerics._integrate
-    results, weights, per_member, panels, grid_panels = [], set(), [], set(), set()
+    read = measures._tables._read
+    results, weights, per_member, panels, grid_panels, tables = [], set(), [], set(), set(), set()
     tag = {}
-    routes = (("H", measures.shannon_max), ("J", measures.extropy_max))
 
     def recording(rule, abs_tol, walk):
         def visit(i):
             # the kernel asks the rule once for every panel it visits, by id
             key = walk.panels[i][:2]
             panels.add(key)
-            weights.add((tag["n"], tag["measure"], key))
+            weights.add((tag["n"], key))
             return rule(i)
 
         results.append(integrate(visit, abs_tol, walk))
         return results[-1]
 
+    def reading(key, rows, walk):
+        tables.add(key)
+        return read(key, rows, walk)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numerics, "_integrate", recording)
+        m.setattr(measures._tables, "_read", reading)
         for member in canonical.catalog_members():
             panels.clear()
-            for n in canonical.TABLE_N:
-                tag["n"] = n
-                for tag["measure"], route in routes:
-                    route(member, n, "quadrature")
+            for tag["n"] in canonical.TABLE_N:
+                measures.crosscheck(member, tag["n"])
             per_member.append(len(panels))
             grid_panels |= panels
     return {
@@ -464,6 +470,7 @@ def table_grid():
         "panels_per_member": per_member,
         "panels": len(grid_panels),
         "weights": len(weights),
+        "tables": tables,
     }
 
 
@@ -484,7 +491,7 @@ class TestAlternateRoutes:
         quad_j = measures.extropy_max(member, n, method="quad")
         assert abs(quad_j.value - closed_j.value) < 1e-9
 
-    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("cache", ["cold", "warm", "cleared"])
     @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
     def test_quadrature_matches_public_api_integrand_bit_for_bit(
         self, member, cache, monkeypatch, quadrature_caches
@@ -492,8 +499,11 @@ class TestAlternateRoutes:
         # The quadrature integrands take each panel's values from the
         # profile and weight tables, filled from the family record on nodes
         # checked to lie in (0, 1); integrate_unit on the point integrand
-        # of the public density_quantile must give the same bits, with the
-        # panel index and the profile and weight tables all cold or all warm.
+        # of the public density_quantile must give the same bits, by each
+        # route: one measure, both from crosscheck's cell and both from
+        # measure --method quad.  The panel index and the tables start cold
+        # and fill up over the test, are warmed by every route first, or are
+        # cleared before each route.
         integrate = numerics._integrate
         seen = []
 
@@ -504,7 +514,25 @@ class TestAlternateRoutes:
         def key(q):
             return (q.value.hex(), q.error_estimate.hex(), q.evaluations)
 
-        routes = (measures.shannon_max, measures.extropy_max)
+        def measure_json(n):
+            out = io.StringIO()
+            spec = json.dumps(d.to_dict(member))
+            argv = ["measure", "--dist", spec, "--n", str(n), "--method", "quad", "--format", "json"]
+            assert cli.main(argv, out=out) == 0
+            (row,) = json.loads(out.getvalue())
+            return row["H"], row["h_error"], row["J"], row["j_error"]
+
+        def single(n):
+            h = measures.shannon_max(member, n, "quadrature")
+            j = measures.extropy_max(member, n, "quadrature")
+            return h.value, h.error_estimate, j.value, j.error_estimate
+
+        def cell(n):
+            c = measures.crosscheck(member, n)
+            return c["h_quad"], c["j_quad"]
+
+        routes = (single, cell, measure_json)
+        quadrature_caches()
         for n in canonical.TABLE_N:
             half_n2 = 0.5 * n * n
             public = (
@@ -514,15 +542,18 @@ class TestAlternateRoutes:
             want = [key(numerics.integrate_unit(f)) for f in public]
             if cache == "warm":
                 for route in routes:
-                    route(member, n, "quadrature")
-            seen.clear()
+                    route(n)
+            got = []
             with monkeypatch.context() as m:
                 m.setattr(numerics, "_integrate", recording)
                 for route in routes:
-                    if cache == "cold":
+                    if cache == "cleared":
                         quadrature_caches()
-                    route(member, n, "quadrature")
-            assert [key(q) for q in seen] == want, n
+                    seen.clear()
+                    got.append(route(n))
+                    assert [key(q) for q in seen] == want, (n, route.__name__)
+            bits = [tuple(map(float.hex, values)) for values in got]
+            assert bits == [bits[0], bits[0][::2], bits[0]], n
 
     def test_evaluations_on_the_table_grid(self, table_grid):
         # Pins the work of the 300 catalog x TABLE_N integrals, so that no
@@ -533,15 +564,18 @@ class TestAlternateRoutes:
 
     def test_cache_sizes_cover_the_table_grid_working_sets(self, table_grid):
         # Member-major, as tables and verify run: the panel index and the
-        # tables must hold every panel, member and (n, measure) of the grid,
-        # so that a second sweep runs warm, and stay bounded past it.
+        # tables must hold every panel, member and n of the grid, so that a
+        # second sweep runs warm, and stay bounded past it.  A weight table
+        # per n holds both measures' rows.
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
-        assert (max(per_member), sum(per_member), weights) == (59, 1544, 418)
+        assert (max(per_member), sum(per_member), weights) == (59, 1544, 219)
         assert (numerics._PANEL_CAP, measures._TABLE_CAP) == (256, 64)
         assert table_grid["panels"] == 59 <= numerics._PANEL_CAP
         assert len(per_member) == 30
-        assert len(per_member) + 2 * len(canonical.TABLE_N) <= measures._TABLE_CAP
+        tables = table_grid["tables"]
+        assert tables == set(canonical.catalog_members()) | set(canonical.TABLE_N)
+        assert len(tables) == 35 <= measures._TABLE_CAP
 
     @pytest.mark.xfail(
         strict=True,
@@ -561,8 +595,7 @@ class TestAlternateRoutes:
             for n in LARGE_N:
                 for route in routes:
                     route(member, n, "quadrature")
-        cell = canonical.catalog_members()[0], canonical.TABLE_N[0], "H"
-        assert len(measures._tables.rule_listed(*cell, numerics._index.walk())) <= 59
+        assert numerics._index.walk().listed <= 59  # what a cell's numpy pass rules
 
     def test_a_warm_second_sweep_of_the_table_grid_makes_no_scalar_rule_call(
         self, monkeypatch, quadrature_caches
@@ -626,6 +659,13 @@ class TestAlternateRoutes:
             return str(excinfo.value), best.value.hex(), best.evaluations
 
         measure = "H" if route == "shannon_max" else "J"
+        rows = numerics._gk15_rows
+        passes = []
+
+        def recording(*args):
+            passes.append(rows(*args))
+            return passes[-1]
+
         quadrature_caches()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -634,18 +674,68 @@ class TestAlternateRoutes:
             measures.crosscheck(canonical.catalog_members()[0], 2)
             assert [outcome(), outcome()] == [cold, cold]
             walk = numerics._index.walk()
-            listed = measures._tables.rule_listed(member, n, measure, walk)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(numerics, "_gk15_rows", recording)
+                outcome()
+        (vk,), (err,) = passes[0]
+        listed = list(zip(vk.tolist(), err.tolist()))
 
         def integrand(ts):
-            values, logs = measures._profile_row(member, ts)
             weights = measures._weight_row(n, measure, ts)
-            return map(operator.mul, weights, logs if measure == "H" else values)
+            return map(operator.mul, weights, measures._profile_row(member, ts)["HJ".index(measure)])
 
-        assert len(listed) == walk.listed > len(numerics._FIXED)
+        assert len(passes) == 1 and len(listed) == walk.listed > len(numerics._FIXED)
         got = [tuple(map(float.hex, rule)) for rule in listed]
         want = [tuple(map(float.hex, numerics._gk15(integrand, walk.panels[i]))) for i in range(walk.listed)]
         assert got == want
         assert not all(map(math.isfinite, (x for rule in listed for x in rule)))
+
+    def test_a_cell_whose_h_declines_fails_as_h_does(self, quadrature_caches):
+        # power_function(1, 0.3) at n = 1: I(t) overflows near t = 0, so H's
+        # integral fails on its first seed panel.  Both measures of the cell
+        # must fail as the single H call does, with its best estimate in H's
+        # units, before J's integral runs, and list no panel.
+        member, n = d.power_function(1.0, 0.3), 1
+
+        def failure(call):
+            with pytest.raises(numerics.QuadratureError) as excinfo:
+                call()
+            best = excinfo.value.best
+            return str(excinfo.value), _bits(best)
+
+        quadrature_caches()
+        measures.crosscheck(canonical.catalog_members()[0], 2)
+        held = list(numerics._index.panels)
+        want = failure(lambda: measures.shannon_max(member, n, "quadrature"))
+        assert want[0] == "integrand non-finite for t in [5.70904e-171, 4.12534e-84]"
+        assert failure(lambda: measures.crosscheck(member, n)) == want
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["measure", "--dist", json.dumps(d.to_dict(member)), "--n", str(n), "--method", "quad"]
+        assert cli.main(argv, out=out, err=err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"domain error: {want[0]}\n")
+        assert numerics._index.panels == held
+
+    def test_one_numpy_pass_per_call_on_a_warm_index(self, monkeypatch, quadrature_caches):
+        # A cell rules both measures in one pass: crosscheck and measure
+        # --method quad call numerics._gk15_rows once, as one measure does.
+        member, n = canonical.catalog_members()[3], 5
+        argv = ["measure", "--dist", json.dumps(d.to_dict(member)), "--n", str(n), "--method", "quad"]
+        calls = {
+            "crosscheck": lambda: measures.crosscheck(member, n),
+            "measure": lambda: cli.main(argv, out=io.StringIO()),
+            "shannon_max": lambda: measures.shannon_max(member, n, "quadrature"),
+            "extropy_max": lambda: measures.extropy_max(member, n, "quadrature"),
+        }
+        quadrature_caches()
+        for call in calls.values():
+            call()
+        rows = numerics._gk15_rows
+        passes = []
+        monkeypatch.setattr(numerics, "_gk15_rows", lambda *args: passes.append(args) or rows(*args))
+        for name, call in calls.items():
+            passes.clear()
+            call()
+            assert len(passes) == 1, name
 
     def test_capped_tables_give_the_same_bits(self, monkeypatch, quadrature_caches):
         # One member visits more panels than the panel list may hold, and
@@ -685,27 +775,29 @@ class TestAlternateRoutes:
         # A member's factor table has a row for every listed panel, also for
         # panels only other members' integrals visited: each integral, and
         # each failure's message, must be the same from cold tables whatever
-        # ran before it, and no row may warn.
+        # ran before it, one measure or both of a cell, and no row may warn.
         grid = [
-            (member, n, measure)
+            (member, n, cell)
             for member in canonical.catalog_members()
             for n in canonical.TABLE_N
-            for measure in "HJ"
+            for cell in ("H", "J", "HJ")
         ]
         edges = [
             (d.power_function(1.0, 0.3), 1, "J"),
+            (d.power_function(1.0, 0.3), 1, "HJ"),
             (d.pareto(1.0, 0.01), 1, "H"),
-            (d.gev(40.0), 1, "H"),
+            (d.gev(40.0), 1, "HJ"),
             (d.gev(-30.0), 3, "H"),
             (d.gev(-0.9), 5, "J"),
+            (d.gev(-0.9), 5, "HJ"),
         ]
 
-        def outcome(member, n, measure):
+        def outcome(member, n, cell):
             try:
-                q = measures._quad(member, n, measure, numerics.DEFAULT_QUAD_TOL)
+                results = measures._quadrature(member, n, cell, numerics.DEFAULT_QUAD_TOL)
             except numerics.QuadratureError as exc:
                 return str(exc), exc.best.value.hex(), exc.best.evaluations
-            return q.value.hex(), q.error_estimate.hex(), q.evaluations
+            return tuple((q.value.hex(), q.error_estimate.hex(), q.evaluations) for q in results)
 
         def cold(cases):
             quadrature_caches()
@@ -717,6 +809,12 @@ class TestAlternateRoutes:
             assert cold(grid[::-1]) == forward[::-1]
             for case in edges:
                 assert cold(grid + [case]) == forward + cold([case])
+        # a cell gives its H and J, or the first failure of the two
+        def failed(outcome):
+            return isinstance(outcome[0], str)
+
+        for h, j, both in zip(forward[0::3], forward[1::3], forward[2::3]):
+            assert both == (h if failed(h) else j if failed(j) else h + j)
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
     def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):
@@ -765,7 +863,7 @@ class TestAlternateRoutes:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
-        values, _logs = measures._tables.factors[member]
+        _logs, values = measures._tables.factors[member]
         assert math.inf in values[numerics._index.ids[-392.0, -192.0]]
 
     @pytest.mark.parametrize(
@@ -809,7 +907,7 @@ class TestAlternateRoutes:
         monkeypatch.setitem(
             d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=lambda dist, t: profile[t])
         )
-        values, logs = measures._profile_row(d.exponential(1.0), ts)
+        logs, values = measures._profile_row(d.exponential(1.0), ts)
         assert list(map(float.hex, values)) == list(map(float.hex, profile.values()))
         want = (math.log(2.0), math.log(1e-300), math.inf, math.nan, -math.inf, -math.inf)
         assert list(map(float.hex, logs)) == list(map(float.hex, want))
