@@ -480,7 +480,8 @@ def cmd_verify(args, out) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _parsers() -> tuple[_Parser, dict]:
+    """The full parser, and each subcommand's own parser by name."""
     options = {
         "--dist": dict(type=_option_type("--dist", json.loads), required=True,
                        help="distribution spec as JSON"),
@@ -520,14 +521,23 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, **options[flag])
         if methods:
             p.add_argument("--method", choices=methods, default="closed")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the subcommand ``argv[0]`` names,
+    which reads the rest as the full parser would hand it on, in one parse;
+    ``-h``, a missing command or an unknown one go to the full parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.run(args, out)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")

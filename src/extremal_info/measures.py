@@ -140,22 +140,30 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # the index, reads the cell's two tables once and rules every panel the
 # index held when it started, for each requested measure, in one numpy
 # pass of numerics._gk15_rows.  It then runs the adaptive loop once per
-# measure, H first, on that walk, with a panel rule that reads a held
-# panel's (value, error) from the pass by id.  Any other panel goes through
-# the scalar integrand and numerics._gk15; the panels the cell visited join
-# the index once every integral of it has returned, so a failed cell lists
-# nothing.  Every value is the same product of the same floats as the
-# point integrand on the public API, and _gk15_rows sums as _gk15 does, so
-# every route gives the same bits, one measure or both.
+# measure, H first, on that walk, handing it the measure's row of the pass
+# as two lists, values and errors by id, which the loop reads a held panel
+# off (the seeds and the tail cells by slice).  Any other panel goes
+# through a scalar rule, numerics._gk15 of the weight times the profile:
+# the cell makes such a panel's nodes and takes the member's profile on
+# them once, for both measures, keeping them for its next integral up to
+# _SCALAR_CAP panels, and drops them when it returns.  The panels the cell
+# visited join the index once every integral of it has returned, so a
+# failed cell lists nothing.  Every value is the same product of the same
+# floats as the point integrand on the public API, and _gk15_rows sums as
+# _gk15 does, so every route gives the same bits, one measure or both.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
 # index holds 59 panels, the 23 fixed ones among them, and 35 tables are
 # read (30 members and 5 n), well inside the caps: the index stops at
 # numerics._PANEL_CAP panels, past which new panels stay on the scalar
-# path, and only the _TABLE_CAP tables read last are kept.
+# path, and only the _TABLE_CAP tables read last are kept.  A cell that
+# runs to the evaluation budget visits some 27 000 panels; _SCALAR_CAP
+# keeps the nodes and profile rows it holds for its next integral to
+# about 2.4 MB.
 # ---------------------------------------------------------------------------
 
 _TABLE_CAP = 64
+_SCALAR_CAP = 1024
 _MEASURES = "HJ"  # the order of the rows of every factor table
 
 
@@ -232,34 +240,42 @@ def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.Quadra
     rows = slice(_MEASURES.index(measures[0]), _MEASURES.index(measures[-1]) + 1)
     weights, profile = _tables.cell(dist, n, walk)
     vk, err = numerics._gk15_rows(weights[rows], profile[rows], walk.dtdu, walk.half)
+    scalar: dict = {}  # the cell's per-call panels, by id, with their profile rows
     results = [
-        _integral(dist, n, measure, list(zip(vks, errs)), tol, walk)
+        _integral(dist, n, measure, vks, errs, tol, walk, scalar)
         for measure, vks, errs in zip(measures, vk.tolist(), err.tolist())
     ]
     numerics._index.add(walk)
     return results
 
 
-def _integral(dist, n: int, measure: str, pairs: list, tol: float, walk: numerics._Walk):
-    """One measure's integral on the cell's walk, ``pairs`` holding the
-    (value, error) of each listed panel by id; H leaves as 1 - ln n - 1/n
-    less the integral, its best estimate too if it fails."""
+def _integral(
+    dist, n: int, measure: str, vks: list, errs: list, tol: float, walk: numerics._Walk, scalar: dict
+):
+    """One measure's integral on the cell's walk, ``vks`` and ``errs``
+    holding the value and error of each listed panel by id; H leaves as
+    1 - ln n - 1/n less the integral, its best estimate too if it fails.
+    A panel the index did not hold is made, and the member's profile
+    taken on it, once per cell: ``scalar`` keeps both, up to _SCALAR_CAP
+    panels, for the cell's next integral."""
     row = _MEASURES.index(measure)
-
-    def integrand(ts: tuple):
-        return map(operator.mul, _weight_row(n, measure, ts), _profile_row(dist, ts)[row])
 
     def rule(i: int) -> tuple[float, float]:
         try:
-            return pairs[i]
-        except IndexError:  # a panel the index did not hold
-            return numerics._gk15(integrand, walk.panel(i))
+            panel, profile = scalar[i]
+        except KeyError:
+            panel = walk.panel(i)
+            profile = _profile_row(dist, panel[2])
+            if len(scalar) < _SCALAR_CAP:
+                scalar[i] = panel, profile
+        factors = profile[row]
+        return numerics._gk15(lambda ts: map(operator.mul, _weight_row(n, measure, ts), factors), panel)
 
     if measure == "J":
-        return numerics._integrate(rule, tol, walk)
+        return numerics._integrate(rule, tol, walk, vks, errs)
     shift = 1.0 - math.log(n) - 1.0 / n
     try:
-        q = numerics._integrate(rule, tol, walk)
+        q = numerics._integrate(rule, tol, walk, vks, errs)
     except numerics.QuadratureError as exc:
         best = exc.best
         if best is not None:

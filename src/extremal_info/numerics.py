@@ -18,22 +18,25 @@ only on its u-interval, so the panels that integrals share are held in
 one bounded index by integer id, each with its bounds, width, nodes
 (range-checked once, when the panel is made) and the ids of its halves;
 the 9 seed panels and the 14 tail cells have fixed ids.  The adaptive loop,
-:func:`_integrate`, walks a copy of the index by id and asks a panel rule
-for the GK15 (value, error) of each panel it visits, once and in visit
-order; a panel the index does not hold gets a per-call id, and joins the
-index only if the caller lists it once the integral has returned.
-:func:`integrate_unit` is that loop over the scalar rule :func:`_gk15` of
-a point integrand called once per node, and lists nothing.  A caller that
-integrates several integrands over the same panels can rule them all at
-once -- :func:`_gk15_rows` applies the GK15 rule to a stack of panels, for
-one or more integrands, in one numpy pass, with the bits of the scalar
-rule -- and hand :func:`_integrate` a rule per integrand that reads those
-pairs by id, so the adaptive loop, the tails and the result stay the
-same.  A panel whose value or error is not finite (the integrand
-overflowed or returned nan) fails at once with the panel's place in the
-message -- its t-interval, or its (1 - t)-interval right of u = 0, where t
-rounds to 1 -- instead of spending the evaluation budget on an error that
-can never shrink.
+:func:`_integrate`, walks a copy of the index by id and takes the GK15
+(value, error) of each panel it visits once, in visit order; a panel the
+index does not hold gets a per-call id, and joins the index only if the
+caller lists it once the integral has returned.  :func:`integrate_unit` is
+that loop over the scalar rule :func:`_gk15` of a point integrand called
+once per node, panel by panel, and lists nothing.  A caller that
+integrates several integrands over the same panels can rule all the
+panels the index holds at once -- :func:`_gk15_rows` applies the GK15 rule
+to a stack of panels, for one or more integrands, in one numpy pass, with
+the bits of the scalar rule -- and hand :func:`_integrate` the pass's
+values and errors as two lists by id: the loop reads a held panel off
+them, the seeds and each tail's 7 cells as one slice, and calls the
+caller's scalar rule only for a panel the index does not hold, so the
+adaptive loop, the tails and the result stay the same.  A panel whose
+value or error is not finite (the integrand overflowed or returned nan)
+fails at once, after the panels visited before it, with the panel's place
+in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
+where t rounds to 1 -- instead of spending the evaluation budget on an
+error that can never shrink.
 
 Monte Carlo
 -----------
@@ -302,17 +305,16 @@ def _wynn_limit(sums: list[float]) -> tuple[float, float]:
     return estimates[-1], spread
 
 
-def _tail_sum(panel, best, cells: range) -> tuple[float, float]:
+def _tail_sum(cells: list[float], best) -> tuple[float, float]:
     """Extrapolated integral beyond an edge of the working window.
 
-    Integrates the unit-width tail cells ``cells``, by id, marching away
-    from the window, with ``panel`` and sums the (nearly geometric)
-    sequence with Wynn epsilon.  Raises QuadratureError, with
-    ``best(value, error)`` as its estimate, when the cells fail to decay,
-    which signals a non-integrable endpoint.
+    Sums the (nearly geometric) sequence of the finite values ``cells`` of
+    the unit-width tail cells, marching away from the window, with Wynn
+    epsilon.  Raises QuadratureError, with ``best(value, error)`` as its
+    estimate, when the cells fail to decay, which signals a non-integrable
+    endpoint.
     """
-    cells = [panel(i)[0] for i in cells]
-    scale = max(abs(c) for c in cells)
+    scale = max(map(abs, cells))
     if scale == 0.0:
         return 0.0, 0.0
     if abs(cells[-1]) >= 0.9999 * abs(cells[0]) and abs(cells[0]) > 1e-300:
@@ -499,20 +501,23 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     return _integrate(rule, abs_tol, walk)
 
 
-def _integrate(rule, abs_tol: float, walk: _Walk) -> QuadratureResult:
-    """The adaptive loop and the tails over a panel rule: ``rule(i)`` is the
-    GK15 (value, error) of the panel with id ``i`` in ``walk``, called once
-    for each panel visited, in visit order, and counted as 15 evaluations."""
+def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> QuadratureResult:
+    """The adaptive loop and the tails over the GK15 (value, error) of each
+    panel visited, by its id ``i`` in ``walk``: ``values[i]`` and
+    ``errors[i]`` for the panels a numpy pass ruled, the first
+    ``len(values)`` ids, and ``rule(i)`` for the others, called once per
+    panel, in visit order.  Each panel visited counts as 15 evaluations."""
     abs_tol = _check_real(abs_tol, "abs_tol")
     width, kids, split = walk.width, walk.kids, walk.split
     isfinite = math.isfinite
+    held = len(values)
 
     evals = 0
     final_value = 0.0  # settled cells
     final_error = 0.0
     # the unsettled cells by id, with their values and errors apart, so
     # that the builtins sum(errs) and errs.index(max(errs)) scan them in C
-    work: list[int] = []
+    work: list[int] = list(_SEEDS)
     vals: list[float] = []
     errs: list[float] = []
 
@@ -530,22 +535,30 @@ def _integrate(rule, abs_tol: float, walk: _Walk) -> QuadratureResult:
             best=best(0.0, math.inf),
         )
 
-    def panel(i: int) -> tuple[float, float]:
-        """The rule on panel i; a non-finite value or error fails at once."""
+    def take(ids: range, into_vals: list, into_errs: list) -> None:
+        """Append the value and error of each panel of ``ids`` in turn: a
+        slice of the pass's lists where they hold them all, all finite (a
+        non-finite one makes a sum non-finite), else panel by panel, so
+        that a non-finite one fails at once, after the panels before it."""
         nonlocal evals
-        vk, err = rule(i)
-        evals += 15
-        if not (isfinite(vk) and isfinite(err)):
-            fail(i)
-        return vk, err
+        if ids.stop <= held:
+            vs, es = values[ids.start : ids.stop], errors[ids.start : ids.stop]
+            if isfinite(sum(vs) + sum(es)):
+                evals += 15 * len(ids)
+                into_vals += vs
+                into_errs += es
+                return
+        for i in ids:
+            vk, err = (values[i], errors[i]) if i < held else rule(i)
+            evals += 15
+            if not (isfinite(vk) and isfinite(err)):
+                fail(i)
+            into_vals.append(vk)
+            into_errs.append(err)
 
     # Seed the worklist with a handful of panels so the first refinement
     # pass already sees the broad structure of the transformed integrand.
-    for i in _SEEDS:
-        vk, err = panel(i)
-        work.append(i)
-        vals.append(vk)
-        errs.append(err)
+    take(_SEEDS, vals, errs)
 
     target = 0.3 * abs_tol
     exhausted = False
@@ -569,7 +582,11 @@ def _integrate(rule, abs_tol: float, walk: _Walk) -> QuadratureResult:
             final_error += err
             break
         for j in kids[i] or split(i):
-            vk, err = rule(j)  # panel(j), inline
+            if j < held:
+                vk = values[j]
+                err = errors[j]
+            else:
+                vk, err = rule(j)
             evals += 15
             if not (isfinite(vk) and isfinite(err)):
                 fail(j)
@@ -587,8 +604,10 @@ def _integrate(rule, abs_tol: float, walk: _Walk) -> QuadratureResult:
     work.clear()
     vals.clear()
     errs.clear()
-    for cells in (_LEFT_TAIL, _RIGHT_TAIL):
-        tail, tail_error = _tail_sum(panel, best, cells)
+    for ids in (_LEFT_TAIL, _RIGHT_TAIL):
+        cells: list[float] = []
+        take(ids, cells, [])
+        tail, tail_error = _tail_sum(cells, best)
         final_value += tail
         final_error += tail_error
     result = QuadratureResult(final_value, final_error, evals)

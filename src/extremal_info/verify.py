@@ -13,8 +13,8 @@ estimates agree with the closed forms, and one series identity.
 the installation only (quadrature oracle, distribution consistency, CLI
 determinism).  It is deterministic.  On a 2-CPU Intel Xeon, ``run_all``
 takes about 0.3 s of CPU on its first call in a process, most of it
-importing ``scipy.special``, and 0.04 s after that, and ``extremal-info
-verify`` about 0.6 s with interpreter start-up.
+importing ``scipy.special``, and 0.03 s after that, and ``extremal-info
+verify`` about 0.7 s with interpreter start-up.
 ``tests/test_acceptance.py`` runs the same contracts on the release grid.
 """
 

@@ -802,7 +802,7 @@ class TestOptionsPerCommand:
     @pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in READS[c]])
     def test_read_option_is_parsed(self, command, option):
         argv = [*BASE_ARGV[command], option, OPTION_VALUES[option]]
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parse(argv)
         assert getattr(args, option[2:]) == PARSED[option]
 
     def test_verify_options_reach_run_all(self, monkeypatch):
@@ -822,6 +822,65 @@ class TestOptionsPerCommand:
             monkeypatch.setenv("EXTREMAL_INFO_SEED", value)
             assert [run_cli(*argv) for argv in invocations] == want
         assert want[0][0] == 0 and want[0][1] != want[1][1]
+
+
+class TestOneParse:
+    # Each subcommand, and the usage errors a command's options can make:
+    # an option given as --tol=..., an abbreviated --form, a missing
+    # required flag, a bad choice, an unknown option and a bad value; then
+    # the invocations only the full parser reads.
+    CORPUS = [
+        ("measure", "--dist", EXP1, "--n", "3"),
+        ("measure", "--dist", EXP1, "--n", "3", "--method", "quad", "--tol=1e-8", "--form", "json"),
+        ("bounds", "--dist", EXP1, "--n", "4", "--method", "quad", "--form", "json"),
+        ("tables", "--tol=1e-8", "--form", "json"),
+        ("figure1", "--form", "json"),
+        ("converge", "--dist", EXP1, "--n-grid", "2:6:2"),
+        ("verify", "--seed", "3"),
+        ("measure", "--dist", EXP1),
+        ("converge", "--n-grid", "2,3"),
+        ("bounds", "--dist", EXP1, "--n", "2", "--method", "mc"),
+        ("measure", "--dist", EXP1, "--n", "2", "--form", "yaml"),
+        ("figure1", "--tol", "1e-8"),
+        ("tables", "--tol=1e-8", "extra"),
+        ("measure", "--dist", EXP1, "--n", "2.5"),
+        ("verify", "--tol", "nan"),
+        ("measure", "-h"),
+        (),
+        ("-h",),
+        ("no_such_command",),
+        ("--tol", "1e-8", "tables"),
+    ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """Exit code, out and err of main, or the code argparse exits with
+        on -h, and what went to the process's own streams."""
+        try:
+            result = run_cli(*argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_a_command_parser_gives_what_the_full_parser_gives(self, argv, capsys, monkeypatch):
+        fast = self.outcome(argv, capsys)
+        full = cli._parsers()[0]
+        monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
+        assert self.outcome(argv, capsys) == fast
+
+    def test_a_command_is_parsed_once_by_its_own_parser(self, monkeypatch):
+        full, commands = cli._parsers()
+        parsed = []
+        for name, parser in [("", full), *commands.items()]:
+            parse = parser.parse_known_args
+            monkeypatch.setattr(
+                parser, "parse_known_args", lambda *args, name=name, parse=parse: parsed.append(name) or parse(*args)
+            )
+        assert run_cli("figure1")[0] == 0
+        assert run_cli("measure", "--dist", EXP1, "--n", "2", "--nope")[0] == 1
+        assert run_cli("no_such_command")[0] == 1
+        assert parsed == ["figure1", "measure", ""]
 
 
 # ---------------------------------------------------------------------------

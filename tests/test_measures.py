@@ -441,13 +441,14 @@ def table_grid():
     results, weights, per_member, panels, grid_panels, tables = [], set(), [], set(), set(), set()
     tag = {}
 
-    def recording(rule, abs_tol, walk):
+    def recording(rule, abs_tol, walk, vks=(), errs=()):
         def visit(i):
-            # the kernel asks the rule once for every panel it visits, by id
+            # handed no lists, the kernel asks the rule once for every panel
+            # it visits, by id, which reads a listed panel off the lists
             key = walk.panels[i][:2]
             panels.add(key)
             weights.add((tag["n"], key))
-            return rule(i)
+            return (vks[i], errs[i]) if i < len(vks) else rule(i)
 
         results.append(integrate(visit, abs_tol, walk))
         return results[-1]
@@ -507,8 +508,8 @@ class TestAlternateRoutes:
         integrate = numerics._integrate
         seen = []
 
-        def recording(rule, abs_tol, walk):
-            seen.append(integrate(rule, abs_tol, walk))
+        def recording(*args):
+            seen.append(integrate(*args))
             return seen[-1]
 
         def key(q):
@@ -815,6 +816,40 @@ class TestAlternateRoutes:
 
         for h, j, both in zip(forward[0::3], forward[1::3], forward[2::3]):
             assert both == (h if failed(h) else j if failed(j) else h + j)
+
+    def test_a_cold_cell_takes_the_profile_once_per_panel(self, monkeypatch, quadrature_caches):
+        # exponential(1) at n = 5 from a cleared index: the numpy pass takes
+        # the profile on the 23 fixed panels, and each panel H's integral
+        # makes is made once and the profile taken on it once, for J's
+        # integral too, so the cell makes 15 calls per distinct panel, as H
+        # alone does.  The cell keeps none of it: the next cold cell calls
+        # the profile as often.
+        record = d.REGISTRY["exponential"]
+        calls = []
+
+        def profile(dist, t):
+            calls.append(t)
+            return record.density_quantile(dist, t)
+
+        monkeypatch.setitem(d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=profile))
+        made = []
+        panel = numerics._panel
+        monkeypatch.setattr(numerics, "_panel", lambda a, b: made.append((a, b)) or panel(a, b))
+        member = d.exponential(1.0)
+        counts = []
+        for cell in ("H", "HJ", "HJ"):
+            quadrature_caches()
+            calls.clear()
+            walk = numerics._index.walk()
+            measures._quadrature(member, 5, cell, numerics.DEFAULT_QUAD_TOL)
+            panels = numerics._index.panels
+            assert sorted(calls) == sorted(t for p in panels for t in p[2])
+            counts.append(len(calls))
+        assert counts == [585, 585, 585] == [15 * len(panels)] * 3
+        # each per-call panel is made once in the cell, and once as it is listed
+        per_call = [p[:2] for p in panels[walk.listed :]]
+        assert sorted(made[-2 * len(per_call) :]) == sorted(per_call * 2)
+        assert len(made) == 3 * 2 * len(per_call)
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
     def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):

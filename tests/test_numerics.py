@@ -8,6 +8,7 @@ reported standard errors.
 """
 
 import functools
+import itertools
 import math
 import operator
 import time
@@ -293,6 +294,92 @@ class TestIntegratePanels:
         for wrong in (lambda ts: ts[:-1], lambda ts: ts + ts[:1]):
             with pytest.raises(ValueError, match="zip"):
                 self.integrate(wrong)
+
+
+# t = sigma(u) at the window's edges u = -392 and u = 22: the tail cells'
+# nodes lie below the first and above the second, the window's between
+_T_LEFT = numerics._logistic_nodes((numerics._U_LEFT,))[0][0]
+_T_RIGHT = numerics._logistic_nodes((numerics._U_RIGHT,))[0][0]
+
+
+class TestTailBranches:
+    """Each branch of the tails, on point integrands that are smooth on the
+    window, ends the same read off a numpy pass of the listed panels -- the
+    seeds and the tail cells by slice -- as through integrate_unit."""
+
+    CASES = [
+        # (integrand, left branch, right branch, failure message or None)
+        (math.log, "wynn", "wynn", None),
+        (lambda t: 0.0 if t < _T_LEFT or t > _T_RIGHT else 1.0, "zero", "zero", None),
+        # cells of pseudo-random sign, on which Wynn's limit overshoots
+        (lambda t: math.cos(1.0 / (1.0 - t)) if t > _T_RIGHT else 1.0, "wynn", "guard", None),
+        (
+            lambda t: 1.0 / t,
+            "no decay",
+            None,
+            "endpoint contribution does not decay; the integrand looks non-integrable at the boundary",
+        ),
+        (
+            lambda t: math.nan if t > _T_RIGHT else 1.0,
+            "wynn",
+            None,
+            "integrand non-finite for 1 - t in [1.02619e-10, 2.78947e-10]",
+        ),
+    ]
+
+    @staticmethod
+    def outcome(integrate):
+        """The bits of the result, or the message and the bits of ``best``,
+        and the branch each tail took, in order."""
+        branches = []
+        tail_sum = numerics._tail_sum
+
+        def recording(cells, best):
+            try:
+                limit, error = tail_sum(cells, best)
+            except numerics.QuadratureError:
+                branches.append("no decay")
+                raise
+            if not any(cells):
+                branches.append("zero")
+            else:
+                wynn = numerics._wynn_limit(list(itertools.accumulate(cells)))[0]
+                branches.append("wynn" if limit == wynn else "guard")
+            return limit, error
+
+        def bits(q):
+            return q.value.hex(), q.error_estimate.hex(), q.evaluations
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numerics, "_tail_sum", recording)
+            try:
+                return bits(integrate()), branches
+            except numerics.QuadratureError as exc:
+                return (str(exc), bits(exc.best)), branches
+
+    @pytest.mark.parametrize("f, left, right, message", CASES, ids=["log", "zero", "guard", "no decay", "nan"])
+    def test_a_pass_and_integrate_unit_end_each_branch_alike(self, f, left, right, message):
+        walk = numerics._index.walk()
+        listed = walk.panels[: walk.listed]
+        w = np.array([[f(t) for t in panel[2]] for panel in listed])
+        vk, err = numerics._gk15_rows(w, np.ones_like(w), walk.dtdu, walk.half)
+        asked = []
+
+        def rule(i):
+            asked.append(i)
+            return numerics._gk15(lambda ts: map(f, ts), walk.panel(i))
+
+        warm = self.outcome(lambda: numerics._integrate(rule, 1e-10, walk, vk.tolist(), err.tolist()))
+        want = self.outcome(lambda: numerics.integrate_unit(f))
+        assert warm == want
+        result, branches = want
+        assert branches == [branch for branch in (left, right) if branch is not None]
+        assert (message is None) == (len(result) == 3)
+        if message is not None:
+            assert result[0] == message
+        # the listed panels, the seeds and the tail cells among them, are
+        # read off the pass, never through the rule
+        assert all(i >= walk.listed for i in asked)
 
 
 @pytest.mark.xfail(
