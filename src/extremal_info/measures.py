@@ -141,29 +141,22 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # index held when it started, for each requested measure, in one numpy
 # pass of numerics._gk15_rows.  It then runs the adaptive loop once per
 # measure, H first, on that walk, handing it the measure's row of the pass
-# as two lists, values and errors by id, which the loop reads a held panel
-# off (the seeds and the tail cells by slice).  Any other panel goes
-# through a scalar rule, numerics._gk15 of the weight times the profile:
-# the cell makes such a panel's nodes and takes the member's profile on
-# them once, for both measures, keeping them for its next integral up to
-# _SCALAR_CAP panels, and drops them when it returns.  The panels the cell
-# visited join the index once every integral of it has returned, so a
-# failed cell lists nothing.  Every value is the same product of the same
-# floats as the point integrand on the public API, and _gk15_rows sums as
-# _gk15 does, so every route gives the same bits, one measure or both.
+# as two lists, values and errors by id, off which the loop reads a held
+# panel with no call.  Any other panel goes through the scalar integrand
+# and numerics._gk15; the panels the cell visited join the index once
+# every integral of it has returned, so a failed cell lists nothing.
+# Every value is the same product of the same floats as the point
+# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
+# route gives the same bits, one measure or both.
 #
 # On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
 # index holds 59 panels, the 23 fixed ones among them, and 35 tables are
 # read (30 members and 5 n), well inside the caps: the index stops at
 # numerics._PANEL_CAP panels, past which new panels stay on the scalar
-# path, and only the _TABLE_CAP tables read last are kept.  A cell that
-# runs to the evaluation budget visits some 27 000 panels; _SCALAR_CAP
-# keeps the nodes and profile rows it holds for its next integral to
-# about 2.4 MB.
+# path, and only the _TABLE_CAP tables read last are kept.
 # ---------------------------------------------------------------------------
 
 _TABLE_CAP = 64
-_SCALAR_CAP = 1024
 _MEASURES = "HJ"  # the order of the rows of every factor table
 
 
@@ -240,36 +233,25 @@ def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.Quadra
     rows = slice(_MEASURES.index(measures[0]), _MEASURES.index(measures[-1]) + 1)
     weights, profile = _tables.cell(dist, n, walk)
     vk, err = numerics._gk15_rows(weights[rows], profile[rows], walk.dtdu, walk.half)
-    scalar: dict = {}  # the cell's per-call panels, by id, with their profile rows
     results = [
-        _integral(dist, n, measure, vks, errs, tol, walk, scalar)
+        _integral(dist, n, measure, vks, errs, tol, walk)
         for measure, vks, errs in zip(measures, vk.tolist(), err.tolist())
     ]
     numerics._index.add(walk)
     return results
 
 
-def _integral(
-    dist, n: int, measure: str, vks: list, errs: list, tol: float, walk: numerics._Walk, scalar: dict
-):
+def _integral(dist, n: int, measure: str, vks: list, errs: list, tol: float, walk: numerics._Walk):
     """One measure's integral on the cell's walk, ``vks`` and ``errs``
     holding the value and error of each listed panel by id; H leaves as
-    1 - ln n - 1/n less the integral, its best estimate too if it fails.
-    A panel the index did not hold is made, and the member's profile
-    taken on it, once per cell: ``scalar`` keeps both, up to _SCALAR_CAP
-    panels, for the cell's next integral."""
+    1 - ln n - 1/n less the integral, its best estimate too if it fails."""
     row = _MEASURES.index(measure)
 
-    def rule(i: int) -> tuple[float, float]:
-        try:
-            panel, profile = scalar[i]
-        except KeyError:
-            panel = walk.panel(i)
-            profile = _profile_row(dist, panel[2])
-            if len(scalar) < _SCALAR_CAP:
-                scalar[i] = panel, profile
-        factors = profile[row]
-        return numerics._gk15(lambda ts: map(operator.mul, _weight_row(n, measure, ts), factors), panel)
+    def integrand(ts: tuple):
+        return map(operator.mul, _weight_row(n, measure, ts), _profile_row(dist, ts)[row])
+
+    def rule(i: int) -> tuple[float, float]:  # a panel the index did not hold
+        return numerics._gk15(integrand, walk.panel(i))
 
     if measure == "J":
         return numerics._integrate(rule, tol, walk, vks, errs)

@@ -29,14 +29,13 @@ panels the index holds at once -- :func:`_gk15_rows` applies the GK15 rule
 to a stack of panels, for one or more integrands, in one numpy pass, with
 the bits of the scalar rule -- and hand :func:`_integrate` the pass's
 values and errors as two lists by id: the loop reads a held panel off
-them, the seeds and each tail's 7 cells as one slice, and calls the
-caller's scalar rule only for a panel the index does not hold, so the
-adaptive loop, the tails and the result stay the same.  A panel whose
-value or error is not finite (the integrand overflowed or returned nan)
-fails at once, after the panels visited before it, with the panel's place
-in the message -- its t-interval, or its (1 - t)-interval right of u = 0,
-where t rounds to 1 -- instead of spending the evaluation budget on an
-error that can never shrink.
+them and calls the caller's scalar rule only for a panel the index does
+not hold, so the adaptive loop, the tails and the result stay the same.
+A panel whose value or error is not finite (the integrand overflowed or
+returned nan) fails at once with the panel's place in the message -- its
+t-interval, or its (1 - t)-interval right of u = 0, where t rounds to 1
+-- instead of spending the evaluation budget on an error that can never
+shrink.
 
 Monte Carlo
 -----------
@@ -517,7 +516,7 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
     final_error = 0.0
     # the unsettled cells by id, with their values and errors apart, so
     # that the builtins sum(errs) and errs.index(max(errs)) scan them in C
-    work: list[int] = list(_SEEDS)
+    work: list[int] = []
     vals: list[float] = []
     errs: list[float] = []
 
@@ -535,30 +534,23 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
             best=best(0.0, math.inf),
         )
 
-    def take(ids: range, into_vals: list, into_errs: list) -> None:
-        """Append the value and error of each panel of ``ids`` in turn: a
-        slice of the pass's lists where they hold them all, all finite (a
-        non-finite one makes a sum non-finite), else panel by panel, so
-        that a non-finite one fails at once, after the panels before it."""
+    def panel(i: int) -> tuple[float, float]:
+        """Panel i's value and error, off the lists if they hold it, else by
+        the rule; a non-finite value or error fails at once."""
         nonlocal evals
-        if ids.stop <= held:
-            vs, es = values[ids.start : ids.stop], errors[ids.start : ids.stop]
-            if isfinite(sum(vs) + sum(es)):
-                evals += 15 * len(ids)
-                into_vals += vs
-                into_errs += es
-                return
-        for i in ids:
-            vk, err = (values[i], errors[i]) if i < held else rule(i)
-            evals += 15
-            if not (isfinite(vk) and isfinite(err)):
-                fail(i)
-            into_vals.append(vk)
-            into_errs.append(err)
+        vk, err = (values[i], errors[i]) if i < held else rule(i)
+        evals += 15
+        if not (isfinite(vk) and isfinite(err)):
+            fail(i)
+        return vk, err
 
     # Seed the worklist with a handful of panels so the first refinement
     # pass already sees the broad structure of the transformed integrand.
-    take(_SEEDS, vals, errs)
+    for i in _SEEDS:
+        vk, err = panel(i)
+        work.append(i)
+        vals.append(vk)
+        errs.append(err)
 
     target = 0.3 * abs_tol
     exhausted = False
@@ -604,10 +596,8 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
     work.clear()
     vals.clear()
     errs.clear()
-    for ids in (_LEFT_TAIL, _RIGHT_TAIL):
-        cells: list[float] = []
-        take(ids, cells, [])
-        tail, tail_error = _tail_sum(cells, best)
+    for cells in (_LEFT_TAIL, _RIGHT_TAIL):
+        tail, tail_error = _tail_sum([panel(i)[0] for i in cells], best)
         final_value += tail
         final_error += tail_error
     result = QuadratureResult(final_value, final_error, evals)

@@ -441,16 +441,30 @@ def table_grid():
     results, weights, per_member, panels, grid_panels, tables = [], set(), [], set(), set(), set()
     tag = {}
 
-    def recording(rule, abs_tol, walk, vks=(), errs=()):
-        def visit(i):
-            # handed no lists, the kernel asks the rule once for every panel
-            # it visits, by id, which reads a listed panel off the lists
+    class Reads(list):
+        """A pass's value list that reports each id the loop reads off it."""
+
+        def __init__(self, values, seen):
+            super().__init__(values)
+            self.seen = seen
+
+        def __getitem__(self, i):
+            self.seen(i)
+            return super().__getitem__(i)
+
+    def recording(rule, abs_tol, walk, vks, errs):
+        # the kernel reads every listed panel it visits off the pass's value
+        # list, once, and asks the rule once for every other one, by id
+        def seen(i):
             key = walk.panels[i][:2]
             panels.add(key)
             weights.add((tag["n"], key))
-            return (vks[i], errs[i]) if i < len(vks) else rule(i)
 
-        results.append(integrate(visit, abs_tol, walk))
+        def visit(i):
+            seen(i)
+            return rule(i)
+
+        results.append(integrate(visit, abs_tol, walk, Reads(vks, seen), errs))
         return results[-1]
 
     def reading(key, rows, walk):
@@ -816,40 +830,6 @@ class TestAlternateRoutes:
 
         for h, j, both in zip(forward[0::3], forward[1::3], forward[2::3]):
             assert both == (h if failed(h) else j if failed(j) else h + j)
-
-    def test_a_cold_cell_takes_the_profile_once_per_panel(self, monkeypatch, quadrature_caches):
-        # exponential(1) at n = 5 from a cleared index: the numpy pass takes
-        # the profile on the 23 fixed panels, and each panel H's integral
-        # makes is made once and the profile taken on it once, for J's
-        # integral too, so the cell makes 15 calls per distinct panel, as H
-        # alone does.  The cell keeps none of it: the next cold cell calls
-        # the profile as often.
-        record = d.REGISTRY["exponential"]
-        calls = []
-
-        def profile(dist, t):
-            calls.append(t)
-            return record.density_quantile(dist, t)
-
-        monkeypatch.setitem(d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=profile))
-        made = []
-        panel = numerics._panel
-        monkeypatch.setattr(numerics, "_panel", lambda a, b: made.append((a, b)) or panel(a, b))
-        member = d.exponential(1.0)
-        counts = []
-        for cell in ("H", "HJ", "HJ"):
-            quadrature_caches()
-            calls.clear()
-            walk = numerics._index.walk()
-            measures._quadrature(member, 5, cell, numerics.DEFAULT_QUAD_TOL)
-            panels = numerics._index.panels
-            assert sorted(calls) == sorted(t for p in panels for t in p[2])
-            counts.append(len(calls))
-        assert counts == [585, 585, 585] == [15 * len(panels)] * 3
-        # each per-call panel is made once in the cell, and once as it is listed
-        per_call = [p[:2] for p in panels[walk.listed :]]
-        assert sorted(made[-2 * len(per_call) :]) == sorted(per_call * 2)
-        assert len(made) == 3 * 2 * len(per_call)
 
     @pytest.mark.parametrize("route", ["shannon_max", "extropy_max"])
     def test_a_raising_profile_leaves_no_cache_entry(self, route, monkeypatch):

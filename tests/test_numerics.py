@@ -304,8 +304,8 @@ _T_RIGHT = numerics._logistic_nodes((numerics._U_RIGHT,))[0][0]
 
 class TestTailBranches:
     """Each branch of the tails, on point integrands that are smooth on the
-    window, ends the same read off a numpy pass of the listed panels -- the
-    seeds and the tail cells by slice -- as through integrate_unit."""
+    window, ends the same read off a numpy pass of the listed panels, the
+    seeds and the tail cells among them, as through integrate_unit."""
 
     CASES = [
         # (integrand, left branch, right branch, failure message or None)
