@@ -125,10 +125,17 @@ def _json_cell(x) -> str:
     return json.dumps(x)  # a string, true, false or null
 
 
+@functools.lru_cache(maxsize=64)
+def _json_keys(header: tuple[str, ...]) -> tuple[str, ...]:
+    """Each key of ``header`` as it opens an item of a :func:`_json_rows`
+    object, encoded once per header."""
+    return tuple(f"    {json.dumps(key)}: " for key in header)
+
+
 def _json_rows(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """``json.dumps`` of the rows as objects keyed by ``header`` (distinct
     keys), with ``indent=2``, byte for byte, written a row at a time."""
-    keys = [f"    {json.dumps(key)}: " for key in header]
+    keys = _json_keys(tuple(header))
     objects = []
     text = float.__repr__
     for row in rows:

@@ -422,8 +422,35 @@ def _gev_extropy(d, n):
             "the closed form is valid only for xi > -2"
         )
     if isinstance(n, np.ndarray):
-        return _elementwise(_gev_extropy_at)(n, xi)
+        return _gev_extropy_on(n, xi)
     return _gev_extropy_at(n, xi)
+
+
+def _gev_extropy_on(n: np.ndarray, xi: float) -> np.ndarray:
+    """:func:`_gev_extropy_at` at each n of an array, with its bits: the
+    direct form on the whole integer array, n^xi by libm element by element
+    and the rest in numpy, whose * and / round as Python's do; the elements
+    where that form overflows, an object array, and every element once
+    Gamma(xi + 2) overflows, go through :func:`_gev_extropy_at` one by one."""
+    each = _elementwise(_gev_extropy_at)
+    if n.dtype.kind not in "iu":
+        return each(n, xi)
+    try:
+        gamma, two = math.gamma(xi + 2.0), 2.0 ** (xi + 3.0)
+    except OverflowError:
+        return each(n, xi)
+    x = n.astype(float)
+    # ln n^xi below 709 < ln DBL_MAX (every n when xi <= 0): float ** cannot
+    # overflow there
+    direct = xi * np.log(x) < 709.0
+    den = np.full(n.shape, math.inf)
+    with np.errstate(over="ignore"):  # 2^(xi+3) n^xi beyond the double range
+        den[direct] = two * _math(np.ndarray).pow(x[direct], xi)
+    direct = den < math.inf
+    out = -gamma / den
+    if not direct.all():
+        out[~direct] = each(n[~direct], xi)
+    return out
 
 
 def _gev_limits(d):

@@ -13,7 +13,10 @@ Gauss-Kronrod 7/15 kernel (worst cell split first, evaluations capped, with
 an explicit failure carrying the best estimate, tails included, instead of
 silent truncation).  The residual mass beyond the working window is summed
 by Wynn epsilon extrapolation of unit-width tail cells, which is exact for
-the geometric decay the transform produces.  The 15 nodes of a panel depend
+the geometric decay the transform produces.  Both tails are summed right
+after the seed panels, before any bisection: where their error alone
+exceeds the tolerance no refinement of the window can meet it, and the
+integral declines at once.  The 15 nodes of a panel depend
 only on its u-interval, so the panels that integrals share are held in
 one bounded index by integer id, each with its bounds, width, nodes
 (range-checked once, when the panel is made) and the ids of its halves;
@@ -334,8 +337,7 @@ def _tail_sum(cells: list[float], best) -> tuple[float, float]:
     if overshoot > 10.0 * (cont + 1e-300) + 1e-15:
         limit = partial[-1] + math.copysign(min(overshoot, cont), limit - partial[-1])
         spread = max(spread, cont)
-    err = spread + 1e-16 * abs(limit) + 0.05 * abs(limit - partial[-1])
-    return limit, err
+    return limit, spread + 1e-16 * abs(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +480,17 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         Each t is a panel node, checked to lie in (0, 1) when its panel was
         made.
     abs_tol : float
-        Target absolute tolerance; the returned ``error_estimate`` is an
-        honest bound and may exceed ``abs_tol`` only together with an
-        explicit :class:`QuadratureError`, raised with the best estimate --
-        the window so far plus both tails -- once the evaluations exceed
-        ``_MAX_EVALS``.
+        Target absolute tolerance.  Both tails are summed right after the
+        seed panels, and where their error alone exceeds ``abs_tol`` the
+        call declines at once with a :class:`QuadratureError` whose best
+        estimate is the seeds plus both tails.  Otherwise the window is
+        refined until its error is at most 0.3 ``abs_tol``, and a
+        :class:`QuadratureError` with the best estimate -- the window so far
+        plus both tails -- is raised once the evaluations exceed
+        ``_MAX_EVALS``.  The returned ``error_estimate`` is the window's
+        error plus the tails', an honest bound held to ``abs_tol`` on the
+        catalog grid; tails whose error lies between 0.7 and 1 ``abs_tol``
+        can take it past ``abs_tol`` by up to 30%.
 
     Each panel is ruled by :func:`_gk15`, with ``f`` called at its nodes
     in turn, inside the adaptive loop :func:`_integrate`.  The panels come
@@ -505,7 +513,8 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
     panel visited, by its id ``i`` in ``walk``: ``values[i]`` and
     ``errors[i]`` for the panels a numpy pass ruled, the first
     ``len(values)`` ids, and ``rule(i)`` for the others, called once per
-    panel, in visit order.  Each panel visited counts as 15 evaluations."""
+    panel, in visit order: the seeds, the tail cells, then the halves.
+    Each panel visited counts as 15 evaluations."""
     abs_tol = _check_real(abs_tol, "abs_tol")
     width, kids, split = walk.width, walk.kids, walk.split
     isfinite = math.isfinite
@@ -552,6 +561,16 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
         vals.append(vk)
         errs.append(err)
 
+    # Sum both tails before any refinement: no refinement of the window can
+    # shrink their error, so where it alone exceeds the tolerance, decline.
+    tails = [_tail_sum([panel(i)[0] for i in cells], best) for cells in (_LEFT_TAIL, _RIGHT_TAIL)]
+    tail_error = tails[0][1] + tails[1][1]
+    if tail_error > abs_tol:
+        raise QuadratureError(
+            f"tail error {tail_error:.3e} alone exceeds tolerance {abs_tol:.3e}",
+            best=best(tails[0][0] + tails[1][0], tail_error),
+        )
+
     target = 0.3 * abs_tol
     exhausted = False
     while True:
@@ -590,16 +609,12 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
                 vals.append(vk)
                 errs.append(err)
 
-    # Settle the window, then add each tail as it completes.
+    # Settle the window, then add each tail.
     final_value += sum(vals)
     final_error += sum(errs)
-    work.clear()
-    vals.clear()
-    errs.clear()
-    for cells in (_LEFT_TAIL, _RIGHT_TAIL):
-        tail, tail_error = _tail_sum([panel(i)[0] for i in cells], best)
+    for tail, error in tails:
         final_value += tail
-        final_error += tail_error
+        final_error += error
     result = QuadratureResult(final_value, final_error, evals)
     if exhausted:
         raise QuadratureError(

@@ -21,7 +21,11 @@ forms of :mod:`extremal_info.distributions` do.  Where a scalar call goes
 through libm (``math.log``, ``math.exp``, float ``**``), an array call
 applies the same libm function element by element (``_math``):
 numpy's SIMD loops for these functions differ from libm in the last bit
-on a few percent of inputs.
+on a few percent of inputs.  The one exception is ln n on an integer
+array: each n from 1 to 10^4 is read from a table of ``math.log(k)``,
+built at the first array call, and only the elements past it go to libm
+one at a time.  Everything else an array call does (+, -, *, /) is
+correctly rounded, so numpy gives the bits of Python floats there.
 
 ``scipy.special`` is imported at the first call that needs it, through
 ``_sc``: digamma for H_n with n > 10^4, log-beta for ``beta_function`` (the
@@ -227,6 +231,34 @@ def _elementwise(f):
     return apply
 
 
+@functools.cache
+def _log_table() -> np.ndarray:
+    """``math.log(k)`` at index k = 1 .. 10^4 (index 0 unused), read-only;
+    built at the first array call, as the setup of a scalar call needs none."""
+    table = np.array([math.nan, *map(math.log, range(1, _HARMONIC_EXACT_MAX + 1))])
+    table.flags.writeable = False
+    return table
+
+
+_log_each = _elementwise(math.log)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` at each element of an array: an integer n within the
+    table is read from it, every other element goes to libm."""
+    if x.dtype.kind not in "iu":  # a float or object array
+        return _log_each(x)
+    shape, x = x.shape, x.reshape(-1)
+    inside = (x >= 1) & (x <= _HARMONIC_EXACT_MAX)
+    if inside.all():
+        out = _log_table()[x]
+    else:
+        out = np.empty(x.shape)
+        out[inside] = _log_table()[x[inside]]
+        out[~inside] = _log_each(x[~inside])
+    return out.reshape(shape)
+
+
 # The math the closed forms call on n: libm on a Python number, the same
 # libm function element by element on an array (see the module docstring).
 # ``pow`` is ``**``, not math.pow, so that an overflow keeps its message;
@@ -242,7 +274,7 @@ _SCALAR_MATH = SimpleNamespace(
     where=lambda condition, x, y: x if condition else y,
 )
 _ARRAY_MATH = SimpleNamespace(
-    log=_elementwise(math.log),
+    log=_log,
     log1p=_elementwise(math.log1p),
     exp=_elementwise(math.exp),
     expm1=_elementwise(math.expm1),

@@ -703,3 +703,27 @@ def test_density_never_exceeds_sup(member, t):
     sup = d.sup_density(member)
     if math.isfinite(sup):
         assert d.density_quantile(member, t) <= sup * (1.0 + 1e-9)
+
+
+class TestGevExtropyOnAnArray:
+    """gev J on an integer array is one array expression where the direct
+    form -Gamma(xi + 2)/(2^(xi+3) n^xi) holds and the decimal path past it;
+    a grid that leaves the direct form mid-array, or never enters it, gives
+    the bits of the scalar calls."""
+
+    @pytest.mark.parametrize("xi", [100.0, 169.5, 170.0, 180.0])
+    @pytest.mark.parametrize(
+        "grid",
+        [[*range(1, 2000, 37), 10**4, 10**6], [10**6, 3, 1500, 1, 10**9, 2]],
+        ids=["increasing", "unordered"],
+    )
+    def test_grids_that_overflow_mid_array_keep_the_scalar_bits(self, xi, grid):
+        record, member = d.REGISTRY["gev"], d.gev(xi)
+        want = [record.extropy(member, n).hex() for n in grid]
+        got = record.extropy(member, np.array(grid))
+        assert [v.hex() for v in got.tolist()] == want
+
+    def test_a_j_beyond_the_double_range_raises_at_its_first_n(self):
+        record, member = d.REGISTRY["gev"], d.gev(200.0)
+        with pytest.raises(OverflowError, match=r"n=1 draws"):
+            record.extropy(member, np.array([50, 1, 2]))

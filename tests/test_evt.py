@@ -388,6 +388,17 @@ class TestRecordsOnAnArray:
 class TestConvergenceStudy:
     GRID = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
+    @pytest.mark.parametrize(
+        "member", [d.exponential(1.0), d.logistic(2.0), d.gev(0.0)], ids=lambda m: m.label()
+    )
+    def test_a_study_within_the_table_reads_ln_n_from_it(self, member, monkeypatch):
+        # ln n on range(2, 5001) is read from the table of math.log(k), not
+        # taken by libm element by element: with a table of nan, every H is nan
+        table = np.full_like(special._log_table(), math.nan)
+        monkeypatch.setattr(special, "_log_table", lambda: table)
+        study = evt.convergence_study(member, range(2, 5001))
+        assert np.isnan(study.h_normalized).all()
+
     def test_exponential_reaches_gumbel_targets(self):
         study = evt.convergence_study(d.exponential(1.0), self.GRID)
         assert study.domain == "gumbel"

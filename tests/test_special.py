@@ -103,6 +103,46 @@ class TestPrefixTables:
         assert values == list(special._HARMONIC_TABLE[1:])
 
 
+class TestArrayLog:
+    """ln n on an integer array reads a table of math.log(k) for k <= 10^4
+    and takes the rest by libm, element by element: either way the bits of
+    math.log."""
+
+    @staticmethod
+    def assert_is_math_log(n):
+        got = special._ARRAY_MATH.log(n)
+        assert got.shape == n.shape and got.dtype == float
+        assert [v.hex() for v in got.ravel().tolist()] == [math.log(m).hex() for m in n.ravel().tolist()]
+
+    def test_every_n_of_the_table_and_one_past_it(self):
+        self.assert_is_math_log(np.arange(1, special._HARMONIC_EXACT_MAX + 2))
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            np.array([10**6, 9_999, 10_000, 10_001, 1, 2**40, 7]),
+            np.arange(9_990, 10_011, dtype=np.int32).reshape(3, 7),
+            np.arange(9_000, 12_000, 7, dtype=np.uint64),
+            np.array(10_000),
+            np.array(10_001),
+            special._check_n_grid([1, 10_000, 10**20], "test"),  # an object array
+            np.array([2.5, 10_000.0]),
+        ],
+        ids=["straddle", "int32-2d", "uint64", "0d-inside", "0d-past", "object", "float"],
+    )
+    def test_grids_across_the_table_edge(self, n):
+        self.assert_is_math_log(n)
+
+    def test_a_non_positive_n_raises_as_math_log_does(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            special._ARRAY_MATH.log(np.array([3, 0, 10_001]))
+
+    def test_the_table_is_read_only_and_built_once(self):
+        table = special._log_table()
+        assert table is special._log_table() and not table.flags.writeable
+        assert len(table) == special._HARMONIC_EXACT_MAX + 1
+
+
 # A fresh interpreter makes every closed-form call that needs neither digamma
 # nor the beta function and names each step after which scipy was loaded;
 # then it makes each call that needs scipy.special, with the accessor's cache
