@@ -22,6 +22,9 @@ companion pointwise envelope I(t) <= 1) presumes a density bounded by 1;
 e.g. Exp(theta = 3) at n = 1 has H = 1 - ln 3 < 0, beneath the stated
 lower bound.  Reports therefore gate those two checks on sup f <= 1 and
 say so in ``gate_note`` instead of silently passing or failing them.
+I(1/2), the log-concavity verdict, sup f and the label are taken from the
+record once per spec and kept on it; a report is built from these checked
+parts without re-running its ``__init__``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .numerics import DEFAULT_QUAD_TOL
-from .special import EULER_GAMMA, _check_index, _check_n_grid
+from .special import EULER_GAMMA, _check_index, _check_n_grid, _from_checked
 from .special import half_geometric_sum, harmonic
 
 __all__ = [
@@ -127,16 +130,11 @@ def _ext_le(a: float, b: float) -> bool:
     return a <= b + _ORDER_TOL * max(1.0, abs(a), abs(b))
 
 
-def _i_half(dist) -> float:
-    """I(1/2) from the family record, with the bits of the public scalar call."""
-    return float(dist_mod.REGISTRY[dist.family].density_quantile(dist, 0.5))
-
-
 def _loggable_i_half(dist) -> float:
     """I(1/2), declined where it underflows to 0 and ln[2 I(1/2)] has no value."""
-    i_half = _i_half(dist)
+    i_half = dist._i_half
     if i_half == 0.0:
-        raise ValueError(f"I(1/2) of {dist.label()} underflows to 0, so ln[2 I(1/2)] is undefined")
+        raise ValueError(f"I(1/2) of {dist._label} underflows to 0, so ln[2 I(1/2)] is undefined")
     return i_half
 
 
@@ -173,21 +171,13 @@ def shannon_upper_envelope(dist, n: int) -> float:
 def extropy_upper_envelope(dist, n: int) -> float:
     """The finite-n extropy upper envelope (valid for log-concave parents)."""
     n = _check_index(n, "extropy_upper_envelope")
-    return _extropy_envelope(_i_half(dist), n)
+    return _extropy_envelope(dist._i_half, n)
 
 
 def _unit_density_gate(dist, lead: str, noun: str) -> str:
-    """The note for a check that presumes sup f <= 1, or "" when that holds;
-    a sup f beyond the double range is > 1."""
-    try:
-        sup = dist_mod.REGISTRY[dist.family].sup_density(dist)
-    except OverflowError:
-        shown = "beyond the double range"
-    else:
-        if not sup > 1.0:
-            return ""
-        shown = f"{sup:g}"
-    return f"{lead}: sup density {shown} > 1 (the {noun} presumes a density bounded by 1)"
+    """The note for a check that presumes sup f <= 1, or "" when that holds."""
+    shown = dist._sup_density_above_1
+    return shown and f"{lead}: sup density {shown} > 1 (the {noun} presumes a density bounded by 1)"
 
 
 def _report(dist, lower: float, value: float, upper: float, lower_gate: str = "") -> BoundsReport:
@@ -196,17 +186,17 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
     A non-empty ``lower_gate`` note gates the lower check out: it is
     reported as holding vacuously and the note joins ``gate_note``.
     """
-    log_concave = dist_mod.REGISTRY[dist.family].is_log_concave(dist)
-    notes = [] if log_concave else [f"envelopes require a log-concave density; {dist.label()} is not"]
+    notes = [] if dist._log_concave else [f"envelopes require a log-concave density; {dist._label} is not"]
     if lower_gate:
         notes.append(lower_gate)
-    return BoundsReport(
+    return _from_checked(
+        BoundsReport,
         lower=lower,
         value=value,
         upper=upper,
         lower_holds=bool(lower_gate) or _ext_le(lower, value),
         upper_holds=_ext_le(value, upper),
-        applicable=log_concave,
+        applicable=dist._log_concave,
         gate_note="; ".join(notes),
     )
 
@@ -238,7 +228,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     Both envelopes are scale-covariant, so no sup-density gate applies.
     """
     n = _check_index(n, "extropy_bounds")
-    return _extropy_report(dist, n, _i_half(dist), *measures._route(method, quad_tol))
+    return _extropy_report(dist, n, dist._i_half, *measures._route(method, quad_tol))
 
 
 def shannon_limit_upper(dist) -> float:
@@ -248,7 +238,7 @@ def shannon_limit_upper(dist) -> float:
 
 def extropy_limit_upper(dist) -> float:
     """Limiting extropy ceiling -I(1/2)/4."""
-    return -0.25 * _i_half(dist)
+    return -0.25 * dist._i_half
 
 
 def normalized_bounds(dist, n: int):
@@ -286,7 +276,7 @@ def envelope_check(dist) -> EnvelopeReport:
     """
     ts = _ENVELOPE_GRID
     i_vals = dist_mod.density_quantile(dist, ts)
-    i_half = _i_half(dist)
+    i_half = dist._i_half
     bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals)
     unit_worst, unit_worst_t = _worst(i_vals - 1.0)
     note = _unit_density_gate(dist, "I(t) <= 1 not applicable", "envelope")

@@ -392,7 +392,7 @@ def cmd_measure(args, out) -> int:
     dist = dist_mod.from_dict(args.dist)
     # both measures at once: the quadrature takes them from one cell
     cells = measures._both(dist, args.n, *measures._route(args.method, args.tol), args.samples, args.seed)
-    h, j = (measures.MeasureValue(*cell) for cell in cells)
+    h, j = (measures._value(*cell) for cell in cells)
     header = ["family", "params", "n", "H", "J", "method", "error_estimate", "h_error", "j_error"]
     rows = [
         [

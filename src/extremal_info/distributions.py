@@ -41,6 +41,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -364,7 +365,7 @@ def _gev_sup_density(d):
         return math.exp(k * math.log(k) - k)
     except OverflowError:
         raise OverflowError(
-            f"sup density of {d.label()} is e^{k * math.log(k) - k:.6g}, beyond the double range"
+            f"sup density of {d._label} is e^{k * math.log(k) - k:.6g}, beyond the double range"
         ) from None
 
 
@@ -622,6 +623,37 @@ class DistributionSpec:
         """Short human-readable tag, e.g. 'pareto(theta=1, nu=2)'."""
         parts = [f"{k}={getattr(self, k):g}" for k in REGISTRY[self.family].fields]
         return f"{self.family}({', '.join(parts)})"
+
+    # Member facts bounds and evt read on every call, each taken from the
+    # record when a call first needs it and kept in the instance __dict__
+    # (not read by ==, hash or repr); one whose record call raises is not.
+
+    @cached_property
+    def _label(self) -> str:
+        return self.label()
+
+    @cached_property
+    def _i_half(self) -> float:  # the bits of the public scalar call
+        return float(REGISTRY[self.family].density_quantile(self, 0.5))
+
+    @cached_property
+    def _log_concave(self) -> bool:
+        return REGISTRY[self.family].is_log_concave(self)
+
+    @cached_property
+    def _sup_density_above_1(self) -> str:
+        """sup f as a note shows it where it exceeds 1, else ""."""
+        try:
+            sup = REGISTRY[self.family].sup_density(self)
+        except OverflowError:
+            return "beyond the double range"
+        return f"{sup:g}" if sup > 1.0 else ""
+
+    @cached_property
+    def _xi(self) -> float:  # checked finite, as evt's domain rule checks it
+        xi = REGISTRY[self.family].evi(self)
+        _check_real(xi, "xi", positive=False)
+        return xi
 
 
 def uniform(theta: float = 1.0) -> DistributionSpec:

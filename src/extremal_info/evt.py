@@ -37,7 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import _check_index, _check_n_grid, _check_real, _math
+from .special import _check_index, _check_n_grid, _check_real, _from_checked, _math
 
 __all__ = [
     "NormingConstants",
@@ -162,30 +162,27 @@ def norming_constants(dist, n: int) -> NormingConstants:
     Logistic goes through h (undefined at n = 1 and where 1 - 1/n rounds
     to 1, as the 1 - 1/n quantile is then infinite); a gev parent uses its
     exact max-stable constants a = n^xi, b = (n^xi - 1)/xi.  xi is checked
-    before the constants.
+    before the constants, once per spec, which keeps it; the result is built
+    from these checked parts without re-running their checks.
     """
     n = _check_index(n, "norming_constants")
     a, b, xi = _norming(dist, n)
-    nc = object.__new__(NormingConstants)  # _norming ran __post_init__'s checks, in order
-    nc.__dict__.update(a_n=a, b_n=b, xi=xi)
-    return nc
+    return _from_checked(NormingConstants, a_n=a, b_n=b, xi=xi)  # _norming ran __post_init__'s checks, in order
 
 
 def _norming(dist, n: int) -> tuple:
     """(a_n, b_n, xi) at a checked n: xi's domain before the constants, a_n
     after.  A record that overflows (n^xi of a gev member, say), or whose
     a_n float arithmetic takes to inf or to 0, is named."""
-    record = dist_mod.REGISTRY[dist.family]
-    xi = record.evi(dist)
-    _domain(xi)
+    xi = dist._xi  # checked when the spec first took it
     try:
-        a, b = record.norming(dist, n)
+        a, b = dist_mod.REGISTRY[dist.family].norming(dist, n)
     except OverflowError:
         a = math.inf  # named below, as an a_n that float arithmetic takes to inf
     if a == math.inf:
-        raise OverflowError(f"norming constants for {dist.label()} overflow the double range at n={n}")
+        raise OverflowError(f"norming constants for {dist._label} overflow the double range at n={n}")
     if a == 0.0:
-        raise ValueError(f"norming constants for {dist.label()} underflow the double range at n={n}")
+        raise ValueError(f"norming constants for {dist._label} underflow the double range at n={n}")
     _check_real(a, "a_n")
     return a, b, xi
 

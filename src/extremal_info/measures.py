@@ -22,7 +22,9 @@ entropy is location-free but scale-dependent, extropy scales linearly:
     H((X_(n) - b_n)/a_n) = -ln a_n + H(X_(n))
     J((X_(n) - b_n)/a_n) = a_n J(X_(n))
 
-so neither normalized measure depends on b_n.
+so neither normalized measure depends on b_n.  A closed-form
+:class:`MeasureValue` is built from its checked parts without
+``__post_init__``; the other routes' values keep every check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from . import evt
 from . import numerics
 from .distributions import INDETERMINATE, Indeterminate  # noqa: F401  (distributions exports both)
 from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
-from .special import _check_index, _check_real
+from .special import _check_index, _check_real, _from_checked
 from .special import harmonic  # noqa: F401  (perfbench's tracer patches measures.harmonic)
 
 __all__ = [
@@ -91,9 +93,7 @@ class MeasureValue:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        # a Python float is already what float() would give
-        if type(self.value) is not float and not is_indeterminate(self.value):
-            object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", _extended_real(self.value))
         if type(self.error_estimate) is not float:
             object.__setattr__(self, "error_estimate", float(self.error_estimate))
         err = self.error_estimate
@@ -101,6 +101,19 @@ class MeasureValue:
             raise ValueError(f"error_estimate must be nonnegative, got {err!r}")
         if self.method == "closed_form" and err != 0.0:
             raise ValueError("closed-form values carry no error estimate")
+
+
+def _extended_real(value):
+    """``value`` as a Python float (one already is), or the indeterminate marker."""
+    return value if type(value) is float or is_indeterminate(value) else float(value)
+
+
+def _value(value, method: str, error_estimate: float) -> MeasureValue:
+    """A route's (value, method, error) as a MeasureValue; a closed form's
+    parts hold, so it skips ``__post_init__`` but for the value's float."""
+    if method != "closed_form":
+        return MeasureValue(value, method, error_estimate)
+    return _from_checked(MeasureValue, value=_extended_real(value), method=method, error_estimate=0.0)
 
 
 def _route(method: str, quad_tol) -> tuple[str, float]:
@@ -334,7 +347,7 @@ def shannon_max(
     route.
     """
     n = _check_index(n, "shannon_max")
-    return MeasureValue(*_shannon(dist, n, *_route(method, quad_tol), samples, seed))
+    return _value(*_shannon(dist, n, *_route(method, quad_tol), samples, seed))
 
 
 def extropy_max(
@@ -353,7 +366,7 @@ def extropy_max(
     raised instead of evaluating an invalid expression.
     """
     n = _check_index(n, "extropy_max")
-    return MeasureValue(*_extropy(dist, n, *_route(method, quad_tol), samples, seed))
+    return _value(*_extropy(dist, n, *_route(method, quad_tol), samples, seed))
 
 
 def shannon_limit(dist) -> float:
@@ -379,7 +392,7 @@ def shannon_normalized(dist, n: int) -> MeasureValue:
     """
     n = _check_index(n, "shannon_normalized")
     a_n = evt._norming(dist, n)[0]
-    return MeasureValue(dist_mod.REGISTRY[dist.family].shannon(dist, n) - math.log(a_n), "closed_form")
+    return _value(dist_mod.REGISTRY[dist.family].shannon(dist, n) - math.log(a_n), "closed_form", 0.0)
 
 
 def extropy_normalized(dist, n: int) -> MeasureValue:
@@ -390,7 +403,7 @@ def extropy_normalized(dist, n: int) -> MeasureValue:
     """
     n = _check_index(n, "extropy_normalized")
     a_n = evt._norming(dist, n)[0]
-    return MeasureValue(a_n * dist_mod.REGISTRY[dist.family].extropy(dist, n), "closed_form")
+    return _value(a_n * dist_mod.REGISTRY[dist.family].extropy(dist, n), "closed_form", 0.0)
 
 
 def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:

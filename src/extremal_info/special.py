@@ -326,6 +326,14 @@ def _check_real(value, name: str, positive: bool = True) -> float:
     return x
 
 
+def _from_checked(cls, **fields):
+    """A frozen dataclass ``cls`` of ``fields`` the library has checked, made
+    without ``__init__`` and ``__post_init__``; public construction checks."""
+    built = object.__new__(cls)
+    built.__dict__.update(fields)
+    return built
+
+
 def _check_indices(n: np.ndarray, name: str) -> np.ndarray:
     """:func:`_check_index` at every element of an array of n, at once for an
     integer array; the message names the first offending element."""

@@ -171,3 +171,30 @@ def test_every_contract_runs_in_verify_and_in_the_acceptance_suite():
     assert contracts
     assert sorted(contracts - reached) == []
     assert sorted(contracts - called) == []
+
+
+def _object_new_sites() -> set[tuple[str, str | None]]:
+    """(module, enclosing function) of every ``object.__new__`` in the package."""
+    sites = set()
+    for path in SOURCES:
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+                if (
+                    isinstance(child, ast.Attribute)
+                    and child.attr == "__new__"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "object"
+                ):
+                    sites.add((path.stem, function))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_only_the_one_builder_skips_a_dataclass_s_checks():
+    # a result built from checked parts goes through special._from_checked,
+    # so no module skips a public dataclass's __init__ on its own
+    assert _object_new_sites() == {("special", "_from_checked")}

@@ -71,6 +71,20 @@ class TestMeasureValue:
         with pytest.raises(ValueError):
             measures.shannon_max(d.exponential(1.0), 2, method="simpson")
 
+    @pytest.mark.parametrize(
+        "value", [1.5, -0.0, math.inf, np.float64(0.1), np.float32(0.1), 3, 10**400 // 10**390, d.INDETERMINATE]
+    )
+    def test_a_closed_value_is_built_as_public_construction_builds_it(self, value):
+        # the closed route skips __post_init__ and takes the value to a
+        # float as it does: same fields, same types, equal
+        built = measures._value(value, "closed_form", 0.0)
+        public = measures.MeasureValue(value, "closed_form")
+        assert built == public
+        assert [type(getattr(built, f)) for f in ("value", "method", "error_estimate")] == [
+            type(getattr(public, f)) for f in ("value", "method", "error_estimate")
+        ]
+        assert repr(built) == repr(public)
+
 
 class TestArgumentChecking:
     @pytest.mark.parametrize("bad_n", [0, -1, 2.5, True, "3"])
