@@ -272,11 +272,17 @@ def envelope_check(dist) -> EnvelopeReport:
     Checks 2 I(1/2) min{t, 1-t} <= I(t) (valid for every log-concave
     parent, no normalization needed) and I(t) <= 1 (which presumes
     sup f <= 1 and is flagged inapplicable otherwise, though the raw
-    outcome is still reported) on the grid t = k/1000, k = 1..999.
+    outcome is still reported) on the grid t = k/1000, k = 1..999.  Where
+    I(1/2) is inf or nan the first envelope has no value, and a
+    ``ValueError`` names the member.
     """
+    i_half = dist._i_half
+    if not math.isfinite(i_half):
+        raise ValueError(
+            f"I(1/2) of {dist._label} evaluates to {i_half}, so the envelope 2 I(1/2) min(t, 1 - t) is undefined"
+        )
     ts = _ENVELOPE_GRID
     i_vals = dist_mod.density_quantile(dist, ts)
-    i_half = dist._i_half
     bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals)
     unit_worst, unit_worst_t = _worst(i_vals - 1.0)
     note = _unit_density_gate(dist, "I(t) <= 1 not applicable", "envelope")

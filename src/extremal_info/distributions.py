@@ -118,6 +118,15 @@ class Family:
       both; it may return a float, a numpy scalar or an array;
     - ``quantile`` must also accept t = 0 and t = 1, where it gives the
       ends of the support (:attr:`DistributionSpec.support`);
+    - ``log_density_quantile(d, log_t, log1m_t)``: ln I(t) from ln t, in
+      (-inf, 0), and ln(1 - t), in (-inf, 0] (0 where 1 - t rounds to 1),
+      float arrays of one shape, as an array of that shape; it reads
+      ``log1m_t`` only where ``reads_log1m_t`` is true, and is handed None
+      otherwise.  Where a constant such as nu/theta or an exponent such as
+      (nu + 1)/nu leaves the double range, it is taken term by term, so
+      ln I is finite wherever it is a double, also where I under- or
+      overflows; beyond the doubles it is +-inf, with numpy's overflow
+      warning, which the caller must expect;
     - ``sup_density(d)`` and ``is_log_concave(d)``;
     - ``shannon(d, n)`` and ``extropy(d, n)``: closed-form H and J of the
       maximum of n draws; ``limits(d)``: their n -> infinity limits
@@ -140,6 +149,8 @@ class Family:
     cdf: Callable
     quantile: Callable
     density_quantile: Callable
+    log_density_quantile: Callable
+    reads_log1m_t: bool
     sup_density: Callable
     is_log_concave: Callable
     shannon: Callable
@@ -243,6 +254,20 @@ def _pareto_shannon(d, n):
     )
 
 
+def _ratio_times(num: float, nu: float, x):
+    """(num/nu) x for num = nu +- 1, also where num/nu overflows (nu below
+    about 5.6e-309): there num rounds to +-1, and x/(num nu) misses the
+    product by |x|, far below its rounding."""
+    k = num / nu
+    return k * x if abs(k) < math.inf else x / (num * nu)
+
+
+def _pareto_log_density_quantile(d, log_t, log1m_t):
+    nu = d.nu
+    log_c = _log_of(nu / d.theta, lambda: math.log(nu) - math.log(d.theta))
+    return log_c + _ratio_times(nu + 1.0, nu, log1m_t)
+
+
 def _pareto_norming(d, n):
     # b_n = U(n) = theta n^{1/nu} and a_n = xi U(n), with xi = 1/nu
     m = _math(type(n))
@@ -277,6 +302,12 @@ def _power_density_quantile(d, t):
         with np.errstate(over="ignore", invalid="ignore"):
             return d.nu * d.theta * np.asarray(t) ** ((d.nu - 1.0) / d.nu)
     return d.nu * d.theta * np.asarray(t) ** ((d.nu - 1.0) / d.nu)
+
+
+def _power_log_density_quantile(d, log_t, log1m_t):
+    nu = d.nu
+    log_c = _log_of(nu * d.theta, lambda: math.log(nu) + math.log(d.theta))
+    return log_c + _ratio_times(nu - 1.0, nu, log_t)
 
 
 def _power_extropy(d, n):
@@ -352,6 +383,10 @@ def _gev_density_quantile(d, t):
         with np.errstate(over="ignore"):
             return t * (-np.log(t)) ** k
     return t * (-np.log(t)) ** k
+
+
+def _gev_log_density_quantile(d, log_t, log1m_t):
+    return log_t + (_gev_xi(d) + 1.0) * np.log(-log_t)
 
 
 def _gev_sup_density(d):
@@ -478,6 +513,8 @@ REGISTRY: dict[str, Family] = {
         quantile=lambda d, t: d.theta * t,
         # 0 t keeps the type and shape of t at a tenth of np.full_like's cost
         density_quantile=lambda d, t: 1.0 / d.theta + 0.0 * t,
+        log_density_quantile=lambda d, log_t, log1m_t: -math.log(d.theta) + 0.0 * log_t,
+        reads_log1m_t=False,
         sup_density=lambda d: 1.0 / d.theta,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - 1.0 / n + math.log(d.theta),
@@ -493,6 +530,8 @@ REGISTRY: dict[str, Family] = {
         cdf=lambda d, x: np.where(x > 0.0, -np.expm1(-d.theta * x), 0.0),
         quantile=lambda d, t: -np.log1p(-t) / d.theta,
         density_quantile=lambda d, t: d.theta * (1.0 - t),
+        log_density_quantile=lambda d, log_t, log1m_t: math.log(d.theta) + log1m_t,
+        reads_log1m_t=True,
         sup_density=lambda d: d.theta,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: (
@@ -511,6 +550,8 @@ REGISTRY: dict[str, Family] = {
         cdf=_logistic_cdf,
         quantile=lambda d, t: (np.log(t) - np.log1p(-t)) / d.theta,
         density_quantile=lambda d, t: d.theta * t * (1.0 - t),
+        log_density_quantile=lambda d, log_t, log1m_t: math.log(d.theta) + log_t + log1m_t,
+        reads_log1m_t=True,
         sup_density=lambda d: d.theta / 4.0,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - math.log(d.theta) + special.harmonic(n),
@@ -525,6 +566,8 @@ REGISTRY: dict[str, Family] = {
         cdf=_pareto_cdf,
         quantile=lambda d, t: d.theta * np.exp(-np.log1p(-t) / d.nu),
         density_quantile=lambda d, t: (d.nu / d.theta) * (1.0 - t) ** ((d.nu + 1.0) / d.nu),
+        log_density_quantile=_pareto_log_density_quantile,
+        reads_log1m_t=True,
         sup_density=lambda d: d.nu / d.theta,
         is_log_concave=lambda d: False,
         shannon=_pareto_shannon,
@@ -545,6 +588,8 @@ REGISTRY: dict[str, Family] = {
         ),
         quantile=_power_quantile,
         density_quantile=_power_density_quantile,
+        log_density_quantile=_power_log_density_quantile,
+        reads_log1m_t=False,
         sup_density=lambda d: d.nu * d.theta if d.nu >= 1.0 else math.inf,
         is_log_concave=lambda d: d.nu >= 1.0,
         shannon=_entropy_in_range(
@@ -565,6 +610,8 @@ REGISTRY: dict[str, Family] = {
         cdf=_gev_cdf,
         quantile=_gev_quantile,
         density_quantile=_gev_density_quantile,
+        log_density_quantile=_gev_log_density_quantile,
+        reads_log1m_t=False,
         sup_density=_gev_sup_density,
         is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
         shannon=_gev_shannon,

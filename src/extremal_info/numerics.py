@@ -46,15 +46,24 @@ Sampling uses ``numpy.random.Generator`` seeded with an explicit integer so
 that identical seeds give identical streams.  If a task ever needs several
 independent streams, spawn children of ``np.random.SeedSequence(seed)`` in
 task order rather than reusing consecutive integer seeds.  The estimators
-sample in t, as the quadrature integrates in t: T = F(X_(n)) of a maximum
-of n i.i.d. draws is Beta(n, 1), drawn in one shot as ``V^{1/n}`` with
-``V`` uniform on (0, 1), and the density of the maximum at X_(n) is
-``n T^{n-1} I(T)``, so the parent enters only through its profile I and
-never through its quantile, cdf or density.  A summand that is not finite
-(a profile that underflowed to 0 near t = 1, or overflowed) fails the
+sample in t, as the quadrature integrates in t, and in log space: T =
+F(X_(n)) of a maximum of n i.i.d. draws is Beta(n, 1), V^{1/n} with V
+uniform on [0, 1), so ln T = ln V / n, to within its rounding however
+close T lies to 1, and ln(1 - T) = ln(-expm1(ln T)), taken only for the
+families whose log profile reads it.  The density of the maximum at X_(n)
+is ``n T^{n-1} I(T)``, so the parent enters only through the log profile
+ln I of its family record (``log_density_quantile``), never through its
+quantile, cdf, density or the linear profile: the summands are
+-(ln n + (n - 1) ln T + ln I(T)) for H and -(n/2) exp((n - 1) ln T +
+ln I(T)) for J, so H stays finite where I(T) under- or overflows.  A
+summand that is not finite (an exp that overflowed, say) fails the
 estimate with a ``ValueError`` naming the summand before any moment is
 taken.  The moments are taken of the summands scaled by a power of 2, so
 a mean or standard error that is a double does not overflow on the way.
+One helper, :func:`_estimates`, takes every estimate from the draws, so
+the public estimators and :func:`_mc_sweep` -- which draws ln V once per
+seed and takes (ln T, ln(1 - T)) once per (n, seed) for every member, as
+``verify``'s agreement group needs -- give the same bits.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -630,73 +640,109 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
 # ---------------------------------------------------------------------------
 
 
-def _draw_profile(dist, n: int, samples: int, seed: int, name: str):
-    """The checked ``n``, ``samples`` draws of T = F(X_(n)) ~ Beta(n, 1), and
-    the profile I(T); ``n`` is checked under the caller's ``name``.
+# ln T of a draw is kept in [ln of the smallest normal double, minus the
+# smallest subnormal]: v = 0 gives ln V = -inf, and ln V / n rounds to 0
+# for n past about 2e307, where ln(1 - T) would be -inf.
+_LOG_T_RANGE = (math.log(sys.float_info.min), -math.ulp(0.0))
 
-    T = V^{1/n} with V uniform from ``default_rng(seed)``, nudged off the
-    ends (v = 0, or V^{1/n} rounding up to 1.0) to the nearest interior
-    double, where the profile is defined.
-    """
-    n = _check_index(n, name)
-    samples, seed = _check_samples(samples), _check_seed(seed)
-    v = np.random.default_rng(seed).random(samples)
-    t = np.clip(v ** (1.0 / n), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return n, t, dist_mod.density_quantile(dist, t)
+
+def _log_uniforms(samples: int, seed: int) -> np.ndarray:
+    """ln V of ``samples`` draws of V uniform on [0, 1) from
+    ``default_rng(seed)``, for a sample count and a seed their rules have
+    checked."""
+    with np.errstate(divide="ignore"):  # v = 0
+        return np.log(np.random.default_rng(seed).random(samples))
+
+
+def _levels(log_v: np.ndarray, n: int, log1m: bool) -> tuple:
+    """(ln T, ln(1 - T)) of T = V^{1/n} ~ Beta(n, 1): ln T = ln V / n,
+    nudged into ``_LOG_T_RANGE``, and ln(1 - T) = ln(-expm1(ln T)) where
+    ``log1m`` asks for it, else None."""
+    log_t = np.clip(log_v / n, *_LOG_T_RANGE)
+    return log_t, np.log(-np.expm1(log_t)) if log1m else None
 
 
 def _mc_estimate(values, summand: str, samples: int, seed: int) -> McEstimate:
     """Mean and standard error of the summands ``values``.  A non-finite one
-    (a profile that underflowed to 0, say) leaves no mean to estimate and is
-    named.
+    (an exp(ln f_max) that overflowed, say) leaves no mean to estimate and
+    is named.
 
     Both moments are taken of the summands over 2^e, with e the binary
     exponent of the largest |summand|, and multiplied back by 2^e.  Scaling
     by a power of 2 rounds nothing short of the subnormals, so the moments
     keep their bits, and neither the squares nor the sum can overflow where
-    the answer is a double.
+    the answer is a double.  They are ``np.mean`` and ``np.std(ddof=1)``
+    spelled out, with their bits: one pairwise sum for the mean, and one of
+    the squared deviations from it.
     """
-    bad = samples - np.count_nonzero(np.isfinite(values))
-    if bad:
+    hi, lo = values.max(), values.min()  # nan wherever a summand is nan
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        bad = samples - np.count_nonzero(np.isfinite(values))
         raise ValueError(f"Monte Carlo summand {summand} non-finite for {bad} of {samples} draws")
-    e = math.frexp(max(values.max(), -values.min()))[1]
+    e = math.frexp(max(hi, -lo))[1]
     scaled = np.ldexp(values, -e)
-    est = math.ldexp(float(np.mean(scaled)), e)
-    se = math.ldexp(float(np.std(scaled, ddof=1)), e) / math.sqrt(samples)
-    return McEstimate(est, se, samples, seed)
+    mean = np.add.reduce(scaled) / samples
+    deviations = np.subtract(scaled, mean, out=scaled)
+    var = np.add.reduce(np.square(deviations, out=deviations)) / (samples - 1)
+    se = math.ldexp(math.sqrt(var), e) / math.sqrt(samples)
+    return McEstimate(math.ldexp(float(mean), e), se, samples, seed)
 
 
-def _entropy_estimate(n: int, t, profile, samples: int, seed: int) -> McEstimate:
-    """The mean of -ln f_max(X) = -(ln n + (n - 1) ln T + ln I(T))."""
-    with np.errstate(divide="ignore"):
-        summands = -(math.log(n) + (n - 1) * np.log(t) + np.log(profile))
-    return _mc_estimate(summands, "-ln f_max(X)", samples, seed)
+def _estimates(dist, n: int, log_t, log1m_t, samples: int, seed: int, measures: str) -> list[McEstimate]:
+    """The estimates of ``measures`` ("H", "J" or "HJ", in that order) from
+    the draws (ln T, ln(1 - T)) of :func:`_levels`, through the member's log
+    profile: with ln(f_max(X)/n) = (n - 1) ln T + ln I(T), the mean of
+    -ln f_max(X) for H and of -f_max(X)/2 for J."""
+    out = []
+    with np.errstate(over="ignore"):  # left to the finiteness check
+        log_f = (n - 1) * log_t + dist_mod.REGISTRY[dist.family].log_density_quantile(dist, log_t, log1m_t)
+        if "H" in measures:
+            out.append(_mc_estimate(-math.log(n) - log_f, "-ln f_max(X)", samples, seed))
+        if "J" in measures:
+            out.append(_mc_estimate((-0.5 * n) * np.exp(log_f), "-f_max(X)/2", samples, seed))
+    return out
 
 
-def _extropy_estimate(n: int, t, profile, samples: int, seed: int) -> McEstimate:
-    """The mean of -f_max(X)/2 = -(n/2) T^(n-1) I(T)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        summands = -0.5 * n * t ** (n - 1) * profile
-    return _mc_estimate(summands, "-f_max(X)/2", samples, seed)
+def _mc(dist, n: int, samples: int, seed: int, name: str, measures: str) -> list[McEstimate]:
+    """:func:`_estimates` of one member from its own draw; ``n`` is checked
+    under the caller's ``name``."""
+    n = _check_index(n, name)
+    samples, seed = _check_samples(samples), _check_seed(seed)
+    log1m = dist_mod.REGISTRY[dist.family].reads_log1m_t
+    return _estimates(dist, n, *_levels(_log_uniforms(samples, seed), n, log1m), samples, seed, measures)
 
 
-def _mc_pair(dist, n: int, samples: int, seed: int, name: str) -> tuple[McEstimate, McEstimate]:
-    """The estimates of :func:`mc_entropy_max` and :func:`mc_extropy_max`,
-    with their bits, from one draw."""
-    n, t, profile = _draw_profile(dist, n, samples, seed, name)
-    return _entropy_estimate(n, t, profile, samples, seed), _extropy_estimate(n, t, profile, samples, seed)
+def _mc_sweep(members, ns, seeds, samples: int, name: str) -> list:
+    """Both estimates of every (member, n, seed), each with the bits of
+    :func:`mc_entropy_max` and :func:`mc_extropy_max`, as
+    ``pairs[k][i][s]`` for ``members[k]``, ``ns[i]`` and ``seeds[s]``.
+    ln V is drawn once per seed and (ln T, ln(1 - T)) taken once per
+    (n, seed), shared by every member; ln(1 - T) only where some member's
+    profile reads it.  ``members`` and ``ns`` are sequences; each n is
+    checked under the caller's ``name``."""
+    ns = [_check_index(n, name) for n in ns]
+    samples = _check_samples(samples)
+    log1m = any(dist_mod.REGISTRY[m.family].reads_log1m_t for m in members)
+    pairs = [[[] for _ in ns] for _ in members]
+    for seed in seeds:
+        seed = _check_seed(seed)
+        log_v = _log_uniforms(samples, seed)
+        for i, n in enumerate(ns):
+            log_t, log1m_t = _levels(log_v, n, log1m)
+            for k, member in enumerate(members):
+                pairs[k][i].append(tuple(_estimates(member, n, log_t, log1m_t, samples, seed, "HJ")))
+    return pairs
 
 
 def mc_entropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
     """Plug-in Monte Carlo estimate of the entropy of the sample maximum.
 
     Averages ``-ln f_max(X)`` over draws of the maximum, where
-    ``f_max(X) = n T^{n-1} I(T)`` at ``T = F(X)`` is its exact density.  The
-    standard error is the sample standard deviation of the summands divided
-    by sqrt(samples).
+    ``f_max(X) = n T^{n-1} I(T)`` at ``T = F(X)`` is its exact density,
+    taken in log space.  The standard error is the sample standard
+    deviation of the summands divided by sqrt(samples).
     """
-    n, t, profile = _draw_profile(dist, n, samples, seed, "mc_entropy_max")
-    return _entropy_estimate(n, t, profile, samples, seed)
+    return _mc(dist, n, samples, seed, "mc_entropy_max", "H")[0]
 
 
 def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> McEstimate:
@@ -705,8 +751,7 @@ def mc_extropy_max(dist, n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEF
     Same draws as :func:`mc_entropy_max`; the estimator averages
     ``-f_max(X)/2``.
     """
-    n, t, profile = _draw_profile(dist, n, samples, seed, "mc_extropy_max")
-    return _extropy_estimate(n, t, profile, samples, seed)
+    return _mc(dist, n, samples, seed, "mc_extropy_max", "J")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ estimates agree with the closed forms, and one series identity.
 ``run_all`` runs the contracts on a smoke grid, next to groups that check
 the installation only (quadrature oracle, distribution consistency, CLI
 determinism).  It is deterministic.  On a 2-CPU Intel Xeon, ``run_all``
-takes about 0.3 s of CPU on its first call in a process, most of it
-importing ``scipy.special``, and 0.03 s after that, and ``extremal-info
-verify`` about 0.7 s with interpreter start-up.
+takes about 0.4 s of CPU on its first call in a process, most of it
+importing ``scipy.special``, and 0.025-0.04 s after that (its Monte Carlo
+group about 2.5 ms), and ``extremal-info verify`` about 0.45 s with
+interpreter start-up.
 ``tests/test_acceptance.py`` runs the same contracts on the release grid.
 """
 
@@ -188,12 +189,13 @@ def normalized_limits(members, ns, tol):
 def mc_agreement(members, ns, seeds, *, samples, sigmas, need):
     """For each member, n and measure, at least ``need`` of the ``seeds`` give
     a Monte Carlo estimate from ``samples`` draws within ``sigmas`` standard
-    errors of the closed form.  One draw per (member, n, seed) gives both
-    measures' estimates, with the bits of ``mc_entropy_max`` and
-    ``mc_extropy_max``."""
-    for member in members:
-        for n in ns:
-            pairs = [numerics._mc_pair(member, n, samples, seed, "mc_agreement") for seed in seeds]
+    errors of the closed form.  Each seed's draw serves every member and n,
+    and gives both measures' estimates, with the bits of ``mc_entropy_max``
+    and ``mc_extropy_max``."""
+    members, ns, seeds = tuple(members), tuple(ns), tuple(seeds)
+    sweep = numerics._mc_sweep(members, ns, seeds, samples, "mc_agreement")
+    for member, by_n in zip(members, sweep):
+        for n, pairs in zip(ns, by_n):
             for name, estimates, closed in (
                 ("entropy", [h for h, _ in pairs], measures.shannon_max),
                 ("extropy", [j for _, j in pairs], measures.extropy_max),
@@ -324,8 +326,9 @@ def _normalized_limits():
 
 def _mc_agreement(seed: int):
     # One seed at 4 standard errors: of seeds 0-2999 only 451 fails (both
-    # logistic(1) extropy checks, at 4.6 and 4.0 SE).  The acceptance suite
-    # runs the release grid: 20 seeds at 3 standard errors, 19 to agree.
+    # logistic(1) extropy checks, at 4.6 and 4.0 SE), with the draws taken
+    # in log space.  The acceptance suite runs the release grid: 20 seeds
+    # at 3 standard errors, 19 to agree.
     yield from mc_agreement(
         canonical.mc_representatives(), (1, 5), (seed,), samples=20_000, sigmas=4.0, need=1
     )

@@ -8,6 +8,7 @@ equality and violation cases.
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -483,6 +484,27 @@ class TestEnvelopeCheck:
         report = bounds.envelope_check(d.gev(200.0))
         assert not report.unit_upper_applicable
         assert report.gate_note.startswith("I(t) <= 1 not applicable: sup density beyond the double range > 1")
+
+    @pytest.mark.parametrize(
+        "member, shown",
+        [
+            (d.pareto(1e-300, 1e300), "inf"),
+            (d.power_function(1e300, 1e300), "inf"),
+            (d.power_function(1.0, 1e-310), "inf"),
+            (d.power_function(1e-300, 1e-300), "nan"),
+        ],
+        ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else v,
+    )
+    def test_an_i_half_off_the_doubles_is_named(self, member, shown):
+        # 2 I(1/2) min(t, 1 - t) - I(t) would be inf - inf or nan
+        message = (
+            f"I(1/2) of {member.label()} evaluates to {shown}, "
+            "so the envelope 2 I(1/2) min(t, 1 - t) is undefined"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                bounds.envelope_check(member)
 
     @pytest.mark.parametrize("member", LOG_CONCAVE_MEMBERS, ids=lambda m: m.label())
     def test_bobkov_holds_for_log_concave_members(self, member):

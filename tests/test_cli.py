@@ -749,14 +749,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"domain error: I(1/2) of {label} underflows to 0, so ln[2 I(1/2)] is undefined\n"
 
-    def test_monte_carlo_non_finite_summand_is_a_domain_error(self):
-        # pareto nu = 0.01: the profile I(t) underflows to 0 near t = 1
+    def test_monte_carlo_reads_an_underflowing_profile_in_log_space(self):
+        # pareto nu = 0.01: I(t) underflows to 0 near t = 1, ln I(t) does not
         code, out, err = run_cli(
             "measure", "--dist", '{"family":"pareto","theta":1,"nu":0.01}', "--n", "3",
-            "--method", "mc",
+            "--method", "mc", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert abs(row["H"] - 189.34) <= 4.0 * row["h_error"]
+
+    def test_monte_carlo_non_finite_summand_is_a_domain_error(self, monkeypatch):
+        # power_function nu = 0.3 at n = 1: exp(ln I(t)) overflows at t = 1e-300
+        monkeypatch.setattr(numerics, "_log_uniforms", lambda samples, seed: np.log([0.5, 1e-300] * (samples // 2)))
+        code, out, err = run_cli(
+            "measure", "--dist", '{"family":"power_function","theta":1,"nu":0.3}', "--n", "1",
+            "--method", "mc", "--samples", "200",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("domain error: Monte Carlo summand -ln f_max(X) non-finite")
+        assert err == "domain error: Monte Carlo summand -f_max(X)/2 non-finite for 100 of 200 draws\n"
 
     @pytest.mark.parametrize("command", ["measure", "verify"])
     def test_negative_seed_names_the_flag(self, command):

@@ -1,6 +1,7 @@
 """Extreme members: every call returns or declines by name.
 
-Each closed-route entry point, the convergence study and both Monte Carlo
+Each closed-route entry point, the per-member calls (both limit ceilings
+and ``envelope_check``), the convergence study and both Monte Carlo
 estimators are run on members whose parameters sit at the edges of the
 double range, at n up to 10^12.  A call either returns or raises
 ``ValueError``, ``OverflowError`` or ``QuadratureError`` with a message of
@@ -13,13 +14,20 @@ verdict, sup f, xi and the label) are kept on the spec once taken: on
 these members and the catalog, each is taken at most once per spec, and
 no result or error depends on what the spec, or an equal one, answered
 before.
+
+Each record's log profile ln I, which the Monte Carlo route reads, is
+pinned on these members and the catalog against mpmath, with ln t and
+ln(1 - t) down to 1e-300 at each end, and against ln I wherever I is a
+normal double.
 """
 
 import collections
 import dataclasses
+import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +59,9 @@ CLOSED_ROUTE = (
     measures.extropy_normalized,
     evt.norming_constants,
 )
+# the calls that take the member alone
+LIMIT_UPPERS = (bounds.shannon_limit_upper, bounds.extropy_limit_upper)
+PER_MEMBER = (*LIMIT_UPPERS, bounds.envelope_check)
 DECLINES = (ValueError, OverflowError, numerics.QuadratureError)
 PYTHON_MATH_ERRORS = ("Numerical result out of range", "math range error", "math domain error")
 
@@ -96,6 +107,11 @@ def test_monte_carlo(entry):
     assert _failures(calls) == []
 
 
+@pytest.mark.parametrize("entry", PER_MEMBER, ids=lambda f: f.__name__)
+def test_per_member_calls(entry):
+    assert _failures([(f"{entry.__name__}({m.label()})", lambda m=m: entry(m)) for m in MEMBERS]) == []
+
+
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("member", BEYOND_RANGE_H, ids=lambda m: m.label())
 def test_an_entropy_beyond_the_double_range_is_named(member, n):
@@ -116,8 +132,6 @@ def test_a_study_names_its_first_n_whose_entropy_is_beyond_the_double_range():
 
 # every call that reads a member fact, each with the n it takes
 FACT_READERS = (*CLOSED_ROUTE, bounds.shannon_upper_envelope, bounds.extropy_upper_envelope)
-LIMIT_UPPERS = (bounds.shannon_limit_upper, bounds.extropy_limit_upper)
-PER_MEMBER = (*LIMIT_UPPERS, bounds.envelope_check)
 HISTORY_N = (1, 2, 50, 10**6, 10**12)
 RECORD_FACTS = ("density_quantile", "sup_density", "is_log_concave", "evi")
 
@@ -193,3 +207,91 @@ def test_no_closed_result_depends_on_call_history(member):
     twin = d.from_dict(d.to_dict(member))
     assert twin == spec and twin is not spec
     assert [_sweep([entry], twin) for entry in entries] == fresh
+
+
+# ---------------------------------------------------------------------------
+# The log profile: ln I(t) from (ln t, ln(1 - t))
+# ---------------------------------------------------------------------------
+
+PROFILED = tuple(dict.fromkeys((*canonical.catalog_members(), *MEMBERS)))
+# levels t = 10^-k near 0 and 1 - t = 10^-k near 1, down to 1e-300, and a
+# few in between, as the doubles nearest (ln t, ln(1 - t))
+with mpmath.workdps(40):
+    _SMALL = [mpmath.mpf(10) ** -k for k in (300, 200, 100, 20, 10, 3, 1)]
+    _LEVELS = [
+        *((mpmath.log(u), mpmath.log1p(-u)) for u in _SMALL),
+        *((mpmath.log(t), mpmath.log1p(-t)) for t in (mpmath.mpf("0.25"), mpmath.mpf("0.5"), mpmath.mpf("0.75"))),
+        *((mpmath.log1p(-u), mpmath.log(u)) for u in reversed(_SMALL)),
+    ]
+LEVELS = tuple((float(log_t), float(log1m_t)) for log_t, log1m_t in _LEVELS)
+
+
+def _mp_log_profile(member, log_t, log1m_t):
+    """ln f(F^-1(t)) at the current mpmath precision, from the density and
+    the quantile of the module table, with ln t, ln(1 - t) and the
+    parameters taken as exact."""
+    th, log_t, log1m_t = mpmath.mpf(member.theta), mpmath.mpf(log_t), mpmath.mpf(log1m_t)
+    if member.family == "uniform":
+        return -mpmath.log(th)
+    if member.family == "exponential":
+        return mpmath.log(th) + log1m_t  # x = -ln(1 - t)/theta
+    if member.family == "logistic":
+        x = (log_t - log1m_t) / th
+        return mpmath.log(th) - th * x - 2 * mpmath.log1p(mpmath.exp(-th * x))
+    if member.family == "gev":
+        xi = mpmath.mpf(member.xi)
+        if xi == 0:
+            x = -mpmath.log(-log_t)
+            return -x - mpmath.exp(-x)
+        log_z = -xi * mpmath.log(-log_t)  # z = 1 + xi x
+        return -(1 + 1 / xi) * log_z - mpmath.exp(-log_z / xi)
+    nu = mpmath.mpf(member.nu)
+    if member.family == "pareto":
+        log_x = mpmath.log(th) - log1m_t / nu
+        return mpmath.log(nu) + nu * mpmath.log(th) - (nu + 1) * log_x
+    log_x = log_t / nu - mpmath.log(th)  # power_function
+    return mpmath.log(nu) + nu * mpmath.log(th) + (nu - 1) * log_x
+
+
+def _log_profile(member, log_t, log1m_t):
+    record = d.REGISTRY[member.family]
+    with np.errstate(all="ignore"):
+        return record.log_density_quantile(member, np.asarray(log_t), np.asarray(log1m_t))
+
+
+@pytest.mark.parametrize("member", PROFILED, ids=lambda m: m.label())
+def test_log_profile_against_mpmath(member):
+    # The reference is taken at 400 digits, which leave more than 40 past
+    # the cancellation of nu ln theta at nu = 1e300.  ln I is within 1e-14
+    # of it relative to 1 + |ln I| + |ln theta| + |ln nu|: ln theta and ln nu
+    # are rounded to doubles first, and may cancel against the other terms.
+    # Where ln I lies beyond the double range it is +-inf.
+    log_t, log1m_t = map(np.array, zip(*LEVELS))
+    got = _log_profile(member, log_t, log1m_t)
+    assert got.shape == log_t.shape
+    scale = 1 + abs(math.log(member.theta)) + abs(math.log(member.nu or 1.0))
+    with mpmath.workdps(400):
+        for a, b, value in zip(log_t.tolist(), log1m_t.tolist(), got.tolist()):
+            want = _mp_log_profile(member, a, b)
+            if abs(want) > np.finfo(float).max:
+                assert value == (math.inf if want > 0 else -math.inf), (a, b)
+            else:
+                assert abs(value - want) <= 1e-14 * (scale + abs(want)), (a, b, value, float(want))
+
+
+# t with 1 - t exact: j/1024, and 2^-k and 1 - 2^-k for k up to 52
+_POWERS = 2.0 ** -np.arange(11, 53)
+EXACT_T = np.unique(np.concatenate((np.arange(1, 1024) / 1024, _POWERS, 1 - _POWERS)))
+
+
+@pytest.mark.parametrize("member", PROFILED, ids=lambda m: m.label())
+def test_log_profile_is_ln_of_the_profile(member):
+    # wherever I(t) is a normal double; its own rounding, which the pow of a
+    # large exponent carries into ln I, is within 1e-13 relative
+    with np.errstate(all="ignore"):
+        profile = d.density_quantile(member, EXACT_T)
+        normal = (profile >= np.finfo(float).tiny) & (profile < math.inf)
+        want = np.log(profile[normal])
+    got = _log_profile(member, np.log(EXACT_T), np.log1p(-EXACT_T))[normal]
+    bad = np.abs(got - want) > 1e-13 * np.maximum(1.0, np.abs(want))
+    assert not bad.any(), list(zip(EXACT_T[normal][bad], got[bad], want[bad]))

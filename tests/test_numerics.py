@@ -3,7 +3,8 @@
 The adaptive integrator is validated against scipy.integrate.quad and
 against closed forms; the Monte Carlo draws of T = F(X_(n)) against a
 Kolmogorov-Smirnov comparison, the estimators against a parent-space
-reference on the same stream and a 100-replication calibration of the
+reference on the same draws, the exact moments of their own draws
+(mpmath) out to n = 2^63, and a 100-replication calibration of the
 reported standard errors.
 """
 
@@ -15,11 +16,12 @@ import time
 import types
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from extremal_info import canonical, distributions, measures, numerics, special
+from extremal_info import canonical, distributions, measures, numerics, special, verify
 
 
 class TestIntegrateUnit:
@@ -467,12 +469,17 @@ def test_gev_extropy_off_the_catalog_keeps_its_tolerance(quadrature_caches):
     assert [estimate <= tol for estimate, (_, tol) in zip(estimates, cases)] == [True, True]
 
 
-class TestDrawProfile:
+def _draw_levels(n: int, samples: int, seed: int, log1m: bool = True):
+    """(ln T, ln(1 - T)) of the Monte Carlo route's draw for (samples, seed)."""
+    return numerics._levels(numerics._log_uniforms(samples, seed), n, log1m)
+
+
+class TestLevels:
     def test_kolmogorov_distance_of_maxima(self):
         # T = F(X_(4)) ~ Beta(4, 1): its empirical CDF against t^4
         n, draws = 4, 100_000
-        _, t, _ = numerics._draw_profile(distributions.exponential(1.0), n, draws, 7, "test")
-        t = np.sort(t)
+        log_t, _ = _draw_levels(n, draws, 7, log1m=False)
+        t = np.sort(np.exp(log_t))
         target = t**n
         empirical_hi = np.arange(1, draws + 1) / draws
         empirical_lo = np.arange(0, draws) / draws
@@ -484,14 +491,26 @@ class TestDrawProfile:
 
     @pytest.mark.parametrize("n, v", [(1, 0.0), (4, 0.0), (10**6, np.nextafter(1.0, 0.0))])
     def test_boundary_draws_stay_inside(self, n, v, monkeypatch):
-        # v = 0, and v so close to 1 that v^(1/n) rounds to 1.0, are nudged
-        # to the nearest interior doubles, where the profile is defined
+        # v = 0 is nudged to ln T = ln of the smallest normal double, where
+        # 1 - T rounds to 1 and ln(1 - T) to 0; v so close to 1 that v^(1/n)
+        # would round to 1.0 keeps ln T = ln v / n and a finite ln(1 - T) < 0;
+        # the log profile is finite on both
         stream = types.SimpleNamespace(random=lambda size: np.full(size, v))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
-        dist = distributions.exponential(1.0)
-        _, t, profile = numerics._draw_profile(dist, n, 100, 0, "test")
-        assert np.all((t > 0.0) & (t < 1.0))
-        assert np.all(np.isfinite(profile) & (profile > 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_t, log1m_t = _draw_levels(n, 100, 0)
+        want = math.log(np.finfo(float).tiny) if v == 0.0 else math.log(v) / n
+        assert np.all(log_t == want)
+        assert np.all(log1m_t == 0.0) if v == 0.0 else np.all(np.isfinite(log1m_t) & (log1m_t < 0.0))
+        for member in canonical.mc_representatives():
+            log_i = distributions.REGISTRY[member.family].log_density_quantile(member, log_t, log1m_t)
+            assert np.all(np.isfinite(log_i)), member.label()
+
+    def test_log1m_t_only_where_asked(self):
+        log_t, log1m_t = _draw_levels(5, 200, 1, log1m=False)
+        assert log1m_t is None
+        assert np.array_equal(_draw_levels(5, 200, 1)[0], log_t)
 
 
 class TestMcEstimators:
@@ -525,22 +544,18 @@ class TestMcEstimators:
             special._check_real(0.0, name)
         assert str(excinfo.value) == f"{name} must be a positive finite real, got 0.0"
 
-    @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
-    def test_non_finite_summand_is_named(self, estimator, monkeypatch):
-        # power_function nu = 0.3 has I(t) = 0.3 t^(-7/3), which overflows to
-        # inf at t = 1e-300, so a draw there has no finite summand and the
-        # sample no mean to take
+    def test_non_finite_summand_is_named(self, monkeypatch):
+        # power_function nu = 0.3 has ln I(t) = ln 0.3 - (7/3) ln t, whose exp
+        # overflows at t = 1e-300, so a draw there has no finite J summand and
+        # the sample no mean to take; its H summand is finite
         dist = distributions.power_function(1.0, 0.3)
-
-        def draw(dist, n, samples, seed, name):
-            t = np.array([0.5, 1e-300] * 100)
-            return n, t, distributions.density_quantile(dist, t)
-
-        monkeypatch.setattr(numerics, "_draw_profile", draw)
+        log_v = np.log([0.5, 1e-300] * 100)
+        monkeypatch.setattr(numerics, "_log_uniforms", lambda samples, seed: log_v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"Monte Carlo summand .* for 100 of 200 draws"):
-                estimator(dist, 1, samples=200, seed=0)
+            with pytest.raises(ValueError, match=r"Monte Carlo summand -f_max\(X\)/2 non-finite for 100 of 200 draws"):
+                numerics.mc_extropy_max(dist, 1, samples=200, seed=0)
+            assert math.isfinite(numerics.mc_entropy_max(dist, 1, samples=200, seed=0).estimate)
 
     @pytest.mark.parametrize(
         "member, n",
@@ -561,30 +576,37 @@ class TestMcEstimators:
         assert abs(est.estimate - closed) <= 3.0 * est.std_error
 
     def test_scaled_moments_keep_the_bits_of_the_plain_ones(self):
-        # dividing the summands by 2^e and the moments back rounds nothing
+        # dividing the summands by 2^e and the moments back rounds nothing,
+        # and the moments spelled out are np.mean's and np.std's
         for member in canonical.mc_representatives():
+            record = distributions.REGISTRY[member.family]
             for n in (1, 50):
-                _, t, profile = numerics._draw_profile(member, n, 2000, 3, "test")
-                h_summands = -(math.log(n) + (n - 1) * np.log(t) + np.log(profile))
-                for summands in (h_summands, -0.5 * n * t ** (n - 1) * profile):
+                log_t, log1m_t = _draw_levels(n, 2000, 3)
+                log_f = (n - 1) * log_t + record.log_density_quantile(member, log_t, log1m_t)
+                for summands in (-(math.log(n) + log_f), -0.5 * n * np.exp(log_f)):
                     est = numerics._mc_estimate(summands, "s", 2000, 3)
                     assert est.estimate.hex() == float(np.mean(summands)).hex()
                     assert est.std_error.hex() == float(np.std(summands, ddof=1) / math.sqrt(2000)).hex()
 
-    def test_underflowing_profile_fails_with_its_summand(self):
-        # pareto nu = 0.01: I(t) = 0.01 (1 - t)^101 underflows to 0 near t = 1
+    @pytest.mark.parametrize("n, closed", [(1, 105.61), (3, 189.34), (50, 456.09)])
+    def test_a_profile_that_underflows_agrees_in_log_space(self, n, closed):
+        # pareto nu = 0.01: I(t) = 0.01 (1 - t)^101 underflows to 0 near t = 1,
+        # while ln I(t) = ln 0.01 + 101 ln(1 - t) stays finite
+        member = distributions.pareto(1.0, 0.01)
+        assert measures.shannon_max(member, n).value == pytest.approx(closed, abs=0.005)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"summand -ln f_max\(X\) non-finite"):
-                numerics.mc_entropy_max(distributions.pareto(1.0, 0.01), 3, seed=0)
+            est = numerics.mc_entropy_max(member, n, samples=100_000, seed=0)
+        assert abs(est.estimate - measures.shannon_max(member, n).value) <= 4.0 * est.std_error
 
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
     def test_reads_only_the_profile(self, estimator, monkeypatch):
-        # the draws live in t = F(X_(n)); no quantile, log-density or cdf
+        # the draws live in t = F(X_(n)) and read the record's log profile:
+        # no quantile, log-density, cdf or linear profile
         def refuse(*args):
             raise AssertionError("Monte Carlo left t-space")
 
-        for name in ("quantile", "log_pdf", "cdf"):
+        for name in ("quantile", "log_pdf", "cdf", "density_quantile"):
             monkeypatch.setattr(distributions, name, refuse)
         for member in canonical.mc_representatives():
             assert math.isfinite(estimator(member, 5, samples=200, seed=1).estimate)
@@ -592,7 +614,8 @@ class TestMcEstimators:
     @pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
     def test_matches_the_parent_space_estimator(self, member):
         # the same V stream mapped to X = F^-1(V^(1/n)), with f_max from the
-        # parent's log-density and cdf: the summands are the same numbers
+        # parent's log-density and cdf, and the route's log-profile summands
+        # on those same doubles T: the summands are the same numbers
         samples, seed = 20_000, 3
 
         def parent_space(n):
@@ -604,14 +627,36 @@ class TestMcEstimators:
                 log_f = log_f + (n - 1) * np.log(distributions.cdf(member, x))
             summands = {"H": -log_f, "J": -0.5 * np.exp(log_f)}
             root = math.sqrt(samples)
-            return {k: (np.mean(s), np.std(s, ddof=1) / root) for k, s in summands.items()}
+            return t, {k: (np.mean(s), np.std(s, ddof=1) / root) for k, s in summands.items()}
 
         for n in (1, 5, 50, 10**4, 10**6):
-            want = parent_space(n)
+            t, want = parent_space(n)
+            got = numerics._estimates(member, n, np.log(t), np.log1p(-t), samples, seed, "HJ")
+            for name, est in zip("HJ", got):
+                assert est.estimate == pytest.approx(want[name][0], rel=1e-9, abs=0.0), (name, n)
+                assert est.std_error == pytest.approx(want[name][1], rel=1e-9, abs=0.0), (name, n)
+
+    @pytest.mark.parametrize("n", [5, 10**6, 10**12, 2**63])
+    def test_estimates_are_the_exact_moments_of_their_draws(self, n):
+        # ln T = ln V / n is exact to rounding where T = V^(1/n) would round
+        # to a double near 1, so the estimates are the moments of the exact
+        # summands of the same V stream (mpmath at 30 digits), for exponential(1):
+        # -ln f_max = -(ln n + (n - 1) ln T + ln(1 - T))
+        samples, seed = 1000, 3
+        with mpmath.workdps(30):
+            exact = {"H": [], "J": []}
+            for v in np.random.default_rng(seed).random(samples).tolist():
+                log_t = mpmath.log(v) / n
+                log_f = (n - 1) * log_t + mpmath.log(-mpmath.expm1(log_t))
+                exact["H"].append(-(mpmath.log(n) + log_f))
+                exact["J"].append(-mpmath.mpf(n) / 2 * mpmath.exp(log_f))
             for name, estimator in (("H", numerics.mc_entropy_max), ("J", numerics.mc_extropy_max)):
-                got = estimator(member, n, samples=samples, seed=seed)
-                assert got.estimate == pytest.approx(want[name][0], rel=1e-9, abs=0.0), (name, n)
-                assert got.std_error == pytest.approx(want[name][1], rel=1e-9, abs=0.0), (name, n)
+                s = exact[name]
+                mean = mpmath.fsum(s) / samples
+                se = mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in s) / (samples - 1) / samples)
+                got = estimator(distributions.exponential(1.0), n, samples=samples, seed=seed)
+                assert abs(got.estimate - mean) <= 1e-13 * abs(mean), name
+                assert abs(got.std_error - se) <= 1e-11 * se, name
 
     @pytest.mark.parametrize("seed", [-1, 1.7, True, "3", None])
     @pytest.mark.parametrize("estimator", [numerics.mc_entropy_max, numerics.mc_extropy_max])
@@ -624,16 +669,29 @@ class TestMcEstimators:
         a = numerics.mc_entropy_max(dist, 2, samples=200, seed=np.uint32(7))
         assert a == numerics.mc_entropy_max(dist, 2, samples=200, seed=7)
 
-    @pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
-    def test_one_draw_gives_both_estimators_bits(self, member):
-        # verify's Monte Carlo group takes H and J from one draw per seed
+    def test_one_draw_gives_both_estimators_bits(self):
+        # verify's Monte Carlo group takes H and J of every member and n from
+        # one draw per seed
         def bits(est):
             return est.estimate.hex(), est.std_error.hex(), est.samples, est.seed
 
-        for n, seed in ((1, 0), (5, 451)):
-            h, j = numerics._mc_pair(member, n, 2000, seed, "test")
-            assert bits(h) == bits(numerics.mc_entropy_max(member, n, samples=2000, seed=seed))
-            assert bits(j) == bits(numerics.mc_extropy_max(member, n, samples=2000, seed=seed))
+        members, ns, seeds = canonical.mc_representatives(), (1, 5, 10**6), (0, 451)
+        sweep = numerics._mc_sweep(members, ns, seeds, 2000, "test")
+        for member, by_n in zip(members, sweep):
+            for n, pairs in zip(ns, by_n):
+                for seed, (h, j) in zip(seeds, pairs, strict=True):
+                    assert bits(h) == bits(numerics.mc_entropy_max(member, n, samples=2000, seed=seed))
+                    assert bits(j) == bits(numerics.mc_extropy_max(member, n, samples=2000, seed=seed))
+
+    def test_the_agreement_group_draws_once_per_seed(self, monkeypatch):
+        # 6 members at n in {1, 5} from one seed: one stream, where a draw
+        # per (member, n, seed) takes 12
+        calls = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append(seed) or default_rng(seed))
+        members = canonical.mc_representatives()
+        assert verify.mc_agreement(members, (1, 5), (0,), samples=20_000, sigmas=4.0, need=1) == []
+        assert calls == [0]
 
     def test_determinism(self):
         dist = distributions.logistic(2.0)
