@@ -22,9 +22,12 @@ companion pointwise envelope I(t) <= 1) presumes a density bounded by 1;
 e.g. Exp(theta = 3) at n = 1 has H = 1 - ln 3 < 0, beneath the stated
 lower bound.  Reports therefore gate those two checks on sup f <= 1 and
 say so in ``gate_note`` instead of silently passing or failing them.
-I(1/2), the log-concavity verdict, sup f and the label are taken from the
-record once per spec and kept on it; a report is built from these checked
-parts without re-running its ``__init__``.
+Every call that reads I(1/2) declines by name where it is inf or nan, and
+the log forms also where it underflows to 0, instead of reporting an
+ordering of infinities or nans.  I(1/2), the log-concavity verdict, sup f
+and the label are taken from the record once per spec and kept on it; a
+report is built from these checked parts without re-running its
+``__init__``.
 """
 
 from __future__ import annotations
@@ -130,11 +133,18 @@ def _ext_le(a: float, b: float) -> bool:
     return a <= b + _ORDER_TOL * max(1.0, abs(a), abs(b))
 
 
-def _loggable_i_half(dist) -> float:
-    """I(1/2), declined where it underflows to 0 and ln[2 I(1/2)] has no value."""
+_LOG_FORM = "ln[2 I(1/2)]"
+_LINEAR_FORM = "a bound linear in I(1/2)"
+
+
+def _i_half(dist, form: str) -> float:
+    """I(1/2), declined by name, for the ``form`` in it a call takes, where
+    it is inf or nan, or, for the log form, where it underflows to 0."""
     i_half = dist._i_half
-    if i_half == 0.0:
-        raise ValueError(f"I(1/2) of {dist._label} underflows to 0, so ln[2 I(1/2)] is undefined")
+    if not math.isfinite(i_half):
+        raise ValueError(f"I(1/2) of {dist._label} evaluates to {i_half}, so {form} is undefined")
+    if i_half == 0.0 and form == _LOG_FORM:
+        raise ValueError(f"I(1/2) of {dist._label} underflows to 0, so {form} is undefined")
     return i_half
 
 
@@ -165,13 +175,13 @@ def _extropy_envelope(i_half: float, n: int) -> float:
 def shannon_upper_envelope(dist, n: int) -> float:
     """The finite-n entropy upper envelope (valid for log-concave parents)."""
     n = _check_index(n, "shannon_upper_envelope")
-    return _shannon_envelope(_loggable_i_half(dist), n)
+    return _shannon_envelope(_i_half(dist, _LOG_FORM), n)
 
 
 def extropy_upper_envelope(dist, n: int) -> float:
     """The finite-n extropy upper envelope (valid for log-concave parents)."""
     n = _check_index(n, "extropy_upper_envelope")
-    return _extropy_envelope(dist._i_half, n)
+    return _extropy_envelope(_i_half(dist, _LINEAR_FORM), n)
 
 
 def _unit_density_gate(dist, lead: str, noun: str) -> str:
@@ -219,7 +229,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     """Entropy of X_(n) against its finite-n envelopes; the lower envelope
     1 - ln n - 1/n is gated on sup f <= 1."""
     n = _check_index(n, "shannon_bounds")
-    return _shannon_report(dist, n, _loggable_i_half(dist), *measures._route(method, quad_tol))
+    return _shannon_report(dist, n, _i_half(dist, _LOG_FORM), *measures._route(method, quad_tol))
 
 
 def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
@@ -228,17 +238,17 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     Both envelopes are scale-covariant, so no sup-density gate applies.
     """
     n = _check_index(n, "extropy_bounds")
-    return _extropy_report(dist, n, dist._i_half, *measures._route(method, quad_tol))
+    return _extropy_report(dist, n, _i_half(dist, _LINEAR_FORM), *measures._route(method, quad_tol))
 
 
 def shannon_limit_upper(dist) -> float:
     """Limiting entropy ceiling 1 - ln[2 I(1/2)] + gamma."""
-    return 1.0 - math.log(2.0 * _loggable_i_half(dist)) + EULER_GAMMA
+    return 1.0 - math.log(2.0 * _i_half(dist, _LOG_FORM)) + EULER_GAMMA
 
 
 def extropy_limit_upper(dist) -> float:
     """Limiting extropy ceiling -I(1/2)/4."""
-    return -0.25 * dist._i_half
+    return -0.25 * _i_half(dist, _LINEAR_FORM)
 
 
 def normalized_bounds(dist, n: int):
@@ -250,7 +260,7 @@ def normalized_bounds(dist, n: int):
     """
     n = _check_index(n, "normalized_bounds")
     a_n = evt._norming(dist, n)[0]
-    i_half = _loggable_i_half(dist)
+    i_half = _i_half(dist, _LOG_FORM)
     sh = _shannon_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
     ex = _extropy_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
     log_a = math.log(a_n)
@@ -276,11 +286,7 @@ def envelope_check(dist) -> EnvelopeReport:
     I(1/2) is inf or nan the first envelope has no value, and a
     ``ValueError`` names the member.
     """
-    i_half = dist._i_half
-    if not math.isfinite(i_half):
-        raise ValueError(
-            f"I(1/2) of {dist._label} evaluates to {i_half}, so the envelope 2 I(1/2) min(t, 1 - t) is undefined"
-        )
+    i_half = _i_half(dist, "the envelope 2 I(1/2) min(t, 1 - t)")
     ts = _ENVELOPE_GRID
     i_vals = dist_mod.density_quantile(dist, ts)
     bobkov_worst, bobkov_worst_t = _worst(2.0 * i_half * np.minimum(ts, 1.0 - ts) - i_vals)

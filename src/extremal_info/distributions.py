@@ -211,6 +211,35 @@ def _pareto_cdf(d, x):
     return np.where(x > th, 1.0 - tail, 0.0)
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def _extropy_in_range(d, n, j, parts, exact):
+    """Closed J on an array n (a record checks a single n itself), a double
+    wherever the answer is one: ``j``, the record's direct form, where -j
+    and the positive ``parts`` it is built from are normal doubles, else
+    ``exact(d, m)`` at each such n = m, in order."""
+    size = np.asarray((-j, *parts), dtype=float)
+    off = ~((size >= _MIN_NORMAL) & (size < math.inf)).all(axis=0)
+    if not off.any():
+        return j
+    j = np.array(j, dtype=float)
+    j[off] = [exact(d, m) for m in n[off].tolist()]
+    return j
+
+
+def _negative_exp(log_j: Decimal, n, label: str) -> float:
+    """J = -e^log_j as a double (-0.0 below the subnormals), in the decimal
+    context of ``log_j``; beyond the doubles an ``OverflowError`` names it."""
+    if log_j < -800:
+        return -0.0
+    if log_j < 710 and (j := float(log_j.exp())) < math.inf:
+        return -j
+    raise OverflowError(
+        f"extropy of the maximum of n={n} draws from {label} is -e^{log_j:.6g}, beyond the double range"
+    )
+
+
 def _log_of(value: float, log_value) -> float:
     """ln ``value``, or ``log_value()``, its logarithm taken term by term,
     where ``value`` is 0, subnormal or inf and ln ``value`` would be wrong."""
@@ -268,6 +297,29 @@ def _pareto_log_density_quantile(d, log_t, log1m_t):
     return log_c + _ratio_times(nu + 1.0, nu, log1m_t)
 
 
+def _pareto_extropy(d, n):
+    scale = d.nu * n * n / (2.0 * d.theta)
+    beta = special.beta_function(2 * n - 1, (2.0 * d.nu + 1.0) / d.nu)
+    j = -scale * beta
+    if type(j) is not float:
+        return _extropy_in_range(d, n, j, (scale, beta), _pareto_extropy_exact)
+    if _MIN_NORMAL <= scale < math.inf and _MIN_NORMAL <= beta and _MIN_NORMAL <= -j < math.inf:
+        return j
+    return _pareto_extropy_exact(d, n)
+
+
+def _pareto_extropy_exact(d, n) -> float:
+    """J at one n from ln|J| = ln nu + 2 ln n - ln 2 - ln theta + ln B(2n - 1,
+    2 + 1/nu), in decimal, 25 digits past the size of ln Gamma(2n + 1/nu)."""
+    nu = d.nu
+    with decimal.localcontext() as ctx:
+        ctx.prec = 35 + math.ceil(max(math.log10(2 * n + 2), -math.log10(nu)))
+        a, b = Decimal(2 * n - 1), 2 + 1 / Decimal(nu)
+        ln_beta = _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
+        log_j = Decimal(nu).ln() + 2 * Decimal(n).ln() - Decimal(2).ln() - Decimal(d.theta).ln() + ln_beta
+        return _negative_exp(log_j, n, d.label())
+
+
 def _pareto_norming(d, n):
     # b_n = U(n) = theta n^{1/nu} and a_n = xi U(n), with xi = 1/nu
     m = _math(type(n))
@@ -313,12 +365,26 @@ def _power_log_density_quantile(d, log_t, log1m_t):
 def _power_extropy(d, n):
     nu = d.nu
     # The defining integral of f^2 diverges at the lower endpoint; an array
-    # computes the diverging elements too and masks them.
-    diverges = 2.0 * n * nu <= 1.0
-    if diverges is True:
+    # computes the diverging elements too, whose J the exact form gives.
+    if (2.0 * n * nu <= 1.0) is True:
         return -math.inf
-    j = -(n * n * nu * nu * d.theta) / (2.0 * (2.0 * n * nu - 1.0))
-    return j if diverges is False else np.where(diverges, -math.inf, j)
+    num = n * n * nu * nu * d.theta
+    j = -num / (2.0 * (2.0 * n * nu - 1.0))
+    if type(j) is not float:
+        return _extropy_in_range(d, n, j, (num,), _power_extropy_exact)
+    return j if _MIN_NORMAL <= num < math.inf and _MIN_NORMAL <= -j < math.inf else _power_extropy_exact(d, n)
+
+
+def _power_extropy_exact(d, n) -> float:
+    """J at one n from ln|J| = 2 ln(n nu) + ln theta - ln 2 - ln(2 n nu - 1),
+    in decimal, or -inf where 2 n nu <= 1."""
+    if 2.0 * n * d.nu <= 1.0:
+        return -math.inf
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(n) * Decimal(d.nu)
+        log_j = 2 * x.ln() + Decimal(d.theta).ln() - Decimal(2).ln() - (2 * x - 1).ln()
+        return _negative_exp(log_j, n, d.label())
 
 
 def _power_norming(d, n):
@@ -441,13 +507,7 @@ def _gev_extropy_at(n, xi: float) -> float:
         ctx.prec = 25 + math.ceil(math.log10(xi + 3.0) + math.log10(math.log(xi + 3.0) + math.log(n) + 1.0))
         x = Decimal(xi)
         log_j = _ln_gamma(x + 2) - (x + 3) * Decimal(2).ln() - x * Decimal(int(n)).ln()
-        if log_j < -800:
-            return -0.0
-        if log_j < 710 and (j := float(log_j.exp())) < math.inf:
-            return -j
-    raise OverflowError(
-        f"extropy of the maximum of n={n} draws from gev(xi={xi:g}) is -e^{log_j:.6g}, beyond the double range"
-    )
+        return _negative_exp(log_j, n, f"gev(xi={xi:g})")
 
 
 def _gev_extropy(d, n):
@@ -571,10 +631,7 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.nu / d.theta,
         is_log_concave=lambda d: False,
         shannon=_pareto_shannon,
-        extropy=lambda d, n: (
-            -(d.nu * n * n / (2.0 * d.theta))
-            * special.beta_function(2 * n - 1, (2.0 * d.nu + 1.0) / d.nu)
-        ),
+        extropy=_pareto_extropy,
         # the defining product of the J limit is of the form 0 x (-inf)
         limits=lambda d: (math.inf, INDETERMINATE),
         evi=lambda d: 1.0 / d.nu,
@@ -775,11 +832,9 @@ def to_dict(dist: DistributionSpec) -> dict:
 
 
 def _prepare(x):
-    """(value, scalar): a Python float for 0-d input, else a float ndarray.
-
-    Scalars skip numpy's 0-d array machinery, which costs ~10 us a call in
-    the quadrature loop.
-    """
+    """(value, scalar): a Python float for 0-d input, else a float ndarray,
+    so that a scalar call checks a Python float and returns one, without
+    numpy's 0-d array machinery."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(arr), True

@@ -31,12 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-
-import numpy as np
 
 from . import distributions as dist_mod
 from . import evt
@@ -130,47 +127,19 @@ def _route(method: str, quad_tol) -> tuple[str, float]:
 # ---------------------------------------------------------------------------
 # Quadrature forms
 #
-# Both integrands are a weight times a profile factor, taken a GK15 panel
-# at a time through numerics._integrate:
+# Both integrands are a weight of n times a profile factor of the member:
 #
 #     H:  n y^(n-1)            x  ln I(y)
 #     J:  -(n^2/2) t^(2n-2)    x  I(t)
 #
-# The weights depend only on n, the profile factors only on the member,
-# and the integrals of the paper's grid revisit a few dozen panels, which
-# numerics' panel index holds by id.  So the route keeps factor tables
-# with one row per panel of the index, in id order, each holding both
-# measures' factors, H's first: per n the two weights, each by pow, and per
-# member ln I and I, from the family record through float() as the public
-# density_quantile does (an I that underflowed to 0 has ln I = -inf, so an
-# H panel fails as non-finite instead of in math.log).  A table read while
-# shorter than the walk's copy of the index is first extended to it, so a
-# member's profile is also taken on panels only other members visited; as
-# a family record's density_quantile is defined and silent on all of
-# (0, 1), each row is the one the member's own integrand would give.
-#
-# The unit of work is the (member, n) cell: _quadrature takes one walk of
-# the index, reads the cell's two tables once and rules every panel the
-# index held when it started, for each requested measure, in one numpy
-# pass of numerics._gk15_rows.  It then runs the adaptive loop once per
-# measure, H first, on that walk, handing it the measure's row of the pass
-# as two lists, values and errors by id, off which the loop reads a held
-# panel with no call.  Any other panel goes through the scalar integrand
-# and numerics._gk15; the panels the cell visited join the index once
-# every integral of it has returned, so a failed cell lists nothing.
-# Every value is the same product of the same floats as the point
-# integrand on the public API, and _gk15_rows sums as _gk15 does, so every
-# route gives the same bits, one measure or both.
-#
-# On the paper's grid (catalog x TABLE_N, as tables and verify run it) the
-# index holds 59 panels, the 23 fixed ones among them, and 35 tables are
-# read (30 members and 5 n), well inside the caps: the index stops at
-# numerics._PANEL_CAP panels, past which new panels stay on the scalar
-# path, and only the _TABLE_CAP tables read last are kept.
+# so a (member, n) cell is one numerics._cell of two row builders, each
+# giving both measures' factors at a panel's nodes, H's first: the floats
+# of the public point integrand, I through float() as density_quantile
+# takes it, so every route gives the same bits.  An I that underflowed to
+# 0 has ln I = -inf, and its H panel fails as non-finite.
 # ---------------------------------------------------------------------------
 
-_TABLE_CAP = 64
-_MEASURES = "HJ"  # the order of the rows of every factor table
+_MEASURES = "HJ"  # the order of each builder's rows
 
 
 def _profile_row(dist, ts: tuple) -> tuple[tuple, tuple]:
@@ -180,103 +149,37 @@ def _profile_row(dist, ts: tuple) -> tuple[tuple, tuple]:
     return tuple(math.log(i) if i else -math.inf for i in values), values
 
 
-def _weight_row(n: int, measure: str, ts: tuple) -> tuple:
-    """At each node of one panel, n y^(n-1) for H or -(n^2/2) t^(2n-2) for J."""
-    if measure == "H":
-        factor, power = n, n - 1
-    else:
-        factor, power = -(0.5 * n * n), 2 * n - 2
-    return tuple(map(operator.mul, repeat(factor), map(pow, ts, repeat(power))))
-
-
 def _weight_rows(n: int, ts: tuple) -> tuple[tuple, tuple]:
-    """H's and J's weights at each node of one panel."""
-    return tuple(_weight_row(n, measure, ts) for measure in _MEASURES)
-
-
-class _Tables:
-    """The factor tables, with a row for each panel of numerics' index in
-    id order, for the index ``epoch`` they were read under: a walk from
-    another epoch (the index was cleared) empties them first.  Reads and
-    writes hold ``lock``, as integrals on other threads share the
-    tables."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.epoch = None
-        self.factors: dict = {}  # n or member -> (2, P, 15) table
-
-    def _read(self, key, rows, walk: numerics._Walk) -> np.ndarray:
-        """Factor table ``key``, the two factors ``rows(ts)`` gives at the
-        nodes of each panel the walk found listed as a (2, P, 15) array,
-        extended to them if shorter, as the most recently read table; the
-        least recently read go past _TABLE_CAP."""
-        table = self.factors.pop(key, None)
-        have = 0 if table is None else table.shape[1]
-        if have < walk.listed:
-            new = np.array(list(zip(*(rows(panel[2]) for panel in walk.panels[have : walk.listed]))))
-            table = new if table is None else np.concatenate((table, new), axis=1)
-        while len(self.factors) >= _TABLE_CAP:
-            del self.factors[next(iter(self.factors))]
-        self.factors[key] = table
-        return table[:, : walk.listed]
-
-    def cell(self, dist, n: int, walk: numerics._Walk) -> tuple[np.ndarray, np.ndarray]:
-        """The weight table of n and the profile table of ``dist``, each
-        (2, P, 15) over the panels the walk found listed."""
-        with self.lock:
-            if self.epoch != walk.epoch:
-                self.factors.clear()
-                self.epoch = walk.epoch
-            weights = self._read(n, partial(_weight_rows, n), walk)
-            profile = self._read(dist, partial(_profile_row, dist), walk)
-        return weights, profile
-
-
-_tables = _Tables()
+    """n y^(n-1) for H and -(n^2/2) t^(2n-2) for J at each node of one panel."""
+    return (
+        tuple(map(operator.mul, repeat(n), map(pow, ts, repeat(n - 1)))),
+        tuple(map(operator.mul, repeat(-(0.5 * n * n)), map(pow, ts, repeat(2 * n - 2)))),
+    )
 
 
 def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.QuadratureResult]:
     """The quadrature of each measure in ``measures`` -- "H", "J" or "HJ" --
     of the maximum of n draws from ``dist``, in that order, as results in
-    the measure's own units: one walk, one read of the cell's tables and
-    one numpy pass for them all.  The first integral that fails raises, with
-    its best estimate in its measure's units, and the cell lists no panel."""
-    walk = numerics._index.walk()
-    rows = slice(_MEASURES.index(measures[0]), _MEASURES.index(measures[-1]) + 1)
-    weights, profile = _tables.cell(dist, n, walk)
-    vk, err = numerics._gk15_rows(weights[rows], profile[rows], walk.dtdu, walk.half)
-    results = [
-        _integral(dist, n, measure, vks, errs, tol, walk)
-        for measure, vks, errs in zip(measures, vk.tolist(), err.tolist())
-    ]
-    numerics._index.add(walk)
-    return results
-
-
-def _integral(dist, n: int, measure: str, vks: list, errs: list, tol: float, walk: numerics._Walk):
-    """One measure's integral on the cell's walk, ``vks`` and ``errs``
-    holding the value and error of each listed panel by id; H leaves as
-    1 - ln n - 1/n less the integral, its best estimate too if it fails."""
-    row = _MEASURES.index(measure)
-
-    def integrand(ts: tuple):
-        return map(operator.mul, _weight_row(n, measure, ts), _profile_row(dist, ts)[row])
-
-    def rule(i: int) -> tuple[float, float]:  # a panel the index did not hold
-        return numerics._gk15(integrand, walk.panel(i))
-
-    if measure == "J":
-        return numerics._integrate(rule, tol, walk, vks, errs)
+    the measure's own units, from one cell.  The first integral that fails
+    raises, with its best estimate in its measure's units, and the cell
+    lists no panel.  H is 1 - ln n - 1/n less its integral."""
+    first = _MEASURES.index(measures[0])
+    builders = (n, partial(_weight_rows, n)), (dist, partial(_profile_row, dist))
     shift = 1.0 - math.log(n) - 1.0 / n
+
+    def units(measure: str, q: numerics.QuadratureResult) -> numerics.QuadratureResult:
+        if measure == "J":
+            return q
+        return numerics.QuadratureResult(shift - q.value, q.error_estimate, q.evaluations)
+
+    results = []
     try:
-        q = numerics._integrate(rule, tol, walk, vks, errs)
+        for q in numerics._cell(builders, slice(first, first + len(measures)), tol):
+            results.append(units(measures[len(results)], q))
     except numerics.QuadratureError as exc:
-        best = exc.best
-        if best is not None:
-            exc.best = numerics.QuadratureResult(shift - best.value, best.error_estimate, best.evaluations)
+        exc.best = units(measures[len(results)], exc.best)
         raise
-    return numerics.QuadratureResult(shift - q.value, q.error_estimate, q.evaluations)
+    return results
 
 
 # The routes: cores that take checked arguments and a canonical method and

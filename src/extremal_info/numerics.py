@@ -16,29 +16,20 @@ by Wynn epsilon extrapolation of unit-width tail cells, which is exact for
 the geometric decay the transform produces.  Both tails are summed right
 after the seed panels, before any bisection: where their error alone
 exceeds the tolerance no refinement of the window can meet it, and the
-integral declines at once.  The 15 nodes of a panel depend
-only on its u-interval, so the panels that integrals share are held in
-one bounded index by integer id, each with its bounds, width, nodes
-(range-checked once, when the panel is made) and the ids of its halves;
-the 9 seed panels and the 14 tail cells have fixed ids.  The adaptive loop,
-:func:`_integrate`, walks a copy of the index by id and takes the GK15
-(value, error) of each panel it visits once, in visit order; a panel the
-index does not hold gets a per-call id, and joins the index only if the
-caller lists it once the integral has returned.  :func:`integrate_unit` is
-that loop over the scalar rule :func:`_gk15` of a point integrand called
-once per node, panel by panel, and lists nothing.  A caller that
-integrates several integrands over the same panels can rule all the
-panels the index holds at once -- :func:`_gk15_rows` applies the GK15 rule
-to a stack of panels, for one or more integrands, in one numpy pass, with
-the bits of the scalar rule -- and hand :func:`_integrate` the pass's
-values and errors as two lists by id: the loop reads a held panel off
-them and calls the caller's scalar rule only for a panel the index does
-not hold, so the adaptive loop, the tails and the result stay the same.
-A panel whose value or error is not finite (the integrand overflowed or
-returned nan) fails at once with the panel's place in the message -- its
-t-interval, or its (1 - t)-interval right of u = 0, where t rounds to 1
--- instead of spending the evaluation budget on an error that can never
-shrink.
+integral declines at once.
+
+The adaptive loop, :func:`_integrate`, reads each panel's GK15 (value,
+error) by id off two lists that its walk fills, both halves of a panel at
+once as it splits it.  :func:`integrate_unit` walks the 9 seed panels and
+14 tail cells alone, through the scalar rule :func:`_gk15`, and reads no
+shared state.  The (member, n) cells of ``measures`` go through
+:func:`_cell`, on one bounded index of the panels cells share, which also
+keeps each factor row's values there, so a cell rules every held panel in
+one numpy pass of :func:`_gk15_rows`, with the scalar rule's bits.  A panel
+whose value or error is not finite fails at once with the panel's place in
+the message -- its t-interval, or its (1 - t)-interval right of u = 0,
+where t rounds to 1 -- instead of spending the evaluation budget on an
+error that can never shrink.
 
 Monte Carlo
 -----------
@@ -351,18 +342,15 @@ def _tail_sum(cells: list[float], best) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# The panel index
+# Walks and the panel index
 #
-# Every integral starts from the same 9 seed panels and ends on the same 14
-# tail cells, and its bisections revisit a few dozen panels across the
-# integrals of the paper's grid.  So the panels are held by id, each with
-# its bounds, width, the ids of its halves once both are held, and its
-# nodes; the 9 seeds have ids 0-8, the 7 left tail cells 9-15 and the 7
-# right ones 16-22, outward.  An integral walks a copy of the index as it
-# stood when it started (a _Walk): a panel it visits that the index does
-# not hold gets a per-call id past the held ones.  Those panels join the
-# index only through add, once the integral has returned, so a failed one
-# lists nothing, and the index stops at _PANEL_CAP panels.
+# Every integral starts from the same 9 seed panels (ids 0-8) and ends on
+# the same 14 tail cells (9-15 left, 16-22 right, outward), and walks a
+# copy of its panels by id (a _Walk), whose splits get per-call ids past
+# the held ones.  The cells' walks copy the index: the few dozen panels of
+# the paper's grid, each with its bounds, width, nodes and halves, and the
+# factor tables there.  A cell's new panels join it once all the cell's
+# integrals have returned, up to _PANEL_CAP panels and _TABLE_CAP tables.
 # ---------------------------------------------------------------------------
 
 _SEED_BOUNDS = (_U_LEFT, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, _U_RIGHT)
@@ -374,54 +362,65 @@ _FIXED = tuple(
     + [_panel(_U_LEFT - (m + 1), _U_LEFT - m) for m in range(_TAIL_CELLS)]
     + [_panel(_U_RIGHT + m, _U_RIGHT + (m + 1)) for m in range(_TAIL_CELLS)]
 )
+_FIXED_WIDTH = tuple(b - a for a, b, _, _ in _FIXED)
 _PANEL_CAP = 256
+_TABLE_CAP = 64
+
+
+def _weights(panels) -> tuple[np.ndarray, np.ndarray]:
+    """dt/du at the nodes of each of P panels (a, b, ts, ws) and its
+    half-width 0.5 (b - a), as (P, 15) and (P,) arrays for the numpy pass."""
+    return np.array([panel[3] for panel in panels]), np.array([0.5 * (b - a) for a, b, _, _ in panels])
+
+
+def _factors(rows, panels) -> np.ndarray:
+    """The k factor rows ``rows(ts)`` gives at the nodes ts of each of P
+    panels (a, b, ts, ws), as a (k, P, 15) array."""
+    return np.array(list(zip(*(rows(panel[2]) for panel in panels))))
 
 
 class _Walk:
-    """The copy of the index that one integral, or the integrals of one
-    (member, n) cell in turn, walk: ``panels`` (a, b, ts, ws), ``width``
-    b - a and ``kids``, the ids of the halves or None, by id; ``listed``
-    panels were held when it started, with dt/du and half-widths as the
-    (listed, 15) and (listed,) arrays ``dtdu`` and ``half``, and ``epoch``
-    names that state.  The panels from ``listed`` on are the halves its
-    integrals made, in visit order, each panel split at most once, as
-    (a, b) alone, so that an integral that runs to its budget holds no
-    nodes; ``parents`` holds their parents' ids, one per pair."""
+    """The panels one integral, or a cell's integrals in turn, walk by id:
+    ``panels`` (a, b, ts, ws), ``width`` b - a and ``kids``, the halves' ids
+    or None.  The first ``listed`` were held at the start; after them come
+    the halves of the splits, as (a, b) alone, so that an integral run to
+    its budget holds no nodes, with their parents' ids in ``parents``.
+    ``rule`` rules each new pair onto the lists the integrals read, and
+    ``epoch`` names the index state copied, if any."""
 
-    __slots__ = ("panels", "width", "kids", "listed", "dtdu", "half", "epoch", "parents")
+    __slots__ = ("panels", "width", "kids", "listed", "parents", "rule", "epoch")
 
-    def __init__(self, index: "_PanelIndex"):
-        self.panels = list(index.panels)
-        self.width = list(index.width)
-        self.kids = list(index.kids)
+    def __init__(self, panels, width, kids, rule, epoch=None):
+        self.panels = list(panels)
+        self.width = list(width)
+        self.kids = list(kids)
         self.listed = len(self.panels)
-        self.dtdu, self.half, self.epoch = index.dtdu, index.half, index.epoch
         self.parents: list[int] = []
-
-    def panel(self, i: int) -> tuple:
-        """Panel ``i`` as (a, b, ts, ws), a per-call one's nodes made anew."""
-        return self.panels[i] if i < self.listed else _panel(*self.panels[i])
+        self.rule = rule
+        self.epoch = epoch
 
     def split(self, i: int) -> tuple[int, int]:
-        """Per-call ids for the halves of panel ``i``, which later integrals
-        on this walk find as its kids."""
+        """Per-call ids for the halves of panel ``i``, ruled at once, which
+        later integrals on this walk find as its kids."""
         a, b = self.panels[i][:2]
         mid = 0.5 * (a + b)
         self.parents.append(i)
         first = len(self.panels)
-        for lo, hi in ((a, mid), (mid, b)):
-            self.panels.append((lo, hi))
-            self.width.append(hi - lo)
-            self.kids.append(None)
+        halves = (a, mid), (mid, b)
+        self.panels += halves
+        self.width += (mid - a, b - mid)
+        self.kids += (None, None)
         self.kids[i] = first, first + 1
+        self.rule([_panel(lo, hi) for lo, hi in halves])
         return first, first + 1
 
 
 class _PanelIndex:
-    """The panels held across integrals, by id; ``ids`` maps (a, b) to its
-    id.  ``cache_clear`` keeps only the fixed panels and starts a new
-    ``epoch``, so that tables kept by id elsewhere can tell.  Reads and
-    writes hold ``lock``, as integrals on other threads share the index."""
+    """The panels the cells share, by id (``ids`` maps (a, b) to it), with
+    their :func:`_weights` and, in ``tables``, each row builder's factors
+    there, extended when read.  ``cache_clear`` keeps the fixed panels
+    alone and starts a new ``epoch``, from which no earlier walk lists.
+    Every read and write holds ``lock``, as cells on threads share it."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -432,15 +431,33 @@ class _PanelIndex:
         with self.lock:
             self.epoch += 1
             self.panels = list(_FIXED)
-            self.width = [b - a for a, b, _, _ in _FIXED]
+            self.width = list(_FIXED_WIDTH)
             self.kids: list = [None] * len(_FIXED)
             self.ids = {panel[:2]: i for i, panel in enumerate(_FIXED)}
-            self.dtdu = np.array([panel[3] for panel in _FIXED])
-            self.half = np.array([0.5 * (b - a) for a, b, _, _ in _FIXED])
+            self.dtdu, self.half = _weights(_FIXED)
+            self.tables: dict = {}
 
-    def walk(self) -> _Walk:
+    def _table(self, key, rows) -> np.ndarray:
+        """Table ``key`` of the builder ``rows``, extended to every held
+        panel, as the table read last; the least recently read go past
+        _TABLE_CAP."""
+        table = self.tables.pop(key, None)
+        have = 0 if table is None else table.shape[1]
+        if have < len(self.panels):
+            new = _factors(rows, self.panels[have:])
+            table = new if table is None else np.concatenate((table, new), axis=1)
+        while len(self.tables) >= _TABLE_CAP:
+            del self.tables[next(iter(self.tables))]
+        self.tables[key] = table
+        return table
+
+    def walk(self, rule, builders) -> tuple:
+        """A walk of the index that rules new pairs by ``rule``, with dt/du,
+        the half-widths and the table of each (key, rows) builder, over the
+        panels held."""
         with self.lock:
-            return _Walk(self)
+            tables = [self._table(key, rows) for key, rows in builders]
+            return _Walk(self.panels, self.width, self.kids, rule, self.epoch), self.dtdu, self.half, tables
 
     def add(self, walk: _Walk) -> None:
         """List the panels ``walk`` made that the index does not hold, in
@@ -471,11 +488,35 @@ class _PanelIndex:
                 if parent is not None and None not in pair:
                     self.kids[parent] = tuple(pair)
             if new:
-                self.dtdu = np.concatenate((self.dtdu, [panel[3] for panel in new]))
-                self.half = np.concatenate((self.half, [0.5 * (b - a) for a, b, _, _ in new]))
+                dtdu, half = _weights(new)
+                self.dtdu = np.concatenate((self.dtdu, dtdu))
+                self.half = np.concatenate((self.half, half))
 
 
 _index = _PanelIndex()
+
+
+def _cell(builders, rows: slice, abs_tol: float):
+    """A generator of the integrals over (0, 1) of w x v, for w and v the
+    rows ``rows`` of the two ``builders``, (key, rows(ts)) each, in order,
+    on one walk of the index: one numpy pass rules the held panels for all
+    of them, and another each pair split anew.  The first that fails
+    raises; the cell's panels join the index once the last has returned."""
+    values, errors = [], []  # a list of each, by panel id, per integral
+
+    def rule(panels):
+        w, v = (_factors(build, panels)[rows] for _, build in builders)
+        for vals, errs, vk, err in zip(values, errors, *_gk15_rows(w, v, *_weights(panels))):
+            vals += vk.tolist()
+            errs += err.tolist()
+
+    walk, dtdu, half, (w, v) = _index.walk(rule, builders)
+    vk, err = _gk15_rows(w[rows], v[rows], dtdu, half)
+    values += vk.tolist()
+    errors += err.tolist()
+    for vals, errs in zip(values, errors):
+        yield _integrate(abs_tol, walk, vals, errs)
+    _index.add(walk)
 
 
 def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -502,33 +543,30 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
         catalog grid; tails whose error lies between 0.7 and 1 ``abs_tol``
         can take it past ``abs_tol`` by up to 30%.
 
-    Each panel is ruled by :func:`_gk15`, with ``f`` called at its nodes
-    in turn, inside the adaptive loop :func:`_integrate`.  The panels come
-    from the shared index; the ones it does not hold are made for this
-    call and dropped, so point integrands add nothing to it.
+    ``f`` is called at the nodes of the seed panels and tail cells, then
+    of the halves in the order :func:`_integrate` splits them, each panel
+    ruled by :func:`_gk15`.  The call reads and leaves no shared state.
     """
-    walk = _index.walk()
-
-    def values(ts: tuple) -> list:
-        return [f(t) for t in ts]
-
-    def rule(i: int) -> tuple[float, float]:
-        return _gk15(values, walk.panel(i))
-
-    return _integrate(rule, abs_tol, walk)
-
-
-def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> QuadratureResult:
-    """The adaptive loop and the tails over the GK15 (value, error) of each
-    panel visited, by its id ``i`` in ``walk``: ``values[i]`` and
-    ``errors[i]`` for the panels a numpy pass ruled, the first
-    ``len(values)`` ids, and ``rule(i)`` for the others, called once per
-    panel, in visit order: the seeds, the tail cells, then the halves.
-    Each panel visited counts as 15 evaluations."""
     abs_tol = _check_real(abs_tol, "abs_tol")
+    values, errors = [], []
+
+    def rule(panels):
+        for panel in panels:
+            vk, err = _gk15(lambda ts: map(f, ts), panel)
+            values.append(vk)
+            errors.append(err)
+
+    rule(_FIXED)
+    return _integrate(abs_tol, _Walk(_FIXED, _FIXED_WIDTH, [None] * len(_FIXED), rule), values, errors)
+
+
+def _integrate(abs_tol: float, walk: _Walk, values: list, errors: list) -> QuadratureResult:
+    """The adaptive loop and the tails over the GK15 (value, error) of each
+    panel visited -- seeds, tail cells, then halves -- read off ``values``
+    and ``errors`` by its id in ``walk``, whose splits rule onto them.  Each
+    panel visited counts as 15 evaluations; ``abs_tol`` comes checked."""
     width, kids, split = walk.width, walk.kids, walk.split
     isfinite = math.isfinite
-    held = len(values)
 
     evals = 0
     final_value = 0.0  # settled cells
@@ -554,10 +592,9 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
         )
 
     def panel(i: int) -> tuple[float, float]:
-        """Panel i's value and error, off the lists if they hold it, else by
-        the rule; a non-finite value or error fails at once."""
+        """Panel i's value and error; a non-finite one fails at once."""
         nonlocal evals
-        vk, err = (values[i], errors[i]) if i < held else rule(i)
+        vk, err = values[i], errors[i]
         evals += 15
         if not (isfinite(vk) and isfinite(err)):
             fail(i)
@@ -603,11 +640,8 @@ def _integrate(rule, abs_tol: float, walk: _Walk, values=(), errors=()) -> Quadr
             final_error += err
             break
         for j in kids[i] or split(i):
-            if j < held:
-                vk = values[j]
-                err = errors[j]
-            else:
-                vk, err = rule(j)
+            vk = values[j]
+            err = errors[j]
             evals += 15
             if not (isfinite(vk) and isfinite(err)):
                 fail(j)

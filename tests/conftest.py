@@ -28,8 +28,7 @@ settings.load_profile("repeatable")
 
 @pytest.fixture
 def quadrature_caches():
-    """Empties the panel index when called; the measures' factor tables,
-    kept by panel id, start afresh at their next read."""
+    """Empties the panel index, with the factor tables it keeps, when called."""
     return numerics._index.cache_clear
 
 

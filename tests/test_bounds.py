@@ -228,6 +228,26 @@ def test_random_log_concave_entropy_lies_between_its_floor_and_its_envelope(n):
         assert _at_least(upper, h), (knots, values)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_random_log_concave_extropy_keeps_its_sup_floor(n):
+    # I <= max I gives J >= -n^2 max I / (2(2n - 1)), exactly in rationals;
+    # a piecewise-linear I takes its max at a knot
+    for knots, values in RANDOM_PROFILES:
+        floor = -Fraction(n * n, 2 * (2 * n - 1)) * max(values)
+        assert _exact_extropy(knots, values, n) >= floor, (knots, values)
+
+
+@pytest.mark.parametrize("n", [1, 5, 49])
+def test_random_log_concave_entropy_keeps_the_entropy_extropy_inequality(n):
+    # For odd n = 2m - 1, E_Beta(n,1) I = -2n J(X_(m))/m^2, and by Jensen
+    # -E ln I >= -ln E I, so H >= 1 - ln n - 1/n - ln(-2n J(X_(m))/m^2)
+    m = (n + 1) // 2
+    for knots, values in RANDOM_PROFILES:
+        mean_profile = -2 * n * _exact_extropy(knots, values, m) / (m * m)
+        floor = 1.0 - math.log(n) - 1.0 / n - math.log(mean_profile)
+        assert _at_least(_quad_entropy(knots, values, n), floor), (knots, values)
+
+
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 4)], ids=["c=1/2", "c=3/4"])
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000])
 def test_the_tent_profile_attains_the_extropy_envelope(c, n):
@@ -320,6 +340,42 @@ class TestLimitCeilings:
         ):
             with pytest.raises(ValueError, match=want):
                 ceiling(member)
+
+    @pytest.mark.parametrize(
+        "member, shown",
+        [
+            (d.power_function(1e300, 1e300), "inf"),
+            (d.pareto(1e-300, 1e300), "inf"),
+            (d.power_function(1e-300, 1e-300), "nan"),
+        ],
+        ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else v,
+    )
+    def test_an_i_half_off_the_doubles_is_declined_by_every_call_that_reads_it(self, member, shown):
+        # A bound of inf or nan would report a false violation (upper = -inf,
+        # upper_holds = False on a log-concave member), so every call that
+        # reads I(1/2) declines by name instead.  The normalized bounds take
+        # a_n first, which declines first on pareto(1e-300, 1e300).
+        assert math.isnan(d.density_quantile(member, 0.5)) == (shown == "nan")
+        calls = {
+            "shannon_bounds": lambda: bounds.shannon_bounds(member, 1),
+            "extropy_bounds": lambda: bounds.extropy_bounds(member, 1),
+            "normalized_bounds": lambda: bounds.normalized_bounds(member, 1),
+            "shannon_upper_envelope": lambda: bounds.shannon_upper_envelope(member, 1),
+            "extropy_upper_envelope": lambda: bounds.extropy_upper_envelope(member, 1),
+            "shannon_limit_upper": lambda: bounds.shannon_limit_upper(member),
+            "extropy_limit_upper": lambda: bounds.extropy_limit_upper(member),
+            "envelope_check": lambda: bounds.envelope_check(member),
+            "exponential_gap": lambda: bounds.exponential_gap(member, (1, 2)),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as excinfo:
+                    call()
+            message = str(excinfo.value)
+            assert member.label() in message, name
+            if not message.startswith("norming constants"):
+                assert message.startswith(f"I(1/2) of {member.label()} evaluates to {shown}, so "), name
 
     def test_extropy_limit_upper_formula(self):
         assert bounds.extropy_limit_upper(d.exponential(1.0)) == pytest.approx(-0.125)

@@ -749,6 +749,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"domain error: I(1/2) of {label} underflows to 0, so ln[2 I(1/2)] is undefined\n"
 
+    @pytest.mark.parametrize(
+        "spec, label, shown",
+        [
+            ('{"family":"power_function","theta":1e300,"nu":1e300}', "power_function(theta=1e+300, nu=1e+300)", "inf"),
+            ('{"family":"pareto","theta":1e-300,"nu":1e300}', "pareto(theta=1e-300, nu=1e+300)", "inf"),
+            ('{"family":"power_function","theta":1e-300,"nu":1e-300}', "power_function(theta=1e-300, nu=1e-300)", "nan"),
+        ],
+    )
+    def test_a_profile_at_half_off_the_doubles_is_named(self, spec, label, shown):
+        # no report of an ordering of infinities: the entropy's bounds decline
+        code, out, err = run_cli("bounds", "--n", "1", "--dist", spec)
+        assert (code, out) == (2, "")
+        assert err == f"domain error: I(1/2) of {label} evaluates to {shown}, so ln[2 I(1/2)] is undefined\n"
+
     def test_monte_carlo_reads_an_underflowing_profile_in_log_space(self):
         # pareto nu = 0.01: I(t) underflows to 0 near t = 1, ln I(t) does not
         code, out, err = run_cli(

@@ -132,6 +132,36 @@ def test_the_only_function_local_import_is_verify_in_the_cli():
     assert local == {("cli", "cmd_verify", "verify")}
 
 
+def _private_numerics_names() -> set[tuple[str, str]]:
+    """(module, name) of every private ``numerics`` name another module of
+    the package reads, as ``numerics._name`` or ``from .numerics import
+    _name``."""
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "numerics":
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "numerics":
+                read = [a.name for a in node.names]
+            else:
+                continue
+            names |= {(path.stem, name) for name in read if name.startswith("_")}
+    return names
+
+
+def test_numerics_keeps_its_quadrature_state_to_itself():
+    # The panels, the factor tables and the adaptive loop are numerics'
+    # own: measures hands it a (member, n) cell, verify takes its Monte
+    # Carlo sweep and the CLI its sample-count and seed rules, and no other
+    # module reads a private numerics name.
+    assert _private_numerics_names() == {
+        ("measures", "_cell"),
+        ("verify", "_mc_sweep"),
+        ("cli", "_check_samples"),
+        ("cli", "_check_seed"),
+    }
+
+
 def _contracts_and_their_callers():
     """(the ``@_contract`` functions of ``verify``, the functions ``run_all``
     reaches through its body's names, the ``verify.<name>`` calls of the

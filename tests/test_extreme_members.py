@@ -25,13 +25,14 @@ import collections
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from extremal_info import bounds, canonical, evt, measures, numerics
+from extremal_info import bounds, canonical, evt, measures, numerics, special
 from extremal_info import distributions as d
 
 # members whose closed H lies beyond the double range at n = 1 and 3
@@ -295,3 +296,64 @@ def test_log_profile_is_ln_of_the_profile(member):
     got = _log_profile(member, np.log(EXACT_T), np.log1p(-EXACT_T))[normal]
     bad = np.abs(got - want) > 1e-13 * np.maximum(1.0, np.abs(want))
     assert not bad.any(), list(zip(EXACT_T[normal][bad], got[bad], want[bad]))
+
+
+# ---------------------------------------------------------------------------
+# Closed J of power_function and pareto against mpmath
+# ---------------------------------------------------------------------------
+
+# where nu^2, nu/theta or the product of the pareto prefactor and its beta
+# function leaves the doubles although J is one, and where J lies beyond
+POWER_LAW_CELLS = dict.fromkeys(
+    [
+        (d.power_function(1.0, 1e300), 1),
+        (d.power_function(1.0, 1e300), 50),
+        (d.pareto(1e-290, 1e10), 10**6),
+        (d.power_function(1e300, 1e300), 1),
+        (d.pareto(1e-300, 1e300), 1),
+        *((m, n) for m in MEMBERS if m.family in ("pareto", "power_function") for n in (1, 2, 50, 10**6, 10**12)),
+    ]
+)
+
+
+def _mp_extropy(member, n):
+    """J of the maximum at 40 digits past the size of ln Gamma(2n + 1/nu):
+    -n^2 nu^2 theta / (2 (2 n nu - 1)), -inf where 2 n nu <= 1, for
+    power_function, and -(nu n^2 / (2 theta)) B(2n - 1, 2 + 1/nu) for
+    pareto."""
+    with mpmath.workdps(40 + int(max(math.log10(2 * n + 2), -math.log10(member.nu)))):
+        theta, nu = mpmath.mpf(member.theta), mpmath.mpf(member.nu)
+        if member.family == "power_function":
+            if 2 * n * nu <= 1:
+                return -mpmath.inf
+            return -(n * n * nu * nu * theta) / (2 * (2 * n * nu - 1))
+        a, b = mpmath.mpf(2 * n - 1), 2 + 1 / nu
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        return -mpmath.exp(mpmath.log(nu * n * n / (2 * theta)) + log_beta)
+
+
+@pytest.mark.parametrize(
+    "member, n", POWER_LAW_CELLS, ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else str(v)
+)
+def test_power_law_extropy_against_mpmath(member, n):
+    # J is -inf where the integral diverges, an OverflowError naming the
+    # member and n where J lies beyond the doubles, and else a double near
+    # the truth.  Where the direct form leaves the normal doubles, J is
+    # taken from its logarithm in decimal, within 1e-15; power_function's
+    # direct form is within 1e-15 too, and pareto's within the accuracy of
+    # scipy's betaln, whose difference of log-gammas loses up to 2e-9 at
+    # n = 10^6 (ROADMAP item 4).  An array of n, as the package builds one,
+    # gives the scalar bits.
+    want = _mp_extropy(member, n)
+    record = d.REGISTRY[member.family]
+    if -want > sys.float_info.max and want != -mpmath.inf:
+        named = re.escape(f"extropy of the maximum of n={n} draws from {member.label()} is -e^")
+        with pytest.raises(OverflowError, match=named + r".*, beyond the double range$"):
+            record.extropy(member, n)
+        return
+    got, want = record.extropy(member, n), float(want)
+    tol = 5e-9 if member.family == "pareto" else 1e-15
+    assert got == want or abs(got - want) <= tol * abs(want), (got, want)
+    with np.errstate(all="ignore"):
+        column = np.asarray(record.extropy(member, special._check_n_grid([n], "test")), dtype=float)
+    assert column.tolist() == [got] and column[0].item().hex() == got.hex()

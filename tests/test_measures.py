@@ -423,6 +423,16 @@ LARGE_N_MEMBERS = (d.exponential(1.0), d.logistic(1.0), d.pareto(1.0, 2.0), d.ge
 LARGE_N = (10**3, 10**4, 10**5)
 
 
+def _counted(calls: dict, name: str, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+
+    def counting(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counting
+
+
 def _assert_index_consistent():
     """Every id the index holds names one panel, in order, with its width,
     nodes and arrays, and each child pair is the two halves of its parent:
@@ -451,43 +461,38 @@ def table_grid():
     panels of the grid, the distinct (n, panel) weight rows and the keys of
     the factor tables read."""
     integrate = numerics._integrate
-    read = measures._tables._read
+    read = numerics._index._table
     results, weights, per_member, panels, grid_panels, tables = [], set(), [], set(), set(), set()
     tag = {}
 
-    class Reads(list):
-        """A pass's value list that reports each id the loop reads off it."""
+    class Reads:
+        """A value list, as the walk fills it, that reports each id the
+        loop reads off it."""
 
         def __init__(self, values, seen):
-            super().__init__(values)
-            self.seen = seen
+            self.values, self.seen = values, seen
 
         def __getitem__(self, i):
             self.seen(i)
-            return super().__getitem__(i)
+            return self.values[i]
 
-    def recording(rule, abs_tol, walk, vks, errs):
-        # the kernel reads every listed panel it visits off the pass's value
-        # list, once, and asks the rule once for every other one, by id
+    def recording(abs_tol, walk, vks, errs):
+        # the kernel reads every panel it visits off the value list, by id
         def seen(i):
             key = walk.panels[i][:2]
             panels.add(key)
             weights.add((tag["n"], key))
 
-        def visit(i):
-            seen(i)
-            return rule(i)
-
-        results.append(integrate(visit, abs_tol, walk, Reads(vks, seen), errs))
+        results.append(integrate(abs_tol, walk, Reads(vks, seen), errs))
         return results[-1]
 
-    def reading(key, rows, walk):
+    def reading(key, rows):
         tables.add(key)
-        return read(key, rows, walk)
+        return read(key, rows)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numerics, "_integrate", recording)
-        m.setattr(measures._tables, "_read", reading)
+        m.setattr(numerics._index, "_table", reading)
         for member in canonical.catalog_members():
             panels.clear()
             for tag["n"] in canonical.TABLE_N:
@@ -599,12 +604,12 @@ class TestAlternateRoutes:
         per_member = table_grid["panels_per_member"]
         weights = table_grid["weights"]
         assert (max(per_member), sum(per_member), weights) == (59, 1544, 219)
-        assert (numerics._PANEL_CAP, measures._TABLE_CAP) == (256, 64)
+        assert (numerics._PANEL_CAP, numerics._TABLE_CAP) == (256, 64)
         assert table_grid["panels"] == 59 <= numerics._PANEL_CAP
         assert len(per_member) == 30
         tables = table_grid["tables"]
         assert tables == set(canonical.catalog_members()) | set(canonical.TABLE_N)
-        assert len(tables) == 35 <= measures._TABLE_CAP
+        assert len(tables) == 35 <= numerics._TABLE_CAP
 
     @pytest.mark.xfail(
         strict=True,
@@ -624,11 +629,12 @@ class TestAlternateRoutes:
             for n in LARGE_N:
                 for route in routes:
                     route(member, n, "quadrature")
-        assert numerics._index.walk().listed <= 59  # what a cell's numpy pass rules
+        assert len(numerics._index.panels) <= 59  # what a cell's numpy pass rules
 
     def test_a_warm_second_sweep_of_the_table_grid_makes_no_scalar_rule_call(
         self, monkeypatch, quadrature_caches
     ):
+        # nor makes a panel: each cell rules its panels in one numpy pass
         def sweep():
             for member in canonical.catalog_members():
                 for n in canonical.TABLE_N:
@@ -636,11 +642,29 @@ class TestAlternateRoutes:
 
         quadrature_caches()
         sweep()
-        calls = []
-        scalar = numerics._gk15
-        monkeypatch.setattr(numerics, "_gk15", lambda *args: calls.append(args) or scalar(*args))
+        calls = {"_gk15": 0, "_gk15_rows": 0, "_panel": 0}
+        for name in calls:
+            monkeypatch.setattr(numerics, name, _counted(calls, name, getattr(numerics, name)))
         sweep()
-        assert calls == []
+        assert calls == {"_gk15": 0, "_gk15_rows": 30 * len(canonical.TABLE_N), "_panel": 0}
+
+    @pytest.mark.parametrize("cell", ["H", "J", "HJ"])
+    def test_a_cold_cell_takes_each_new_panel_s_profile_once(self, cell, monkeypatch, quadrature_caches):
+        # exponential(1) at n = 5 from a cleared index: the profile at the
+        # 23 fixed panels' nodes (345 calls) for the member's table, then at
+        # the 16 panels the integrals split anew (240), each pair ruled for
+        # both measures at once, so that J, run after H on the same walk,
+        # finds them all; each new panel's nodes are made as it is split and
+        # again as the index lists it.
+        record = d.REGISTRY["exponential"]
+        calls = {"density_quantile": 0, "_panel": 0}
+        profile = _counted(calls, "density_quantile", record.density_quantile)
+        monkeypatch.setitem(d.REGISTRY, "exponential", dataclasses.replace(record, density_quantile=profile))
+        monkeypatch.setattr(numerics, "_panel", _counted(calls, "_panel", numerics._panel))
+        quadrature_caches()
+        measures._quadrature(d.exponential(1.0), 5, cell, numerics.DEFAULT_QUAD_TOL)
+        assert calls == {"density_quantile": 585, "_panel": 32}
+        assert len(numerics._index.panels) == 23 + 16
 
     def test_integrals_on_threads_share_the_tables(self, quadrature_caches):
         # Two threads, and then more threads than cores, switching often,
@@ -677,17 +701,18 @@ class TestAlternateRoutes:
         # The profile overflows (power_function) or underflows (pareto), so
         # the member's table holds inf, and nan or -inf, factors.  A failed
         # integral lists no panel, so the cold call rules only the 23 fixed
-        # panels in one numpy pass and every other by the scalar rule; once
-        # one catalog integral has listed its panels, the warm calls read
-        # each of them from that pass, which must fail as the cold call did
-        # and warn about nothing.
+        # panels in its first numpy pass and the halves of each panel it
+        # splits in a pass of their own; once one catalog integral has
+        # listed its panels, the warm calls read each of them off the first
+        # pass, which must have the scalar rule's bits, fail as the cold
+        # call did and warn about nothing.
         def outcome():
             with pytest.raises(numerics.QuadratureError) as excinfo:
                 getattr(measures, route)(member, n, "quadrature")
             best = excinfo.value.best
             return str(excinfo.value), best.value.hex(), best.evaluations
 
-        measure = "H" if route == "shannon_max" else "J"
+        row = "HJ".index("H" if route == "shannon_max" else "J")
         rows = numerics._gk15_rows
         passes = []
 
@@ -702,22 +727,21 @@ class TestAlternateRoutes:
             assert numerics._index.panels == list(numerics._FIXED)
             measures.crosscheck(canonical.catalog_members()[0], 2)
             assert [outcome(), outcome()] == [cold, cold]
-            walk = numerics._index.walk()
+            listed = list(numerics._index.panels)
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(numerics, "_gk15_rows", recording)
                 outcome()
         (vk,), (err,) = passes[0]
-        listed = list(zip(vk.tolist(), err.tolist()))
+        rules = list(zip(vk.tolist(), err.tolist()))
 
         def integrand(ts):
-            weights = measures._weight_row(n, measure, ts)
-            return map(operator.mul, weights, measures._profile_row(member, ts)["HJ".index(measure)])
+            return map(operator.mul, measures._weight_rows(n, ts)[row], measures._profile_row(member, ts)[row])
 
-        assert len(passes) == 1 and len(listed) == walk.listed > len(numerics._FIXED)
-        got = [tuple(map(float.hex, rule)) for rule in listed]
-        want = [tuple(map(float.hex, numerics._gk15(integrand, walk.panels[i]))) for i in range(walk.listed)]
+        assert len(rules) == len(listed) > len(numerics._FIXED)
+        got = [tuple(map(float.hex, rule)) for rule in rules]
+        want = [tuple(map(float.hex, numerics._gk15(integrand, panel))) for panel in listed]
         assert got == want
-        assert not all(map(math.isfinite, (x for rule in listed for x in rule)))
+        assert not all(map(math.isfinite, (x for rule in rules for x in rule)))
 
     def test_a_cell_whose_h_declines_fails_as_h_does(self, quadrature_caches):
         # power_function(1, 0.3) at n = 1: I(t) overflows near t = 0, so H's
@@ -792,13 +816,13 @@ class TestAlternateRoutes:
         want = [outcome(*case) for case in cases]
         assert any(len(w) == 3 for w in want)
         monkeypatch.setattr(numerics, "_PANEL_CAP", 24)
-        monkeypatch.setattr(measures, "_TABLE_CAP", 1)
+        monkeypatch.setattr(numerics, "_TABLE_CAP", 1)
         quadrature_caches()
         index = numerics._index
         for _ in ("cold", "warm"):
             assert [outcome(*case) for case in cases] == want
             assert len(index.panels) == 24 and index.dtdu.shape == (24, 15)
-            assert len(measures._tables.factors) == 1
+            assert len(index.tables) == 1
 
     def test_no_result_depends_on_call_history(self, quadrature_caches):
         # A member's factor table has a row for every listed panel, also for
@@ -892,7 +916,7 @@ class TestAlternateRoutes:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].startswith("integrand non-finite for t in [5.70904e-171, ")
         assert outcomes[0][1] < 1000
-        _logs, values = measures._tables.factors[member]
+        _logs, values = numerics._index.tables[member]
         assert math.inf in values[numerics._index.ids[-392.0, -192.0]]
 
     @pytest.mark.parametrize(
@@ -1090,9 +1114,9 @@ def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadratur
     # fails, gev(-1.9) J at n = 1 declines on its tails, and the panel index,
     # its arrays and every factor table read before them stay as they were,
     # so the integrals after them do not slow down, and the next catalog
-    # integral keeps its bits.  Point integrands
-    # read the index but list nothing, so integrate_unit neither adds to it
-    # nor evicts what the measures rule in their numpy pass.
+    # integral keeps its bits.  integrate_unit reads no shared state, so it
+    # neither adds to the index nor evicts what the cells rule in their
+    # numpy pass.
     members = canonical.catalog_members()
     quadrature_caches()
     want = measures.extropy_max(members[1], 50, "quadrature")
@@ -1102,7 +1126,7 @@ def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadratur
     def state():
         index = numerics._index
         held = list(index.panels), list(index.kids), dict(index.ids), index.dtdu.tobytes(), index.half.tobytes()
-        return held, {key: table.tobytes() for key, table in measures._tables.factors.items()}
+        return held, {key: table.tobytes() for key, table in index.tables.items()}
 
     before = state()
     with monkeypatch.context() as m:
@@ -1133,6 +1157,37 @@ def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadratur
             measures.crosscheck(member, n)
     assert len(numerics._index.panels) == 64
     _assert_index_consistent()
+
+
+def test_integrate_unit_reads_no_shared_state(quadrature_caches):
+    # verify's oracle integrands and check 8's give the same results,
+    # evaluation counts and calls of the integrand, in order, from a cleared
+    # index, after the table grid, after the 24 large-n integrals that grow
+    # the index past the grid's panels and after the index is cleared again.
+    integrands = [math.log, lambda t: t**-0.5, lambda t: math.log(-math.log(t))]
+    integrands += [lambda y, n=n: y ** (n - 1) * math.log(-math.log(y)) for n in (2, 7)]
+
+    def runs():
+        out = []
+        for f in integrands:
+            calls = []
+            q = numerics.integrate_unit(lambda t: calls.append(t) or f(t), 1e-12)
+            out.append((_bits(q), calls))
+        return out
+
+    quadrature_caches()
+    want = runs()
+    for member in canonical.catalog_members():
+        for n in canonical.TABLE_N:
+            measures.crosscheck(member, n)
+    assert runs() == want
+    for member in LARGE_N_MEMBERS:
+        for n in LARGE_N:
+            measures.crosscheck(member, n)
+    assert len(numerics._index.panels) > 59
+    assert runs() == want
+    quadrature_caches()
+    assert runs() == want
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,30 @@ class TestGk15Rows:
 
 
 class TestIntegratePanels:
-    """The adaptive loop over the scalar rule of a whole-panel integrand."""
+    """The adaptive loop over the lists a walk of the fixed panels fills
+    with the scalar rule of a whole-panel integrand."""
 
     @staticmethod
-    def integrate(g, abs_tol=numerics.DEFAULT_QUAD_TOL):
-        walk = numerics._index.walk()
-        return numerics._integrate(lambda i: numerics._gk15(g, walk.panel(i)), abs_tol, walk)
+    def walk(g, ruled=None):
+        """A walk of the fixed panels, ruled up front, whose rule takes each
+        new panel by :func:`_gk15` of ``g`` (recording its bounds in
+        ``ruled``), with the value and error lists it fills."""
+        values, errors = [], []
+
+        def rule(panels):
+            for panel in panels:
+                if ruled is not None:
+                    ruled.append(panel[:2])
+                vk, err = numerics._gk15(g, panel)
+                values.append(vk)
+                errors.append(err)
+
+        rule(numerics._FIXED)
+        walk = numerics._Walk(numerics._FIXED, numerics._FIXED_WIDTH, [None] * len(numerics._FIXED), rule)
+        return walk, values, errors
+
+    def integrate(self, g, abs_tol=numerics.DEFAULT_QUAD_TOL):
+        return numerics._integrate(abs_tol, *self.walk(g))
 
     def test_integrand_gets_each_panel_as_a_node_tuple(self):
         panels = []
@@ -269,32 +287,41 @@ class TestIntegratePanels:
         assert all(type(ts) is tuple and len(ts) == 15 for ts in panels)
         assert all(0.0 < t < 1.0 for ts in panels for t in ts)
 
-    def test_the_kernel_asks_the_rule_once_per_panel_in_visit_order(self, quadrature_caches):
+    def test_the_kernel_reads_each_panel_once_in_id_order(self):
+        # The fixed panels are ruled up front and a split panel's halves as
+        # it is split, so the loop reads ids 0, 1, 2, ... in turn: the seeds,
+        # the tail cells, then the halves, whose per-call ids follow the
+        # order of the splits.  It equals integrate_unit on the point
+        # integrand, and the same answers in the same order give the same
+        # result, no integrand needed.
         g = lambda ts: map(math.sqrt, ts)
-        asked, seen = [], []
-        quadrature_caches()
-        walk = numerics._index.walk()
+        ruled, reads = [], []
+        walk, values, errors = self.walk(g, ruled)
 
-        def rule(i):
-            asked.append(i)
-            return numerics._gk15(g, walk.panel(i))
+        class Reads:
+            def __getitem__(self, i):
+                reads.append(i)
+                return values[i]
 
-        first = numerics._integrate(rule, 1e-10, walk)
-        assert first == self.integrate(lambda ts: seen.append(ts) or g(ts), 1e-10)
-        assert first.evaluations == 15 * len(asked) == 15 * len(set(asked))
-        # the seeds first, then the tail cells, then halves with per-call
-        # ids in visit order
-        assert asked[:9] == list(numerics._SEEDS) and asked[9:23] == list(range(9, 23))
-        assert asked[23:] == list(range(23, len(asked)))
-        assert walk.listed == 23 and len(walk.panels) == len(asked)
-        # _gk15 hands g the panels the rule was asked for, in order
-        assert seen == [walk.panel(i)[2] for i in asked]
-        # the same answers in the same order give the same result, no integrand needed
-        answers, replay = iter([numerics._gk15(g, walk.panel(i)) for i in asked]), []
-        again = numerics._index.walk()
-        assert numerics._integrate(lambda i: replay.append(i) or next(answers), 1e-10, again) == first
-        assert replay == asked
-        assert again.panels == walk.panels
+        first = numerics._integrate(1e-10, walk, Reads(), errors)
+        assert first == numerics.integrate_unit(math.sqrt, 1e-10)
+        assert first.evaluations == 15 * len(reads) == 15 * len(walk.panels)
+        assert reads == list(range(len(walk.panels)))
+        assert walk.listed == 23 and ruled == [panel[:2] for panel in walk.panels]
+        assert walk.parents and all(walk.kids[i] == (23 + 2 * j, 24 + 2 * j) for j, i in enumerate(walk.parents))
+        answers = iter(zip(values[23:], errors[23:]))
+        replay, again_values, again_errors = [], values[:23], errors[:23]
+
+        def rule(panels):
+            for panel in panels:
+                replay.append(panel[:2])
+                vk, err = next(answers)
+                again_values.append(vk)
+                again_errors.append(err)
+
+        again = numerics._Walk(numerics._FIXED, numerics._FIXED_WIDTH, [None] * 23, rule)
+        assert numerics._integrate(1e-10, again, again_values, again_errors) == first
+        assert replay == ruled[23:] and again.panels == walk.panels
 
     def test_rejects_a_panel_of_the_wrong_length(self):
         for wrong in (lambda ts: ts[:-1], lambda ts: ts + ts[:1]):
@@ -364,28 +391,26 @@ class TestTailBranches:
                 return (str(exc), bits(exc.best)), branches
 
     @pytest.mark.parametrize("f, left, right, message", CASES, ids=["log", "zero", "guard", "no decay", "nan"])
-    def test_a_pass_and_integrate_unit_end_each_branch_alike(self, f, left, right, message):
-        walk = numerics._index.walk()
-        listed = walk.panels[: walk.listed]
-        w = np.array([[f(t) for t in panel[2]] for panel in listed])
-        vk, err = numerics._gk15_rows(w, np.ones_like(w), walk.dtdu, walk.half)
-        asked = []
+    def test_a_pass_and_integrate_unit_end_each_branch_alike(self, f, left, right, message, quadrature_caches):
+        # f x 1 in a cell, on the fixed panels alone and after a catalog
+        # cell has listed its panels, is f's point integral bit for bit
+        builders = ((f, "w"), lambda ts: ([f(t) for t in ts],)), ("1", lambda ts: ((1.0,) * 15,))
 
-        def rule(i):
-            asked.append(i)
-            return numerics._gk15(lambda ts: map(f, ts), walk.panel(i))
+        def cell():
+            return next(numerics._cell(builders, slice(0, 1), 1e-10))
 
-        warm = self.outcome(lambda: numerics._integrate(rule, 1e-10, walk, vk.tolist(), err.tolist()))
+        quadrature_caches()
         want = self.outcome(lambda: numerics.integrate_unit(f))
-        assert warm == want
+        assert self.outcome(cell) == want
+        measures.crosscheck(canonical.catalog_members()[0], 2)
+        assert len(numerics._index.panels) > 23
+        assert self.outcome(cell) == want
+        quadrature_caches()
         result, branches = want
         assert branches == [branch for branch in (left, right) if branch is not None]
         assert (message is None) == (len(result) == 3)
         if message is not None:
             assert result[0] == message
-        # the listed panels, the seeds and the tail cells among them, are
-        # read off the pass, never through the rule
-        assert all(i >= walk.listed for i in asked)
 
 
 @pytest.mark.xfail(
