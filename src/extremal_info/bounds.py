@@ -169,7 +169,9 @@ def _extropy_envelope(i_half: float, n: int) -> float:
         - math.exp(-(2.0 * n - 1.0) * _LN2) / (2.0 * n - 1.0)
         + 2.0 * math.exp(-2.0 * n * _LN2) / (2.0 * n)
     )
-    return -(n * n) * i_half * coeff
+    scaled = -(n * n) * i_half
+    # n^2 I(1/2) can overflow where the envelope, near -I(1/2)/4, is a double
+    return scaled * coeff if scaled > -math.inf else -i_half * ((n * n) * coeff)
 
 
 def shannon_upper_envelope(dist, n: int) -> float:

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import special
-from .special import EULER_GAMMA, _check_real, _elementwise, _math
+from .special import EULER_GAMMA, _check_real, _math
 
 __all__ = [
     "FAMILIES",
@@ -130,7 +130,11 @@ class Family:
     - ``sup_density(d)`` and ``is_log_concave(d)``;
     - ``shannon(d, n)`` and ``extropy(d, n)``: closed-form H and J of the
       maximum of n draws; ``limits(d)``: their n -> infinity limits
-      (H, J) as extended reals;
+      (H, J) as extended reals.  H past the double range raises an
+      ``OverflowError`` that names it.  Every ``extropy`` is built by
+      :func:`_closed_extropy` from the family's direct form and ln|J|, so
+      J is a double wherever it is one, -inf only where the integral
+      diverges, and past the doubles a named ``OverflowError``;
     - ``evi(d)``: extreme-value index xi, whose sign fixes the domain of
       attraction;
     - ``norming(d, n)``: norming constants (a_n, b_n) to the standard GEV(xi).
@@ -141,7 +145,8 @@ class Family:
     of the scalar calls, or raise what the scalar call at some element
     raises.  A constant of the pair may stay a scalar.  Their array
     arithmetic is numpy's, which warns where Python floats overflow
-    silently; callers that want the floats' silence use ``np.errstate``.
+    silently; callers that want the floats' silence use ``np.errstate``
+    (``extropy`` replaces such elements and warns of none).
     """
 
     fields: tuple[str, ...]
@@ -169,6 +174,15 @@ def _logistic_cdf(d, x):
 def _exponential_limits(d):
     # (H, J) limits of the exponential and the logistic family, both of rate theta
     return (1.0 - math.log(d.theta) + EULER_GAMMA, -d.theta / 8.0)
+
+
+def _rate_extropy(k: int):
+    """J = -n theta/(4 (2n + k)) of the exponential (k = -1) and the
+    logistic (k = 1) family of rate theta."""
+    return _closed_extropy(
+        lambda d, n: (-(num := n * d.theta) / (4.0 * (2.0 * n + k)), num),
+        lambda d, n: Decimal(n).ln() + Decimal(d.theta).ln() - (8 * Decimal(n) + 4 * k).ln(),
+    )
 
 
 def _logistic_norming(d, n):
@@ -211,33 +225,62 @@ def _pareto_cdf(d, x):
     return np.where(x > th, 1.0 - tail, 0.0)
 
 
-_MIN_NORMAL = sys.float_info.min
+def _closed_extropy(direct, log_abs, digits=lambda d, n: 40):
+    """A record's closed J, a double wherever J is one.
 
+    ``direct(d, n)`` gives J in doubles and the positive factor it is built
+    from, and J is kept where -J and that factor are normal doubles.
+    Everywhere else, also where ``direct`` raises ``OverflowError`` or
+    ``ZeroDivisionError``, J is -e^L from L = ``log_abs(d, n)`` = ln|J|,
+    taken in decimal at ``digits(d, n)`` digits: a double, -0.0 below the
+    subnormals, -inf where L is +inf (a divergent integral), and beyond the
+    doubles an ``OverflowError`` that names the member and n.  An integer
+    array keeps the direct form on the whole array where it passes, and
+    every other element, also of an object array, takes its scalar call.
+    """
 
-def _extropy_in_range(d, n, j, parts, exact):
-    """Closed J on an array n (a record checks a single n itself), a double
-    wherever the answer is one: ``j``, the record's direct form, where -j
-    and the positive ``parts`` it is built from are normal doubles, else
-    ``exact(d, m)`` at each such n = m, in order."""
-    size = np.asarray((-j, *parts), dtype=float)
-    off = ~((size >= _MIN_NORMAL) & (size < math.inf)).all(axis=0)
-    if not off.any():
-        return j
-    j = np.array(j, dtype=float)
-    j[off] = [exact(d, m) for m in n[off].tolist()]
-    return j
+    def exact(d, n) -> float:
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits(d, n)
+            log_j = log_abs(d, n)
+            if log_j < -800:
+                return -0.0
+            if log_j < 710 and (j := float(log_j.exp())) < math.inf:
+                return -j
+            if log_j.is_infinite():
+                return -math.inf
+            raise OverflowError(
+                f"extropy of the maximum of n={n} draws from {d._label} is -e^{log_j:.6g}, beyond the double range"
+            )
 
+    tiny, inf = sys.float_info.min, math.inf  # closure cells: the scalar path is hot
 
-def _negative_exp(log_j: Decimal, n, label: str) -> float:
-    """J = -e^log_j as a double (-0.0 below the subnormals), in the decimal
-    context of ``log_j``; beyond the doubles an ``OverflowError`` names it."""
-    if log_j < -800:
-        return -0.0
-    if log_j < 710 and (j := float(log_j.exp())) < math.inf:
-        return -j
-    raise OverflowError(
-        f"extropy of the maximum of n={n} draws from {label} is -e^{log_j:.6g}, beyond the double range"
-    )
+    def extropy(d, n):
+        if type(n) is not int:  # an integer array, as the record contract has it
+            return on_array(d, n)
+        try:
+            j, part = direct(d, n)
+        except (OverflowError, ZeroDivisionError):
+            return exact(d, n)
+        if tiny <= part < inf and tiny <= -j < inf:
+            return j
+        return exact(d, n)
+
+    def on_array(d, n):
+        if n.dtype.kind in "iu":
+            try:
+                with np.errstate(all="ignore"):  # the elements it leaves are replaced
+                    j, part = direct(d, n)
+            except (OverflowError, ZeroDivisionError):
+                pass
+            else:
+                off = ~((-j >= tiny) & (-j < inf) & (part >= tiny) & (part < inf))
+                if off.any():
+                    j[off] = [extropy(d, m) for m in n[off].tolist()]
+                return j
+        return np.fromiter((extropy(d, m) for m in n.ravel().tolist()), float, n.size).reshape(n.shape)
+
+    return extropy
 
 
 def _log_of(value: float, log_value) -> float:
@@ -256,12 +299,12 @@ def _entropy_in_range(shannon):
         value = shannon(d, n)
         if isinstance(n, np.ndarray):
             # a grid past int64 gives an object array
-            beyond = ~np.isfinite(np.asarray(value, dtype=float))
+            beyond = np.isinf(np.asarray(value, dtype=float))
             if not beyond.any():
                 return value
             first = np.argmax(beyond)
             n, value = n.ravel()[first], value.ravel()[first]
-        elif math.isfinite(value):
+        elif not math.isinf(value):
             return value
         bound = f"below -{sys.float_info.max:.6g}" if value < 0 else f"above {sys.float_info.max:.6g}"
         raise OverflowError(
@@ -297,27 +340,21 @@ def _pareto_log_density_quantile(d, log_t, log1m_t):
     return log_c + _ratio_times(nu + 1.0, nu, log1m_t)
 
 
-def _pareto_extropy(d, n):
-    scale = d.nu * n * n / (2.0 * d.theta)
+def _pareto_direct(d, n):
     beta = special.beta_function(2 * n - 1, (2.0 * d.nu + 1.0) / d.nu)
-    j = -scale * beta
-    if type(j) is not float:
-        return _extropy_in_range(d, n, j, (scale, beta), _pareto_extropy_exact)
-    if _MIN_NORMAL <= scale < math.inf and _MIN_NORMAL <= beta and _MIN_NORMAL <= -j < math.inf:
-        return j
-    return _pareto_extropy_exact(d, n)
+    return -(d.nu * n * n / (2.0 * d.theta)) * beta, beta
 
 
-def _pareto_extropy_exact(d, n) -> float:
-    """J at one n from ln|J| = ln nu + 2 ln n - ln 2 - ln theta + ln B(2n - 1,
-    2 + 1/nu), in decimal, 25 digits past the size of ln Gamma(2n + 1/nu)."""
-    nu = d.nu
-    with decimal.localcontext() as ctx:
-        ctx.prec = 35 + math.ceil(max(math.log10(2 * n + 2), -math.log10(nu)))
-        a, b = Decimal(2 * n - 1), 2 + 1 / Decimal(nu)
-        ln_beta = _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
-        log_j = Decimal(nu).ln() + 2 * Decimal(n).ln() - Decimal(2).ln() - Decimal(d.theta).ln() + ln_beta
-        return _negative_exp(log_j, n, d.label())
+def _pareto_log_abs(d, n) -> Decimal:
+    """ln|J| = ln nu + 2 ln n - ln 2 - ln theta + ln B(2n - 1, 2 + 1/nu)."""
+    a, b = Decimal(2 * n - 1), 2 + 1 / Decimal(d.nu)
+    ln_beta = _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
+    return Decimal(d.nu).ln() + 2 * Decimal(n).ln() - Decimal(2).ln() - Decimal(d.theta).ln() + ln_beta
+
+
+def _pareto_digits(d, n) -> int:
+    """25 digits past the size of ln Gamma(2n + 1/nu)."""
+    return 35 + math.ceil(max(math.log10(2 * n + 2), -math.log10(d.nu)))
 
 
 def _pareto_norming(d, n):
@@ -362,29 +399,18 @@ def _power_log_density_quantile(d, log_t, log1m_t):
     return log_c + _ratio_times(nu - 1.0, nu, log_t)
 
 
-def _power_extropy(d, n):
-    nu = d.nu
-    # The defining integral of f^2 diverges at the lower endpoint; an array
-    # computes the diverging elements too, whose J the exact form gives.
-    if (2.0 * n * nu <= 1.0) is True:
-        return -math.inf
-    num = n * n * nu * nu * d.theta
-    j = -num / (2.0 * (2.0 * n * nu - 1.0))
-    if type(j) is not float:
-        return _extropy_in_range(d, n, j, (num,), _power_extropy_exact)
-    return j if _MIN_NORMAL <= num < math.inf and _MIN_NORMAL <= -j < math.inf else _power_extropy_exact(d, n)
+def _power_direct(d, n):
+    num = n * n * d.nu * d.nu * d.theta
+    return -num / (2.0 * (2.0 * n * d.nu - 1.0)), num
 
 
-def _power_extropy_exact(d, n) -> float:
-    """J at one n from ln|J| = 2 ln(n nu) + ln theta - ln 2 - ln(2 n nu - 1),
-    in decimal, or -inf where 2 n nu <= 1."""
-    if 2.0 * n * d.nu <= 1.0:
-        return -math.inf
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        x = Decimal(n) * Decimal(d.nu)
-        log_j = 2 * x.ln() + Decimal(d.theta).ln() - Decimal(2).ln() - (2 * x - 1).ln()
-        return _negative_exp(log_j, n, d.label())
+def _power_log_abs(d, n) -> Decimal:
+    """ln|J| = 2 ln(n nu) + ln theta - ln 2 - ln(2 n nu - 1), or +inf where
+    2 n nu <= 1: the defining integral of f^2 diverges at the lower endpoint."""
+    x = Decimal(n) * Decimal(d.nu)
+    if 2 * x <= 1:
+        return Decimal("Infinity")
+    return 2 * x.ln() + Decimal(d.theta).ln() - Decimal(2).ln() - (2 * x - 1).ln()
 
 
 def _power_norming(d, n):
@@ -493,60 +519,27 @@ def _ln_gamma(z: Decimal) -> Decimal:
     return (z - Decimal("0.5")) * z.ln() - z + _LN_2PI / 2 + series - shift.ln()
 
 
-def _gev_extropy_at(n, xi: float) -> float:
-    """J at one n: -Gamma(xi + 2)/(2^(xi+3) n^xi), or, where Gamma
-    (xi > 169.6), a power or their product overflows, -exp of its logarithm
-    taken in decimal with 25 digits past the size of its largest term."""
-    try:
-        den = 2.0 ** (xi + 3.0) * float(n) ** xi
-        if den < math.inf:
-            return -math.gamma(xi + 2.0) / den
-    except OverflowError:
-        pass
-    with decimal.localcontext() as ctx:
-        ctx.prec = 25 + math.ceil(math.log10(xi + 3.0) + math.log10(math.log(xi + 3.0) + math.log(n) + 1.0))
-        x = Decimal(xi)
-        log_j = _ln_gamma(x + 2) - (x + 3) * Decimal(2).ln() - x * Decimal(int(n)).ln()
-        return _negative_exp(log_j, n, f"gev(xi={xi:g})")
-
-
-def _gev_extropy(d, n):
-    xi = _gev_xi(d)
+def _gev_direct(d, n):
+    xi, m = _gev_xi(d), _math(type(n))
     if xi <= -2.0:
         raise ValueError(
             f"extropy of the maximum is -inf for gev with xi <= -2 (got xi={d.xi}); "
             "the closed form is valid only for xi > -2"
         )
-    if isinstance(n, np.ndarray):
-        return _gev_extropy_on(n, xi)
-    return _gev_extropy_at(n, xi)
+    # -Gamma(xi + 2)/(2^(xi+3) n^xi), n^xi by libm
+    den = 2.0 ** (xi + 3.0) * m.pow(m.float(n), xi)
+    return -math.gamma(xi + 2.0) / den, den
 
 
-def _gev_extropy_on(n: np.ndarray, xi: float) -> np.ndarray:
-    """:func:`_gev_extropy_at` at each n of an array, with its bits: the
-    direct form on the whole integer array, n^xi by libm element by element
-    and the rest in numpy, whose * and / round as Python's do; the elements
-    where that form overflows, an object array, and every element once
-    Gamma(xi + 2) overflows, go through :func:`_gev_extropy_at` one by one."""
-    each = _elementwise(_gev_extropy_at)
-    if n.dtype.kind not in "iu":
-        return each(n, xi)
-    try:
-        gamma, two = math.gamma(xi + 2.0), 2.0 ** (xi + 3.0)
-    except OverflowError:
-        return each(n, xi)
-    x = n.astype(float)
-    # ln n^xi below 709 < ln DBL_MAX (every n when xi <= 0): float ** cannot
-    # overflow there
-    direct = xi * np.log(x) < 709.0
-    den = np.full(n.shape, math.inf)
-    with np.errstate(over="ignore"):  # 2^(xi+3) n^xi beyond the double range
-        den[direct] = two * _math(np.ndarray).pow(x[direct], xi)
-    direct = den < math.inf
-    out = -gamma / den
-    if not direct.all():
-        out[~direct] = each(n[~direct], xi)
-    return out
+def _gev_log_abs(d, n) -> Decimal:
+    x = Decimal(_gev_xi(d))
+    return _ln_gamma(x + 2) - (x + 3) * Decimal(2).ln() - x * Decimal(n).ln()
+
+
+def _gev_digits(d, n) -> int:
+    """25 digits past the size of the largest term of ln|J|."""
+    xi = _gev_xi(d)
+    return 25 + math.ceil(math.log10(xi + 3.0) + math.log10(math.log(xi + 3.0) + math.log(n) + 1.0))
 
 
 def _gev_limits(d):
@@ -578,7 +571,10 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: 1.0 / d.theta,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - 1.0 / n + math.log(d.theta),
-        extropy=lambda d, n: -(n * n) / (2.0 * (2.0 * n - 1.0) * d.theta),
+        extropy=_closed_extropy(
+            lambda d, n: (-(n * n) / (den := 2.0 * (2.0 * n - 1.0) * d.theta), den),
+            lambda d, n: 2 * Decimal(n).ln() - Decimal(2).ln() - (2 * Decimal(n) - 1).ln() - Decimal(d.theta).ln(),
+        ),
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint
         evi=lambda d: -1.0,
@@ -597,7 +593,7 @@ REGISTRY: dict[str, Family] = {
         shannon=lambda d, n: (
             1.0 - _math(type(n)).log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
         ),
-        extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n - 1.0)),
+        extropy=_rate_extropy(-1),
         limits=_exponential_limits,
         evi=lambda d: 0.0,
         norming=lambda d, n: (1.0 / d.theta, _math(type(n)).log(n) / d.theta),
@@ -615,7 +611,7 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.theta / 4.0,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - math.log(d.theta) + special.harmonic(n),
-        extropy=lambda d, n: -n * d.theta / (4.0 * (2.0 * n + 1.0)),
+        extropy=_rate_extropy(1),
         limits=_exponential_limits,
         evi=lambda d: 0.0,
         norming=_logistic_norming,
@@ -631,7 +627,7 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.nu / d.theta,
         is_log_concave=lambda d: False,
         shannon=_pareto_shannon,
-        extropy=_pareto_extropy,
+        extropy=_closed_extropy(_pareto_direct, _pareto_log_abs, _pareto_digits),
         # the defining product of the J limit is of the form 0 x (-inf)
         limits=lambda d: (math.inf, INDETERMINATE),
         evi=lambda d: 1.0 / d.nu,
@@ -655,7 +651,7 @@ REGISTRY: dict[str, Family] = {
             - _log_of(d.nu * d.theta, lambda: math.log(d.nu) + math.log(d.theta))
             - 1.0 / (d.nu * n)
         ),
-        extropy=_power_extropy,
+        extropy=_closed_extropy(_power_direct, _power_log_abs),
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint, for any nu
         evi=lambda d: -1.0,
@@ -671,8 +667,8 @@ REGISTRY: dict[str, Family] = {
         reads_log1m_t=False,
         sup_density=_gev_sup_density,
         is_log_concave=lambda d: -1.0 < _gev_xi(d) <= 0.0,
-        shannon=_gev_shannon,
-        extropy=_gev_extropy,
+        shannon=_entropy_in_range(_gev_shannon),
+        extropy=_closed_extropy(_gev_direct, _gev_log_abs, _gev_digits),
         limits=_gev_limits,
         # max-stable, hence in its own domain
         evi=_gev_xi,

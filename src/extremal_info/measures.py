@@ -219,11 +219,14 @@ def _both(
     dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> tuple[tuple, tuple]:
     """H and J of the maximum of n draws by ``method``, each as (value,
-    method, error); the quadrature takes both from one cell."""
+    method, error); the quadrature takes both from one cell, and Monte Carlo
+    both from one draw."""
     if method == "quadrature":
         return tuple((q.value, method, q.error_estimate) for q in _quadrature(dist, n, "HJ", quad_tol))
-    route = method, quad_tol, samples, seed
-    return _shannon(dist, n, *route), _extropy(dist, n, *route)
+    if method == "monte_carlo":
+        estimates = numerics._mc(dist, n, samples, seed, "mc_entropy_max", "HJ")
+        return tuple((est.estimate, method, est.std_error) for est in estimates)
+    return _shannon(dist, n, method, quad_tol), _extropy(dist, n, method, quad_tol)
 
 
 # ---------------------------------------------------------------------------

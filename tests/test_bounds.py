@@ -128,6 +128,24 @@ class TestExtropyBounds:
             assert report.lower <= report.value + 1e-12, f"lower fails at n={n}"
             assert report.upper_holds, f"upper fails at n={n}"
 
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**12], ids=lambda n: f"{n:.0e}")
+    @pytest.mark.parametrize(
+        "member", [d.exponential(1e300), d.logistic(1e300), d.uniform(1e-300)], ids=lambda m: m.label()
+    )
+    def test_an_envelope_past_an_overflowing_n_n_i_half_is_a_double(self, member, n):
+        # n^2 I(1/2) lies beyond the doubles, the envelope, near -I(1/2)/4, does not
+        i_half = d.density_quantile(member, 0.5)
+        assert math.isinf(n * n * i_half)
+        upper = bounds.extropy_upper_envelope(member, n)
+        assert upper == pytest.approx(-i_half * (n / (2 * (2 * n - 1))), rel=1e-15)
+        if member.family == "uniform" and n == 10**12:
+            # J, about -2.5e311, is itself beyond the doubles
+            with pytest.raises(OverflowError, match="beyond the double range$"):
+                bounds.extropy_bounds(member, n)
+            return
+        report = bounds.extropy_bounds(member, n)
+        assert report.upper == upper and report.upper_holds and report.applicable
+
     def test_upper_envelope_reduces_to_quarter_profile_at_n1(self):
         for member in (d.exponential(1.0), d.logistic(2.0), d.uniform(0.5)):
             at_half = d.density_quantile(member, 0.5)

@@ -203,6 +203,29 @@ class TestMeasure:
         assert body[0][5] == "monte_carlo"
         assert float(body[0][6]) > 0.0
 
+    @pytest.mark.parametrize("n", [1, 5, 50, 10**6])
+    @pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
+    def test_monte_carlo_takes_both_measures_from_one_draw(self, member, n, monkeypatch):
+        # H and J with the bits of the two estimators' own draws, and the
+        # printed bytes of those values
+        draws = []
+        log_uniforms = numerics._log_uniforms
+        monkeypatch.setattr(numerics, "_log_uniforms", lambda *args: draws.append(args) or log_uniforms(*args))
+        spec = json.dumps(distributions.to_dict(member))
+        code, out, err = run_cli("measure", "--dist", spec, "--n", str(n), "--method", "mc", "--samples", "2000")
+        assert (code, err, len(draws)) == (0, "", 1)
+        h = numerics.mc_entropy_max(member, n, samples=2000)
+        j = numerics.mc_extropy_max(member, n, samples=2000)
+        want = io.StringIO()
+        row = [member.family, cli._params_label(member), n, h.estimate, j.estimate, "monte_carlo"]
+        cli._emit(
+            ["family", "params", "n", "H", "J", "method", "error_estimate", "h_error", "j_error"],
+            [[*row, max(h.std_error, j.std_error), h.std_error, j.std_error]],
+            "csv",
+            want,
+        )
+        assert out == want.getvalue()
+
     def test_json_format(self):
         code, out, _ = run_cli("measure", "--dist", EXP1, "--n", "1", "--format", "json")
         assert code == 0

@@ -151,11 +151,13 @@ def _private_numerics_names() -> set[tuple[str, str]]:
 
 def test_numerics_keeps_its_quadrature_state_to_itself():
     # The panels, the factor tables and the adaptive loop are numerics'
-    # own: measures hands it a (member, n) cell, verify takes its Monte
-    # Carlo sweep and the CLI its sample-count and seed rules, and no other
-    # module reads a private numerics name.
+    # own: measures hands it a (member, n) cell and takes both Monte Carlo
+    # estimates of one draw, verify takes its Monte Carlo sweep and the CLI
+    # its sample-count and seed rules, and no other module reads a private
+    # numerics name.
     assert _private_numerics_names() == {
         ("measures", "_cell"),
+        ("measures", "_mc"),
         ("verify", "_mc_sweep"),
         ("cli", "_check_samples"),
         ("cli", "_check_seed"),
@@ -228,3 +230,22 @@ def test_only_the_one_builder_skips_a_dataclass_s_checks():
     # a result built from checked parts goes through special._from_checked,
     # so no module skips a public dataclass's __init__ on its own
     assert _object_new_sites() == {("special", "_from_checked")}
+
+
+def _localcontext_sites() -> set[tuple[str, str]]:
+    """(module, top-level function) of every ``localcontext`` in the package."""
+    sites = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name == "localcontext":
+                    sites.add((path.stem, getattr(top, "name", None)))
+    return sites
+
+
+def test_only_the_one_helper_takes_an_extropy_in_decimal():
+    # a closed J past the direct form's doubles is taken from ln|J| in
+    # decimal by distributions._closed_extropy alone, so no record keeps a
+    # fallback of its own
+    assert _localcontext_sites() == {("distributions", "_closed_extropy")}

@@ -18,7 +18,10 @@ before.
 Each record's log profile ln I, which the Monte Carlo route reads, is
 pinned on these members and the catalog against mpmath, with ln t and
 ln(1 - t) down to 1e-300 at each end, and against ln I wherever I is a
-normal double.
+normal double.  Each record's closed J is pinned against mpmath on these
+members, a few more and the catalog, at n up to 10^300: a double within
+1e-15 of it (pareto within scipy's betaln), -inf where the integral
+diverges, or a named ``OverflowError`` where J lies beyond the doubles.
 """
 
 import collections
@@ -113,8 +116,16 @@ def test_per_member_calls(entry):
     assert _failures([(f"{entry.__name__}({m.label()})", lambda m=m: entry(m)) for m in MEMBERS]) == []
 
 
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("member", BEYOND_RANGE_H, ids=lambda m: m.label())
+@pytest.mark.parametrize(
+    "member, n",
+    [
+        *((m, n) for m in BEYOND_RANGE_H for n in (1, 3)),
+        # xi (gamma + ln n) is about +-2.9e308
+        (d.gev(1e308), 10),
+        (d.gev(-1e308), 10),
+    ],
+    ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else str(v),
+)
 def test_an_entropy_beyond_the_double_range_is_named(member, n):
     # the scalar and the array call name the member and the n
     named = re.escape(f"entropy of the maximum of n={n} draws from {member.label()} is ")
@@ -299,61 +310,83 @@ def test_log_profile_is_ln_of_the_profile(member):
 
 
 # ---------------------------------------------------------------------------
-# Closed J of power_function and pareto against mpmath
+# Closed J against mpmath
 # ---------------------------------------------------------------------------
 
-# where nu^2, nu/theta or the product of the pareto prefactor and its beta
-# function leaves the doubles although J is one, and where J lies beyond
-POWER_LAW_CELLS = dict.fromkeys(
+# every family on the catalog and the extreme members, and where nu^2,
+# nu/theta, the product of the pareto prefactor and its beta function, n^2 or
+# a power of n leaves the doubles although J is one, and where J lies beyond
+EXTROPY_MEMBERS = dict.fromkeys(
+    [
+        *canonical.catalog_members(),
+        *MEMBERS,
+        *(family(theta) for family in (d.exponential, d.logistic, d.uniform) for theta in (1e-300, 1e300, 1e-310)),
+        *(d.gev(xi) for xi in (-1.05, -1.5, -1.99)),
+    ]
+)
+EXTROPY_N = (1, 2, 50, 10**6, 10**12, 2 * 10**154, 10**200, 10**300)
+EXTROPY_CELLS = dict.fromkeys(
     [
         (d.power_function(1.0, 1e300), 1),
         (d.power_function(1.0, 1e300), 50),
         (d.pareto(1e-290, 1e10), 10**6),
-        (d.power_function(1e300, 1e300), 1),
-        (d.pareto(1e-300, 1e300), 1),
-        *((m, n) for m in MEMBERS if m.family in ("pareto", "power_function") for n in (1, 2, 50, 10**6, 10**12)),
+        *((m, n) for m in EXTROPY_MEMBERS for n in EXTROPY_N),
     ]
 )
 
 
 def _mp_extropy(member, n):
     """J of the maximum at 40 digits past the size of ln Gamma(2n + 1/nu):
-    -n^2 nu^2 theta / (2 (2 n nu - 1)), -inf where 2 n nu <= 1, for
-    power_function, and -(nu n^2 / (2 theta)) B(2n - 1, 2 + 1/nu) for
-    pareto."""
-    with mpmath.workdps(40 + int(max(math.log10(2 * n + 2), -math.log10(member.nu)))):
-        theta, nu = mpmath.mpf(member.theta), mpmath.mpf(member.nu)
+    -n^2/(2 (2n - 1) theta) for uniform, -n theta/(4 (2n -+ 1)) for
+    exponential and logistic, -n^2 nu^2 theta / (2 (2 n nu - 1)), -inf where
+    2 n nu <= 1, for power_function, -(nu n^2 / (2 theta)) B(2n - 1,
+    2 + 1/nu) for pareto, and -Gamma(xi + 2)/(2^(xi+3) n^xi) for gev."""
+    with mpmath.workdps(40 + int(max(math.log10(2 * n + 2), -math.log10(member.nu or 1.0)))):
+        theta, n = mpmath.mpf(member.theta), mpmath.mpf(n)
+        if member.family == "uniform":
+            return -(n * n) / (2 * (2 * n - 1) * theta)
+        if member.family in ("exponential", "logistic"):
+            return -n * theta / (4 * (2 * n + (1 if member.family == "logistic" else -1)))
+        if member.family == "gev":
+            xi = mpmath.mpf(0 if abs(member.xi) < d.GUMBEL_XI_EPS else member.xi)
+            return -mpmath.exp(mpmath.loggamma(xi + 2) - (xi + 3) * mpmath.log(2) - xi * mpmath.log(n))
+        nu = mpmath.mpf(member.nu)
         if member.family == "power_function":
             if 2 * n * nu <= 1:
                 return -mpmath.inf
             return -(n * n * nu * nu * theta) / (2 * (2 * n * nu - 1))
-        a, b = mpmath.mpf(2 * n - 1), 2 + 1 / nu
+        a, b = 2 * n - 1, 2 + 1 / nu
         log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
         return -mpmath.exp(mpmath.log(nu * n * n / (2 * theta)) + log_beta)
 
 
+# the relative error allowed past 1e-15: pareto's direct form is within the
+# accuracy of scipy's betaln, whose difference of log-gammas loses up to
+# 2e-9 at n = 10^6 (ROADMAP item 4)
+EXTROPY_TOL = {"pareto": 5e-9}
+
+
 @pytest.mark.parametrize(
-    "member, n", POWER_LAW_CELLS, ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else str(v)
+    "member, n", EXTROPY_CELLS, ids=lambda v: v.label() if isinstance(v, d.DistributionSpec) else f"{v:.3g}"
 )
-def test_power_law_extropy_against_mpmath(member, n):
+def test_closed_extropy_against_mpmath(member, n):
     # J is -inf where the integral diverges, an OverflowError naming the
-    # member and n where J lies beyond the doubles, and else a double near
-    # the truth.  Where the direct form leaves the normal doubles, J is
-    # taken from its logarithm in decimal, within 1e-15; power_function's
-    # direct form is within 1e-15 too, and pareto's within the accuracy of
-    # scipy's betaln, whose difference of log-gammas loses up to 2e-9 at
-    # n = 10^6 (ROADMAP item 4).  An array of n, as the package builds one,
-    # gives the scalar bits.
+    # member and n where J lies beyond the doubles, and else a double within
+    # 1e-15 of the truth, or within its family's allowance: where the direct
+    # form leaves the normal doubles, J is taken from its logarithm in
+    # decimal, within 1e-15.  An array of n, as the package builds one,
+    # gives the scalar bits or raises the scalar error.
     want = _mp_extropy(member, n)
     record = d.REGISTRY[member.family]
+    column = special._check_n_grid([n], "test")
     if -want > sys.float_info.max and want != -mpmath.inf:
         named = re.escape(f"extropy of the maximum of n={n} draws from {member.label()} is -e^")
-        with pytest.raises(OverflowError, match=named + r".*, beyond the double range$"):
-            record.extropy(member, n)
+        for arg in (n, column):
+            with pytest.raises(OverflowError, match=named + r".*, beyond the double range$"):
+                record.extropy(member, arg)
         return
     got, want = record.extropy(member, n), float(want)
-    tol = 5e-9 if member.family == "pareto" else 1e-15
+    tol = EXTROPY_TOL.get(member.family, 1e-15)
     assert got == want or abs(got - want) <= tol * abs(want), (got, want)
-    with np.errstate(all="ignore"):
-        column = np.asarray(record.extropy(member, special._check_n_grid([n], "test")), dtype=float)
+    column = np.asarray(record.extropy(member, column), dtype=float)
     assert column.tolist() == [got] and column[0].item().hex() == got.hex()
