@@ -22,17 +22,20 @@ companion pointwise envelope I(t) <= 1) presumes a density bounded by 1;
 e.g. Exp(theta = 3) at n = 1 has H = 1 - ln 3 < 0, beneath the stated
 lower bound.  Reports therefore gate those two checks on sup f <= 1 and
 say so in ``gate_note`` instead of silently passing or failing them.
-Every call that reads I(1/2) declines by name where it is inf or nan, and
-the log forms also where it underflows to 0, instead of reporting an
-ordering of infinities or nans.  I(1/2), the log-concavity verdict, sup f
-and the label are taken from the record once per spec and kept on it; a
-report is built from these checked parts without re-running its
-``__init__``.
+Every call that reads I(1/2) declines by name where it is inf or nan,
+instead of reporting an ordering of infinities or nans.  The log forms
+read ln[2 I(1/2)] off I(1/2) where it is a normal double, and, where it
+underflows, off the record's log profile ln I at ln t = ln(1 - t) = -ln 2,
+so a member whose I(1/2) is 0 still has an entropy ceiling.  I(1/2), the
+log-concavity verdict, sup f and the label are taken from the record once
+per spec and kept on it; a report is built from these checked parts
+without re-running its ``__init__``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,22 +142,36 @@ _LINEAR_FORM = "a bound linear in I(1/2)"
 
 def _i_half(dist, form: str) -> float:
     """I(1/2), declined by name, for the ``form`` in it a call takes, where
-    it is inf or nan, or, for the log form, where it underflows to 0."""
+    it is inf or nan."""
     i_half = dist._i_half
     if not math.isfinite(i_half):
         raise ValueError(f"I(1/2) of {dist._label} evaluates to {i_half}, so {form} is undefined")
-    if i_half == 0.0 and form == _LOG_FORM:
-        raise ValueError(f"I(1/2) of {dist._label} underflows to 0, so {form} is undefined")
     return i_half
+
+
+def _log_2_i_half(dist) -> float:
+    """ln[2 I(1/2)]: from I(1/2) where it is a normal double, else, where it
+    underflows, from the record's log profile at ln t = ln(1 - t) = -ln 2;
+    declined by name where I(1/2) is inf or nan, or its log not finite."""
+    i_half = _i_half(dist, _LOG_FORM)
+    if i_half >= sys.float_info.min:
+        return math.log(2.0 * i_half)
+    log_i_half = float(dist_mod.REGISTRY[dist.family].log_density_quantile(dist, -_LN2, -_LN2))
+    if not math.isfinite(log_i_half):
+        raise ValueError(
+            f"I(1/2) of {dist._label} underflows to {i_half} and ln I(1/2) evaluates to {log_i_half}, "
+            f"so {_LOG_FORM} is undefined"
+        )
+    return _LN2 + log_i_half
 
 
 # The envelopes, pure functions of I(1/2) and a checked n
 
 
-def _shannon_envelope(i_half: float, n: int) -> float:
+def _shannon_envelope(log_2_i_half: float, n: int) -> float:
     return (
         1.0
-        - math.log(2.0 * i_half)
+        - log_2_i_half
         - math.log(n)
         - 1.0 / n
         + _LN2
@@ -169,6 +186,11 @@ def _extropy_envelope(i_half: float, n: int) -> float:
         - math.exp(-(2.0 * n - 1.0) * _LN2) / (2.0 * n - 1.0)
         + 2.0 * math.exp(-2.0 * n * _LN2) / (2.0 * n)
     )
+    if coeff < sys.float_info.min:
+        # 4 n^2 has left the normal doubles (n past about 3.4e153), so coeff
+        # has lost its bits or rounded to 0; both powers of 2 are 0 there,
+        # and n^2 coeff = n / (2 (2n - 1)) = 1 / (2 (2 - 1/n)), near 1/4
+        return -i_half * (0.5 / (2.0 - 1 / n))
     scaled = -(n * n) * i_half
     # n^2 I(1/2) can overflow where the envelope, near -I(1/2)/4, is a double
     return scaled * coeff if scaled > -math.inf else -i_half * ((n * n) * coeff)
@@ -177,7 +199,7 @@ def _extropy_envelope(i_half: float, n: int) -> float:
 def shannon_upper_envelope(dist, n: int) -> float:
     """The finite-n entropy upper envelope (valid for log-concave parents)."""
     n = _check_index(n, "shannon_upper_envelope")
-    return _shannon_envelope(_i_half(dist, _LOG_FORM), n)
+    return _shannon_envelope(_log_2_i_half(dist), n)
 
 
 def extropy_upper_envelope(dist, n: int) -> float:
@@ -213,9 +235,9 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
     )
 
 
-def _shannon_report(dist, n: int, i_half: float, method: str, quad_tol: float) -> BoundsReport:
+def _shannon_report(dist, n: int, log_2_i_half: float, method: str, quad_tol: float) -> BoundsReport:
     lower = 1.0 - math.log(n) - 1.0 / n
-    upper = _shannon_envelope(i_half, n)
+    upper = _shannon_envelope(log_2_i_half, n)
     value = measures._shannon(dist, n, method, quad_tol)[0]
     return _report(dist, lower, value, upper, _unit_density_gate(dist, "lower bound not enforced", "bound"))
 
@@ -231,7 +253,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     """Entropy of X_(n) against its finite-n envelopes; the lower envelope
     1 - ln n - 1/n is gated on sup f <= 1."""
     n = _check_index(n, "shannon_bounds")
-    return _shannon_report(dist, n, _i_half(dist, _LOG_FORM), *measures._route(method, quad_tol))
+    return _shannon_report(dist, n, _log_2_i_half(dist), *measures._route(method, quad_tol))
 
 
 def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
@@ -245,7 +267,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
 
 def shannon_limit_upper(dist) -> float:
     """Limiting entropy ceiling 1 - ln[2 I(1/2)] + gamma."""
-    return 1.0 - math.log(2.0 * _i_half(dist, _LOG_FORM)) + EULER_GAMMA
+    return 1.0 - _log_2_i_half(dist) + EULER_GAMMA
 
 
 def extropy_limit_upper(dist) -> float:
@@ -262,9 +284,8 @@ def normalized_bounds(dist, n: int):
     """
     n = _check_index(n, "normalized_bounds")
     a_n = evt._norming(dist, n)[0]
-    i_half = _i_half(dist, _LOG_FORM)
-    sh = _shannon_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
-    ex = _extropy_report(dist, n, i_half, "closed_form", DEFAULT_QUAD_TOL)
+    sh = _shannon_report(dist, n, _log_2_i_half(dist), "closed_form", DEFAULT_QUAD_TOL)
+    ex = _extropy_report(dist, n, _i_half(dist, _LINEAR_FORM), "closed_form", DEFAULT_QUAD_TOL)
     log_a = math.log(a_n)
     return (
         replace(sh, lower=sh.lower - log_a, value=sh.value - log_a, upper=sh.upper - log_a),

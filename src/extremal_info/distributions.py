@@ -41,6 +41,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -401,7 +402,21 @@ def _power_log_density_quantile(d, log_t, log1m_t):
 
 def _power_direct(d, n):
     num = n * n * d.nu * d.nu * d.theta
-    return -num / (2.0 * (2.0 * n * d.nu - 1.0)), num
+    return -num / (2.0 * _twice_less_one(n, d.nu)), num
+
+
+def _twice_less_one(n, nu):
+    """2 n nu - 1 for an integer n, or an integer array of them.  Where the
+    double 2 n nu is below 2, the subtraction cancels the bits the product
+    rounded off, so 2 n nu - 1 is taken exactly there and rounded once."""
+    twice = 2.0 * n * nu
+    if type(n) is int:
+        return float(2 * n * Fraction(nu) - 1) if twice < 2.0 else twice - 1.0
+    out = twice - 1.0
+    near = twice < 2.0
+    if near.any():
+        out[near] = [float(2 * m * Fraction(nu) - 1) for m in n[near].tolist()]
+    return out
 
 
 def _power_log_abs(d, n) -> Decimal:

@@ -170,7 +170,9 @@ def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.Quadra
     def units(measure: str, q: numerics.QuadratureResult) -> numerics.QuadratureResult:
         if measure == "J":
             return q
-        return numerics.QuadratureResult(shift - q.value, q.error_estimate, q.evaluations)
+        return _from_checked(
+            numerics.QuadratureResult, value=shift - q.value, error_estimate=q.error_estimate, evaluations=q.evaluations
+        )
 
     results = []
     try:

@@ -20,16 +20,23 @@ integral declines at once.
 
 The adaptive loop, :func:`_integrate`, reads each panel's GK15 (value,
 error) by id off two lists that its walk fills, both halves of a panel at
-once as it splits it.  :func:`integrate_unit` walks the 9 seed panels and
-14 tail cells alone, through the scalar rule :func:`_gk15`, and reads no
-shared state.  The (member, n) cells of ``measures`` go through
-:func:`_cell`, on one bounded index of the panels cells share, which also
-keeps each factor row's values there, so a cell rules every held panel in
-one numpy pass of :func:`_gk15_rows`, with the scalar rule's bits.  A panel
-whose value or error is not finite fails at once with the panel's place in
-the message -- its t-interval, or its (1 - t)-interval right of u = 0,
-where t rounds to 1 -- instead of spending the evaluation budget on an
-error that can never shrink.
+once as it splits it.  The 23 fixed panels are read in bulk, as slices, in
+this order: the seeds, the left tail cells and the left tail's sum, the
+right tail cells and the right tail's sum.  One finite sum of their values
+and errors clears them all, as a sum of doubles is finite only where each
+one is; only where it is not (a non-finite panel, or a sum that overflowed)
+is a group read panel by panel, to name its first non-finite panel with
+the message, best estimate and evaluation count of a read one at a time.
+The halves are read one at a time.  :func:`integrate_unit` walks the 9
+seed panels and 14 tail cells alone, through the scalar rule
+:func:`_gk15`, and reads no shared state.  The (member, n) cells of
+``measures`` go through :func:`_cell`, on one bounded index of the panels
+cells share, which also keeps each factor row's values there, so a cell
+rules every held panel in one numpy pass of :func:`_gk15_rows`, with the
+scalar rule's bits.  A panel whose value or error is not finite fails at
+once with the panel's place in the message -- its t-interval, or its
+(1 - t)-interval right of u = 0, where t rounds to 1 -- instead of
+spending the evaluation budget on an error that can never shrink.
 
 Monte Carlo
 -----------
@@ -69,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist_mod
-from .special import _check_index, _check_real
+from .special import _check_index, _check_real, _from_checked
 
 __all__ = [
     "QuadratureResult",
@@ -280,32 +287,29 @@ def _wynn_limit(sums: list[float]) -> tuple[float, float]:
     """Wynn epsilon acceleration of a sequence of partial sums.
 
     Returns the best even-column estimate of the limit together with the
-    spread of the last two even columns, used as an error proxy.
+    spread of the last two even columns, used as an error proxy.  Each
+    column is built in one pass over the one before, and the table stops at
+    the first column with a zero or non-finite difference.
     """
-    estimates = [sums[-1]]
+    limit, before = sums[-1], None  # the last two even-column estimates
     prev = [0.0] * (len(sums) + 1)
-    curr = list(sums)
-    col = 0
+    curr = sums
+    even = True
     while len(curr) >= 2:
         nxt = []
-        ok = True
-        for i in range(len(curr) - 1):
-            diff = curr[i + 1] - curr[i]
+        for i in range(1, len(curr)):
+            diff = curr[i] - curr[i - 1]
             if diff == 0.0 or not math.isfinite(diff):
-                ok = False
                 break
-            nxt.append(prev[i + 1] + 1.0 / diff)
-        if not ok:
+            nxt.append(prev[i] + 1.0 / diff)
+        if len(nxt) < len(curr) - 1:  # the column stopped short
             break
         prev, curr = curr, nxt
-        col += 1
-        if col % 2 == 0 and curr and all(math.isfinite(v) for v in curr):
-            estimates.append(curr[-1])
-    if len(estimates) >= 2:
-        spread = abs(estimates[-1] - estimates[-2])
-    else:
-        spread = abs(sums[-1] - sums[0])
-    return estimates[-1], spread
+        even = not even
+        if even and all(map(math.isfinite, curr)):
+            limit, before = curr[-1], limit
+    spread = abs(sums[-1] - sums[0]) if before is None else abs(limit - before)
+    return limit, spread
 
 
 def _tail_sum(cells: list[float], best) -> tuple[float, float]:
@@ -317,10 +321,10 @@ def _tail_sum(cells: list[float], best) -> tuple[float, float]:
     estimate, when the cells fail to decay, which signals a non-integrable
     endpoint.
     """
-    scale = max(map(abs, cells))
-    if scale == 0.0:
+    if not any(cells):
         return 0.0, 0.0
-    if abs(cells[-1]) >= 0.9999 * abs(cells[0]) and abs(cells[0]) > 1e-300:
+    first, last = abs(cells[0]), abs(cells[-1])
+    if last >= 0.9999 * first and first > 1e-300:
         partial = math.fsum(cells)
         raise QuadratureError(
             "endpoint contribution does not decay; the integrand looks "
@@ -331,8 +335,7 @@ def _tail_sum(cells: list[float], best) -> tuple[float, float]:
     limit, spread = _wynn_limit(partial)
     # Guard against extrapolation overshoot: the tail cannot exceed a
     # generous geometric continuation of the last cell.
-    last = abs(cells[-1])
-    ratio = min(abs(cells[-1]) / max(abs(cells[-2]), 1e-300), 0.999)
+    ratio = min(last / max(abs(cells[-2]), 1e-300), 0.999)
     cont = last * ratio / (1.0 - ratio)
     overshoot = abs(limit - partial[-1])
     if overshoot > 10.0 * (cont + 1e-300) + 1e-15:
@@ -562,9 +565,16 @@ def integrate_unit(f, abs_tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
 def _integrate(abs_tol: float, walk: _Walk, values: list, errors: list) -> QuadratureResult:
     """The adaptive loop and the tails over the GK15 (value, error) of each
-    panel visited -- seeds, tail cells, then halves -- read off ``values``
-    and ``errors`` by its id in ``walk``, whose splits rule onto them.  Each
-    panel visited counts as 15 evaluations; ``abs_tol`` comes checked."""
+    panel visited, read off ``values`` and ``errors`` by its id in ``walk``,
+    whose splits rule onto them.  Each panel visited counts as 15
+    evaluations; ``abs_tol`` comes checked.
+
+    The fixed panels are read in bulk, in this order: the seeds, the left
+    tail cells and the left tail's sum, the right tail cells and the right
+    tail's sum; then the halves, one at a time.  One finite sum clears the
+    fixed panels at once; a group of them is read panel by panel only where
+    it does not, to name its first non-finite panel, with the message, best
+    estimate and evaluation count of a read one at a time."""
     width, kids, split = walk.width, walk.kids, walk.split
     isfinite = math.isfinite
 
@@ -572,14 +582,25 @@ def _integrate(abs_tol: float, walk: _Walk, values: list, errors: list) -> Quadr
     final_value = 0.0  # settled cells
     final_error = 0.0
     # the unsettled cells by id, with their values and errors apart, so
-    # that the builtins sum(errs) and errs.index(max(errs)) scan them in C
-    work: list[int] = []
-    vals: list[float] = []
-    errs: list[float] = []
+    # that the builtins sum(errs) and errs.index(max(errs)) scan them in C;
+    # the seed panels first, so the first refinement pass already sees the
+    # broad structure of the transformed integrand
+    fixed_values, fixed_errors = values[: len(_FIXED)], errors[: len(_FIXED)]
+    work: list[int] = [*_SEEDS]
+    vals: list[float] = fixed_values[: _SEEDS.stop]
+    errs: list[float] = fixed_errors[: _SEEDS.stop]
+    # a sum of doubles is finite only where each one is, so one finite sum
+    # clears all the fixed panels at once; a sum that overflowed, none
+    finite = isfinite(sum(fixed_values) + sum(fixed_errors))
 
     def best(value: float, error: float) -> QuadratureResult:
         """Everything integrated so far plus (value, error)."""
-        return QuadratureResult(final_value + value + sum(vals), final_error + error + sum(errs), evals)
+        return _from_checked(
+            QuadratureResult,
+            value=final_value + value + sum(vals),
+            error_estimate=final_error + error + sum(errs),
+            evaluations=evals,
+        )
 
     def fail(i: int):
         """Panel i's value or error is not finite: fail at once, naming it."""
@@ -591,26 +612,24 @@ def _integrate(abs_tol: float, walk: _Walk, values: list, errors: list) -> Quadr
             best=best(0.0, math.inf),
         )
 
-    def panel(i: int) -> tuple[float, float]:
-        """Panel i's value and error; a non-finite one fails at once."""
+    def read(cells: range) -> list[float]:
+        """The values of the fixed panels ``cells``, once each is known
+        finite; else fail at the first panel that is not, as a read one at
+        a time would, holding only the seeds before it."""
         nonlocal evals
-        vk, err = values[i], errors[i]
-        evals += 15
-        if not (isfinite(vk) and isfinite(err)):
-            fail(i)
-        return vk, err
+        if not finite:
+            for i in cells:
+                if not (isfinite(fixed_values[i]) and isfinite(fixed_errors[i])):
+                    evals = 15 * (i + 1)  # the fixed ids start at 0
+                    del vals[i:], errs[i:]
+                    fail(i)
+        evals = 15 * cells.stop
+        return fixed_values[cells.start : cells.stop]
 
-    # Seed the worklist with a handful of panels so the first refinement
-    # pass already sees the broad structure of the transformed integrand.
-    for i in _SEEDS:
-        vk, err = panel(i)
-        work.append(i)
-        vals.append(vk)
-        errs.append(err)
-
+    read(_SEEDS)
     # Sum both tails before any refinement: no refinement of the window can
     # shrink their error, so where it alone exceeds the tolerance, decline.
-    tails = [_tail_sum([panel(i)[0] for i in cells], best) for cells in (_LEFT_TAIL, _RIGHT_TAIL)]
+    tails = _tail_sum(read(_LEFT_TAIL), best), _tail_sum(read(_RIGHT_TAIL), best)
     tail_error = tails[0][1] + tails[1][1]
     if tail_error > abs_tol:
         raise QuadratureError(
@@ -659,7 +678,7 @@ def _integrate(abs_tol: float, walk: _Walk, values: list, errors: list) -> Quadr
     for tail, error in tails:
         final_value += tail
         final_error += error
-    result = QuadratureResult(final_value, final_error, evals)
+    result = _from_checked(QuadratureResult, value=final_value, error_estimate=final_error, evaluations=evals)
     if exhausted:
         raise QuadratureError(
             f"evaluation budget exhausted ({evals} evaluations) with error "

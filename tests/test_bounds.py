@@ -158,6 +158,21 @@ class TestExtropyBounds:
         assert math.isfinite(got)
         assert got == pytest.approx(-0.125, rel=1e-5)
 
+    @pytest.mark.parametrize("n", [4 * 10**153, 10**154, 2 * 10**154, 10**300], ids=lambda n: f"{n:.0e}")
+    @pytest.mark.parametrize("member", [d.exponential(1.0), d.logistic(3.0)], ids=lambda m: m.label())
+    def test_an_envelope_past_a_normal_coefficient_against_mpmath(self, member, n):
+        # 1/(2n(2n - 1)) is subnormal, 0 or an overflowing n^2 there; the
+        # envelope -n^2 I(1/2) [...] at 50 digits, within 1e-15
+        i_half = d.density_quantile(member, 0.5)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(n)
+            coeff = 1 / (2 * m * (2 * m - 1)) - 2 ** (1 - 2 * m) / (2 * m - 1) + 2 * 2 ** (-2 * m) / (2 * m)
+            want = float(-mpmath.mpf(i_half) * m * m * coeff)
+        upper = bounds.extropy_upper_envelope(member, n)
+        assert abs(upper - want) <= 1e-15 * abs(want)
+        report = bounds.extropy_bounds(member, n)
+        assert report.upper == upper and report.upper_holds and report.lower_holds
+
 
 # ---------------------------------------------------------------------------
 # Extropy envelopes on random log-concave laws, against an exact J
@@ -241,7 +256,7 @@ def test_random_log_concave_entropy_lies_between_its_floor_and_its_envelope(n):
     for knots, values in RANDOM_PROFILES:
         h = _quad_entropy(knots, values, n)
         floor = 1.0 - math.log(n) - 1.0 / n - math.log(max(values))
-        upper = bounds._shannon_envelope(float(_profile_at(knots, values, Fraction(1, 2))), n)
+        upper = bounds._shannon_envelope(math.log(2.0 * float(_profile_at(knots, values, Fraction(1, 2)))), n)
         assert _at_least(h, floor), (knots, values)
         assert _at_least(upper, h), (knots, values)
 
@@ -344,20 +359,33 @@ class TestLimitCeilings:
         at_half = d.density_quantile(member, 0.5)
         assert bounds.shannon_limit_upper(member) == 1.0 - math.log(2.0 * at_half) + GAMMA
 
+    @staticmethod
+    def log_i_half(member):
+        """ln I(1/2) at 50 digits: ln nu - ln theta - (1 + 1/nu) ln 2 for
+        pareto, -ln 2 + (1 + xi) ln ln 2 for gev."""
+        ln2 = mpmath.log(2)
+        if member.family == "pareto":
+            nu = mpmath.mpf(member.nu)
+            return mpmath.log(nu) - mpmath.log(mpmath.mpf(member.theta)) - (1 + 1 / nu) * ln2
+        return -ln2 + (1 + mpmath.mpf(member.xi)) * mpmath.log(ln2)
+
     @pytest.mark.parametrize(
         "member", [d.gev(1e308), d.pareto(1e-300, 1e-300)], ids=lambda m: m.label()
     )
-    def test_an_underflowing_profile_at_half_is_named(self, member):
-        # I(1/2) underflows to 0, so ln[2 I(1/2)] has no value
+    def test_an_underflowing_profile_at_half_takes_its_log_from_the_record(self, member):
+        # I(1/2) underflows to 0, ln I(1/2) does not: the entropy ceiling
+        # 1 - ln[2 I(1/2)] + gamma and the envelope at n = 1, 1 - ln[2 I(1/2)]
+        # + ln 2, against mpmath within 1e-15
         assert d.density_quantile(member, 0.5) == 0.0
-        want = rf"I\(1/2\) of {re.escape(member.label())} underflows to 0"
-        for ceiling in (
-            bounds.shannon_limit_upper,
-            lambda m: bounds.shannon_upper_envelope(m, 1),
-            lambda m: bounds.exponential_gap(m, (1, 2)),
-        ):
-            with pytest.raises(ValueError, match=want):
-                ceiling(member)
+        with mpmath.workdps(50):
+            log_2_i_half = mpmath.log(2) + self.log_i_half(member)
+            ceiling = float(1 - log_2_i_half + mpmath.euler)
+            envelope = float(1 - log_2_i_half + mpmath.log(2))
+        got = bounds.shannon_limit_upper(member)
+        assert abs(got - ceiling) <= 1e-15 * abs(ceiling)
+        got = bounds.shannon_upper_envelope(member, 1)
+        assert abs(got - envelope) <= 1e-15 * abs(envelope)
+        assert bounds.shannon_bounds(member, 1).upper == got
 
     @pytest.mark.parametrize(
         "member, shown",

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -759,18 +760,20 @@ class TestExitCodes:
             "(0, 1))\n",
         )
 
-    @pytest.mark.parametrize(
-        "spec, label",
-        [
-            ('{"family":"gev","xi":1e308}', "gev(xi=1e+308)"),
-            ('{"family":"pareto","theta":1e-300,"nu":1e-300}', "pareto(theta=1e-300, nu=1e-300)"),
-        ],
-    )
-    def test_an_underflowing_profile_at_half_is_named(self, spec, label):
-        # the entropy ceiling's ln[2 I(1/2)] has no value when I(1/2) underflows
-        code, out, err = run_cli("bounds", "--n", "1", "--dist", spec)
-        assert (code, out) == (2, "")
-        assert err == f"domain error: I(1/2) of {label} underflows to 0, so ln[2 I(1/2)] is undefined\n"
+    def test_an_underflowing_profile_at_half_has_its_bounds(self):
+        # I(1/2) = (1/2)^(1 + 1e300) underflows to 0; the entropy ceiling
+        # reads ln I(1/2) = -(1 + 1e300) ln 2 off the record's log profile,
+        # and at n = 1 it is 1 - ln[2 I(1/2)] + ln 2 = 1 + 1e300 ln 2,
+        # within 1e-15 of mpmath
+        code, out, err = run_cli(
+            "bounds", "--n", "1", "--format", "json", "--dist", '{"family":"pareto","theta":1e-300,"nu":1e-300}'
+        )
+        assert (code, err) == (0, "")
+        shannon, extropy = json.loads(out)
+        with mpmath.workdps(50):
+            want = float(1 + (1 / mpmath.mpf(1e-300)) * mpmath.log(2))
+        assert abs(shannon["upper"] - want) <= 1e-15 * want
+        assert (shannon["measure"], extropy["measure"]) == ("shannon", "extropy")
 
     @pytest.mark.parametrize(
         "spec, label, shown",

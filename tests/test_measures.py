@@ -309,6 +309,22 @@ class TestExtropyClosedForms:
         got = measures.extropy_max(d.power_function(theta, nu), n).value
         assert got == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [499, 500, 501])
+    def test_power_function_where_2_n_nu_is_near_1_against_mpmath(self, n):
+        # at nu = 0.001 the double 2 n nu rounds off the bits 2 n nu - 1
+        # keeps; J = -n^2 nu^2 theta / (2 (2 n nu - 1)) from the double nu
+        # at 50 digits, -inf where 2 n nu <= 1 (n = 499), within 1e-15, on
+        # the scalar and the integer-array route alike
+        member = d.power_function(1.0, 0.001)
+        with mpmath.workdps(50):
+            nu, m = mpmath.mpf(0.001), mpmath.mpf(n)
+            gap = 2 * m * nu - 1
+            want = float(-(m * m * nu * nu) / (2 * gap)) if gap > 0 else -math.inf
+        got = measures.extropy_max(member, n).value
+        on_array = d.REGISTRY["power_function"].extropy(member, np.array([1, n, 1000]))[1]
+        assert got == on_array
+        assert got == want if want == -math.inf else abs(got - want) <= 1e-15 * abs(want)
+
 
 class TestGevExtropyBeyondTheDirectForm:
     # Gamma(xi + 2) overflows past xi = 169.6, and n^xi or 2^(xi+3) n^xi
@@ -473,7 +489,9 @@ def table_grid():
             self.values, self.seen = values, seen
 
         def __getitem__(self, i):
-            self.seen(i)
+            # a group of fixed panels is read as one slice
+            for j in range(len(self.values))[i] if isinstance(i, slice) else [i]:
+                self.seen(j)
             return self.values[i]
 
     def recording(abs_tol, walk, vks, errs):

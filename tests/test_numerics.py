@@ -299,8 +299,9 @@ class TestIntegratePanels:
         walk, values, errors = self.walk(g, ruled)
 
         class Reads:
+            # a group of fixed panels is read as one slice, of its ids in order
             def __getitem__(self, i):
-                reads.append(i)
+                reads.extend(range(len(values))[i] if isinstance(i, slice) else [i])
                 return values[i]
 
         first = numerics._integrate(1e-10, walk, Reads(), errors)
@@ -323,6 +324,25 @@ class TestIntegratePanels:
         assert numerics._integrate(1e-10, again, again_values, again_errors) == first
         assert replay == ruled[23:] and again.panels == walk.panels
 
+    def test_fixed_panels_whose_sum_overflows_are_read_one_at_a_time(self):
+        # The fixed panels are cleared by one finite sum of their values and
+        # errors.  Two tail cells' errors of 1e308, finite but summing to
+        # inf, clear none: each group is then read panel by panel, finds
+        # every panel finite and ends as before, as no sum reads the errors
+        # of the tail cells.
+        walk, values, errors = self.walk(lambda ts: map(math.sqrt, ts))
+        first = numerics._integrate(1e-10, walk, values, errors)
+
+        def again():
+            # the halves ruled, found as the kids of their parents
+            walk_again = numerics._Walk(walk.panels, walk.width, walk.kids, walk.rule)
+            return numerics._integrate(1e-10, walk_again, values, errors)
+
+        assert again() == first
+        errors[9] = errors[16] = 1e308
+        assert math.isinf(sum(errors[:23]))
+        assert again() == first
+
     def test_rejects_a_panel_of_the_wrong_length(self):
         for wrong in (lambda ts: ts[:-1], lambda ts: ts + ts[:1]):
             with pytest.raises(ValueError, match="zip"):
@@ -338,27 +358,70 @@ _T_RIGHT = numerics._logistic_nodes((numerics._U_RIGHT,))[0][0]
 class TestTailBranches:
     """Each branch of the tails, on point integrands that are smooth on the
     window, ends the same read off a numpy pass of the listed panels, the
-    seeds and the tail cells among them, as through integrate_unit."""
+    seeds and the tail cells among them, as through integrate_unit, with
+    the bits pinned here: the value, error and evaluation count of the
+    result, or the message and those of the failure's best estimate.  The
+    failures cover a non-finite panel in each group of fixed panels, and a
+    left tail that fails to decay ahead of a non-finite right cell."""
 
+    NO_DECAY = "endpoint contribution does not decay; the integrand looks non-integrable at the boundary"
     CASES = [
-        # (integrand, left branch, right branch, failure message or None)
-        (math.log, "wynn", "wynn", None),
-        (lambda t: 0.0 if t < _T_LEFT or t > _T_RIGHT else 1.0, "zero", "zero", None),
+        # (integrand, left branch, right branch, outcome)
+        (math.log, "wynn", "wynn", ("-0x1.0000000000001p+0", "0x1.c0f0297dbd6edp-36", 555)),
+        (
+            lambda t: 0.0 if t < _T_LEFT or t > _T_RIGHT else 1.0,
+            "zero",
+            "zero",
+            ("0x1.fffffffd9a96dp-1", "0x1.916c4a47e0bd1p-36", 525),
+        ),
         # cells of pseudo-random sign, on which Wynn's limit overshoots
-        (lambda t: math.cos(1.0 / (1.0 - t)) if t > _T_RIGHT else 1.0, "wynn", "guard", None),
+        (
+            lambda t: math.cos(1.0 / (1.0 - t)) if t > _T_RIGHT else 1.0,
+            "wynn",
+            "guard",
+            ("0x1.fffffffd9ef46p-1", "0x1.b9b0a31fd993ep-36", 525),
+        ),
         (
             lambda t: 1.0 / t,
             "no decay",
             None,
-            "endpoint contribution does not decay; the integrand looks non-integrable at the boundary",
+            (NO_DECAY, ("0x1.8efffffffecd4p+8", "0x1.c0001bd209a28p+2", 240)),
         ),
         (
             lambda t: math.nan if t > _T_RIGHT else 1.0,
             "wynn",
             None,
-            "integrand non-finite for 1 - t in [1.02619e-10, 2.78947e-10]",
+            (
+                "integrand non-finite for 1 - t in [1.02619e-10, 2.78947e-10]",
+                ("0x1.fffffffdacc48p-1", "inf", 255),
+            ),
+        ),
+        # seed 6, u in [0, 7]: the seeds before it are read, no tail is summed
+        (
+            lambda t: math.nan if t > 0.5 else 1.0,
+            None,
+            None,
+            ("integrand non-finite for 1 - t in [0.000911051, 0.5]", ("0x1.000000000916dp-1", "inf", 105)),
+        ),
+        # the first left tail cell, past the 9 seeds
+        (
+            lambda t: math.nan if t < _T_LEFT else 1.0,
+            None,
+            None,
+            (
+                "integrand non-finite for t in [2.10024e-171, 5.70904e-171]",
+                ("0x1.fffffffdacc48p-1", "inf", 150),
+            ),
+        ),
+        # the left tail is summed, and fails, before the right cells are read
+        (
+            lambda t: math.nan if t > _T_RIGHT else 1.0 / t,
+            "no decay",
+            None,
+            (NO_DECAY, ("0x1.8efffffffecd4p+8", "0x1.c0001bd209a28p+2", 240)),
         ),
     ]
+    IDS = ["log", "zero", "guard", "no decay", "nan", "nan seed", "nan left cell", "no decay before nan"]
 
     @staticmethod
     def outcome(integrate):
@@ -390,8 +453,8 @@ class TestTailBranches:
             except numerics.QuadratureError as exc:
                 return (str(exc), bits(exc.best)), branches
 
-    @pytest.mark.parametrize("f, left, right, message", CASES, ids=["log", "zero", "guard", "no decay", "nan"])
-    def test_a_pass_and_integrate_unit_end_each_branch_alike(self, f, left, right, message, quadrature_caches):
+    @pytest.mark.parametrize("f, left, right, outcome", CASES, ids=IDS)
+    def test_a_pass_and_integrate_unit_end_each_branch_alike(self, f, left, right, outcome, quadrature_caches):
         # f x 1 in a cell, on the fixed panels alone and after a catalog
         # cell has listed its panels, is f's point integral bit for bit
         builders = ((f, "w"), lambda ts: ([f(t) for t in ts],)), ("1", lambda ts: ((1.0,) * 15,))
@@ -406,11 +469,7 @@ class TestTailBranches:
         assert len(numerics._index.panels) > 23
         assert self.outcome(cell) == want
         quadrature_caches()
-        result, branches = want
-        assert branches == [branch for branch in (left, right) if branch is not None]
-        assert (message is None) == (len(result) == 3)
-        if message is not None:
-            assert result[0] == message
+        assert want == (outcome, [branch for branch in (left, right) if branch is not None])
 
 
 @pytest.mark.xfail(
