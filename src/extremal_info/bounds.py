@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from . import distributions as dist_mod
 from . import evt
 from . import measures
 from .numerics import DEFAULT_QUAD_TOL
-from .special import EULER_GAMMA, _check_index, _check_n_grid, _from_checked
+from .special import _DOUBLE_MAX_INT, EULER_GAMMA, _check_index, _check_n_grid, _from_checked
 from .special import half_geometric_sum, harmonic
 
 __all__ = [
@@ -173,7 +174,7 @@ def _shannon_envelope(log_2_i_half: float, n: int) -> float:
         1.0
         - log_2_i_half
         - math.log(n)
-        - 1.0 / n
+        - 1 / n
         + _LN2
         + harmonic(n)
         - half_geometric_sum(n - 1)
@@ -181,11 +182,13 @@ def _shannon_envelope(log_2_i_half: float, n: int) -> float:
 
 
 def _extropy_envelope(i_half: float, n: int) -> float:
-    coeff = (
-        1.0 / (2.0 * n * (2.0 * n - 1.0))
-        - math.exp(-(2.0 * n - 1.0) * _LN2) / (2.0 * n - 1.0)
-        + 2.0 * math.exp(-2.0 * n * _LN2) / (2.0 * n)
-    )
+    coeff = 0.0
+    if n <= _DOUBLE_MAX_INT:  # past it 2n has no double, and coeff is 0
+        coeff = (
+            1.0 / (2.0 * n * (2.0 * n - 1.0))
+            - math.exp(-(2.0 * n - 1.0) * _LN2) / (2.0 * n - 1.0)
+            + 2.0 * math.exp(-2.0 * n * _LN2) / (2.0 * n)
+        )
     if coeff < sys.float_info.min:
         # 4 n^2 has left the normal doubles (n past about 3.4e153), so coeff
         # has lost its bits or rounded to 0; both powers of 2 are 0 there,
@@ -235,17 +238,28 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
     )
 
 
-def _shannon_report(dist, n: int, log_2_i_half: float, method: str, quad_tol: float) -> BoundsReport:
-    lower = 1.0 - math.log(n) - 1.0 / n
+def _extropy_floor(dist, n: int, i_half: float) -> float:
+    """The extropy lower envelope -n I(1/2)/2, with n past the doubles taken
+    exactly; an envelope beyond them is named."""
+    try:
+        return -0.5 * n * i_half if n <= _DOUBLE_MAX_INT else -float(n * Fraction(i_half) / 2)
+    except OverflowError:
+        raise OverflowError(f"extropy lower envelope of {dist._label} at n={n} is beyond the double range") from None
+
+
+# Each report takes its measure first: quad_tol and the method are checked
+# before any envelope is taken.
+def _shannon_report(dist, n: int, log_2_i_half: float, method: str, quad_tol) -> BoundsReport:
+    ((value, _, _),) = measures._measures(dist, n, "H", method, quad_tol)
+    lower = 1.0 - math.log(n) - 1 / n
     upper = _shannon_envelope(log_2_i_half, n)
-    value = measures._shannon(dist, n, method, quad_tol)[0]
     return _report(dist, lower, value, upper, _unit_density_gate(dist, "lower bound not enforced", "bound"))
 
 
-def _extropy_report(dist, n: int, i_half: float, method: str, quad_tol: float) -> BoundsReport:
-    lower = -0.5 * n * i_half
+def _extropy_report(dist, n: int, i_half: float, method: str, quad_tol) -> BoundsReport:
+    ((value, _, _),) = measures._measures(dist, n, "J", method, quad_tol)
+    lower = _extropy_floor(dist, n, i_half)
     upper = _extropy_envelope(i_half, n)
-    value = measures._extropy(dist, n, method, quad_tol)[0]
     return _report(dist, lower, value, upper)
 
 
@@ -253,7 +267,7 @@ def shannon_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     """Entropy of X_(n) against its finite-n envelopes; the lower envelope
     1 - ln n - 1/n is gated on sup f <= 1."""
     n = _check_index(n, "shannon_bounds")
-    return _shannon_report(dist, n, _log_2_i_half(dist), *measures._route(method, quad_tol))
+    return _shannon_report(dist, n, _log_2_i_half(dist), method, quad_tol)
 
 
 def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float = DEFAULT_QUAD_TOL) -> BoundsReport:
@@ -262,7 +276,7 @@ def extropy_bounds(dist, n: int, method: str = "closed_form", *, quad_tol: float
     Both envelopes are scale-covariant, so no sup-density gate applies.
     """
     n = _check_index(n, "extropy_bounds")
-    return _extropy_report(dist, n, _i_half(dist, _LINEAR_FORM), *measures._route(method, quad_tol))
+    return _extropy_report(dist, n, _i_half(dist, _LINEAR_FORM), method, quad_tol)
 
 
 def shannon_limit_upper(dist) -> float:
@@ -342,9 +356,9 @@ def exponential_gap(dist, n_grid) -> GapStudy:
     j_ub = extropy_limit_upper(dist)
     records = []
     for n in grid.tolist():
-        h_val = measures.shannon_max(dist, n).value
+        ((h_val, _, _),) = measures._measures(dist, n, "H", "closed_form", DEFAULT_QUAD_TOL)
         try:
-            j_val = measures.extropy_max(dist, n).value
+            ((j_val, _, _),) = measures._measures(dist, n, "J", "closed_form", DEFAULT_QUAD_TOL)
         except ValueError:
             j_val = -math.inf
         records.append(GapRecord(n=n, shannon_gap=h_ub - h_val, extropy_gap=j_ub - j_val))

@@ -73,9 +73,10 @@ __all__ = [
     "is_log_concave",
 ]
 
-# Below this magnitude the gev shape is numerically indistinguishable from
-# the Gumbel member and the xi = 0 formulas are used.
-GUMBEL_XI_EPS = 1e-8
+# Below this magnitude, the subnormals, xi x loses its bits and the xi = 0
+# formulas are used; above it every gev formula, written with log1p and
+# expm1, keeps its own.
+GUMBEL_XI_EPS = sys.float_info.min
 
 
 class Indeterminate:
@@ -321,7 +322,7 @@ def _pareto_shannon(d, n):
     return (
         1.0
         + ln_n / nu
-        - 1.0 / n
+        - 1 / n
         - _log_of(nu / d.theta, lambda: math.log(nu) - math.log(d.theta))
         + ((nu + 1.0) / nu) * (special.harmonic(n) - ln_n)
     )
@@ -405,6 +406,14 @@ def _power_direct(d, n):
     return -num / (2.0 * _twice_less_one(n, d.nu)), num
 
 
+def _reciprocal(x: float, n):
+    """1/(x n) for a double x > 0 and an integer n, or an integer array of
+    them; an n past the doubles is taken exactly and the quotient rounded."""
+    if type(n) is int and n > special._DOUBLE_MAX_INT:
+        return float(1 / (Fraction(x) * n))
+    return 1.0 / (x * n)
+
+
 def _twice_less_one(n, nu):
     """2 n nu - 1 for an integer n, or an integer array of them.  Where the
     double 2 n nu is below 2, the subtraction cancels the bits the product
@@ -439,7 +448,8 @@ def _power_norming(d, n):
 
 
 def _gev_xi(d) -> float:
-    """The effective gev shape: 0.0 inside the Gumbel window |xi| < 1e-8.
+    """The effective gev shape: 0.0 inside the Gumbel window of the
+    subnormals, |xi| < ``GUMBEL_XI_EPS``.
 
     Every gev fact reads the shape through this function, once per call.
     """
@@ -585,7 +595,7 @@ REGISTRY: dict[str, Family] = {
         reads_log1m_t=False,
         sup_density=lambda d: 1.0 / d.theta,
         is_log_concave=lambda d: True,
-        shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - 1.0 / n + math.log(d.theta),
+        shannon=lambda d, n: 1.0 - _math(type(n)).log(n) - 1 / n + math.log(d.theta),
         extropy=_closed_extropy(
             lambda d, n: (-(n * n) / (den := 2.0 * (2.0 * n - 1.0) * d.theta), den),
             lambda d, n: 2 * Decimal(n).ln() - Decimal(2).ln() - (2 * Decimal(n) - 1).ln() - Decimal(d.theta).ln(),
@@ -606,7 +616,7 @@ REGISTRY: dict[str, Family] = {
         sup_density=lambda d: d.theta,
         is_log_concave=lambda d: True,
         shannon=lambda d, n: (
-            1.0 - _math(type(n)).log(n) - 1.0 / n - math.log(d.theta) + special.harmonic(n)
+            1.0 - _math(type(n)).log(n) - 1 / n - math.log(d.theta) + special.harmonic(n)
         ),
         extropy=_rate_extropy(-1),
         limits=_exponential_limits,
@@ -664,7 +674,7 @@ REGISTRY: dict[str, Family] = {
             lambda d, n: 1.0
             - _math(type(n)).log(n)
             - _log_of(d.nu * d.theta, lambda: math.log(d.nu) + math.log(d.theta))
-            - 1.0 / (d.nu * n)
+            - _reciprocal(d.nu, n)
         ),
         extropy=_closed_extropy(_power_direct, _power_log_abs),
         limits=lambda d: (-math.inf, -math.inf),

@@ -40,7 +40,7 @@ from . import evt
 from . import numerics
 from .distributions import INDETERMINATE, Indeterminate  # noqa: F401  (distributions exports both)
 from .numerics import DEFAULT_QUAD_TOL, DEFAULT_SAMPLES, DEFAULT_SEED
-from .special import _check_index, _check_real, _from_checked
+from .special import _DOUBLE_MAX_INT, _check_index, _check_real, _from_checked
 from .special import harmonic  # noqa: F401  (perfbench's tracer patches measures.harmonic)
 
 __all__ = [
@@ -113,17 +113,6 @@ def _value(value, method: str, error_estimate: float) -> MeasureValue:
     return _from_checked(MeasureValue, value=_extended_real(value), method=method, error_estimate=0.0)
 
 
-def _route(method: str, quad_tol) -> tuple[str, float]:
-    """``method``'s canonical name and ``quad_tol`` checked, ``quad_tol`` first."""
-    quad_tol = _check_real(quad_tol, "quad_tol")
-    try:
-        return _METHOD_ALIASES[method], quad_tol
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {sorted(set(_METHOD_ALIASES))}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # Quadrature forms
 #
@@ -184,51 +173,38 @@ def _quadrature(dist, n: int, measures: str, tol: float) -> list[numerics.Quadra
     return results
 
 
-# The routes: cores that take checked arguments and a canonical method and
-# give (value, method, error estimate).  Each public entry point checks its
-# own arguments once, under its own name, and calls them.  A failed
+# The one core every route passes through: the public measures,
+# crosscheck, the bounds reports and gap study, the CLI's measure and
+# verify's closed-vs-quadrature contract.  Each caller checks its own n
+# once, under its own name; the core checks quad_tol on every route, before
+# the method, and maps an alias to the canonical method.  A failed
 # integral's best estimate leaves in the units of the value the call
 # returns.
 
 
-def _shannon(
-    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> tuple:
-    """H of the maximum of n draws by ``method``, as (value, method, error)."""
+def _measures(dist, n: int, which: str, method: str, quad_tol, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> tuple:
+    """The measures in ``which`` -- "H", "J" or "HJ" -- of the maximum of n
+    draws from ``dist`` by ``method``, each as (value, method, error), in
+    that order: the closed forms from the family record, both quadratures
+    from one cell, and both Monte Carlo estimates from one draw."""
+    quad_tol = _check_real(quad_tol, "quad_tol")
+    try:
+        method = _METHOD_ALIASES[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; expected one of {sorted(set(_METHOD_ALIASES))}") from None
     if method == "closed_form":
-        return dist_mod.REGISTRY[dist.family].shannon(dist, n), method, 0.0
+        record = dist_mod.REGISTRY[dist.family]
+        if which == "H":
+            return ((record.shannon(dist, n), method, 0.0),)
+        if which == "J":
+            return ((record.extropy(dist, n), method, 0.0),)
+        return (record.shannon(dist, n), method, 0.0), (record.extropy(dist, n), method, 0.0)
+    if n > _DOUBLE_MAX_INT:  # the weights and the draws take n as a double
+        raise OverflowError(f"the {method} route takes n as a double; n={n} for {dist._label} is beyond the doubles")
     if method == "quadrature":
-        (q,) = _quadrature(dist, n, "H", quad_tol)
-        return q.value, method, q.error_estimate
-    est = numerics.mc_entropy_max(dist, n, samples=samples, seed=seed)
-    return est.estimate, method, est.std_error
-
-
-def _extropy(
-    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> tuple:
-    """J of the maximum of n draws by ``method``, as (value, method, error)."""
-    if method == "closed_form":
-        return dist_mod.REGISTRY[dist.family].extropy(dist, n), method, 0.0
-    if method == "quadrature":
-        (q,) = _quadrature(dist, n, "J", quad_tol)
-        return q.value, method, q.error_estimate
-    est = numerics.mc_extropy_max(dist, n, samples=samples, seed=seed)
-    return est.estimate, method, est.std_error
-
-
-def _both(
-    dist, n: int, method: str, quad_tol: float, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> tuple[tuple, tuple]:
-    """H and J of the maximum of n draws by ``method``, each as (value,
-    method, error); the quadrature takes both from one cell, and Monte Carlo
-    both from one draw."""
-    if method == "quadrature":
-        return tuple((q.value, method, q.error_estimate) for q in _quadrature(dist, n, "HJ", quad_tol))
-    if method == "monte_carlo":
-        estimates = numerics._mc(dist, n, samples, seed, "mc_entropy_max", "HJ")
-        return tuple((est.estimate, method, est.std_error) for est in estimates)
-    return _shannon(dist, n, method, quad_tol), _extropy(dist, n, method, quad_tol)
+        return tuple((q.value, method, q.error_estimate) for q in _quadrature(dist, n, which, quad_tol))
+    estimates = numerics._mc(dist, n, samples, seed, "mc_entropy_max", which)
+    return tuple((est.estimate, method, est.std_error) for est in estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +231,7 @@ def shannon_max(
     route.
     """
     n = _check_index(n, "shannon_max")
-    return _value(*_shannon(dist, n, *_route(method, quad_tol), samples, seed))
+    return _value(*_measures(dist, n, "H", method, quad_tol, samples, seed)[0])
 
 
 def extropy_max(
@@ -274,7 +250,7 @@ def extropy_max(
     raised instead of evaluating an invalid expression.
     """
     n = _check_index(n, "extropy_max")
-    return _value(*_extropy(dist, n, *_route(method, quad_tol), samples, seed))
+    return _value(*_measures(dist, n, "J", method, quad_tol, samples, seed)[0])
 
 
 def shannon_limit(dist) -> float:
@@ -326,10 +302,8 @@ def crosscheck(dist, n: int, *, quad_tol: float = DEFAULT_QUAD_TOL) -> dict:
     :func:`extremal_info.verify.closed_vs_quadrature`.
     """
     n = _check_index(n, "crosscheck")
-    quad_tol = _check_real(quad_tol, "quad_tol")
-    h_closed = _shannon(dist, n, "closed_form", quad_tol)[0]
-    j_closed = _extropy(dist, n, "closed_form", quad_tol)[0]
-    h_quad, j_quad = (q.value for q in _quadrature(dist, n, "HJ", quad_tol))
+    (h_closed, _, _), (j_closed, _, _) = _measures(dist, n, "HJ", "closed_form", quad_tol)
+    (h_quad, _, _), (j_quad, _, _) = _measures(dist, n, "HJ", "quadrature", quad_tol)
     return {
         "h_closed": h_closed,
         "h_quad": h_quad,

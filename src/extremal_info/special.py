@@ -73,6 +73,10 @@ EULER_GAMMA = float(np.euler_gamma)
 # ~1e-15 at the switch point (covered by tests).
 _HARMONIC_EXACT_MAX = 10_000
 
+# The largest double as an integer.  Past it float(n) raises, so the closed
+# forms take 1/n, 2n and H_n there exactly or from ln n.
+_DOUBLE_MAX_INT = int(np.finfo(float).max)
+
 # The largest n whose square fits in int64.  A grid of n is held as int64 up
 # to here, so that integer arithmetic on n in the closed forms (n * n,
 # 2 * n - 1) is exact, and as an object array of Python ints beyond.
@@ -111,8 +115,9 @@ def harmonic(n):
 
     For n <= 10^4 the value is read from a table of correctly rounded prefix
     sums built at import, bit-identical to ``math.fsum(1/k for k in 1..n)``;
-    above that the identity H_n = psi(n + 1) + gamma is used.  Either way a
-    call is O(1).
+    above that the identity H_n = psi(n + 1) + gamma is used, and past the
+    doubles H_n = ln n + gamma, whose next term 1/(2n) is below the last
+    bit.  Either way a call is O(1).
 
     Parameters
     ----------
@@ -126,6 +131,8 @@ def harmonic(n):
         n = _check_index(n, "harmonic")
         if n <= _HARMONIC_EXACT_MAX:
             return _HARMONIC_TABLE[n]
+        if n > _DOUBLE_MAX_INT:
+            return math.log(n) + EULER_GAMMA
         return float(_sc().digamma(n + 1.0)) + EULER_GAMMA
     n = _check_indices(n, "harmonic")
     exact = n <= _HARMONIC_EXACT_MAX

@@ -92,9 +92,10 @@ def closed_vs_quadrature(
     cell = "".join(map(_CELL_MEASURES.get, routes))
     for member in members:
         for n in ns:
-            closed_forms = [getattr(measures, name)(member, n).value for name in routes]
-            quads = measures._quadrature(member, n, cell, quad_tol)
-            for name, closed, quad in zip(routes, closed_forms, (q.value for q in quads)):
+            n = special._check_index(n, routes[0])
+            closed_forms = measures._measures(member, n, cell, "closed_form", quad_tol)
+            quads = measures._measures(member, n, cell, "quadrature", quad_tol)
+            for name, (closed, _, _), (quad, _, _) in zip(routes, closed_forms, quads):
                 if not (quad == closed or abs(quad - closed) <= 1e-8):
                     yield f"{member.label()} n={n}: {name} closed form {closed!r} vs quadrature {quad!r}"
 

@@ -1,5 +1,5 @@
-"""Smoke test of tools/digest.py, the "same bits" corpus: its ``unit``
-group, run in process."""
+"""Smoke test of tools/digest.py, the "same bits" corpus: its ``unit`` and
+``closed`` groups, run in process."""
 
 import hashlib
 import importlib.util
@@ -34,6 +34,28 @@ def test_the_unit_group_is_one_record_per_integrand_and_tolerance(digest):
     )
     assert digest.digest(records) == hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest.unit_records() == records
+
+
+def test_the_closed_group_is_every_closed_entry_point_field_by_field(digest):
+    records = digest.closed_records()
+    # per member: both limit ceilings, exponential_gap, and 10 calls per n
+    assert len(records) == len(digest._members()) * (3 + 10 * len(digest.CLOSED_N))
+    text = "\n".join(records)
+    # a returned dataclass field by field, floats as float.hex
+    assert (
+        "exponential(theta=1) n=1 shannon_max: {value=0x1.0000000000000p+0 method='closed_form'"
+        " error_estimate=0x0.0p+0}" in text
+    )
+    assert (
+        "exponential(theta=1) n=2 extropy_bounds: {lower=-0x1.0000000000000p-1 value=-0x1.5555555555555p-3"
+        " upper=-0x1.2aaaaaaaaaaaap-3 lower_holds=True upper_holds=True applicable=True gate_note=''}" in text
+    )
+    # an error as its type and message
+    assert (
+        "logistic(theta=1) n=1 norming_constants: ValueError: norming constants for the logistic family"
+        " are undefined at n=1" in text
+    )
+    assert all(n < 2**53 for n in digest.CLOSED_N)
 
 
 def test_main_prints_one_digest_per_group(digest, capsys, monkeypatch):

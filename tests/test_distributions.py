@@ -392,11 +392,12 @@ class TestQuantileDomain:
 
 # Besides the catalog, members that reach the edges of the double range:
 # power_function with a negative profile exponent, gev inside the Gumbel
-# window, with an unbounded density (xi = -1.9) and with a heavy tail
-# (xi = 3), and pareto with a profile exponent of 3.
+# window and just outside it, with an unbounded density (xi = -1.9) and
+# with a heavy tail (xi = 3), and pareto with a profile exponent of 3.
 BIT_IDENTITY_MEMBERS = ALL_MEMBERS + (
     d.power_function(1.0, 0.3),
     d.power_function(1.0, 0.7),
+    d.gev(1e-310),
     d.gev(1e-9),
     d.gev(-1.9),
     d.gev(3.0),
@@ -605,25 +606,29 @@ class TestLogConcavity:
 
 
 class TestGumbelCrossover:
-    """xi values inside the rounding window collapse to the xi = 0 branch."""
+    """xi values inside the rounding window, the subnormals, collapse to the
+    xi = 0 branch; every other xi keeps its own law."""
 
-    def test_tiny_xi_uses_gumbel_branch(self):
-        near = d.gev(1e-9)
+    @pytest.mark.parametrize("xi", [5e-324, 1e-310, -1e-310])
+    def test_subnormal_xi_uses_gumbel_branch(self, xi):
+        near = d.gev(xi)
         zero = d.gev(0.0)
         xs = np.linspace(-2.0, 5.0, 31)
-        assert np.allclose(d.pdf(near, xs), d.pdf(zero, xs), atol=1e-15)
-        assert np.allclose(d.cdf(near, xs), d.cdf(zero, xs), atol=1e-15)
+        assert np.array_equal(d.pdf(near, xs), d.pdf(zero, xs))
+        assert np.array_equal(d.cdf(near, xs), d.cdf(zero, xs))
 
-    @pytest.mark.parametrize("xi", [2e-8, 1e-7, 1e-6, -1e-6, 1e-4])
+    @pytest.mark.parametrize("xi", [2e-8, 1e-7, 1e-6, -1e-6, 1e-4, 1e-9, -1e-9, 1e-15, -1e-15, 1e-300, -1e-300])
     @pytest.mark.parametrize("x", [-2.0, 0.5, 3.0])
     def test_near_gumbel_pointwise_against_mpmath(self, xi, x):
-        # just outside the Gumbel window, 1 + xi x must not be formed in
-        # double precision before taking its log
+        # outside the Gumbel window, 1 + xi x must not be formed in double
+        # precision before taking its log; the reference takes log1p(xi x)
+        # too, so that 40 digits hold it at xi = 1e-300
         with mpmath.workdps(40):
-            z = 1 + mpmath.mpf(xi) * mpmath.mpf(x)
-            w = z ** (-1 / mpmath.mpf(xi))
+            xi_x = mpmath.mpf(xi) * mpmath.mpf(x)
+            log_z = mpmath.log1p(xi_x)
+            w = mpmath.exp(-log_z / xi)
             want_cdf = float(mpmath.exp(-w))
-            want_log_pdf = float(-(1 + 1 / mpmath.mpf(xi)) * mpmath.log(z) - w)
+            want_log_pdf = float(-(1 + 1 / mpmath.mpf(xi)) * log_z - w)
         member = d.gev(xi)
         assert d.cdf(member, x) == pytest.approx(want_cdf, rel=1e-13, abs=0.0)
         assert d.log_pdf(member, x) == pytest.approx(want_log_pdf, rel=0.0, abs=1e-13)
@@ -631,7 +636,7 @@ class TestGumbelCrossover:
     def test_branches_agree_across_threshold(self):
         # the exact branch at xi just above the window stays close to the
         # Gumbel limit, so the crossover introduces no visible jump
-        inside = d.gev(0.5e-8)
+        inside = d.gev(1e-310)
         outside = d.gev(2e-8)
         ts = np.linspace(0.05, 0.95, 19)
         assert np.allclose(

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +36,10 @@ class TestClassification:
             (d.gev(0.0), "gumbel", 0.0),
             (d.gev(0.25), "frechet", 0.25),
             (d.gev(-0.5), "reversed_weibull", -0.5),
-            (d.gev(1e-12), "gumbel", 0.0),
+            # only a subnormal shape is in the Gumbel window
+            (d.gev(1e-310), "gumbel", 0.0),
+            (d.gev(1e-12), "frechet", 1e-12),
+            (d.gev(-1e-9), "reversed_weibull", -1e-9),
         ],
     )
     def test_domains_and_shapes(self, member, domain, xi):
@@ -278,14 +282,51 @@ class TestLimitCdf:
             assert type(value) is float
             assert value == d.cdf(member, float(x))
 
-    def test_a_shape_in_the_gumbel_window_is_gumbel(self):
+    @pytest.mark.parametrize("xi", [5e-324, 1e-310, -1e-310])
+    def test_a_shape_in_the_gumbel_window_is_gumbel(self, xi):
+        # the window is the subnormals, where xi x loses its bits
         xs = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
-        assert np.array_equal(evt.limit_cdf(1e-9, xs), evt.limit_cdf(0.0, xs))
+        assert np.array_equal(evt.limit_cdf(xi, xs), evt.limit_cdf(0.0, xs))
+
+    @pytest.mark.parametrize("xi", [1e-9, -1e-9, 1e-12, -1e-12])
+    def test_a_shape_near_zero_is_its_own_law_against_mpmath(self, xi):
+        # outside the window the exact GEV(xi) law holds: exp(-w) with w =
+        # (1 + xi x)^(-1/xi) = exp(-log1p(xi x)/xi), whose relative rounding
+        # the cdf carries w times over (w is about 148 at x = -5); inside
+        # the old window |xi| < 1e-8 it was 1.9e-6 off at x = -5
+        xs = [-5.0, -1.0, 0.0, 0.5, 1.0, 2.0, 20.0]
+        got = evt.limit_cdf(xi, np.array(xs))
+        with mpmath.workdps(40):
+            for x, value in zip(xs, got.tolist()):
+                w = mpmath.exp(-mpmath.log1p(mpmath.mpf(xi) * x) / xi)
+                want = float(mpmath.exp(-w))
+                assert value == pytest.approx(want, rel=2e-15 * max(1.0, float(w)), abs=0.0), x
 
     @pytest.mark.parametrize("xi", NON_FINITE)
     def test_non_finite_xi_rejected(self, xi):
         with pytest.raises(ValueError, match="xi must be a finite real"):
             evt.limit_cdf(xi, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 10**6, 10**12])
+@pytest.mark.parametrize("xi", [1e-9, -1e-9, 1e-15, -1e-15, 1e-300, -1e-300])
+def test_near_gumbel_measures_and_norming_against_mpmath(xi, n):
+    # H = 1 + gamma (1 + xi) + xi ln n, J = -Gamma(xi + 2)/(2^(xi+3) n^xi),
+    # a_n = n^xi and b_n = (n^xi - 1)/xi, each within 1e-15 of mpmath at 50
+    # digits; inside the old window |xi| < 1e-8 they were the xi = 0 values
+    member = d.gev(xi)
+    with mpmath.workdps(50):
+        x, ln_n = mpmath.mpf(xi), mpmath.log(n)
+        wants = (
+            1 + mpmath.euler * (1 + x) + x * ln_n,
+            -mpmath.gamma(x + 2) / (2 ** (x + 3) * mpmath.exp(x * ln_n)),
+            mpmath.exp(x * ln_n),
+            mpmath.expm1(x * ln_n) / x,
+        )
+    norming = evt.norming_constants(member, n)
+    gots = (measures.shannon_max(member, n).value, measures.extropy_max(member, n).value, norming.a_n, norming.b_n)
+    for got, want in zip(gots, map(float, wants)):
+        assert got == want or abs(got - want) <= 1e-15 * abs(want), (got, want)
 
 
 class TestTargets:

@@ -232,14 +232,15 @@ def test_only_the_one_builder_skips_a_dataclass_s_checks():
     assert _object_new_sites() == {("special", "_from_checked")}
 
 
-def _localcontext_sites() -> set[tuple[str, str]]:
-    """(module, top-level function) of every ``localcontext`` in the package."""
+def _sites(wanted: str) -> set[tuple[str, str]]:
+    """(module, top-level function) of every read of the name ``wanted`` in
+    the package, bare or as an attribute."""
     sites = set()
     for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-                if name == "localcontext":
+                if name == wanted and isinstance(node.ctx, ast.Load):
                     sites.add((path.stem, getattr(top, "name", None)))
     return sites
 
@@ -248,4 +249,13 @@ def test_only_the_one_helper_takes_an_extropy_in_decimal():
     # a closed J past the direct form's doubles is taken from ln|J| in
     # decimal by distributions._closed_extropy alone, so no record keeps a
     # fallback of its own
-    assert _localcontext_sites() == {("distributions", "_closed_extropy")}
+    assert _sites("localcontext") == {("distributions", "_closed_extropy")}
+
+
+def test_one_core_chooses_every_route():
+    # measures._measures alone maps a method alias, runs a quadrature cell
+    # and, within measures, draws Monte Carlo; every public measure, bounds
+    # report, the CLI and verify reach a route through it
+    assert _sites("_METHOD_ALIASES") == {("measures", "_measures")}
+    assert _sites("_quadrature") == {("measures", "_measures")}
+    assert {site for site in _sites("_mc") if site[0] == "measures"} == {("measures", "_measures")}

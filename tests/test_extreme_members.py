@@ -22,6 +22,12 @@ normal double.  Each record's closed J is pinned against mpmath on these
 members, a few more and the catalog, at n up to 10^300: a double within
 1e-15 of it (pareto within scipy's betaln), -inf where the integral
 diverges, or a named ``OverflowError`` where J lies beyond the doubles.
+
+At n past the largest double (2^1024 and 10^400) no call takes float(n):
+on the Monte Carlo representatives, H_n, both measures, both bounds
+reports, both upper envelopes and the normalized calls each return a
+double within reach of mpmath at 50 digits, or raise an ``OverflowError``
+that names the member and n.
 """
 
 import collections
@@ -390,3 +396,125 @@ def test_closed_extropy_against_mpmath(member, n):
     assert got == want or abs(got - want) <= tol * abs(want), (got, want)
     column = np.asarray(record.extropy(member, column), dtype=float)
     assert column.tolist() == [got] and column[0].item().hex() == got.hex()
+
+
+# ---------------------------------------------------------------------------
+# n past the largest double
+# ---------------------------------------------------------------------------
+
+# n past the largest double, where float(n) raises
+HUGE_N = (2**1024, 10**400)
+
+
+def _mp_i_half(member):
+    """I(1/2) = f(F^-1(1/2)) of each family."""
+    theta = mpmath.mpf(member.theta)
+    if member.family == "uniform":
+        return 1 / theta
+    if member.family in ("exponential", "logistic"):
+        return theta / (2 if member.family == "exponential" else 4)
+    if member.family == "gev":
+        return mpmath.log(2) ** (member.xi + 1) / 2
+    nu = mpmath.mpf(member.nu)
+    if member.family == "pareto":
+        return nu / theta * mpmath.mpf(2) ** -(1 + 1 / nu)
+    return nu * theta * mpmath.mpf(2) ** -((nu - 1) / nu)
+
+
+def _mp_shannon(member, n):
+    """H of the maximum: 1 - ln n - 1/n + ln theta for uniform, 1 - ln n -
+    1/n - ln theta + H_n for exponential, 1 - ln n - ln theta + H_n for
+    logistic, 1 + ln n/nu - 1/n - ln(nu/theta) + (1 + 1/nu)(H_n - ln n) for
+    pareto, 1 - ln n - ln(nu theta) - 1/(nu n) for power_function, and
+    1 + gamma + xi gamma + xi ln n for gev."""
+    theta, n = mpmath.mpf(member.theta), mpmath.mpf(n)
+    ln_n, h_n = mpmath.log(n), mpmath.harmonic(n)
+    if member.family == "uniform":
+        return 1 - ln_n - 1 / n + mpmath.log(theta)
+    if member.family == "exponential":
+        return 1 - ln_n - 1 / n - mpmath.log(theta) + h_n
+    if member.family == "logistic":
+        return 1 - ln_n - mpmath.log(theta) + h_n
+    if member.family == "gev":
+        xi = mpmath.mpf(member.xi)
+        return 1 + mpmath.euler + xi * mpmath.euler + xi * ln_n
+    nu = mpmath.mpf(member.nu)
+    if member.family == "pareto":
+        return 1 + ln_n / nu - 1 / n - mpmath.log(nu / theta) + (1 + 1 / nu) * (h_n - ln_n)
+    return 1 - ln_n - mpmath.log(nu * theta) - 1 / (nu * n)
+
+
+def _assert_close(got, want, rel):
+    assert abs(got - float(want)) <= rel * abs(float(want)), (got, want)
+
+
+def _assert_named_overflow(call, member, n):
+    with pytest.raises(OverflowError) as raised:
+        call()
+    assert member.label() in str(raised.value) and f"n={n}" in str(raised.value)
+
+
+@pytest.mark.parametrize("n", HUGE_N, ids=("2^1024", "1e400"))
+def test_harmonic_past_the_doubles_against_mpmath(n):
+    with mpmath.workdps(50):
+        want = mpmath.harmonic(mpmath.mpf(n))
+    assert abs(special.harmonic(n) - float(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", HUGE_N, ids=("2^1024", "1e400"))
+@pytest.mark.parametrize("member", canonical.mc_representatives(), ids=lambda m: m.label())
+def test_closed_route_past_the_doubles_against_mpmath(member, n):
+    # No call takes float(n): each returns a double within 1e-12 absolute
+    # of mpmath at 50 digits for H (ln n, about 900, cancels in it) and 1e-15
+    # relative for J, or raises an OverflowError that names the member and n.
+    with mpmath.workdps(50):
+        h, i_half = _mp_shannon(member, n), _mp_i_half(member)
+        ln_n, inv_n, h_n = mpmath.log(n), 1 / mpmath.mpf(n), mpmath.harmonic(mpmath.mpf(n))
+        h_lower = 1 - ln_n - inv_n
+        # the partial sums of 1/(k 2^k) are ln 2 to far below 2^-1000
+        h_upper = 1 - mpmath.log(2 * i_half) - ln_n - inv_n + h_n
+        j_lower = -n * i_half / 2
+        # n^2 I(1/2) [1/(2n - 1) - 1/(2n)], less terms below 2^-2n
+        j_upper = -n * i_half / (2 * (2 * n - 1))
+    j = _mp_extropy(member, n)
+
+    got = measures.shannon_max(member, n).value
+    assert abs(got - float(h)) <= 1e-12, (got, h)
+    report = bounds.shannon_bounds(member, n)
+    assert report.value == got
+    assert abs(report.lower - float(h_lower)) <= 1e-12, (report.lower, h_lower)
+    assert abs(report.upper - float(h_upper)) <= 1e-12, (report.upper, h_upper)
+    assert bounds.shannon_upper_envelope(member, n) == report.upper
+
+    upper = bounds.extropy_upper_envelope(member, n)
+    _assert_close(upper, j_upper, 1e-15)
+    j_tol = EXTROPY_TOL.get(member.family, 1e-15)
+    if -j > sys.float_info.max:
+        _assert_named_overflow(lambda: measures.extropy_max(member, n), member, n)
+    else:
+        _assert_close(measures.extropy_max(member, n).value, j, j_tol)
+    if -j > sys.float_info.max or -j_lower > sys.float_info.max:
+        _assert_named_overflow(lambda: bounds.extropy_bounds(member, n), member, n)
+    else:
+        report = bounds.extropy_bounds(member, n)
+        assert report.upper == upper
+        _assert_close(report.value, j, j_tol)
+        _assert_close(report.lower, j_lower, 1e-15)
+
+    # the quadrature and Monte Carlo take n as a double, and decline by name
+    for method in ("quad", "mc"):
+        _assert_named_overflow(lambda: measures.shannon_max(member, n, method), member, n)
+        _assert_named_overflow(lambda: measures.extropy_max(member, n, method), member, n)
+
+    # the normalized calls return where a_n is a double (exponential, a_n =
+    # 1/theta) and else name the norming overflow
+    if member.family != "exponential":
+        _assert_named_overflow(lambda: measures.shannon_normalized(member, n), member, n)
+        _assert_named_overflow(lambda: bounds.normalized_bounds(member, n), member, n)
+        return
+    normalized = measures.shannon_normalized(member, n).value
+    assert abs(normalized - float(h + mpmath.log(member.theta))) <= 1e-12
+    if -j_lower > sys.float_info.max:
+        _assert_named_overflow(lambda: bounds.normalized_bounds(member, n), member, n)
+    else:
+        assert bounds.normalized_bounds(member, n)[0].value == normalized

@@ -1287,6 +1287,7 @@ class TestOneCheckPerCall:
         "extropy_normalized": lambda m: measures.extropy_normalized(m, 7),
         "normalized_bounds": lambda m: bounds.normalized_bounds(m, 7),
         "crosscheck": lambda m: measures.crosscheck(m, 7),
+        "exponential_gap": lambda m: bounds.exponential_gap(m, (10, 1000)),
     }
 
     @pytest.mark.parametrize("name", sorted(ENTRIES))

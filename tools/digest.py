@@ -8,26 +8,38 @@ change that claims to move no value can show it with one command.
 Groups:
 
 - ``quad``: every ``measures._quadrature`` outcome of the catalog and
-  ``EDGE_MEMBERS`` at ``QUAD_N`` x ``QUAD_TOLS`` x "H"/"J"/"HJ", one sweep
+  ``EDGE_SPECS`` at ``QUAD_N`` x ``QUAD_TOLS`` x "H"/"J"/"HJ", one sweep
   right after ``numerics._index.cache_clear()`` and one more, warm;
 - ``unit``: ``numerics.integrate_unit`` on ``UNIT_INTEGRANDS`` at
   ``UNIT_TOLS``, and the points each call evaluates, in order;
+- ``closed``: every public closed-route entry point (both measures, both
+  bounds reports, ``normalized_bounds``, both normalized measures,
+  ``norming_constants``, both upper envelopes) on the catalog and
+  ``EDGE_SPECS`` at ``CLOSED_N``, and per member both limit ceilings and
+  ``exponential_gap`` over ``CLOSED_N``;
+- ``mc``: both measures by ``"mc"`` on the Monte Carlo representatives at
+  ``MC_N`` x ``MC_SEEDS``, ``MC_SAMPLES`` samples each;
 - ``cli``: the stdout, stderr and exit code of ``tables``, ``figure1``,
-  ``verify`` at ``VERIFY_SEEDS`` and ``measure --method quad --format json``
-  on the catalog at ``TABLE_N``, each run in process.
+  ``verify`` at ``VERIFY_SEEDS``, and, on the catalog at ``TABLE_N``,
+  ``measure --method closed|quad|mc`` and ``bounds --method closed|quad``,
+  each run in process.
 
 A record names its input and gives a float as ``float.hex``, a result as
-its fields' bits, and an error as its type, message and the bits of its
-``best`` estimate, if it has one.  ``--against REV`` extracts REV from the
-local repository (``git archive``, no network) into a temporary directory,
-runs this same script on that tree's ``src`` in a child process, removes
-the directory, and prints each group's digest on both trees and the first
-records that differ.  It exits 1 when a group differs.
+its fields' bits (a returned dataclass field by field), and an error as its
+type, message and the bits of its ``best`` estimate, if it has one.  Every
+group but ``quad`` calls the public API alone, so that a revision whose
+private cores differ digests the same way; every n is below 2^53.
+``--against REV`` extracts REV from the local repository (``git archive``,
+no network) into a temporary directory, runs this same script on that
+tree's ``src`` in a child process, removes the directory, and prints each
+group's digest on both trees and the first records that differ.  It exits
+1 when a group differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -44,6 +56,11 @@ QUAD_N = (1, 2, 5, 10, 50, 1000)
 QUAD_TOLS = (1e-6, 1e-8, 1e-10)
 UNIT_TOLS = (1e-6, 1e-10)
 VERIFY_SEEDS = (0, 1, 7, 451)
+# TABLE_N, perfbench's closed_large_n grid, and 10^12
+CLOSED_N = tuple(sorted({1, 2, 5, 10, 50, 100, *range(1000, 10_001, 250), 100_000, 1_000_000, 10**12}))
+MC_N = (1, 50, 1_000_000)
+MC_SEEDS = (0, 5)
+MC_SAMPLES = 2000
 SHOWN = 5  # differing records printed per group
 
 # Members past the catalog: the gev tolerance frontier, a pareto tail near
@@ -98,26 +115,46 @@ def _bits(value) -> str:
     return f"{value.value.hex()} {value.error_estimate.hex()} {value.evaluations}"
 
 
-def _outcome(call) -> str:
-    """The bits of what ``call()`` returns, or of the error it raises."""
+def _fields(value) -> str:
+    """A returned value as bits: a float as ``float.hex``, a dataclass field
+    by field, a tuple element by element, anything else by its repr."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return "{" + " ".join(f"{f.name}={_fields(getattr(value, f.name))}" for f in dataclasses.fields(value)) + "}"
+    if isinstance(value, tuple):
+        return "(" + " ".join(map(_fields, value)) + ")"
+    return repr(value)
+
+
+def _outcome(call, bits=_bits) -> str:
+    """The ``bits`` of what ``call()`` returns, or of the error it raises."""
     try:
         result = call()
     except Exception as exc:  # every error is a record
         best = getattr(exc, "best", None)
         return f"{type(exc).__name__}: {exc}" + ("" if best is None else f" | best {_bits(best)}")
     if isinstance(result, list):
-        return " ; ".join(map(_bits, result))
-    return _bits(result)
+        return " ; ".join(map(bits, result))
+    return bits(result)
+
+
+def _members():
+    """The catalog, then ``EDGE_SPECS``."""
+    from extremal_info import canonical, distributions
+
+    return [
+        *canonical.catalog_members(),
+        *(distributions.from_dict({"family": family, **params}) for family, params in EDGE_SPECS),
+    ]
 
 
 def quad_records() -> list[str]:
-    from extremal_info import canonical, distributions, measures, numerics
+    from extremal_info import measures, numerics
 
-    members = [*canonical.catalog_members()]
-    members += [distributions.from_dict({"family": family, **params}) for family, params in EDGE_SPECS]
     cells = [
         (member, n, tol, which)
-        for member in members
+        for member in _members()
         for n in QUAD_N
         for tol in QUAD_TOLS
         for which in ("H", "J", "HJ")
@@ -128,6 +165,47 @@ def quad_records() -> list[str]:
         for member, n, tol, which in cells:
             outcome = _outcome(lambda: measures._quadrature(member, n, which, tol))
             records.append(f"{sweep} {member.label()} n={n} tol={tol!r} {which}: {outcome}")
+    return records
+
+
+def closed_records() -> list[str]:
+    from extremal_info import bounds, evt, measures
+
+    per_n = (
+        measures.shannon_max,
+        measures.extropy_max,
+        bounds.shannon_bounds,
+        bounds.extropy_bounds,
+        bounds.normalized_bounds,
+        measures.shannon_normalized,
+        measures.extropy_normalized,
+        evt.norming_constants,
+        bounds.shannon_upper_envelope,
+        bounds.extropy_upper_envelope,
+    )
+    records = []
+    for member in _members():
+        label = member.label()
+        for entry in (bounds.shannon_limit_upper, bounds.extropy_limit_upper):
+            records.append(f"{label} {entry.__name__}: {_outcome(lambda: entry(member), _fields)}")
+        gap = _outcome(lambda: bounds.exponential_gap(member, CLOSED_N), _fields)
+        records.append(f"{label} exponential_gap: {gap}")
+        for n in CLOSED_N:
+            for entry in per_n:
+                records.append(f"{label} n={n} {entry.__name__}: {_outcome(lambda: entry(member, n), _fields)}")
+    return records
+
+
+def mc_records() -> list[str]:
+    from extremal_info import canonical, measures
+
+    records = []
+    for member in canonical.mc_representatives():
+        for n in MC_N:
+            for seed in MC_SEEDS:
+                for entry in (measures.shannon_max, measures.extropy_max):
+                    outcome = _outcome(lambda: entry(member, n, "mc", samples=MC_SAMPLES, seed=seed), _fields)
+                    records.append(f"{member.label()} n={n} seed={seed} {entry.__name__}: {outcome}")
     return records
 
 
@@ -164,14 +242,21 @@ def cli_records() -> list[str]:
     argvs += [["verify", "--seed", str(seed)] for seed in VERIFY_SEEDS]
     for member in canonical.catalog_members():
         spec = json.dumps(distributions.to_dict(member), sort_keys=True)
-        argvs += [
-            ["measure", "--dist", spec, "--n", str(n), "--method", "quad", "--format", "json"]
-            for n in canonical.TABLE_N
-        ]
+        for n in canonical.TABLE_N:
+            cell = ["--dist", spec, "--n", str(n), "--format", "json"]
+            argvs += [["measure", *cell, "--method", method] for method in ("closed", "quad")]
+            argvs.append(["measure", *cell, "--method", "mc", "--samples", str(MC_SAMPLES)])
+            argvs += [["bounds", *cell, "--method", method] for method in ("closed", "quad")]
     return [_cli(argv) for argv in argvs]
 
 
-GROUPS = {"quad": quad_records, "unit": unit_records, "cli": cli_records}
+GROUPS = {
+    "quad": quad_records,
+    "unit": unit_records,
+    "closed": closed_records,
+    "mc": mc_records,
+    "cli": cli_records,
+}
 
 
 def digest(records: list[str]) -> str:
@@ -227,7 +312,7 @@ def main(argv=None) -> int:
     theirs = _records_at(args.against, names) if args.against else {}
     differ = False
     for name in names:
-        line = f"{name:5s} {len(records[name]):5d} records  {digest(records[name])}"
+        line = f"{name:6s} {len(records[name]):6d} records  {digest(records[name])}"
         if not args.against:
             print(line)
             continue
