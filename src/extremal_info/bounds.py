@@ -239,12 +239,16 @@ def _report(dist, lower: float, value: float, upper: float, lower_gate: str = ""
 
 
 def _extropy_floor(dist, n: int, i_half: float) -> float:
-    """The extropy lower envelope -n I(1/2)/2, with n past the doubles taken
-    exactly; an envelope beyond them is named."""
+    """The extropy lower envelope -n I(1/2)/2 of a finite I(1/2), with n past
+    the doubles taken exactly; an envelope beyond the doubles is named,
+    whether n is past them or the product overflows."""
     try:
-        return -0.5 * n * i_half if n <= _DOUBLE_MAX_INT else -float(n * Fraction(i_half) / 2)
+        floor = -0.5 * n * i_half if n <= _DOUBLE_MAX_INT else -float(n * Fraction(i_half) / 2)
     except OverflowError:
-        raise OverflowError(f"extropy lower envelope of {dist._label} at n={n} is beyond the double range") from None
+        floor = -math.inf
+    if floor == -math.inf:
+        raise OverflowError(f"extropy lower envelope of {dist._label} at n={n} is beyond the double range")
+    return floor
 
 
 # Each report takes its measure first: quad_tol and the method are checked

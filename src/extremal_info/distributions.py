@@ -16,11 +16,12 @@ gev                     xi real                  (1 + xi x)^{-(xi+1)/xi} e^{-(1+
 ======================  =======================  ==========================
 
 The gev family is the generalized extreme-value law with unit location and
-scale; xi = 0 denotes the Gumbel member exp(-(x + e^{-x})), and |xi| below
-1e-8 is evaluated through the Gumbel branch to avoid catastrophic
-cancellation.  Specs are immutable and validated on construction: theta,
-nu and xi must be real numbers (bool and str are rejected), and the JSON
-constructor rejects unknown fields outright.
+scale; xi = 0 denotes the Gumbel member exp(-(x + e^{-x})), and a |xi|
+among the subnormals (below ``GUMBEL_XI_EPS``), where xi x loses its bits,
+is evaluated through the Gumbel branch.  Specs are immutable and
+validated on construction: theta, nu and xi must be real numbers (bool
+and str are rejected), and the JSON constructor rejects unknown fields
+outright.
 
 Every per-family fact lives in one record of :data:`REGISTRY`: the
 family's fields, its distribution functions, the closed-form entropy and
@@ -198,7 +199,7 @@ def _logistic_norming(d, n):
     n = 2^54 on), and the message names the first such n.
     """
     m = _math(type(n))
-    t = m.float(1.0 - 1.0 / n)
+    t = m.float(1.0 - 1 / n)  # int / int past the doubles, the same bits below 2^53
     inside = (t > 0.0) & (t < 1.0)
     if not m.all(inside):
         first = np.ravel(n)[~np.ravel(inside)][0]
@@ -361,8 +362,11 @@ def _pareto_digits(d, n) -> int:
 
 def _pareto_norming(d, n):
     # b_n = U(n) = theta n^{1/nu} and a_n = xi U(n), with xi = 1/nu
-    m = _math(type(n))
-    u = d.theta * m.pow(m.float(n), 1.0 / d.nu)
+    m, p = _math(type(n)), 1.0 / d.nu
+    if type(n) is int and n > special._DOUBLE_MAX_INT:
+        u = _past_power(n, p, d.theta)[0]
+    else:
+        u = d.theta * m.pow(m.float(n), p)
     return (u / d.nu, u)
 
 
@@ -414,6 +418,33 @@ def _reciprocal(x: float, n):
     return 1.0 / (x * n)
 
 
+def _quotient(x: float, n):
+    """x/n for a double x and an integer n, or an integer array of them; an
+    n past the doubles is taken exactly and the quotient rounded."""
+    if type(n) is int and n > special._DOUBLE_MAX_INT:
+        return float(Fraction(x) / n)
+    return x / n
+
+
+def _past_power(n: int, p: float, scale: float = 1.0) -> tuple[float, float]:
+    """(scale n^p, expm1(p ln n)/p) for an integer n past the doubles, a
+    double p != 0 and a positive double scale.  p ln n is taken at 40
+    digits, as its double would carry an error of |p ln n| ulps into both,
+    and the product with the scale in decimal, so that n^p past the
+    doubles does not hide a product within them: expm1 by libm where
+    |p ln n| <= 1, which does not amplify the rounding of p ln n there,
+    else in decimal, where exp - 1 cancels no digit that matters.  A value
+    beyond the doubles is inf, and one below them 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        # e^+-2000 times any scale lies past the doubles, and within the
+        # context's exponents
+        log = max(min(Decimal(n).ln() * Decimal(p), 2000), -2000)
+        power = log.exp()
+        expm1 = math.expm1(float(log)) / p if abs(log) <= 1 else float((power - 1) / Decimal(p))
+        return float(Decimal(scale) * power), expm1
+
+
 def _twice_less_one(n, nu):
     """2 n nu - 1 for an integer n, or an integer array of them.  Where the
     double 2 n nu is below 2, the subtraction cancels the bits the product
@@ -440,10 +471,14 @@ def _power_log_abs(d, n) -> Decimal:
 def _power_norming(d, n):
     # a_n = (1 - (1 - 1/n)^{1/nu})/theta = x* - U(n), b_n = U(n); at n = 1,
     # a_n = 1/theta and log1p(-1) fails, so n = 1 evaluates the formula at
-    # n = 2 and takes 1 in its place
+    # n = 2 and takes 1 in its place.  Past the doubles ln(1 - 1/n)/nu is
+    # -1/(nu n) to its last bit, taken exactly.
     m = _math(type(n))
-    first = n == 1
-    a_n = m.where(first, 1.0, -m.expm1(m.log1p(-1.0 / (n + first)) / d.nu))
+    if type(n) is int and n > special._DOUBLE_MAX_INT:
+        a_n = -math.expm1(-_reciprocal(d.nu, n))
+    else:
+        first = n == 1
+        a_n = m.where(first, 1.0, -m.expm1(m.log1p(-1.0 / (n + first)) / d.nu))
     return (a_n / d.theta, (1.0 - a_n) / d.theta)
 
 
@@ -580,6 +615,8 @@ def _gev_norming(d, n):
     xi, m = _gev_xi(d), _math(type(n))
     if xi == 0.0:
         return (1.0, m.log(n))
+    if type(n) is int and n > special._DOUBLE_MAX_INT:
+        return _past_power(n, xi)
     return (m.pow(m.float(n), xi), m.expm1(xi * m.log(n)) / xi)
 
 
@@ -603,7 +640,7 @@ REGISTRY: dict[str, Family] = {
         limits=lambda d: (-math.inf, -math.inf),
         # the density stays positive and finite at the right endpoint
         evi=lambda d: -1.0,
-        norming=lambda d, n: (d.theta / n, d.theta - d.theta / n),
+        norming=lambda d, n: (a := _quotient(d.theta, n), d.theta - a),
     ),
     "exponential": Family(
         fields=("theta",),

@@ -25,7 +25,8 @@ it is carried only for the distributional statements.  A convergence
 study applies this law to the record's closed forms and norming once per
 grid, on the whole n array, and holds its results as columns.  Where the
 array raises, the study replays the normalized measures' scalar path n by
-n, so its error is the one that path raises at the first failing n.
+n, so its error is the one that path raises at the first failing n, and
+where that path raises none, its values are the columns.
 """
 
 from __future__ import annotations
@@ -229,6 +230,14 @@ def _normalized(record, dist, n):
     return h, a_n * record.extropy(dist, n)
 
 
+def _normalized_at(record, dist, n: int) -> tuple[float, float]:
+    """h and j at one n by the normalized measures' scalar path: a_n, then
+    H and J, each raising its own named error."""
+    a_n = _norming(dist, n)[0]
+    h = record.shannon(dist, n) - math.log(a_n)
+    return h, a_n * record.extropy(dist, n)
+
+
 def convergence_study(dist, n_grid) -> ConvergenceStudy:
     """Normalized measures along an n-grid against their limiting targets.
 
@@ -240,8 +249,9 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
     the scalar calls, and the transformation law of the module docstring
     is applied to the columns.  Where the array raises or gives an a_n
     that is not a positive finite real, the study replays the normalized
-    measures' scalar path (``_norming``, then H and J, at each n in turn)
-    and raises that path's error at its first failing n.  Gaps are
+    measures' scalar path (``_norming``, then H and J, at each n in turn),
+    which raises its error at its first failing n, and else, as on a grid
+    past the doubles, gives the columns.  Gaps are
     absolute deviations; the reported burn-in index is where both gap
     sequences become non-increasing through the end of the grid.
     """
@@ -256,14 +266,11 @@ def convergence_study(dist, n_grid) -> ConvergenceStudy:
         try:
             h, j = _normalized(record, dist, n)
         except (ArithmeticError, ValueError):
-            # an array raises at its first failing element, stage by stage;
-            # the normalized measures' scalar path, n by n, raises the error
-            # of the first failing n
-            for m in n.tolist():
-                _norming(dist, m)
-                record.shannon(dist, m)
-                record.extropy(dist, m)
-            raise
+            # an array raises at its first failing element, stage by stage,
+            # and float arithmetic cannot take an n past the doubles; the
+            # normalized measures' scalar path, n by n, raises the error of
+            # the first failing n, and where none fails gives the columns
+            h, j = zip(*(_normalized_at(record, dist, m) for m in n.tolist()))
         h, j = np.asarray(h, dtype=float), np.asarray(j, dtype=float)
         h_gap, j_gap = np.abs(h - h_target), np.abs(j - j_target)
 

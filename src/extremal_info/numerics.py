@@ -352,8 +352,9 @@ def _tail_sum(cells: list[float], best) -> tuple[float, float]:
 # copy of its panels by id (a _Walk), whose splits get per-call ids past
 # the held ones.  The cells' walks copy the index: the few dozen panels of
 # the paper's grid, each with its bounds, width, nodes and halves, and the
-# factor tables there.  A cell's new panels join it once all the cell's
-# integrals have returned, up to _PANEL_CAP panels and _TABLE_CAP tables.
+# factor tables there.  A cell's new panels join it, by their bounds, once
+# all the cell's integrals have returned, up to _PANEL_CAP panels and
+# _TABLE_CAP tables.
 # ---------------------------------------------------------------------------
 
 _SEED_BOUNDS = (_U_LEFT, -192.0, -92.0, -42.0, -17.0, -7.0, 0.0, 7.0, 14.0, _U_RIGHT)
@@ -385,31 +386,29 @@ def _factors(rows, panels) -> np.ndarray:
 class _Walk:
     """The panels one integral, or a cell's integrals in turn, walk by id:
     ``panels`` (a, b, ts, ws), ``width`` b - a and ``kids``, the halves' ids
-    or None.  The first ``listed`` were held at the start; after them come
-    the halves of the splits, as (a, b) alone, so that an integral run to
-    its budget holds no nodes, with their parents' ids in ``parents``.
-    ``rule`` rules each new pair onto the lists the integrals read, and
-    ``epoch`` names the index state copied, if any."""
+    or None.  The halves of a split are listed after the panels held, as
+    (a, b) alone, so that an integral run to its budget holds no nodes, and
+    each split is recorded in ``splits`` by its bounds, as (panel, lower
+    half, upper half).  ``rule`` rules each new pair onto the lists the
+    integrals read."""
 
-    __slots__ = ("panels", "width", "kids", "listed", "parents", "rule", "epoch")
+    __slots__ = ("panels", "width", "kids", "splits", "rule")
 
-    def __init__(self, panels, width, kids, rule, epoch=None):
+    def __init__(self, panels, width, kids, rule):
         self.panels = list(panels)
         self.width = list(width)
         self.kids = list(kids)
-        self.listed = len(self.panels)
-        self.parents: list[int] = []
+        self.splits: list[tuple] = []
         self.rule = rule
-        self.epoch = epoch
 
     def split(self, i: int) -> tuple[int, int]:
         """Per-call ids for the halves of panel ``i``, ruled at once, which
         later integrals on this walk find as its kids."""
         a, b = self.panels[i][:2]
         mid = 0.5 * (a + b)
-        self.parents.append(i)
         first = len(self.panels)
         halves = (a, mid), (mid, b)
+        self.splits.append(((a, b), *halves))
         self.panels += halves
         self.width += (mid - a, b - mid)
         self.kids += (None, None)
@@ -422,17 +421,16 @@ class _PanelIndex:
     """The panels the cells share, by id (``ids`` maps (a, b) to it), with
     their :func:`_weights` and, in ``tables``, each row builder's factors
     there, extended when read.  ``cache_clear`` keeps the fixed panels
-    alone and starts a new ``epoch``, from which no earlier walk lists.
-    Every read and write holds ``lock``, as cells on threads share it."""
+    alone.  A walk passes its splits by bounds alone, so one begun before
+    ``cache_clear`` adds to the index after it as any other does.  Every
+    read and write holds ``lock``, as cells on threads share it."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.epoch = 0
         self.cache_clear()
 
     def cache_clear(self) -> None:
         with self.lock:
-            self.epoch += 1
             self.panels = list(_FIXED)
             self.width = list(_FIXED_WIDTH)
             self.kids: list = [None] * len(_FIXED)
@@ -460,36 +458,27 @@ class _PanelIndex:
         panels held."""
         with self.lock:
             tables = [self._table(key, rows) for key, rows in builders]
-            return _Walk(self.panels, self.width, self.kids, rule, self.epoch), self.dtdu, self.half, tables
+            return _Walk(self.panels, self.width, self.kids, rule), self.dtdu, self.half, tables
 
     def add(self, walk: _Walk) -> None:
-        """List the panels ``walk`` made that the index does not hold, in
-        visit order, while it holds fewer than _PANEL_CAP, and point each
-        parent at its halves once both are held."""
-        if not walk.parents:
+        """List each half of ``walk``'s splits that the index does not hold,
+        in split order, while it holds fewer than _PANEL_CAP, and point each
+        held parent at its halves once both are held, all by bounds."""
+        if not walk.splits:
             return
         with self.lock:
-            if walk.epoch != self.epoch:
-                return
-            held = {}  # the walk's per-call ids -> the index's, where it holds them
             new = []
-            for j, parent in enumerate(walk.parents):
-                pair = []
-                for i in (walk.listed + 2 * j, walk.listed + 2 * j + 1):
-                    bounds = walk.panels[i]
-                    k = self.ids.get(bounds)
-                    if k is None and len(self.panels) < _PANEL_CAP:
-                        k = self.ids[bounds] = len(self.panels)
-                        panel = _panel(*bounds)
-                        self.panels.append(panel)
-                        self.width.append(walk.width[i])
+            for parent, *halves in walk.splits:
+                for bounds in halves:
+                    if bounds not in self.ids and len(self.panels) < _PANEL_CAP:
+                        self.ids[bounds] = len(self.panels)
+                        new.append(_panel(*bounds))
+                        self.panels.append(new[-1])
+                        self.width.append(bounds[1] - bounds[0])
                         self.kids.append(None)
-                        new.append(panel)
-                    held[i] = k
-                    pair.append(k)
-                parent = parent if parent < walk.listed else held[parent]
-                if parent is not None and None not in pair:
-                    self.kids[parent] = tuple(pair)
+                pair = tuple(map(self.ids.get, halves))
+                if parent in self.ids and None not in pair:
+                    self.kids[self.ids[parent]] = pair
             if new:
                 dtdu, half = _weights(new)
                 self.dtdu = np.concatenate((self.dtdu, dtdu))

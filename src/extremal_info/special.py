@@ -138,9 +138,14 @@ def harmonic(n):
     exact = n <= _HARMONIC_EXACT_MAX
     out = np.empty(n.shape)
     out[exact] = _HARMONIC_ARRAY[n[exact].astype(np.intp)]
-    if not exact.all():  # a grid within the table needs no scipy
-        # n + 1.0 rounds a Python int as the scalar call does
-        out[~exact] = _sc().digamma(np.asarray(n[~exact] + 1.0, dtype=float)) + EULER_GAMMA
+    if exact.all():  # a grid within the table needs no scipy
+        return out
+    if n.dtype == object:
+        # a grid past int64, which may hold an n past the doubles
+        out[~exact] = [harmonic(m) for m in n[~exact].tolist()]
+    else:
+        # n + 1.0 rounds an integer as the scalar call does
+        out[~exact] = _sc().digamma(n[~exact] + 1.0) + EULER_GAMMA
     return out
 
 

@@ -138,13 +138,30 @@ class TestExtropyBounds:
         assert math.isinf(n * n * i_half)
         upper = bounds.extropy_upper_envelope(member, n)
         assert upper == pytest.approx(-i_half * (n / (2 * (2 * n - 1))), rel=1e-15)
-        if member.family == "uniform" and n == 10**12:
-            # J, about -2.5e311, is itself beyond the doubles
-            with pytest.raises(OverflowError, match="beyond the double range$"):
+        if n == 10**12:
+            # the floor -n I(1/2)/2, about -1e311, is beyond the doubles and
+            # named; uniform's J, about -2.5e311, is too, and named first
+            named = "extropy of the maximum" if member.family == "uniform" else "extropy lower envelope"
+            with pytest.raises(OverflowError, match=f"^{named} .* beyond the double range$"):
                 bounds.extropy_bounds(member, n)
             return
         report = bounds.extropy_bounds(member, n)
         assert report.upper == upper and report.upper_holds and report.applicable
+
+    def test_the_floor_is_named_wherever_it_leaves_the_doubles(self):
+        # exponential(1e300) has I(1/2) = 5e299: the floor -n I(1/2)/2 is a
+        # double at n = 7e8 and overflows at 10^12, where J = -1.25e299 is a
+        # double, as past the doubles; a report that reads the floor names
+        # it there alike, instead of a lower envelope of -inf that holds
+        member = d.exponential(1e300)
+        report = bounds.extropy_bounds(member, 7 * 10**8)
+        assert report.lower == -0.5 * (7 * 10**8) * 5e299 and math.isfinite(report.lower)
+        assert measures.extropy_max(member, 10**12).value == pytest.approx(-1.25e299, rel=1e-11)
+        for n in (10**12, 2**1024):
+            named = f"extropy lower envelope of {member.label()} at n={n} is beyond the double range"
+            for call in (bounds.extropy_bounds, bounds.normalized_bounds):
+                with pytest.raises(OverflowError, match=f"^{re.escape(named)}$"):
+                    call(member, n)
 
     def test_upper_envelope_reduces_to_quarter_profile_at_n1(self):
         for member in (d.exponential(1.0), d.logistic(2.0), d.uniform(0.5)):

@@ -7,6 +7,7 @@ approach the classified limit law on a quantile grid.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -385,6 +386,8 @@ PARITY_MEMBERS = canonical.catalog_members() + (d.gev(-2.5), d.gev(1e-9), d.gev(
 PARITY_GRID = [*range(1, 3001), 10**4, 10**4 + 1, 10**5, 10**6, 10**7, 10**9]
 # held as Python ints: n * n leaves int64, and 2**53 + 1 has no float64
 HUGE_GRID = [2, 10**9, 2**53 + 1, 10**20]
+# held as Python ints past the doubles, where float(n) raises
+PAST_GRID = [2, 10**19, 2**1024, 10**400]
 
 
 def _bits(values, size):
@@ -420,7 +423,7 @@ class TestRecordsOnAnArray:
         record_fn = getattr(d.REGISTRY[member.family], fact)
         _assert_array_call_is_the_scalar_calls(lambda n: record_fn(member, n), grid)
 
-    @pytest.mark.parametrize("grid", [PARITY_GRID, HUGE_GRID], ids=["parity", "huge"])
+    @pytest.mark.parametrize("grid", [PARITY_GRID, HUGE_GRID, PAST_GRID], ids=["parity", "huge", "past"])
     def test_harmonic_gives_the_bits_of_the_scalar_calls(self, grid):
         _assert_array_call_is_the_scalar_calls(special.harmonic, grid)
 
@@ -438,6 +441,24 @@ class TestRecordsOnAnArray:
 
 class TestConvergenceStudy:
     GRID = (10, 100, 1000, 10_000, 100_000, 1_000_000)
+
+    @pytest.mark.parametrize("member", canonical.catalog_members(), ids=lambda m: m.label())
+    def test_a_grid_past_the_doubles_is_the_scalar_path(self, member):
+        # n past the doubles, which float arithmetic cannot take: the study
+        # gives the normalized measures' scalar values at each n, or raises
+        # the named error of that path at its first failing n
+        grid = [2, 10**19, 10**400]
+        try:
+            want = [
+                (measures.shannon_normalized(member, n).value, measures.extropy_normalized(member, n).value)
+                for n in grid
+            ]
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                evt.convergence_study(member, grid)
+            return
+        study = evt.convergence_study(member, grid)
+        assert [(r.h_normalized, r.j_normalized) for r in study.records] == want
 
     @pytest.mark.parametrize(
         "member", [d.exponential(1.0), d.logistic(2.0), d.gev(0.0)], ids=lambda m: m.label()

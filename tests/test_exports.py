@@ -248,8 +248,9 @@ def _sites(wanted: str) -> set[tuple[str, str]]:
 def test_only_the_one_helper_takes_an_extropy_in_decimal():
     # a closed J past the direct form's doubles is taken from ln|J| in
     # decimal by distributions._closed_extropy alone, so no record keeps a
-    # fallback of its own
-    assert _sites("localcontext") == {("distributions", "_closed_extropy")}
+    # fallback of its own; the one other decimal site is the power n^p of
+    # the norming constants past the doubles, which takes no J
+    assert _sites("localcontext") == {("distributions", "_closed_extropy"), ("distributions", "_past_power")}
 
 
 def test_one_core_chooses_every_route():

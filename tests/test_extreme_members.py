@@ -506,15 +506,79 @@ def test_closed_route_past_the_doubles_against_mpmath(member, n):
         _assert_named_overflow(lambda: measures.shannon_max(member, n, method), member, n)
         _assert_named_overflow(lambda: measures.extropy_max(member, n, method), member, n)
 
-    # the normalized calls return where a_n is a double (exponential, a_n =
-    # 1/theta) and else name the norming overflow
-    if member.family != "exponential":
-        _assert_named_overflow(lambda: measures.shannon_normalized(member, n), member, n)
-        _assert_named_overflow(lambda: bounds.normalized_bounds(member, n), member, n)
+    # the normalized calls return where a_n is a double, within 1e-12 of
+    # H - ln a_n, and else raise the norming's named error
+    # (test_norming_past_the_doubles_against_mpmath)
+    try:
+        evt.norming_constants(member, n)
+    except ValueError as exc:
+        for call in (measures.shannon_normalized, bounds.normalized_bounds):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                call(member, n)
         return
+    with mpmath.workdps(50):
+        want = h - mpmath.log(_mp_norming(member, n)[0])
     normalized = measures.shannon_normalized(member, n).value
-    assert abs(normalized - float(h + mpmath.log(member.theta))) <= 1e-12
+    assert abs(normalized - float(want)) <= 1e-12, (normalized, want)
     if -j_lower > sys.float_info.max:
         _assert_named_overflow(lambda: bounds.normalized_bounds(member, n), member, n)
     else:
         assert bounds.normalized_bounds(member, n)[0].value == normalized
+
+
+def _mp_norming(member, n):
+    """(a_n, b_n): theta/n and theta - a_n for uniform, 1/theta and
+    ln n/theta for exponential, b_n = theta n^(1/nu) and a_n = b_n/nu for
+    pareto, a_n = (1 - (1 - 1/n)^(1/nu))/theta and b_n = 1/theta - a_n for
+    power_function, and n^xi and (n^xi - 1)/xi for gev with xi != 0."""
+    theta, n = mpmath.mpf(member.theta), mpmath.mpf(n)
+    if member.family == "uniform":
+        return theta / n, theta - theta / n
+    if member.family == "exponential":
+        return 1 / theta, mpmath.log(n) / theta
+    if member.family == "gev":
+        xi = mpmath.mpf(member.xi)
+        return n**xi, mpmath.expm1(xi * mpmath.log(n)) / xi
+    nu = mpmath.mpf(member.nu)
+    if member.family == "pareto":
+        return theta * n ** (1 / nu) / nu, theta * n ** (1 / nu)
+    a = -mpmath.expm1(mpmath.log1p(-1 / n) / nu) / theta
+    return a, 1 / theta - a
+
+
+@pytest.mark.parametrize("n", HUGE_N, ids=("2^1024", "1e400"))
+@pytest.mark.parametrize(
+    "member", [*canonical.mc_representatives(), d.gev(-0.5), d.pareto(0.5, 1.0)], ids=lambda m: m.label()
+)
+def test_norming_past_the_doubles_against_mpmath(member, n):
+    # n is taken exactly: a_n and b_n are within 1e-15 relative of mpmath at
+    # 50 digits, or the call names why they are not doubles: an a_n below
+    # the subnormals (uniform and power_function at 10^400) underflows, one
+    # above them (pareto(0.5, 1) at 10^400, not at 2^1024, where theta n =
+    # 2^1023 though n is past the doubles) overflows, and the logistic
+    # constants are undefined, as 1 - 1/n rounds to 1
+    if member.family == "logistic":
+        with pytest.raises(ValueError, match=f"^norming constants for the logistic family are undefined at n={n} "):
+            evt.norming_constants(member, n)
+        return
+    with mpmath.workdps(50):
+        a, b = _mp_norming(member, n)
+    if a < mpmath.ldexp(1, -1075):  # half the least subnormal: a_n rounds to 0
+        underflow = f"norming constants for {member.label()} underflow the double range at n={n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(underflow)}$"):
+            evt.norming_constants(member, n)
+        return
+    if a > sys.float_info.max:
+        overflow = f"norming constants for {member.label()} overflow the double range at n={n}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(overflow)}$"):
+            evt.norming_constants(member, n)
+        return
+    got = evt.norming_constants(member, n)
+    _assert_close(got.a_n, a, 1e-15)
+    _assert_close(got.b_n, b, 1e-15)
+
+
+def test_a_normalized_gev_past_the_doubles_is_its_limit():
+    # h = H - ln a_n = 1 + (1 + xi) gamma at every n, as ln n cancels
+    got = measures.shannon_normalized(d.gev(0.5), 10**400).value
+    assert abs(got - (1.0 + 1.5 * special.EULER_GAMMA)) <= 1e-12

@@ -1177,6 +1177,46 @@ def test_a_failed_integral_leaves_the_tables_as_they_were(monkeypatch, quadratur
     _assert_index_consistent()
 
 
+@pytest.mark.parametrize("cap, cut", [(numerics._PANEL_CAP, False), (27, True)], ids=["cap", "small cap"])
+def test_a_walk_begun_before_cache_clear_adds_by_bounds(cap, cut, monkeypatch, quadrature_caches):
+    # A large-n cell walks the index a table sweep has grown, and the index
+    # is cleared before the walk is added.  The walk passes its splits by
+    # bounds alone, so it lists each half the cleared index does not hold,
+    # in split order, up to the cap, points each parent still held at its
+    # halves, and leaves the index consistent: ids names each held panel,
+    # every kids pair is the halves of its parent, and width, dtdu and
+    # half have one entry per panel.  The cell's result is the cold one.
+    monkeypatch.setattr(numerics, "_PANEL_CAP", cap)
+    member, n = LARGE_N_MEMBERS[0], LARGE_N[0]
+    quadrature_caches()
+    want = measures.crosscheck(member, n)
+    index, add, walks = numerics._index, numerics._index.add, []
+
+    def cleared_first(walk):
+        walks.append(walk)
+        quadrature_caches()
+        add(walk)
+
+    quadrature_caches()
+    for m in canonical.TABLE_N:
+        measures.crosscheck(canonical.catalog_members()[0], m)
+    grown = {panel[:2] for panel in index.panels}
+    monkeypatch.setattr(index, "add", cleared_first)
+    assert measures.crosscheck(member, n) == want
+    (walk,) = walks
+    halves = [half for _, *pair in walk.splits for half in pair]
+    fixed = len(numerics._FIXED)
+    assert [panel[:2] for panel in index.panels[fixed:]] == halves[: cap - fixed]
+    assert (fixed + len(halves) > cap) == cut  # whether the cap stops the listing short
+    ids = index.ids
+    for parent, *pair in walk.splits:
+        if parent in ids and all(half in ids for half in pair):
+            assert index.kids[ids[parent]] == tuple(ids[half] for half in pair)
+    # some split is of a panel the cleared index no longer holds
+    assert any(parent in grown and parent not in ids for parent, *_ in walk.splits)
+    _assert_index_consistent()
+
+
 def test_integrate_unit_reads_no_shared_state(quadrature_caches):
     # verify's oracle integrands and check 8's give the same results,
     # evaluation counts and calls of the integrand, in order, from a cleared

@@ -308,8 +308,14 @@ class TestIntegratePanels:
         assert first == numerics.integrate_unit(math.sqrt, 1e-10)
         assert first.evaluations == 15 * len(reads) == 15 * len(walk.panels)
         assert reads == list(range(len(walk.panels)))
-        assert walk.listed == 23 and ruled == [panel[:2] for panel in walk.panels]
-        assert walk.parents and all(walk.kids[i] == (23 + 2 * j, 24 + 2 * j) for j, i in enumerate(walk.parents))
+        assert ruled == [panel[:2] for panel in walk.panels]
+        # split j lists its halves at 23 + 2j and 24 + 2j, the kids of the
+        # panel it names by its bounds
+        ids = {panel[:2]: i for i, panel in enumerate(walk.panels)}
+        assert walk.splits and len(walk.panels) == 23 + 2 * len(walk.splits)
+        for j, (parent, lower, upper) in enumerate(walk.splits):
+            assert walk.kids[ids[parent]] == (ids[lower], ids[upper]) == (23 + 2 * j, 24 + 2 * j)
+            assert lower == (parent[0], 0.5 * sum(parent)) and upper == (0.5 * sum(parent), parent[1])
         answers = iter(zip(values[23:], errors[23:]))
         replay, again_values, again_errors = [], values[:23], errors[:23]
 

@@ -9,7 +9,9 @@ Groups:
 
 - ``quad``: every ``measures._quadrature`` outcome of the catalog and
   ``EDGE_SPECS`` at ``QUAD_N`` x ``QUAD_TOLS`` x "H"/"J"/"HJ", one sweep
-  right after ``numerics._index.cache_clear()`` and one more, warm;
+  right after ``numerics._index.cache_clear()`` and one more, warm, each
+  followed by the bounds, ``kids`` and width of every panel the index
+  holds, so that a change shows it keeps the index it builds;
 - ``unit``: ``numerics.integrate_unit`` on ``UNIT_INTEGRANDS`` at
   ``UNIT_TOLS``, and the points each call evaluates, in order;
 - ``closed``: every public closed-route entry point (both measures, both
@@ -159,12 +161,16 @@ def quad_records() -> list[str]:
         for tol in QUAD_TOLS
         for which in ("H", "J", "HJ")
     ]
-    numerics._index.cache_clear()
+    index = numerics._index
+    index.cache_clear()
     records = []
     for sweep in ("cleared", "warm"):
         for member, n, tol, which in cells:
             outcome = _outcome(lambda: measures._quadrature(member, n, which, tol))
             records.append(f"{sweep} {member.label()} n={n} tol={tol!r} {which}: {outcome}")
+        # the index the sweep leaves: each held panel's bounds, kids and width
+        for i, (panel, kids, width) in enumerate(zip(index.panels, index.kids, index.width)):
+            records.append(f"{sweep} panel {i}: {_bits(panel[0])} {_bits(panel[1])} kids={kids} width={_bits(width)}")
     return records
 
 
